@@ -62,6 +62,18 @@ from .seeding import child_seed, substream
 
 CLASS_NAMES = tuple(g.value for g in GESTURE_CLASSES)
 
+# exception classes -> exit code, in the order main tries them
+EXIT_CODES = (
+    (IntegrityError, 5),
+    (ManifestError, 4),
+    (DataError, 4),
+    (SimulationError, 6),
+    (ConfigError, 3),
+    (ShapeError, 3),
+    (ValueError, 3),
+    (OSError, 1),
+)
+
 
 def _default_config() -> dict:
     bench = standard_benchmark_spec(instances=2)
@@ -451,22 +463,12 @@ def main(argv=None) -> int:
     if args.command == "infer" and not Path(args.checkpoint).exists():
         print(f"rfdm infer: checkpoint not found: {args.checkpoint}", file=sys.stderr)
         return 2
-    def fail(exc, code):
-        print(f"rfdm {args.command}: {exc}", file=sys.stderr)
-        return code
-
     try:
         return args.func(args)
-    except IntegrityError as exc:
-        return fail(exc, 5)
-    except (ManifestError, DataError) as exc:
-        return fail(exc, 4)
-    except SimulationError as exc:
-        return fail(exc, 6)
-    except (ConfigError, ShapeError, ValueError) as exc:
-        return fail(exc, 3)
-    except OSError as exc:
-        return fail(exc, 1)
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
+        code = next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+        print(f"rfdm {args.command}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -7,12 +7,12 @@ confusion matrix on the held-out samples. Fold accuracies are averaged
 unweighted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ManifestError
-from .model import CnnTcnConfig, TrainConfig, build_model, evaluate_accuracy, train_model
+from .model import CnnTcnConfig, TrainConfig, build_model, predict_classes, train_model
 from .seeding import child_seed, substream
 
 PROTOCOLS = ("loocv", "location", "environment", "random")
@@ -239,10 +239,7 @@ def run_protocol(
         res = train_model(model, x, labels, plan.train, plan.val, fold_train,
                           class_names=class_names,
                           log=(lambda s, _f=plan.fold_id: log(f"[{_f}] {s}")) if log else None)
-        preds = []
-        for i in range(0, len(plan.test), 64):
-            chunk = x[plan.test[i : i + 64]]
-            preds.extend(model.forward(chunk, train=False).argmax(axis=1).tolist())
+        preds = predict_classes(model, x[plan.test])
         conf = ConfusionMatrix.from_predictions(labels[plan.test], preds, class_names)
         if log:
             log(f"[{plan.fold_id}] test accuracy {conf.accuracy:.4f}")

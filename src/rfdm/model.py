@@ -14,9 +14,7 @@ A plain-CNN baseline shares the frame model, replaces the temporal stack
 with a mean over frames, and uses a smaller dense head.
 """
 
-import copy
-import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -347,14 +345,16 @@ def _restore(model, snap):
         b[...] = v
 
 
+def predict_classes(model, x, batch_size: int = 64) -> np.ndarray:
+    """Arg-max class of each sequence in x, forwarded in eval mode per batch."""
+    return np.concatenate([model.forward(x[i : i + batch_size], train=False).argmax(axis=1)
+                           for i in range(0, len(x), batch_size)])
+
+
 def evaluate_accuracy(model, x, y, batch_size: int = 64) -> float:
     if len(y) == 0:
         return float("nan")
-    hits = 0
-    for i in range(0, len(y), batch_size):
-        logits = model.forward(x[i : i + batch_size], train=False)
-        hits += int((logits.argmax(axis=1) == y[i : i + batch_size]).sum())
-    return hits / len(y)
+    return int((predict_classes(model, x, batch_size) == y).sum()) / len(y)
 
 
 def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig,

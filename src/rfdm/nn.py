@@ -16,153 +16,6 @@ import numpy as np
 
 from .errors import ShapeError
 
-try:  # numba only accelerates the im2col copies; results are identical
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _fill_cols(xp, cols, kh, kw, s):
-        n, ho, wo, _, c = cols.shape
-        for ni in prange(n):
-            for p in range(ho):
-                for i in range(kh):
-                    src_r = p * s + i
-                    for q in range(wo):
-                        for j in range(kw):
-                            m = i * kw + j
-                            src_c = q * s + j
-                            for cc in range(c):
-                                cols[ni, p, q, m, cc] = xp[ni, src_r, src_c, cc]
-
-    @njit(parallel=True, cache=True)
-    def _scatter_cols(dxp, dcols, kh, kw, s):
-        n, ho, wo, _, c = dcols.shape
-        for ni in prange(n):
-            for p in range(ho):
-                for i in range(kh):
-                    dst_r = p * s + i
-                    for q in range(wo):
-                        for j in range(kw):
-                            m = i * kw + j
-                            dst_c = q * s + j
-                            for cc in range(c):
-                                dxp[ni, dst_r, dst_c, cc] += dcols[ni, p, q, m, cc]
-
-    @njit(parallel=True, cache=True)
-    def _leaky_fwd(x, alpha, out):
-        f = x.reshape(-1)
-        o = out.reshape(-1)
-        for i in prange(f.size):
-            v = f[i]
-            o[i] = v if v >= 0.0 else alpha * v
-
-    @njit(parallel=True, cache=True)
-    def _leaky_bwd(x, dy, alpha, out):
-        f = x.reshape(-1)
-        d = dy.reshape(-1)
-        o = out.reshape(-1)
-        for i in prange(f.size):
-            o[i] = d[i] if f[i] >= 0.0 else alpha * d[i]
-
-    @njit(parallel=True, cache=True)
-    def _bn_dx(dy, x, c1, k, c0, out):
-        n = dy.shape[0]
-        m = dy.shape[1]
-        c = dy.shape[2]
-        for i in prange(n):
-            for j in range(m):
-                for cc in range(c):
-                    out[i, j, cc] = c1[cc] * dy[i, j, cc] - k[cc] * x[i, j, cc] - c0[cc]
-
-    @njit(parallel=True, cache=True)
-    def _pool_bwd(idx, dy, dx):
-        n, h2, w2, c = dy.shape
-        for i in prange(n):
-            for p in range(h2):
-                for q in range(w2):
-                    for cc in range(c):
-                        m = idx[i, p, q, cc]
-                        dx[i, 2 * p + m // 2, 2 * q + m % 2, cc] = dy[i, p, q, cc]
-
-    @njit(parallel=True, cache=True)
-    def _pool_fwd(x, best, idx):
-        n, h2, w2, c = best.shape
-        for i in prange(n):
-            for p in range(h2):
-                for q in range(w2):
-                    for cc in range(c):
-                        b = x[i, 2 * p, 2 * q, cc]
-                        m = 0
-                        v = x[i, 2 * p, 2 * q + 1, cc]
-                        if v > b:
-                            b, m = v, 1
-                        v = x[i, 2 * p + 1, 2 * q, cc]
-                        if v > b:
-                            b, m = v, 2
-                        v = x[i, 2 * p + 1, 2 * q + 1, cc]
-                        if v > b:
-                            b, m = v, 3
-                        best[i, p, q, cc] = b
-                        idx[i, p, q, cc] = m
-
-    @njit(parallel=True, cache=True)
-    def _bn_affine(x3, a, b, out3):
-        n, mm, c = x3.shape
-        for i in prange(n):
-            for j in range(mm):
-                for cc in range(c):
-                    out3[i, j, cc] = x3[i, j, cc] * a[cc] + b[cc]
-
-else:  # pragma: no cover - plain numpy fallbacks, same results
-
-    def _fill_cols(xp, cols, kh, kw, s):
-        _, ho, wo, _, _ = cols.shape
-        m = 0
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, :, m, :] = xp[:, i : i + s * (ho - 1) + 1 : s,
-                                         j : j + s * (wo - 1) + 1 : s, :]
-                m += 1
-
-    def _scatter_cols(dxp, dcols, kh, kw, s):
-        _, ho, wo, _, _ = dcols.shape
-        m = 0
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i : i + s * (ho - 1) + 1 : s,
-                    j : j + s * (wo - 1) + 1 : s, :] += dcols[:, :, :, m, :]
-                m += 1
-
-    def _leaky_fwd(x, alpha, out):
-        np.maximum(x, alpha * x, out=out)
-
-    def _leaky_bwd(x, dy, alpha, out):
-        out[...] = np.where(x >= 0, dy, alpha * dy)
-
-    def _bn_dx(dy, x, c1, k, c0, out):
-        out[...] = c1 * dy - k * x - c0
-
-    def _pool_bwd(idx, dy, dx):
-        for m, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            np.copyto(dx[:, i::2, j::2, :], dy, where=(idx == m))
-
-    def _pool_fwd(x, best, idx):
-        best[...] = x[:, ::2, ::2, :]
-        idx[...] = 0
-        for m, (i, j) in enumerate(((0, 1), (1, 0), (1, 1)), start=1):
-            cand = x[:, i::2, j::2, :]
-            mask = cand > best
-            np.copyto(best, cand, where=mask)
-            np.copyto(idx, np.uint8(m), where=mask)
-
-    def _bn_affine(x3, a, b, out3):
-        out3[...] = x3 * a + b
-
 
 class Param:
     """A trainable buffer and its gradient accumulator."""
@@ -235,13 +88,13 @@ class Conv2d(Layer):
         _check_axis(x, 4, 3, self.c_in, "Conv2d input channels")
         n, h, w, _ = x.shape
         ho, wo, (pt, pb), (pl, pr) = self._geometry(h, w)
-        if pt or pb or pl or pr:
-            xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-        else:
-            xp = np.ascontiguousarray(x)
+        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if pt or pb or pl or pr else x
         s, kh, kw, ci = self.stride, self.kh, self.kw, self.c_in
         cols = np.empty((n, ho, wo, kh * kw, ci))
-        _fill_cols(xp, cols, kh, kw, s)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, :, :, i * kw + j, :] = xp[:, i : i + s * (ho - 1) + 1 : s,
+                                                  j : j + s * (wo - 1) + 1 : s, :]
         cols = cols.reshape(n * ho * wo, kh * kw * ci)
         wmat = self.w.value.reshape(kh * kw * ci, self.c_out)
         out = cols @ wmat + self.b.value
@@ -255,9 +108,12 @@ class Conv2d(Layer):
         self.w.grad += (cols.T @ dym).reshape(self.w.value.shape)
         self.b.grad += dym.sum(axis=0)
         dcols = (dym @ self.w.value.reshape(kh * kw * ci, self.c_out).T)
-        dcols = np.ascontiguousarray(dcols.reshape(n, ho, wo, kh * kw, ci))
+        dcols = dcols.reshape(n, ho, wo, kh * kw, ci)
         dxp = np.zeros(xp_shape)
-        _scatter_cols(dxp, dcols, kh, kw, s)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i : i + s * (ho - 1) + 1 : s,
+                    j : j + s * (wo - 1) + 1 : s, :] += dcols[:, :, :, i * kw + j, :]
         return dxp[:, pt : pt + h, pl : pl + w, :]
 
 
@@ -285,7 +141,6 @@ class BatchNorm2d(Layer):
 
     def forward(self, x, train=False):
         _check_axis(x, 4, 3, self.c, "BatchNorm2d channels")
-        x = np.ascontiguousarray(x)
         flat = x.reshape(-1, self.c)
         if train:
             m_count = flat.shape[0]
@@ -303,13 +158,9 @@ class BatchNorm2d(Layer):
             mean = self.running_mean
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
             self._cache = ("eval", x, mean, inv, 0)
-        # y = x * a + b with per-channel a, b (single fused pass)
         a = self.gamma.value * inv
         b = self.beta.value - mean * a
-        out = np.empty_like(x)
-        _bn_affine(x.reshape(x.shape[0], -1, self.c), a, b,
-                   out.reshape(out.shape[0], -1, self.c))
-        return out
+        return x * a + b
 
     def backward(self, dy):
         mode, x, mean, inv, m = self._cache
@@ -324,15 +175,11 @@ class BatchNorm2d(Layer):
             # running stats are constants here, so the chain is elementwise
             return dy * (self.gamma.value * inv)
         # dx = (gamma*inv/m) * (m*dy - dbeta - xhat*dgamma) with xhat = (x-mean)*inv,
-        # expanded into per-channel constants so it runs in one fused pass
+        # expanded into per-channel constants
         c1 = self.gamma.value * inv
         k = (c1 / m) * dgamma * inv
         c0 = (c1 / m) * dbeta - k * mean
-        dy = np.ascontiguousarray(dy)
-        out = np.empty_like(dy)
-        _bn_dx(dy.reshape(dy.shape[0], -1, self.c), x.reshape(x.shape[0], -1, self.c),
-               c1, k, c0, out.reshape(out.shape[0], -1, self.c))
-        return out
+        return c1 * dy - k * x - c0
 
 
 class LeakyReLU(Layer):
@@ -341,17 +188,12 @@ class LeakyReLU(Layer):
         self._x = None
 
     def forward(self, x, train=False):
-        x = np.ascontiguousarray(x)
         self._x = x
-        out = np.empty_like(x)
-        _leaky_fwd(x, self.alpha, out)
-        return out
+        out = self.alpha * x
+        return np.maximum(x, out, out=out)
 
     def backward(self, dy):
-        dy = np.ascontiguousarray(dy)
-        out = np.empty_like(dy)
-        _leaky_bwd(self._x, dy, self.alpha, out)
-        return out
+        return np.where(self._x >= 0, dy, self.alpha * dy)
 
 
 # window positions in first-index (row-major) tie-break order
@@ -365,18 +207,22 @@ class MaxPool2d(Layer):
         n, h, w, c = x.shape
         if h % 2 or w % 2:
             raise ShapeError(f"MaxPool2d needs even spatial dims, got {h}x{w}")
-        x = np.ascontiguousarray(x)
-        best = np.empty((n, h // 2, w // 2, c))
+        best = x[:, ::2, ::2, :].copy()
         idx = np.zeros(best.shape, dtype=np.uint8)
         # strict > scans in row-major window order, so ties keep the first index
-        _pool_fwd(x, best, idx)
+        for m, (i, j) in enumerate(_POOL_OFFSETS[1:], start=1):
+            cand = x[:, i::2, j::2, :]
+            mask = cand > best
+            np.copyto(best, cand, where=mask)
+            np.copyto(idx, np.uint8(m), where=mask)
         self._cache = (idx, (n, h, w, c))
         return best
 
     def backward(self, dy):
         idx, (n, h, w, c) = self._cache
         dx = np.zeros((n, h, w, c))
-        _pool_bwd(idx, np.ascontiguousarray(dy), dx)
+        for m, (i, j) in enumerate(_POOL_OFFSETS):
+            np.copyto(dx[:, i::2, j::2, :], dy, where=(idx == m))
         return dx
 
 

@@ -13,7 +13,7 @@ so the beat frequency k*t_d encodes range and the chirp-to-chirp phase
 evaluated per chirp (stop-and-go): range is frozen within one chirp.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np

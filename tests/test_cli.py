@@ -5,7 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rfdm import cli
 from rfdm.cli import main
+from rfdm.errors import (
+    ConfigError,
+    DataError,
+    IntegrityError,
+    ManifestError,
+    PlacementError,
+    ShapeError,
+    SimulationError,
+)
 from rfdm.io import read_manifest, read_rfdm
 
 SMOKE_CONFIG = {
@@ -104,8 +114,6 @@ class TestPreprocess:
     def test_no_mti_flag_preserves_moving_peak(self, tmp_path):
         # a noise-free constant-velocity target keeps its Doppler peak bin
         # whether or not the MTI stage runs (MTI attenuates, DC excepted)
-        from dataclasses import asdict
-
         from rfdm.io import write_cube, write_dataset_manifest
         from rfdm.radar import RadarConfig, linear_scatterer, synthesize_cube
 
@@ -232,3 +240,33 @@ class TestUsage:
 
     def test_missing_subcommand(self):
         assert main([]) == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code", [
+        (IntegrityError, 5),
+        (ManifestError, 4),
+        (DataError, 4),
+        (SimulationError, 6),
+        (PlacementError, 6),
+        (ConfigError, 3),
+        (ShapeError, 3),
+        (ValueError, 3),
+        (OSError, 1),
+        (FileNotFoundError, 1),
+    ])
+    def test_exception_maps_to_exit_code(self, monkeypatch, capsys, exc, code):
+        def raise_it(args):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "cmd_plot", raise_it)
+        assert main(["plot", "--input", "x.rfdm", "--out", "o"]) == code
+        assert capsys.readouterr().err == "rfdm plot: boom\n"
+
+    def test_unmapped_exception_propagates(self, monkeypatch):
+        def raise_it(args):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "cmd_plot", raise_it)
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["plot", "--input", "x.rfdm", "--out", "o"])

@@ -4,7 +4,6 @@ import pytest
 from rfdm.errors import ConfigError, ManifestError
 from rfdm.evaluate import (
     ConfusionMatrix,
-    SplitPlan,
     make_splits,
     run_protocol,
 )
@@ -170,6 +169,20 @@ class TestRunProtocol:
         for f1, f2 in zip(r1.folds, r2.folds):
             assert np.array_equal(f1.confusion.counts, f2.confusion.counts)
             assert f1.confusion.accuracy == np.trace(f1.confusion.counts) / f1.confusion.total
+
+    def test_fold_workers_do_not_change_the_result(self):
+        meta = make_meta(n_users=3, n_locations=1, n_instances=1)
+        x, y = separable_dataset(meta)
+        plans = make_splits(meta, "loocv", seed=2)
+
+        def run(workers):
+            return run_protocol(
+                x, y, plans, "cnn-tcn", SMALL_CFG,
+                TrainConfig(lr=5e-3, batch_size=7, epochs=2, seed=0),
+                master_seed=3, class_names=CLASS_NAMES, workers=workers,
+            ).to_dict()
+
+        assert run(2) == run(1)
 
     def test_no_index_leaks_between_train_and_test(self):
         meta = make_meta(n_users=3, n_locations=2)

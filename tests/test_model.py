@@ -12,6 +12,7 @@ from rfdm.model import (
     evaluate_accuracy,
     param_count,
     predict,
+    predict_classes,
     train_model,
 )
 from rfdm.nn import softmax_xent
@@ -222,6 +223,12 @@ class TestPredict:
         last.b.value[...] = 0.0
         _, probs = predict(m, np.random.default_rng(2).random((4, 8, 8)))
         assert np.allclose(probs, 1 / 7, atol=1e-12)
+
+    def test_batched_classes_match_single_predictions(self):
+        m = tiny_model(11)
+        x = np.random.default_rng(3).random((5, 4, 8, 8))
+        want = [predict(m, seq)[0] for seq in x]
+        assert predict_classes(m, x, batch_size=2).tolist() == want
 
 
 class TestBaseline:

@@ -102,12 +102,19 @@ class TestBatchNorm:
         y = bn.forward(x, train=False)
         assert np.max(np.abs(y.mean(axis=(0, 1, 2)))) < 0.05
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_gradcheck(self, seed):
+    # train mode keeps the bare seed ids; eval mode backpropagates through
+    # fixed running statistics
+    @pytest.mark.parametrize("seed, train", [(s, True) for s in range(3)] +
+                             [(s, False) for s in range(3)],
+                             ids=["0", "1", "2", "eval-0", "eval-1", "eval-2"])
+    def test_gradcheck(self, seed, train):
         bn = BatchNorm2d(3)
         bn.gamma.value[...] = rng_for(seed).uniform(0.5, 1.5, 3)
+        if not train:
+            bn.running_mean[...] = rng_for(seed + 20).standard_normal(3)
+            bn.running_var[...] = rng_for(seed + 30).uniform(0.5, 2.0, 3)
         x = rng_for(seed + 10).standard_normal((2, 3, 4, 3))
-        check_layer_gradients(bn, x, seed=seed, train=True)
+        check_layer_gradients(bn, x, seed=seed, train=train)
 
 
 class TestLeakyReLU:

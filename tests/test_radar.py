@@ -7,7 +7,6 @@ from rfdm.radar import (
     C_LIGHT,
     DataCube,
     RadarConfig,
-    Scatterer,
     derived_quantities,
     if_signal_sample,
     linear_scatterer,
