@@ -1,9 +1,13 @@
 """Preprocessing chain: range FFT, 4th-order MTI, Doppler FFT, RFDM conditioning.
 
-The FFT is implemented here (iterative radix-2 plus Bluestein's chirp-z for
-arbitrary lengths) and is verified in the test suite against `dft_oracle`,
-the literal O(N^2) transform. All transforms operate along the last axis of
-an arbitrary-rank array so the cube pipeline stays vectorized.
+The DFT is a pruned one (FFT pruning, Markel 1971): zero-padding, the
+fftshift and the crop are linear, so each transform multiplies the windowed
+input by a cached [length, count] DFT matrix that computes only the bins the
+crop keeps (32 of 128 range and 32 of 128 Doppler bins by default). It is
+verified in the test suite against `dft_oracle`, the literal O(N^2)
+transform, and against numpy.fft. Transforms operate along the last axis of
+an arbitrary-rank array as one 2-D GEMM, so the cube pipeline stays
+vectorized.
 """
 
 from dataclasses import dataclass, field
@@ -34,95 +38,37 @@ def dft_oracle(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+def _dft_matrix(length: int, n: int, start: int, count: int) -> np.ndarray:
+    """[length, count] matrix whose column k is DFT bin (start + k) mod n."""
+    bins = (start + np.arange(count)) % n
+    # exponent mod n keeps the phase exact for large length * bin products
+    m = np.exp(-2j * np.pi * (np.outer(np.arange(length), bins) % n) / n)
+    m.flags.writeable = False
+    return m
 
 
-@lru_cache(maxsize=64)
-def _twiddles(size: int) -> np.ndarray:
-    half = size // 2
-    return np.exp(-2j * np.pi * np.arange(half) / size)
+def fft(x: np.ndarray, n: int | None = None, start: int = 0, count: int | None = None) -> np.ndarray:
+    """Pruned DFT along the last axis, evaluated as one GEMM.
 
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 Cooley-Tukey along the last axis; len must be 2^m."""
-    n = x.shape[-1]
-    if n == 1:
-        return x.astype(np.complex128, copy=True)
-    y = np.ascontiguousarray(x, dtype=np.complex128)[..., _bit_reversal(n)]
-    lead = y.shape[:-1]
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = _twiddles(size)
-        y = y.reshape(*lead, n // size, size)
-        even = y[..., :half]
-        odd = y[..., half:] * tw
-        y = np.concatenate((even + odd, even - odd), axis=-1)
-        y = y.reshape(*lead, n)
-        size *= 2
-    return y
-
-
-@lru_cache(maxsize=64)
-def _bluestein_tables(n: int):
-    """Chirp tables and padded chirp spectrum for length-n transforms."""
-    m = 1 << (2 * n - 1).bit_length()
-    k = np.arange(n)
-    # exponent mod 2n keeps the quadratic phase exact for large n
-    w = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(w)
-    b[m - n + 1 :] = np.conj(w[1:][::-1])
-    return m, w, _fft_pow2(b)
-
-
-def _fft_bluestein(x: np.ndarray) -> np.ndarray:
-    n = x.shape[-1]
-    m, w, fb = _bluestein_tables(n)
-    a = np.zeros(x.shape[:-1] + (m,), dtype=np.complex128)
-    a[..., :n] = x * w
-    conv = _ifft_pow2(_fft_pow2(a) * fb)
-    return conv[..., :n] * w
-
-
-def _ifft_pow2(x: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(x))) / x.shape[-1]
-
-
-def fft(x: np.ndarray) -> np.ndarray:
-    """DFT along the last axis; any positive length (radix-2 or Bluestein)."""
+    Equal to `np.fft.fft(x, n)[..., (start + arange(count)) % n]`: the input
+    is zero-padded to length `n` (default: its own length) and only `count`
+    bins (default: all `n`) are computed, starting at bin `start`, which may
+    be negative or wrap past `n`.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    if n < 1:
+    length = x.shape[-1]
+    if length < 1:
         raise ShapeError("fft requires length >= 1")
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    return _fft_bluestein(x)
-
-
-def ifft(x: np.ndarray) -> np.ndarray:
-    """Conjugate-normalized inverse of `fft`."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    if n < 1:
-        raise ShapeError("ifft requires length >= 1")
-    return np.conj(fft(np.conj(x))) / n
+    n = length if n is None else int(n)
+    if n < length:
+        raise ShapeError(f"fft length n={n} is shorter than the input ({length})")
+    count = n if count is None else int(count)
+    w = _dft_matrix(length, n, int(start), count)
+    return (x.reshape(-1, length) @ w).reshape(x.shape[:-1] + (count,))
 
 
 def next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1)).bit_length() if n > 1 else 1
-
-
-def fftshift_axis(x: np.ndarray, axis: int) -> np.ndarray:
-    """Move the zero-frequency bin to index n//2 along `axis`."""
-    return np.roll(x, x.shape[axis] // 2, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -138,24 +84,22 @@ def _window_vector(kind: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown window {kind!r} (expected 'none' or 'hann')")
 
 
-def range_compress(cube: DataCube, window: str = "hann") -> np.ndarray:
+def range_compress(cube: DataCube, window: str = "hann", start: int = 0,
+                   count: int | None = None) -> np.ndarray:
     """Fast-time FFT per chirp: [frame][chirp][sample][rx] -> [frame][chirp][range_bin][rx].
 
     The fast-time axis is windowed then zero-padded to the next power of two
     (112 -> 128 with the default config), so range bin b maps to beat
-    frequency b * f_s / n_padded.
+    frequency b * f_s / n_padded. Only range bins start .. start + count - 1
+    are computed (default: all of them).
     """
     cube.validate()
     x = cube.samples
     n_s = x.shape[2]
     w = _window_vector(window, n_s)
     xw = x * w[np.newaxis, np.newaxis, :, np.newaxis]
-    n_pad = next_pow2(n_s)
-    if n_pad != n_s:
-        pad = np.zeros(x.shape[:2] + (n_pad - n_s,) + x.shape[3:], dtype=np.complex128)
-        xw = np.concatenate((xw, pad), axis=2)
     # transform along fast time: move axis to the end and back
-    y = fft(np.moveaxis(xw, 2, -1))
+    y = fft(np.moveaxis(xw, 2, -1), next_pow2(n_s), start, count)
     return np.moveaxis(y, -1, 2)
 
 
@@ -203,11 +147,14 @@ class RfdmSequence:
             raise ShapeError("linear-scale RFDM must be non-negative")
 
 
-def doppler_process(rc: np.ndarray, window: str = "hann", provenance: dict | None = None) -> RfdmSequence:
+def doppler_process(rc: np.ndarray, window: str = "hann", provenance: dict | None = None,
+                    start: int = 0, count: int | None = None) -> RfdmSequence:
     """Slow-time FFT per range bin: [frame][chirp][range][rx] -> RFDM sequence.
 
     Chirp axis is windowed, zero-padded to the next power of two,
     transformed, fftshifted and magnitude-detected; rx channels are averaged.
+    Only bins start .. start + count - 1 of the fftshifted axis are computed
+    (default: all of them).
     """
     rc = np.asarray(rc, dtype=np.complex128)
     if rc.ndim != 4:
@@ -218,14 +165,26 @@ def doppler_process(rc: np.ndarray, window: str = "hann", provenance: dict | Non
     w = _window_vector(window, n_chirps)
     xw = rc * w[np.newaxis, :, np.newaxis, np.newaxis]
     n_pad = next_pow2(n_chirps)
-    if n_pad != n_chirps:
-        pad = np.zeros((rc.shape[0], n_pad - n_chirps) + rc.shape[2:], dtype=np.complex128)
-        xw = np.concatenate((xw, pad), axis=1)
-    spec = fft(np.moveaxis(xw, 1, -1))          # [frame, range, rx, doppler]
-    spec = fftshift_axis(spec, axis=-1)
+    # the fftshift moves DFT bin k to n_pad // 2 + k: start there, wrapping
+    spec = fft(np.moveaxis(xw, 1, -1), n_pad, start - n_pad // 2,
+               count)                           # [frame, range, rx, doppler]
     mag = np.abs(spec).mean(axis=2)             # average rx -> [frame, range, doppler]
     return RfdmSequence(frames=mag, scale_mode="linear", seq_max=float(mag.max(initial=0.0)),
                         provenance=dict(provenance or {}))
+
+
+def _crop_starts(map_shape, n_range_crop: int, n_doppler_crop: int,
+                 range_center_bin: int | None) -> tuple:
+    """(range, Doppler) start bins of the crop window in a map of `map_shape`."""
+    n_r, n_d = map_shape
+    if n_range_crop > n_r or n_doppler_crop > n_d:
+        raise ShapeError(
+            f"crop ({n_range_crop}, {n_doppler_crop}) exceeds map size ({n_r}, {n_d})"
+        )
+    center = n_range_crop // 2 if range_center_bin is None else int(range_center_bin)
+    r0 = min(max(center - n_range_crop // 2, 0), n_r - n_range_crop)
+    d0 = n_d // 2 - n_doppler_crop // 2
+    return r0, d0
 
 
 def condition_rfdm(
@@ -244,14 +203,7 @@ def condition_rfdm(
     'log-db' maps 20*log10(x + 1e-12) then min-max scales to [0, 1].
     """
     seq.validate()
-    t, n_r, n_d = seq.frames.shape
-    if n_range_crop > n_r or n_doppler_crop > n_d:
-        raise ShapeError(
-            f"crop ({n_range_crop}, {n_doppler_crop}) exceeds map size ({n_r}, {n_d})"
-        )
-    center = n_range_crop // 2 if range_center_bin is None else int(range_center_bin)
-    r0 = min(max(center - n_range_crop // 2, 0), n_r - n_range_crop)
-    d0 = n_d // 2 - n_doppler_crop // 2
+    r0, d0 = _crop_starts(seq.frames.shape[1:], n_range_crop, n_doppler_crop, range_center_bin)
     cropped = seq.frames[:, r0 : r0 + n_range_crop, d0 : d0 + n_doppler_crop]
 
     peak = float(cropped.max(initial=0.0))
@@ -278,11 +230,21 @@ def cube_to_rfdm(
     scale_mode: str = "linear-maxnorm",
     range_center_bin: int | None = None,
 ) -> RfdmSequence:
-    """Full chain: range FFT -> (optional) 4th-order MTI -> Doppler FFT -> conditioning."""
-    rc = range_compress(cube, window=window)
+    """Full chain: range FFT -> (optional) 4th-order MTI -> Doppler FFT -> conditioning.
+
+    The crop window is placed on the full padded map first, and both
+    transforms compute only the bins inside it.
+    """
+    n_slow = cube.config.n_chirps - 4 if mti else cube.config.n_chirps  # MTI drops 4 chirps
+    map_shape = (next_pow2(cube.config.n_samples), next_pow2(n_slow))
+    r0, d0 = _crop_starts(map_shape, n_range_crop, n_doppler_crop, range_center_bin)
+    rc = range_compress(cube, window=window, start=r0, count=n_range_crop)
     if mti:
         rc = mti_filter(rc, axis=1)
     prov = {"mti": bool(mti), "window": window,
             "n_chirps": cube.config.n_chirps, "n_samples": cube.config.n_samples}
-    seq = doppler_process(rc, window=window, provenance=prov)
-    return condition_rfdm(seq, n_range_crop, n_doppler_crop, scale_mode, range_center_bin)
+    seq = doppler_process(rc, window=window, provenance=prov, start=d0, count=n_doppler_crop)
+    out = condition_rfdm(seq, n_range_crop, n_doppler_crop, scale_mode)
+    # the map arrives cropped: record where the crop sits on the full padded map
+    out.provenance.update(range_crop_start=r0, doppler_crop_start=d0)
+    return out

@@ -104,15 +104,21 @@ def read_rfdm(path) -> RfdmSequence:
         magic = f.read(4)
         if magic != RFDM_MAGIC:
             raise IntegrityError(f"{path}: bad magic {magic!r}, expected {RFDM_MAGIC!r}")
-        version, t, n_r, n_d = struct.unpack("<4I", f.read(16))
+        header = f.read(17)
+        if len(header) != 17:
+            raise IntegrityError(f"{path}: truncated rfdm header")
+        version, t, n_r, n_d, code = struct.unpack("<4IB", header)
         if version != FORMAT_VERSION:
             raise IntegrityError(f"{path}: unsupported rfdm version {version}")
-        (code,) = struct.unpack("<B", f.read(1))
+        if code not in _SCALE_NAMES:
+            raise IntegrityError(f"{path}: unknown scale code {code}")
         payload = f.read(4 * t * n_r * n_d)
         if len(payload) != 4 * t * n_r * n_d:
             raise IntegrityError(f"{path}: truncated rfdm file")
+        if f.read(1):
+            raise IntegrityError(f"{path}: trailing bytes after the rfdm payload")
     frames = np.frombuffer(payload, dtype="<f4").reshape(t, n_r, n_d).astype(np.float64)
-    return RfdmSequence(frames=frames, scale_mode=_SCALE_NAMES.get(code, "linear"))
+    return RfdmSequence(frames=frames, scale_mode=_SCALE_NAMES[code])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from rfdm.dsp import (
     dft_oracle,
     doppler_process,
     fft,
-    ifft,
     mti_filter,
     next_pow2,
     range_compress,
@@ -44,18 +43,33 @@ class TestOracle:
 
 
 class TestFft:
-    @pytest.mark.parametrize("n", list(range(1, 17)) + [112, 128, 256])
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [112, 124, 128, 256])
     def test_matches_oracle(self, n):
         rng = np.random.default_rng(n)
         for _ in range(6):
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             assert max_rel(fft(x), dft_oracle(x)) < 1e-9
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        for n in [5, 64, 112, 200]:
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert max_rel(ifft(fft(x)), x) < 1e-9
+    # (input length, padded n, first bin, bin count): padding, negative
+    # starts (the Doppler fftshift) and bins that wrap past n
+    @pytest.mark.parametrize("length, n, start, count", [
+        (112, 128, 0, 32), (112, 128, 96, 64), (124, 128, -16, 32), (128, 128, -64, 128),
+        (1, 4, 0, 4), (5, 16, 14, 6), (7, 7, -3, 10), (100, 256, 250, 12), (16, 16, 0, None),
+    ])
+    def test_pruned_matches_numpy_and_oracle(self, length, n, start, count):
+        rng = np.random.default_rng(length + n)
+        x = rng.standard_normal((3, length)) + 1j * rng.standard_normal((3, length))
+        bins = (start + np.arange(n if count is None else count)) % n
+        out = fft(x, n, start, count)
+        assert max_rel(out, np.fft.fft(x, n)[:, bins]) < 1e-12
+        padded = np.concatenate((x, np.zeros((3, n - length))), axis=1)
+        for row, got in zip(padded, out):
+            assert max_rel(got, dft_oracle(row)[bins]) < 1e-12
+
+    @pytest.mark.parametrize("length, n", [(0, None), (0, 4), (8, 4), (5, 1)])
+    def test_bad_lengths_rejected(self, length, n):
+        with pytest.raises(ShapeError):
+            fft(np.zeros(length), n)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
@@ -90,6 +104,15 @@ class TestRangeCompress:
         assert rc.shape == (1, 128, 128, 1)
         profile = np.abs(rc[0, 0, :, 0])
         assert int(np.argmax(profile)) == round(5 * 128 / 112)
+
+    def test_pruned_equals_slice_of_full(self):
+        cube = synthesize_cube(CFG, [linear_scatterer(2.0, 1.5)], n_frames=2,
+                               noise_sigma=0.2, rng_seed=4)
+        full = range_compress(cube)
+        for start, count in [(0, 32), (40, 17), (120, 8)]:
+            pruned = range_compress(cube, start=start, count=count)
+            assert pruned.shape == (2, 128, count, 1)
+            assert max_rel(pruned, full[:, :, start : start + count]) < 1e-12
 
     def test_zero_cube_stays_zero(self):
         cube = synthesize_cube(CFG, [], n_frames=1)
@@ -154,6 +177,15 @@ class TestDoppler:
         _, d_bin = np.unravel_index(np.argmax(m), m.shape)
         assert d_bin == m.shape[1] // 2 + 3
 
+    def test_pruned_equals_slice_of_full(self):
+        rng = np.random.default_rng(6)
+        rc = rng.standard_normal((2, 124, 5, 2)) + 1j * rng.standard_normal((2, 124, 5, 2))
+        full = doppler_process(rc).frames
+        assert full.shape == (2, 5, 128)
+        for start, count in [(48, 32), (0, 16), (100, 28)]:
+            pruned = doppler_process(rc, start=start, count=count).frames
+            assert max_rel(pruned, full[:, :, start : start + count]) < 1e-12
+
     def test_mti_suppresses_static_clutter(self):
         clutter = [static_scatterer(r, a) for r, a in [(2.0, 1.0), (6.5, 0.5), (11.0, 0.8)]]
         cube = synthesize_cube(CFG, clutter, n_frames=1)
@@ -213,3 +245,51 @@ class TestEndToEnd:
         b = cube_to_rfdm(cube)
         assert a.frames.tobytes() == b.frames.tobytes()
         assert a.frames.shape == (2, 32, 32)
+
+
+def reference_rfdm(cube, mti, n_range_crop, n_doppler_crop, range_center_bin=None):
+    """The whole chain with numpy.fft on the full maps: Hann window, zero-pad,
+    range FFT, MTI, Doppler FFT, fftshift, rx mean, crop and maxnorm."""
+    x = cube.samples
+    n_s = x.shape[2]
+    rc = np.fft.fft(x * np.hanning(n_s)[:, None], n=next_pow2(n_s), axis=2)
+    if mti:
+        n_c = rc.shape[1]
+        rc = sum(c * rc[:, 4 - i : n_c - i] for i, c in enumerate([1, -4, 6, -4, 1]))
+    n_c = rc.shape[1]
+    spec = np.fft.fft(rc * np.hanning(n_c)[:, None, None], n=next_pow2(n_c), axis=1)
+    mag = np.abs(np.fft.fftshift(spec, axes=1)).mean(axis=3).transpose(0, 2, 1)
+    _, n_r, n_d = mag.shape
+    center = n_range_crop // 2 if range_center_bin is None else range_center_bin
+    r0 = min(max(center - n_range_crop // 2, 0), n_r - n_range_crop)
+    d0 = n_d // 2 - n_doppler_crop // 2
+    crop = mag[:, r0 : r0 + n_range_crop, d0 : d0 + n_doppler_crop]
+    return crop / crop.max()
+
+
+class TestPrunedChain:
+    CUBE = synthesize_cube(RadarConfig(n_rx=2), [linear_scatterer(1.0, 2.0), static_scatterer(3.0)],
+                           n_frames=2, noise_sigma=0.3, rng_seed=11)
+
+    @pytest.mark.parametrize("mti", [False, True])
+    @pytest.mark.parametrize("n_range_crop, n_doppler_crop, center", [
+        (32, 32, None), (8, 16, None), (17, 15, 40), (16, 128, 120), (128, 9, None),
+    ])
+    def test_matches_numpy_fft_chain(self, mti, n_range_crop, n_doppler_crop, center):
+        seq = cube_to_rfdm(self.CUBE, mti=mti, n_range_crop=n_range_crop,
+                           n_doppler_crop=n_doppler_crop, range_center_bin=center)
+        assert seq.frames.shape == (2, n_range_crop, n_doppler_crop)
+        expect = reference_rfdm(self.CUBE, mti, n_range_crop, n_doppler_crop, center)
+        assert np.max(np.abs(seq.frames - expect)) < 1e-12
+
+    @pytest.mark.parametrize("crops", [(129, 32), (32, 129)])
+    def test_oversized_crop_rejected(self, crops):
+        with pytest.raises(ShapeError, match="crop"):
+            cube_to_rfdm(self.CUBE, n_range_crop=crops[0], n_doppler_crop=crops[1])
+
+    def test_provenance_records_crop_on_full_map(self):
+        prov = cube_to_rfdm(self.CUBE).provenance
+        assert (prov["range_crop_start"], prov["doppler_crop_start"]) == (0, 48)
+        prov = cube_to_rfdm(self.CUBE, n_range_crop=16, n_doppler_crop=8,
+                            range_center_bin=40).provenance
+        assert (prov["range_crop_start"], prov["doppler_crop_start"]) == (32, 60)

@@ -83,6 +83,29 @@ class TestRfdmFormat:
         with pytest.raises(IntegrityError, match="truncated"):
             read_rfdm(p)
 
+    def _written(self, tmp_path):
+        p = tmp_path / "c.rfdm"
+        write_rfdm(p, RfdmSequence(frames=np.ones((1, 2, 2))))
+        return p, p.read_bytes()
+
+    def test_short_header(self, tmp_path):
+        p, raw = self._written(tmp_path)
+        p.write_bytes(raw[:10])
+        with pytest.raises(IntegrityError, match="header"):
+            read_rfdm(p)
+
+    def test_unknown_scale_code(self, tmp_path):
+        p, raw = self._written(tmp_path)
+        p.write_bytes(raw[:20] + bytes([9]) + raw[21:])
+        with pytest.raises(IntegrityError, match="scale code 9"):
+            read_rfdm(p)
+
+    def test_trailing_bytes(self, tmp_path):
+        p, raw = self._written(tmp_path)
+        p.write_bytes(raw + b"junk")
+        with pytest.raises(IntegrityError, match="trailing"):
+            read_rfdm(p)
+
 
 class TestCheckpoint:
     def test_round_trip_predictions_bit_identical(self, tmp_path):
