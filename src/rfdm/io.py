@@ -3,11 +3,14 @@ JSON manifests with content hashes, and CSV/PGM exports.
 
 All binary payloads are little-endian. Cube files carry a trailing sample
 count for truncation detection; manifests carry sha256 digests so any stage
-can verify its inputs byte-for-byte.
+can verify its inputs byte-for-byte. The readers fail closed: a short or
+overlong file, or a header that does not describe the bytes after it,
+raises IntegrityError.
 """
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -26,6 +29,19 @@ FORMAT_VERSION = 1
 
 _SCALE_CODES = {"linear": 0, "linear-maxnorm": 1, "log-db": 2}
 _SCALE_NAMES = {v: k for k, v in _SCALE_CODES.items()}
+
+
+def _read_exact(f, n, path, what) -> bytes:
+    """The next n bytes of f. The file size is checked first, so a corrupt
+    length field raises IntegrityError instead of sizing a read."""
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise IntegrityError(f"{path}: truncated {what}")
+    return f.read(n)
+
+
+def _expect_end(f, path, what) -> None:
+    if f.read(1):
+        raise IntegrityError(f"{path}: trailing bytes after the {what}")
 
 
 def sha256_file(path) -> str:
@@ -58,20 +74,20 @@ def read_cube(path, config: RadarConfig | None = None) -> DataCube:
         magic = f.read(4)
         if magic != CUBE_MAGIC:
             raise IntegrityError(f"{path}: bad magic {magic!r}, expected {CUBE_MAGIC!r}")
-        version, n_frames, n_chirps, n_samples, n_rx = struct.unpack("<5I", f.read(20))
+        header = _read_exact(f, 20, path, "cube header")
+        version, n_frames, n_chirps, n_samples, n_rx = struct.unpack("<5I", header)
         if version != FORMAT_VERSION:
             raise IntegrityError(f"{path}: unsupported cube version {version}")
         count = n_frames * n_chirps * n_samples * n_rx
-        payload = f.read(16 * count)
-        trailer = f.read(8)
-        if len(payload) != 16 * count or len(trailer) != 8:
-            raise IntegrityError(f"{path}: truncated cube file")
-        (stored,) = struct.unpack("<Q", trailer)
+        payload = _read_exact(f, 16 * count + 8, path, "cube file")
+        (stored,) = struct.unpack("<Q", payload[-8:])
         if stored != count:
             raise IntegrityError(
                 f"{path}: trailer count {stored} != header count {count} (truncation?)"
             )
-    samples = np.frombuffer(payload, dtype="<c16").reshape(n_frames, n_chirps, n_samples, n_rx)
+        _expect_end(f, path, "cube trailer")
+    samples = np.frombuffer(payload, dtype="<c16", count=count)
+    samples = samples.reshape(n_frames, n_chirps, n_samples, n_rx)
     cfg = config or RadarConfig()
     if (n_chirps, n_samples, n_rx) != (cfg.n_chirps, cfg.n_samples, cfg.n_rx):
         cfg = RadarConfig(
@@ -104,19 +120,14 @@ def read_rfdm(path) -> RfdmSequence:
         magic = f.read(4)
         if magic != RFDM_MAGIC:
             raise IntegrityError(f"{path}: bad magic {magic!r}, expected {RFDM_MAGIC!r}")
-        header = f.read(17)
-        if len(header) != 17:
-            raise IntegrityError(f"{path}: truncated rfdm header")
+        header = _read_exact(f, 17, path, "rfdm header")
         version, t, n_r, n_d, code = struct.unpack("<4IB", header)
         if version != FORMAT_VERSION:
             raise IntegrityError(f"{path}: unsupported rfdm version {version}")
         if code not in _SCALE_NAMES:
             raise IntegrityError(f"{path}: unknown scale code {code}")
-        payload = f.read(4 * t * n_r * n_d)
-        if len(payload) != 4 * t * n_r * n_d:
-            raise IntegrityError(f"{path}: truncated rfdm file")
-        if f.read(1):
-            raise IntegrityError(f"{path}: trailing bytes after the rfdm payload")
+        payload = _read_exact(f, 4 * t * n_r * n_d, path, "rfdm payload")
+        _expect_end(f, path, "rfdm payload")
     frames = np.frombuffer(payload, dtype="<f4").reshape(t, n_r, n_d).astype(np.float64)
     return RfdmSequence(frames=frames, scale_mode=_SCALE_NAMES[code])
 
@@ -158,35 +169,39 @@ def load_checkpoint(path):
         magic = f.read(4)
         if magic != CKPT_MAGIC:
             raise IntegrityError(f"{path}: bad magic {magic!r}, expected {CKPT_MAGIC!r}")
-        version, blob_len = struct.unpack("<2I", f.read(8))
+        version, blob_len = struct.unpack("<2I", _read_exact(f, 8, path, "checkpoint header"))
         if version != FORMAT_VERSION:
             raise IntegrityError(f"{path}: unsupported checkpoint version {version}")
-        descriptor = json.loads(f.read(blob_len).decode("utf-8"))
-        cfg = CnnTcnConfig(**{k: tuple(v) if isinstance(v, list) else v
-                              for k, v in descriptor["config"].items()})
-        model = build_model(descriptor["kind"], cfg, init_seed=0)
-
-        def read_array(shape):
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise IntegrityError(f"{path}: truncated checkpoint")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape)
-
+        blob = _read_exact(f, blob_len, path, "checkpoint descriptor")
+        try:
+            descriptor = json.loads(blob.decode("utf-8"))
+            kind, config = descriptor["kind"], descriptor["config"]
+            layout = [(d["name"], list(d["shape"]))
+                      for d in descriptor["params"] + descriptor["buffers"]]
+            cfg = CnnTcnConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in config.items()})
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise IntegrityError(f"{path}: unreadable checkpoint descriptor ({exc!r})") from exc
+        model = build_model(kind, cfg, init_seed=0)
         params = model.params()
-        if [p.name for p in params] != [d["name"] for d in descriptor["params"]]:
+        named = [(p.name, p.value) for p in params] + model.buffers()
+        if layout != [(n, list(a.shape)) for n, a in named]:
             raise IntegrityError(f"{path}: parameter layout does not match architecture")
-        for p, d in zip(params, descriptor["params"]):
-            p.value[...] = read_array(d["shape"])
-        for (_, b), d in zip(model.buffers(), descriptor["buffers"]):
-            b[...] = read_array(d["shape"])
-        (flag,) = struct.unpack("<B", f.read(1))
+
+        def read_array(like):
+            buf = _read_exact(f, 8 * like.size, path, "checkpoint")
+            return np.frombuffer(buf, dtype="<f8").reshape(like.shape)
+
+        for _, a in named:
+            a[...] = read_array(a)
+        (flag,) = _read_exact(f, 1, path, "checkpoint")
         adam_state = None
         if flag:
-            (t,) = struct.unpack("<Q", f.read(8))
-            ms = [read_array(d["shape"]) for d in descriptor["params"]]
-            vs = [read_array(d["shape"]) for d in descriptor["params"]]
+            (t,) = struct.unpack("<Q", _read_exact(f, 8, path, "checkpoint"))
+            ms = [read_array(p.value) for p in params]
+            vs = [read_array(p.value) for p in params]
             adam_state = {"t": t, "m": ms, "v": vs}
+        _expect_end(f, path, "checkpoint")
     return model, adam_state
 
 

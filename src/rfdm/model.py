@@ -124,6 +124,8 @@ class _FrameStack:
         return z.reshape(n, -1)
 
     def backward(self, dfeat):
+        """Accumulates the frame CNN's parameter gradients. The frames are
+        data, so conv1 forms no input gradient and nothing is returned."""
         n = dfeat.shape[0]
         dz = dfeat.reshape(n, self._l, self.cfg.reduced_channels)
         dz = self.reduce.backward(dz)
@@ -133,8 +135,7 @@ class _FrameStack:
         dz = self.pools[1].backward(dz)
         dz = self.conv2.backward(self.bn2.backward(self.acts[1].backward(dz)))
         dz = self.pools[0].backward(dz)
-        dz = self.conv1.backward(self.bn1.backward(self.acts[0].backward(dz)))
-        return dz[..., 0]
+        self.conv1.backward(self.bn1.backward(self.acts[0].backward(dz)), need_dx=False)
 
 
 class _TemporalBlock:
@@ -262,14 +263,15 @@ class CnnTcn:
         return self.head.forward(h[:, -1, :], train)
 
     def backward(self, dlogits):
+        """Accumulates every parameter gradient for the last forward; no
+        gradient is formed for the input sequences."""
         dlast = self.head.backward(dlogits)
         dh = np.zeros((dlast.shape[0], self._t, dlast.shape[1]))
         dh[:, -1, :] = dlast
         for blk in reversed(self.blocks):
             dh = blk.backward(dh)
         b, t, f = dh.shape
-        dframes = self.frame.backward(dh.reshape(b * t, f))
-        return dframes.reshape(b, t, *dframes.shape[1:])
+        self.frame.backward(dh.reshape(b * t, f))
 
     def sequence_forward(self, feats, train=False):
         """Temporal stack output [B, T, C'] from precomputed features."""
@@ -300,11 +302,11 @@ class CnnBaseline(CnnTcn):
         return self.head.forward(feats.mean(axis=1), train)
 
     def backward(self, dlogits):
+        """As CnnTcn.backward: parameter gradients only."""
         dmean = self.head.backward(dlogits)
         b, f = dmean.shape
         dfeats = np.repeat(dmean[:, np.newaxis, :], self._t, axis=1) / self._t
-        dframes = self.frame.backward(dfeats.reshape(b * self._t, f))
-        return dframes.reshape(b, self._t, *dframes.shape[1:])
+        self.frame.backward(dfeats.reshape(b * self._t, f))
 
 
 def build_model(kind: str, cfg: CnnTcnConfig, init_seed: int = 0):

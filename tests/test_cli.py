@@ -185,6 +185,12 @@ class TestTrainEvalInfer:
         assert len(rec["probs"]) == 7
         assert abs(sum(rec["probs"]) - 1.0) < 1e-9
 
+    def test_infer_corrupt_checkpoint_is_integrity_error(self, trained, tmp_path):
+        bad = tmp_path / "bad.rfnn"
+        raw = (trained / "model.rfnn").read_bytes()
+        bad.write_bytes(raw[:12] + b"\x00" + raw[13:])  # first descriptor byte
+        assert main(["infer", "--checkpoint", str(bad), "x.rfdm"]) == 5
+
     def test_infer_missing_checkpoint_usage_error(self, capsys):
         rc = main(["infer", "--checkpoint", "/nonexistent/m.rfnn", "x.rfdm"])
         assert rc == 2

@@ -1,9 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from rfdm.dsp import RfdmSequence, cube_to_rfdm
 from rfdm.errors import IntegrityError, ManifestError
 from rfdm.io import (
+    CKPT_MAGIC,
+    RFDM_MAGIC,
     load_checkpoint,
     read_cube,
     read_manifest,
@@ -53,6 +57,19 @@ class TestCubeFormat:
         p = tmp_path / "c.rfdc"
         p.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(IntegrityError, match="magic"):
+            read_cube(p)
+
+    def test_short_header(self, tmp_path):
+        p = tmp_path / "e.rfdc"
+        p.write_bytes(b"RFDC" + bytes(6))
+        with pytest.raises(IntegrityError, match="truncated cube header"):
+            read_cube(p)
+
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "f.rfdc"
+        write_cube(p, synthesize_cube(CFG, [], n_frames=1))
+        p.write_bytes(p.read_bytes() + b"junk")
+        with pytest.raises(IntegrityError, match="trailing bytes after the cube"):
             read_cube(p)
 
     def test_write_is_deterministic(self, tmp_path):
@@ -106,6 +123,14 @@ class TestRfdmFormat:
         with pytest.raises(IntegrityError, match="trailing"):
             read_rfdm(p)
 
+    def test_payload_size_past_ssize_t(self, tmp_path):
+        # 4 * (2**32 - 1)**3 bytes cannot be passed to a read at all
+        p = tmp_path / "d.rfdm"
+        p.write_bytes(RFDM_MAGIC + struct.pack("<4IB", 1, *[0xFFFFFFFF] * 3, 0))
+        assert p.stat().st_size == 21
+        with pytest.raises(IntegrityError, match="truncated rfdm payload"):
+            read_rfdm(p)
+
 
 class TestCheckpoint:
     def test_round_trip_predictions_bit_identical(self, tmp_path):
@@ -142,6 +167,55 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(p)
         for (na, a), (nb, b) in zip(model.buffers(), loaded.buffers()):
             assert na == nb and np.array_equal(a, b)
+
+
+class TestCheckpointFailsClosed:
+    def test_short_header(self, tmp_path):
+        p = tmp_path / "m.rfnn"
+        p.write_bytes(CKPT_MAGIC + bytes(5))
+        with pytest.raises(IntegrityError, match="truncated checkpoint header"):
+            load_checkpoint(p)
+
+    def test_descriptor_longer_than_file(self, tmp_path):
+        p = tmp_path / "m.rfnn"
+        p.write_bytes(CKPT_MAGIC + struct.pack("<2I", 1, 0xFFFFFFFF) + b"{}")
+        with pytest.raises(IntegrityError, match="truncated checkpoint descriptor"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"not json", b"{}", b"[]",
+                                      b'{"kind": "cnn-tcn", "config": {}, "params": []}'],
+                             ids=["non-utf8", "non-json", "empty", "list", "no-buffers"])
+    def test_bad_descriptor(self, tmp_path, blob):
+        p = tmp_path / "m.rfnn"
+        p.write_bytes(CKPT_MAGIC + struct.pack("<2I", 1, len(blob)) + blob)
+        with pytest.raises(IntegrityError, match="unreadable checkpoint descriptor"):
+            load_checkpoint(p)
+
+    def test_shape_mismatch(self, tmp_path):
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, CnnTcn(TINY))
+        raw = p.read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[8:12])
+        blob = raw[12 : 12 + blob_len].replace(b'"shape": [3, 5, 1, 2]', b'"shape": [3, 5, 2, 1]')
+        assert blob != raw[12 : 12 + blob_len]
+        p.write_bytes(raw[:12] + blob + raw[12 + blob_len :])
+        with pytest.raises(IntegrityError, match="layout does not match"):
+            load_checkpoint(p)
+
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, CnnTcn(TINY))
+        p.write_bytes(p.read_bytes() + b"junk")
+        with pytest.raises(IntegrityError, match="trailing bytes after the checkpoint"):
+            load_checkpoint(p)
+
+    def test_truncated_adam_state(self, tmp_path):
+        model = CnnTcn(TINY)
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, model, adam=Adam(model.params()))
+        p.write_bytes(p.read_bytes()[:-3])
+        with pytest.raises(IntegrityError, match="truncated checkpoint"):
+            load_checkpoint(p)
 
 
 class TestManifests:

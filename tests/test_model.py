@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from rfdm.model import (
     predict_classes,
     train_model,
 )
-from rfdm.nn import softmax_xent
+from rfdm.nn import Adam, softmax_xent
 
 TINY = CnnTcnConfig(
     t_frames=4, height=8, width=8, conv_channels=(2, 3, 4),
@@ -146,6 +148,36 @@ class TestEndToEndGradcheck:
         for p in m.params():
             worst = max(worst, grad_rel_err(p.grad, numeric_grad(loss, p.value)))
         assert worst <= 1e-4
+
+
+class TestTrainStepMemory:
+    # Measured tracemalloc peaks of this step: 34.2 MB with the frame layers
+    # caching conv inputs and sign masks, 65.4 MB when Conv2d cached its
+    # im2col matrices, LeakyReLU its input and conv1 formed an input gradient.
+    # The bound is the first figure plus a 17% margin.
+    PEAK_BOUND_MB = 40.0
+
+    def test_peak_of_one_batch2_step(self):
+        m = CnnTcn(CnnTcnConfig(), init_seed=0)
+        adam = Adam(m.params())
+        rng = np.random.default_rng(0)
+        x = rng.random((2, 16, 32, 32))
+        y = np.array([0, 3])
+
+        def step():
+            _, _, dlogits = softmax_xent(m.forward(x, train=True), y)
+            adam.zero_grad()
+            m.backward(dlogits)
+            adam.step()
+
+        step()  # warm-up: Adam moments and lazily built state exist from here on
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 <= self.PEAK_BOUND_MB
 
 
 def make_toy_dataset(n_per_class=2, seed=0):

@@ -25,6 +25,44 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
+def slice_loop_conv(conv, x, dy):
+    """Conv2d forward and backward with the im2col matrix built by one strided
+    slice copy per kernel offset: (output, dx, w.grad, b.grad)."""
+    n, h, w, _ = x.shape
+    ho, wo, (pt, pb), (pl, pr) = conv._geometry(h, w)
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    s, kh, kw, ci = conv.stride, conv.kh, conv.kw, conv.c_in
+    cols = np.empty((n, ho, wo, kh * kw, ci))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i * kw + j, :] = xp[:, i : i + s * (ho - 1) + 1 : s,
+                                              j : j + s * (wo - 1) + 1 : s, :]
+    cols = cols.reshape(n * ho * wo, kh * kw * ci)
+    wmat = conv.w.value.reshape(kh * kw * ci, conv.c_out)
+    out = (cols @ wmat + conv.b.value).reshape(n, ho, wo, conv.c_out)
+    dym = dy.reshape(n * ho * wo, conv.c_out)
+    dw = (cols.T @ dym).reshape(conv.w.value.shape)
+    dcols = (dym @ wmat.T).reshape(n, ho, wo, kh * kw, ci)
+    dxp = np.zeros(xp.shape)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i : i + s * (ho - 1) + 1 : s,
+                j : j + s * (wo - 1) + 1 : s, :] += dcols[:, :, :, i * kw + j, :]
+    return out, dxp[:, pt : pt + h, pl : pl + w, :], dw, dym.sum(axis=0)
+
+
+def scan_pool(x):
+    """2x2 max-pool by a strict > scan in window order: (output, first-max index)."""
+    best = x[:, ::2, ::2, :].copy()
+    idx = np.zeros(best.shape, dtype=np.uint8)
+    for m, (i, j) in enumerate([(0, 1), (1, 0), (1, 1)], start=1):
+        cand = x[:, i::2, j::2, :]
+        mask = cand > best
+        best[mask] = cand[mask]
+        idx[mask] = m
+    return best, idx
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         conv = Conv2d(3, 3, 1, 1, rng=rng_for(0))
@@ -68,6 +106,35 @@ class TestConv2d:
         conv = Conv2d(2, 3, 3, 3, rng=rng_for(0))
         with pytest.raises(ShapeError, match="expected"):
             conv.forward(np.zeros((1, 4, 4, 5)))
+
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_equals_slice_loop_reference(self, stride, padding, c_in):
+        rng = rng_for(stride * 10 + c_in)
+        conv = Conv2d(c_in, 4, 3, 5, stride=stride, padding=padding, rng=rng)
+        conv.b.value[...] = rng.standard_normal(4)
+        x = rng.standard_normal((2, 7, 9, c_in))
+        out = conv.forward(x, train=True)
+        dy = rng.standard_normal(out.shape)
+        dx = conv.backward(dy)
+        ref = slice_loop_conv(conv, x, dy)
+        for got, want in zip((out, dx, conv.w.grad, conv.b.grad), ref):
+            assert np.array_equal(got, want)
+
+    def test_no_input_gradient_keeps_parameter_gradients(self):
+        rng = rng_for(5)
+        conv = Conv2d(2, 3, 3, 5, rng=rng)
+        x = rng.standard_normal((2, 6, 8, 2))
+        dy = rng.standard_normal((2, 6, 8, 3))
+        conv.forward(x, train=True)
+        assert conv.backward(dy).shape == x.shape
+        full = (conv.w.grad.copy(), conv.b.grad.copy())
+        for p in conv.params():
+            p.zero_grad()
+        conv.forward(x, train=True)
+        assert conv.backward(dy, need_dx=False) is None
+        assert np.array_equal(conv.w.grad, full[0]) and np.array_equal(conv.b.grad, full[1])
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("stride,padding", [(1, "same"), (1, "valid"), (2, "same")])
@@ -123,6 +190,12 @@ class TestLeakyReLU:
         x = np.array([[2.0, -1.0, 0.0]])
         assert np.array_equal(act.forward(x), [[2.0, -0.01, 0.0]])
 
+    def test_gradient_passes_at_zero(self):
+        act = LeakyReLU()
+        act.forward(np.array([[0.0, -0.0, 1.0, -1.0]]))
+        dx = act.backward(np.array([[2.0, 3.0, 4.0, 5.0]]))
+        assert np.array_equal(dx, [[2.0, 3.0, 4.0, 0.01 * 5.0]])
+
     @pytest.mark.parametrize("seed", range(3))
     def test_gradcheck_away_from_kink(self, seed):
         act = LeakyReLU()
@@ -145,6 +218,20 @@ class TestMaxPool:
         dx = pool.backward(np.ones_like(out))
         # all of the gradient goes to window position (0, 0)
         assert dx[0, 0, 0, 0] == 1.0 and dx.sum() == 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties_match_scan_reference(self, seed):
+        rng = rng_for(seed)
+        x = rng.integers(-2, 2, (3, 6, 8, 4)).astype(float)  # most windows tie
+        pool = MaxPool2d()
+        out = pool.forward(x)
+        best, idx = scan_pool(x)
+        assert np.array_equal(out, best)
+        dy = rng.standard_normal(out.shape)
+        want = np.zeros_like(x)
+        for m, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            want[:, i::2, j::2, :] = np.where(idx == m, dy, 0.0)
+        assert np.array_equal(pool.backward(dy), want)
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError, match="even"):
