@@ -195,11 +195,10 @@ def cmd_gen(args) -> int:
     for row in plan:
         cube = synthesize_sample(spec, row, radar)
         rel = f"cubes/sample_{row['index']:05d}.rfdc"
-        write_cube(out / rel, cube)
         entry = dict(row)
         entry["path"] = rel
         entry["location"] = {"range": row["base_range"], "azimuth": row["azimuth_deg"]}
-        entry["sha256"] = sha256_file(out / rel)
+        entry["sha256"] = write_cube(out / rel, cube)
         rows.append(entry)
     write_dataset_manifest(out / "dataset_manifest.json", radar,
                            {"instances": spec.instances, "n_frames": spec.n_frames,

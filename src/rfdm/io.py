@@ -57,16 +57,22 @@ def sha256_file(path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def write_cube(path, cube: DataCube) -> None:
+def write_cube(path, cube: DataCube) -> str:
+    """Write `cube` as RFDC; returns the SHA-256 hex digest of the bytes written."""
     cube.validate()
-    x = np.ascontiguousarray(cube.samples, dtype=np.complex128)
+    # complex128 is stored as interleaved (re, im) float64 pairs; on a
+    # little-endian host this is the samples' own buffer, not a copy
+    x = np.ascontiguousarray(cube.samples, dtype="<c16")
     n_frames, n_chirps, n_samples, n_rx = x.shape
+    h = hashlib.sha256()
     with open(path, "wb") as f:
-        f.write(CUBE_MAGIC)
-        f.write(struct.pack("<5I", FORMAT_VERSION, n_frames, n_chirps, n_samples, n_rx))
-        # complex128 is stored as interleaved (re, im) float64 pairs
-        f.write(x.astype("<c16").tobytes())
-        f.write(struct.pack("<Q", x.size))
+        for part in (CUBE_MAGIC,
+                     struct.pack("<5I", FORMAT_VERSION, n_frames, n_chirps, n_samples, n_rx),
+                     x,
+                     struct.pack("<Q", x.size)):
+            f.write(part)
+            h.update(part)
+    return h.hexdigest()
 
 
 def read_cube(path, config: RadarConfig | None = None) -> DataCube:

@@ -114,9 +114,11 @@ class _FrameStack:
     def forward(self, frames, train):
         # frames: [N, H, W] -> features [N, frame_feature_len]
         z = frames[..., np.newaxis]
-        z = self.pools[0].forward(self.acts[0].forward(self.bn1.forward(self.conv1.forward(z), train)))
-        z = self.pools[1].forward(self.acts[1].forward(self.bn2.forward(self.conv2.forward(z), train)))
-        z = self.acts[2].forward(self.bn3.forward(self.conv3.forward(z), train))
+        z = self.bn1.forward(self.conv1.forward(z), train)
+        z = self.pools[0].forward(self.acts[0].forward(z, train), train)
+        z = self.bn2.forward(self.conv2.forward(z), train)
+        z = self.pools[1].forward(self.acts[1].forward(z, train), train)
+        z = self.acts[2].forward(self.bn3.forward(self.conv3.forward(z), train), train)
         n, hh, ww, c = z.shape
         z = z.reshape(n, hh * ww, c)          # flatten spatial, keep channels
         z = self.reduce.forward(z, train)     # [N, L, C']
@@ -154,7 +156,7 @@ class _TemporalBlock:
         return out
 
     def forward(self, x, train):
-        y = self.drop.forward(self.act.forward(self.conv.forward(x, train)), train)
+        y = self.drop.forward(self.act.forward(self.conv.forward(x, train), train), train)
         res = x if self.proj is None else self.proj.forward(x, train)
         return y + res
 
@@ -178,7 +180,7 @@ class _Head:
 
     def forward(self, x, train):
         for i, d in enumerate(self.denses[:-1]):
-            x = self.acts[i].forward(d.forward(x, train))
+            x = self.acts[i].forward(d.forward(x, train), train)
         return self.denses[-1].forward(x, train)
 
     def backward(self, dy):

@@ -199,15 +199,16 @@ class BatchNorm2d(Layer):
 
 
 class LeakyReLU(Layer):
-    """max(x, alpha*x); caches only the sign mask x >= 0 (1 byte per value),
-    so the slope at x == 0 is 1."""
+    """max(x, alpha*x); a train forward caches only the sign mask x >= 0
+    (1 byte per value), so the slope at x == 0 is 1. An eval forward keeps
+    nothing."""
 
     def __init__(self, alpha=0.01):
         self.alpha = alpha
         self._mask = None
 
     def forward(self, x, train=False):
-        self._mask = x >= 0
+        self._mask = x >= 0 if train else None
         out = self.alpha * x
         return np.maximum(x, out, out=out)
 
@@ -224,7 +225,8 @@ _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 class MaxPool2d(Layer):
     """2x2 window, stride 2; gradient routes to the first max per window.
 
-    Caches the uint8 window index of each maximum, not the input."""
+    A train forward caches the uint8 window index of each maximum, not the
+    input; an eval forward keeps nothing."""
 
     def forward(self, x, train=False):
         n, h, w, c = x.shape
@@ -232,11 +234,13 @@ class MaxPool2d(Layer):
             raise ShapeError(f"MaxPool2d needs even spatial dims, got {h}x{w}")
         x00, x01, x10, x11 = (x[:, i::2, j::2, :] for i, j in _POOL_OFFSETS)
         top, bottom = np.maximum(x00, x01), np.maximum(x10, x11)
-        # strict > picks the later cell of a row and the bottom row only when
-        # it beats the top one, so a tie keeps the first index
-        idx = (x01 > x00).view(np.uint8)
-        np.copyto(idx, (x11 > x10).view(np.uint8) + np.uint8(2), where=bottom > top)
-        self._cache = (idx, (n, h, w, c))
+        self._cache = None
+        if train:
+            # strict > picks the later cell of a row and the bottom row only
+            # when it beats the top one, so a tie keeps the first index
+            idx = (x01 > x00).view(np.uint8)
+            np.copyto(idx, (x11 > x10).view(np.uint8) + np.uint8(2), where=bottom > top)
+            self._cache = (idx, (n, h, w, c))
         return np.maximum(top, bottom)
 
     def backward(self, dy):

@@ -80,6 +80,20 @@ class TestCubeFormat:
         write_cube(p2, cube)
         assert sha256_file(p1) == sha256_file(p2)
 
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_returned_digest_is_of_the_bytes_written(self, tmp_path, contiguous):
+        cube = synthesize_cube(RadarConfig(n_rx=2), [linear_scatterer(2.0, 0.5)], n_frames=4,
+                               noise_sigma=0.3, rng_seed=2)
+        cube.n_frames = 2
+        cube.samples = cube.samples[::2] if not contiguous else cube.samples[:2]
+        p = tmp_path / "g.rfdc"
+        digest = write_cube(p, cube)
+        assert digest == sha256_file(p)
+        want = (b"RFDC" + struct.pack("<5I", 1, 2, 128, 112, 2)
+                + np.ascontiguousarray(cube.samples).astype("<c16").tobytes()
+                + struct.pack("<Q", 2 * 128 * 112 * 2))
+        assert p.read_bytes() == want
+
 
 class TestRfdmFormat:
     def test_round_trip_f32_exact(self, tmp_path):

@@ -128,6 +128,19 @@ class TestSequenceModel:
         assert np.allclose(l1, l2, atol=1e-12)
 
 
+class TestEvalKeepsNoBackwardCache:
+    def test_eval_forward_drops_masks_and_pool_indices(self):
+        m = tiny_model()
+        x = np.random.default_rng(3).random((2, 4, 8, 8))
+        m.forward(x, train=True)
+        acts = m.frame.acts + [b.act for b in m.blocks] + m.head.acts
+        assert all(a._mask is not None for a in acts)
+        assert all(p._cache is not None for p in m.frame.pools)
+        m.forward(x, train=False)
+        assert all(a._mask is None for a in acts)
+        assert all(p._cache is None for p in m.frame.pools)
+
+
 class TestEndToEndGradcheck:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_full_model_gradient(self, seed):

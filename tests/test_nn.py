@@ -192,7 +192,7 @@ class TestLeakyReLU:
 
     def test_gradient_passes_at_zero(self):
         act = LeakyReLU()
-        act.forward(np.array([[0.0, -0.0, 1.0, -1.0]]))
+        act.forward(np.array([[0.0, -0.0, 1.0, -1.0]]), train=True)
         dx = act.backward(np.array([[2.0, 3.0, 4.0, 5.0]]))
         assert np.array_equal(dx, [[2.0, 3.0, 4.0, 0.01 * 5.0]])
 
@@ -202,6 +202,14 @@ class TestLeakyReLU:
         x = rng_for(seed).standard_normal((3, 7))
         x[np.abs(x) < 1e-3] = 0.5  # keep clear of the kink
         check_layer_gradients(act, x, seed=seed)
+
+    def test_eval_forward_keeps_no_mask(self):
+        act = LeakyReLU()
+        x = rng_for(0).integers(-2, 3, (4, 9)).astype(float)  # zeros included
+        y_train = act.forward(x, train=True)
+        assert act._mask is not None
+        assert np.array_equal(act.forward(x, train=False), y_train)
+        assert act._mask is None
 
 
 class TestMaxPool:
@@ -213,7 +221,7 @@ class TestMaxPool:
     def test_tie_break_routes_to_first_index(self):
         pool = MaxPool2d()
         x = np.full((1, 2, 2, 1), 3.0)
-        out = pool.forward(x)
+        out = pool.forward(x, train=True)
         assert out[0, 0, 0, 0] == 3.0
         dx = pool.backward(np.ones_like(out))
         # all of the gradient goes to window position (0, 0)
@@ -224,7 +232,7 @@ class TestMaxPool:
         rng = rng_for(seed)
         x = rng.integers(-2, 2, (3, 6, 8, 4)).astype(float)  # most windows tie
         pool = MaxPool2d()
-        out = pool.forward(x)
+        out = pool.forward(x, train=True)
         best, idx = scan_pool(x)
         assert np.array_equal(out, best)
         dy = rng.standard_normal(out.shape)
@@ -232,6 +240,14 @@ class TestMaxPool:
         for m, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
             want[:, i::2, j::2, :] = np.where(idx == m, dy, 0.0)
         assert np.array_equal(pool.backward(dy), want)
+
+    def test_eval_forward_keeps_no_index(self):
+        pool = MaxPool2d()
+        x = rng_for(1).integers(-2, 2, (2, 4, 6, 3)).astype(float)
+        y_train = pool.forward(x, train=True)
+        assert pool._cache is not None
+        assert np.array_equal(pool.forward(x, train=False), y_train)
+        assert pool._cache is None
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError, match="even"):
