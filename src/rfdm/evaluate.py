@@ -182,11 +182,6 @@ class ProtocolResult:
     def mean_accuracy(self) -> float:
         return float(np.mean([f.accuracy for f in self.folds]))
 
-    @property
-    def total_confusion(self) -> ConfusionMatrix:
-        total = sum(f.confusion.counts for f in self.folds)
-        return ConfusionMatrix(total, self.folds[0].confusion.class_names)
-
     def to_dict(self) -> dict:
         return {
             "protocol": self.protocol,

@@ -338,12 +338,6 @@ def synthesize_sample(spec: DatasetSpec, row: dict, config: RadarConfig | None =
         ) from exc
 
 
-def generate_dataset(spec: DatasetSpec, rng_seed: int, config: RadarConfig | None = None) -> list:
-    """Synthesize the full dataset; returns [(DataCube, metadata), ...]."""
-    plan = dataset_plan(spec, rng_seed)
-    return [(synthesize_sample(spec, row, config), row) for row in plan]
-
-
 def standard_benchmark_spec(instances: int = 30, noise_sigma: float = 1.0) -> DatasetSpec:
     """The stock desk-scale benchmark: 7 classes x instances x 3 users x 3 placements."""
     users = (

@@ -114,11 +114,11 @@ class _FrameStack:
     def forward(self, frames, train):
         # frames: [N, H, W] -> features [N, frame_feature_len]
         z = frames[..., np.newaxis]
-        z = self.bn1.forward(self.conv1.forward(z), train)
+        z = self.bn1.forward(self.conv1.forward(z, train), train)
         z = self.pools[0].forward(self.acts[0].forward(z, train), train)
-        z = self.bn2.forward(self.conv2.forward(z), train)
+        z = self.bn2.forward(self.conv2.forward(z, train), train)
         z = self.pools[1].forward(self.acts[1].forward(z, train), train)
-        z = self.acts[2].forward(self.bn3.forward(self.conv3.forward(z), train), train)
+        z = self.acts[2].forward(self.bn3.forward(self.conv3.forward(z, train), train), train)
         n, hh, ww, c = z.shape
         z = z.reshape(n, hh * ww, c)          # flatten spatial, keep channels
         z = self.reduce.forward(z, train)     # [N, L, C']
@@ -275,13 +275,6 @@ class CnnTcn:
         b, t, f = dh.shape
         self.frame.backward(dh.reshape(b * t, f))
 
-    def sequence_forward(self, feats, train=False):
-        """Temporal stack output [B, T, C'] from precomputed features."""
-        h = feats
-        for blk in self.blocks:
-            h = blk.forward(h, train)
-        return h
-
 
 class CnnBaseline(CnnTcn):
     """Frame model + mean over frames + dense head (no temporal stack)."""
@@ -317,10 +310,6 @@ def build_model(kind: str, cfg: CnnTcnConfig, init_seed: int = 0):
     if kind == "cnn":
         return CnnBaseline(cfg, init_seed)
     raise ConfigError(f"unknown model kind {kind!r} (expected 'cnn-tcn' or 'cnn')")
-
-
-def param_count(model) -> int:
-    return sum(p.value.size for p in model.params())
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Everything is float64 and channels-last: images are [N, H, W, C], temporal
 streams [N, T, C], dense activations [N, D]. Each layer implements
 forward(x, train) and backward(dy); backward returns the input gradient and
-accumulates parameter gradients into Param.grad. Layers cache what their
-backward needs between forward and backward, so one forward/backward pair
-at a time.
+accumulates parameter gradients into Param.grad. A train forward caches
+what backward needs, so backward requires a preceding train forward and
+runs one forward/backward pair at a time; an eval forward keeps no backward
+state.
 
 Backward derivations are checked against central finite differences in the
 test suite (h = 1e-5, relative error <= 1e-4).
@@ -52,20 +53,18 @@ def _check_axis(x, ndim, axis, want, what):
 
 
 class Conv2d(Layer):
-    """2-D cross-correlation, stride/padding per config, bias included.
+    """2-D cross-correlation at stride 1 with "same" zero padding, bias included.
 
     weights: [kh, kw, C_in, C_out]. Forward lowers each batch to an im2col
-    matrix in one copy and caches only the padded input; backward rebuilds
-    the matrix for the weight-gradient GEMM, frees it, and scatters the
-    column gradient back through the same offsets unless need_dx is False.
+    matrix in one copy; a train forward caches only the padded input.
+    Backward rebuilds the matrix for the weight-gradient GEMM, frees it, and
+    unless need_dx is False forms the data gradient tap by tap: tap (i, j)
+    adds dy @ W[i, j].T into the input window it read.
     """
 
-    def __init__(self, c_in, c_out, kh, kw, stride=1, padding="same", rng=None, name="conv"):
-        if padding not in ("same", "valid"):
-            raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
+    def __init__(self, c_in, c_out, kh, kw, rng=None, name="conv"):
         rng = rng or np.random.default_rng(0)
         self.c_in, self.c_out, self.kh, self.kw = c_in, c_out, kh, kw
-        self.stride, self.padding = int(stride), padding
         self.w = Param(name + ".w", he_uniform(rng, (kh, kw, c_in, c_out), kh * kw * c_in))
         self.b = Param(name + ".b", np.zeros(c_out))
         self._cache = None
@@ -74,65 +73,55 @@ class Conv2d(Layer):
         return [self.w, self.b]
 
     def _geometry(self, h, w):
-        s = self.stride
-        if self.padding == "same":
-            ho, wo = -(-h // s), -(-w // s)
-            ph = max((ho - 1) * s + self.kh - h, 0)
-            pw = max((wo - 1) * s + self.kw - w, 0)
-        else:
-            if self.kh > h or self.kw > w:
-                raise ShapeError(f"kernel ({self.kh},{self.kw}) larger than input ({h},{w})")
-            ho, wo = (h - self.kh) // s + 1, (w - self.kw) // s + 1
-            ph = pw = 0
-        return ho, wo, (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)
+        """(Ho, Wo, (top, bottom), (left, right) padding) for an h x w input."""
+        ph, pw = self.kh - 1, self.kw - 1
+        return h, w, (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)
 
     def _im2col(self, xp):
         """[N*Ho*Wo, kh*kw*C_in] patch matrix of the padded input; columns run
         over (kh, kw, C_in) in weight order."""
-        s = self.stride
         win = np.lib.stride_tricks.sliding_window_view(xp, (self.kh, self.kw), axis=(1, 2))
-        cols = np.ascontiguousarray(win[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3))
+        cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
         return cols.reshape(-1, self.kh * self.kw * self.c_in)
 
     def forward(self, x, train=False):
         _check_axis(x, 4, 3, self.c_in, "Conv2d input channels")
         n, h, w, _ = x.shape
-        ho, wo, (pt, pb), (pl, pr) = self._geometry(h, w)
+        _, _, (pt, pb), (pl, pr) = self._geometry(h, w)
         xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if pt or pb or pl or pr else x
         cols = self._im2col(xp)
         out = cols @ self.w.value.reshape(-1, self.c_out)
         out += self.b.value
         # _cache[0] has the im2col matrix's shape but holds no data (a
         # zero-stride view): perfbench's tracer counts backward FLOPs from it
-        self._cache = (np.broadcast_to(0.0, cols.shape), xp, (h, w), (pt, pl))
-        return out.reshape(n, ho, wo, self.c_out)
+        self._cache = (np.broadcast_to(0.0, cols.shape), xp) if train else None
+        return out.reshape(n, h, w, self.c_out)
 
     def backward(self, dy, need_dx=True):
         """Accumulates w.grad and b.grad; returns the input gradient, or None
         when need_dx is False (the input is data, not an activation)."""
-        _, xp, (h, w), (pt, pl) = self._cache
+        _, xp = self._cache
         dym = dy.reshape(-1, self.c_out)
         self.w.grad += (self._im2col(xp).T @ dym).reshape(self.w.value.shape)
         self.b.grad += dym.sum(axis=0)
         if not need_dx:
             return None
-        n, ho, wo, _ = dy.shape
-        s, kh, kw, ci = self.stride, self.kh, self.kw, self.c_in
-        dcols = (dym @ self.w.value.reshape(-1, self.c_out).T).reshape(n, ho, wo, kh, kw, ci)
+        _, h, w, _ = dy.shape
+        _, _, (pt, _), (pl, _) = self._geometry(h, w)
         dxp = np.zeros(xp.shape)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i : i + s * (ho - 1) + 1 : s,
-                    j : j + s * (wo - 1) + 1 : s, :] += dcols[:, :, :, i, j, :]
+        for i in range(self.kh):
+            for j in range(self.kw):
+                dxp[:, i : i + h, j : j + w, :] += dy @ self.w.value[i, j].T
         return dxp[:, pt : pt + h, pl : pl + w, :]
 
 
 class BatchNorm2d(Layer):
     """Per-channel batch normalization over (N, H, W); eps = 1e-5.
 
-    Train mode normalizes by biased batch statistics and updates running
-    stats with momentum 0.9; eval mode applies the running stats. Caches its
-    input and the per-channel mean and 1/std."""
+    Train mode normalizes by biased batch statistics, updates running stats
+    with momentum 0.9 and caches its input and the per-channel mean and
+    1/std for backward; eval mode applies the running stats and keeps
+    nothing."""
 
     def __init__(self, channels, momentum=0.9, eps=1e-5, name="bn"):
         self.c, self.momentum, self.eps = channels, momentum, eps
@@ -164,11 +153,11 @@ class BatchNorm2d(Layer):
             inv = 1.0 / np.sqrt(var + self.eps)
             self.running_mean[...] = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
-            self._cache = ("train", x, mean, inv, m_count)
+            self._cache = (x, mean, inv, m_count)
         else:
             mean = self.running_mean
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            self._cache = ("eval", x, mean, inv, 0)
+            self._cache = None
         a = self.gamma.value * inv
         b = self.beta.value - mean * a
         out = x * a
@@ -176,7 +165,7 @@ class BatchNorm2d(Layer):
         return out
 
     def backward(self, dy):
-        mode, x, mean, inv, m = self._cache
+        x, mean, inv, m = self._cache
         flat_x = x.reshape(-1, self.c)
         flat_dy = dy.reshape(-1, self.c)
         dbeta = flat_dy.sum(axis=0)
@@ -184,9 +173,6 @@ class BatchNorm2d(Layer):
         dgamma = inv * (np.einsum("nc,nc->c", flat_dy, flat_x) - mean * dbeta)
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
-        if mode == "eval":
-            # running stats are constants here, so the chain is elementwise
-            return dy * (self.gamma.value * inv)
         # dx = (gamma*inv/m) * (m*dy - dbeta - xhat*dgamma) with xhat = (x-mean)*inv,
         # expanded into per-channel constants
         c1 = self.gamma.value * inv
@@ -419,13 +405,3 @@ class Adam(Layer):
             m[...] = b1 * m + (1 - b1) * g
             v[...] = b2 * v + (1 - b2) * g * g
             p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-    def state(self):
-        return {"t": self.t, "m": self.m, "v": self.v}
-
-    def load_state(self, state):
-        self.t = int(state["t"])
-        for dst, src in zip(self.m, state["m"]):
-            dst[...] = src
-        for dst, src in zip(self.v, state["v"]):
-            dst[...] = src

@@ -180,7 +180,7 @@ class DataCube:
         expect = (self.n_frames, self.config.n_chirps, self.config.n_samples, self.config.n_rx)
         if self.samples.shape != expect:
             raise ConfigError(f"cube shape {self.samples.shape} does not match config {expect}")
-        if not np.all(np.isfinite(self.samples.view(np.float64))):
+        if not np.all(np.isfinite(self.samples)):
             raise ConfigError("cube contains non-finite samples")
 
 

@@ -34,21 +34,22 @@ def grad_rel_err(analytic, numeric):
     return float(np.max(np.abs(a - n), initial=0.0) / scale)
 
 
-def check_layer_gradients(layer, x, seed=0, train=True, tol=GRADCHECK_TOL):
-    """Gradcheck one layer against a fixed random projection of its output.
+def check_layer_gradients(layer, x, seed=0, tol=GRADCHECK_TOL):
+    """Gradcheck one layer, in train mode, against a fixed random projection
+    of its output.
 
     Verifies the input gradient and every parameter gradient; returns the
     worst relative error seen."""
     rng = np.random.default_rng(seed)
-    out = layer.forward(x, train=train)
+    out = layer.forward(x, train=True)
     proj = rng.standard_normal(out.shape)
 
     def loss():
-        return float(np.sum(layer.forward(x, train=train) * proj))
+        return float(np.sum(layer.forward(x, train=True) * proj))
 
     for p in layer.params():
         p.zero_grad()
-    layer.forward(x, train=train)
+    layer.forward(x, train=True)
     dx = layer.backward(proj)
 
     worst = grad_rel_err(dx, numeric_grad(loss, x))

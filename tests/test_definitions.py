@@ -1,10 +1,13 @@
-"""Every top-level function and class of the package is used somewhere.
+"""Every top-level function and class of the package, and every method of
+those classes, is used somewhere.
 
 A stdlib-`ast` stand-in for a linter's dead-code check: each name that a
-module of `src/rfdm` defines at top level must be referenced in `src/rfdm`,
-`tests` or `perfbench` outside its own definition. A reference is a name, an
-attribute, an imported name, or a string equal to the name (the benchmark's
-tracer names the functions it wraps by string).
+module of `src/rfdm` defines at top level, and each non-dunder method name of
+a top-level class, must be referenced in `src/rfdm`, `tests` or `perfbench`
+outside its own definition. A reference is a name, an attribute, an imported
+name, or a string equal to the name (the benchmark's tracer names the
+functions it wraps by string). Methods are matched by bare name, so a method
+counts as used when any object's attribute of that name is referenced.
 """
 
 import ast
@@ -33,16 +36,31 @@ def references(node) -> Counter:
     return names
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree):
+    """(qualified name, node) of each top-level def or class of a module and
+    of each non-dunder method of its top-level classes."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unused_definitions(package: dict, users: list) -> list:
-    """(module, name) of each top-level def or class in `package` (module name
+    """(module, qualified name) of each definition in `package` (module name
     -> source) that no source in `users` references outside the definition."""
     used = sum((references(ast.parse(src)) for src in users), Counter())
     dead = []
     for module, source in package.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if used[node.name] <= references(node)[node.name]:
-                    dead.append((module, node.name))
+        for qualname, node in definitions(ast.parse(source)):
+            if used[node.name] <= references(node)[node.name]:
+                dead.append((module, qualname))
     return sorted(dead)
 
 
@@ -62,6 +80,8 @@ def test_no_unused_definitions():
     ({"m": "def f():\n    pass\n"}, ["import m\nm.f()\n"], []),
     ({"m": "def f():\n    pass\n"}, ["NAMES = ('m', 'f')\n"], []),
     ({"m": "def f():\n    pass\ndef g():\n    return f\n"}, [], [("m", "g")]),
+    ({"m": "class C:\n    def __init__(self):\n        pass\n    def f(self):\n        pass\n"
+           "    def g(self):\n        return self.f()\n"}, ["from m import C\n"], [("m", "C.g")]),
 ])
 def test_checker_flags_only_unreferenced_definitions(package, users, expected):
     assert unused_definitions(package, list(package.values()) + users) == expected

@@ -10,7 +10,6 @@ from rfdm.gestures import (
     ScenePlacement,
     UserProfile,
     dataset_plan,
-    generate_dataset,
     make_gesture_scene,
     standard_benchmark_spec,
     synthesize_sample,
@@ -141,11 +140,13 @@ class TestSceneConstruction:
 class TestDatasetGeneration:
     def test_minimal_product_is_seven(self):
         spec = DatasetSpec(instances=1, n_frames=2, noise_sigma=0.0)
-        data = generate_dataset(spec, rng_seed=0)
-        assert len(data) == 7
-        assert sorted(m["class_name"] for _, m in data) == sorted(
+        plan = dataset_plan(spec, rng_seed=0)
+        assert len(plan) == 7
+        assert sorted(row["class_name"] for row in plan) == sorted(
             g.value for g in GESTURE_CLASSES
         )
+        for row in plan:
+            assert synthesize_sample(spec, row).samples.shape[0] == 2
 
     def test_plan_arithmetic(self):
         spec = DatasetSpec(

@@ -94,6 +94,15 @@ class TestCubeFormat:
                 + struct.pack("<Q", 2 * 128 * 112 * 2))
         assert p.read_bytes() == want
 
+    def test_fortran_order_cube_round_trips(self, tmp_path):
+        # the samples' last axis is strided, so no float64 view of them exists
+        cube = synthesize_cube(RadarConfig(n_rx=2), [linear_scatterer(2.0, 0.5)], n_frames=1,
+                               noise_sigma=0.3, rng_seed=4)
+        cube.samples = np.asfortranarray(cube.samples)
+        p = tmp_path / "h.rfdc"
+        write_cube(p, cube)
+        assert np.array_equal(read_cube(p).samples, cube.samples)
+
 
 class TestRfdmFormat:
     def test_round_trip_f32_exact(self, tmp_path):
@@ -230,6 +239,42 @@ class TestCheckpointFailsClosed:
         p.write_bytes(p.read_bytes()[:-3])
         with pytest.raises(IntegrityError, match="truncated checkpoint"):
             load_checkpoint(p)
+
+
+def assert_prefixes_fail_closed(path, reader, cuts):
+    """Every listed prefix of the file at `path` makes `reader` raise
+    IntegrityError."""
+    raw = path.read_bytes()
+    for n in cuts:
+        path.write_bytes(raw[:n])
+        with pytest.raises(IntegrityError):
+            reader(path)
+
+
+def strided_cuts(size, head):
+    """Every cut inside the first `head` bytes and the last 16 (the header and
+    the trailer), and every 61st one between them."""
+    return sorted(set(range(head)) | set(range(head, size, 61)) | set(range(size - 16, size)))
+
+
+class TestTruncationSweep:
+    def test_every_rfdm_prefix(self, tmp_path):
+        p = tmp_path / "a.rfdm"
+        write_rfdm(p, RfdmSequence(frames=np.random.default_rng(1).random((2, 3, 4))))
+        assert_prefixes_fail_closed(p, read_rfdm, range(p.stat().st_size))
+
+    def test_strided_rfdc_prefixes(self, tmp_path):
+        cfg = RadarConfig(n_samples=16, n_chirps=8, n_rx=2)
+        p = tmp_path / "a.rfdc"
+        write_cube(p, synthesize_cube(cfg, [linear_scatterer(1.0, 0.5)], n_frames=2,
+                                      noise_sigma=0.1, rng_seed=1))
+        assert_prefixes_fail_closed(p, read_cube, strided_cuts(p.stat().st_size, 24))
+
+    def test_strided_rfnn_prefixes(self, tmp_path):
+        model = CnnTcn(TINY)
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, model, adam=Adam(model.params()))
+        assert_prefixes_fail_closed(p, load_checkpoint, strided_cuts(p.stat().st_size, 12))
 
 
 class TestManifests:

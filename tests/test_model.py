@@ -12,7 +12,6 @@ from rfdm.model import (
     TrainConfig,
     build_model,
     evaluate_accuracy,
-    param_count,
     predict,
     predict_classes,
     train_model,
@@ -110,11 +109,17 @@ class TestSequenceModel:
         rng = np.random.default_rng(7)
         x = rng.random((1, 4, 8, 8))
         feats = m.frame_features(x, train=False)
-        full = m.sequence_forward(feats, train=False)
+
+        def temporal_stack(h):
+            for blk in m.blocks:
+                h = blk.forward(h, train=False)
+            return h
+
+        full = temporal_stack(feats)
         for t in range(1, 4):
             trunc = feats.copy()
             trunc[:, t:, :] = 0.0
-            out = m.sequence_forward(trunc, train=False)
+            out = temporal_stack(trunc)
             assert np.array_equal(out[:, :t, :], full[:, :t, :])
 
     def test_zero_conv_weights_make_logits_input_free(self):
@@ -139,6 +144,16 @@ class TestEvalKeepsNoBackwardCache:
         m.forward(x, train=False)
         assert all(a._mask is None for a in acts)
         assert all(p._cache is None for p in m.frame.pools)
+
+    def test_eval_forward_drops_conv_and_bn_inputs(self):
+        m = tiny_model()
+        x = np.random.default_rng(4).random((2, 4, 8, 8))
+        f = m.frame
+        cached = [f.conv1, f.bn1, f.conv2, f.bn2, f.conv3, f.bn3]
+        m.forward(x, train=True)
+        assert all(layer._cache is not None for layer in cached)
+        m.forward(x, train=False)
+        assert all(layer._cache is None for layer in cached)
 
 
 class TestEndToEndGradcheck:
@@ -281,7 +296,7 @@ class TestBaseline:
         cfg = CnnTcnConfig()
         tcn = CnnTcn(cfg, init_seed=0)
         cnn = CnnBaseline(cfg, init_seed=0)
-        assert param_count(cnn) < param_count(tcn)
+        assert sum(p.value.size for p in cnn.params()) < sum(p.value.size for p in tcn.params())
 
     def test_baseline_trains_and_predicts(self):
         x, y = make_toy_dataset()

@@ -26,28 +26,27 @@ def rng_for(seed):
 
 
 def slice_loop_conv(conv, x, dy):
-    """Conv2d forward and backward with the im2col matrix built by one strided
-    slice copy per kernel offset: (output, dx, w.grad, b.grad)."""
+    """Stride-1 "same" Conv2d forward and backward with the im2col matrix
+    built by one slice copy per kernel offset, and the input gradient
+    scattered back from one column-gradient GEMM: (output, dx, w.grad, b.grad)."""
     n, h, w, _ = x.shape
-    ho, wo, (pt, pb), (pl, pr) = conv._geometry(h, w)
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    s, kh, kw, ci = conv.stride, conv.kh, conv.kw, conv.c_in
-    cols = np.empty((n, ho, wo, kh * kw, ci))
+    kh, kw, ci = conv.kh, conv.kw, conv.c_in
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
+    cols = np.empty((n, h, w, kh * kw, ci))
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, :, i * kw + j, :] = xp[:, i : i + s * (ho - 1) + 1 : s,
-                                              j : j + s * (wo - 1) + 1 : s, :]
-    cols = cols.reshape(n * ho * wo, kh * kw * ci)
+            cols[:, :, :, i * kw + j, :] = xp[:, i : i + h, j : j + w, :]
+    cols = cols.reshape(n * h * w, kh * kw * ci)
     wmat = conv.w.value.reshape(kh * kw * ci, conv.c_out)
-    out = (cols @ wmat + conv.b.value).reshape(n, ho, wo, conv.c_out)
-    dym = dy.reshape(n * ho * wo, conv.c_out)
+    out = (cols @ wmat + conv.b.value).reshape(n, h, w, conv.c_out)
+    dym = dy.reshape(n * h * w, conv.c_out)
     dw = (cols.T @ dym).reshape(conv.w.value.shape)
-    dcols = (dym @ wmat.T).reshape(n, ho, wo, kh * kw, ci)
+    dcols = (dym @ wmat.T).reshape(n, h, w, kh * kw, ci)
     dxp = np.zeros(xp.shape)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, i : i + s * (ho - 1) + 1 : s,
-                j : j + s * (wo - 1) + 1 : s, :] += dcols[:, :, :, i * kw + j, :]
+            dxp[:, i : i + h, j : j + w, :] += dcols[:, :, :, i * kw + j, :]
     return out, dxp[:, pt : pt + h, pl : pl + w, :], dw, dym.sum(axis=0)
 
 
@@ -72,29 +71,35 @@ class TestConv2d:
         assert np.allclose(conv.forward(x), x, atol=1e-15)
 
     def test_box_sum_valid(self):
-        conv = Conv2d(1, 1, 3, 3, padding="valid", rng=rng_for(0))
+        # a 3x3 box sum with "same" padding, checked on the valid (interior)
+        # pixels, whose windows hold no padding
+        conv = Conv2d(1, 1, 3, 3, rng=rng_for(0))
         conv.w.value[...] = 1.0
         conv.b.value[...] = 0.0
         x = np.full((1, 6, 6, 1), 2.5)
         out = conv.forward(x)
-        assert out.shape == (1, 4, 4, 1)
-        assert np.allclose(out, 9 * 2.5, atol=1e-12)
+        assert out.shape == (1, 6, 6, 1)
+        assert np.allclose(out[:, 1:-1, 1:-1], 9 * 2.5, atol=1e-12)
 
     def test_matches_naive_loops(self):
-        # direct 6-loop reference on a random case
+        # direct 6-loop reference on a random case, over an input zero-padded
+        # by hand to "same" geometry: 1 row and 2 columns each side for 3x5
         rng = rng_for(42)
         x = rng.standard_normal((1, 4, 5, 2))
-        conv = Conv2d(2, 3, 3, 3, padding="valid", rng=rng)
+        conv = Conv2d(2, 3, 3, 5, rng=rng)
         out = conv.forward(x)
+        assert out.shape == (1, 4, 5, 3)
+        xp = np.zeros((1, 6, 9, 2))
+        xp[:, 1:5, 2:7, :] = x
         ref = np.zeros_like(out)
         for o in range(3):
-            for p in range(out.shape[1]):
-                for q in range(out.shape[2]):
+            for p in range(4):
+                for q in range(5):
                     acc = conv.b.value[o]
                     for i in range(3):
-                        for j in range(3):
+                        for j in range(5):
                             for c in range(2):
-                                acc += x[0, p + i, q + j, c] * conv.w.value[i, j, c, o]
+                                acc += xp[0, p + i, q + j, c] * conv.w.value[i, j, c, o]
                     ref[0, p, q, o] = acc
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -107,20 +112,27 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="expected"):
             conv.forward(np.zeros((1, 4, 4, 5)))
 
+    # The tap-wise input gradient sums each tap's dy @ W[i, j].T, where the
+    # reference sums the columns of one GEMM; BLAS orders the c_out products
+    # differently in the two, so dx may differ in the last bits. Measured:
+    # at most 2.0 eps * max|dx| on these cases and 2.5 eps * max|dx| on
+    # conv2/conv3 shapes at up to 512 frames; the bound is 8 eps, a 3x margin.
+    DX_BOUND_EPS = 8.0
+
     @pytest.mark.parametrize("c_in", [1, 3])
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_equals_slice_loop_reference(self, stride, padding, c_in):
-        rng = rng_for(stride * 10 + c_in)
-        conv = Conv2d(c_in, 4, 3, 5, stride=stride, padding=padding, rng=rng)
+    def test_equals_slice_loop_reference(self, c_in):
+        rng = rng_for(10 + c_in)
+        conv = Conv2d(c_in, 4, 3, 5, rng=rng)
         conv.b.value[...] = rng.standard_normal(4)
         x = rng.standard_normal((2, 7, 9, c_in))
         out = conv.forward(x, train=True)
         dy = rng.standard_normal(out.shape)
         dx = conv.backward(dy)
-        ref = slice_loop_conv(conv, x, dy)
-        for got, want in zip((out, dx, conv.w.grad, conv.b.grad), ref):
+        ref_out, ref_dx, ref_dw, ref_db = slice_loop_conv(conv, x, dy)
+        for got, want in zip((out, conv.w.grad, conv.b.grad), (ref_out, ref_dw, ref_db)):
             assert np.array_equal(got, want)
+        bound = self.DX_BOUND_EPS * np.finfo(np.float64).eps * np.max(np.abs(ref_dx))
+        assert np.max(np.abs(dx - ref_dx)) <= bound
 
     def test_no_input_gradient_keeps_parameter_gradients(self):
         rng = rng_for(5)
@@ -136,11 +148,19 @@ class TestConv2d:
         assert conv.backward(dy, need_dx=False) is None
         assert np.array_equal(conv.w.grad, full[0]) and np.array_equal(conv.b.grad, full[1])
 
+    def test_eval_forward_keeps_no_cache(self):
+        rng = rng_for(6)
+        conv = Conv2d(2, 3, 3, 5, rng=rng)
+        x = rng.standard_normal((2, 4, 6, 2))
+        y_train = conv.forward(x, train=True)
+        assert conv._cache is not None
+        assert np.array_equal(conv.forward(x, train=False), y_train)
+        assert conv._cache is None
+
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("stride,padding", [(1, "same"), (1, "valid"), (2, "same")])
-    def test_gradcheck(self, seed, stride, padding):
+    def test_gradcheck(self, seed):
         rng = rng_for(seed)
-        conv = Conv2d(2, 3, 3, 3, stride=stride, padding=padding, rng=rng)
+        conv = Conv2d(2, 3, 3, 3, rng=rng)
         x = rng.standard_normal((2, 5, 6, 2))
         check_layer_gradients(conv, x, seed=seed)
 
@@ -169,19 +189,20 @@ class TestBatchNorm:
         y = bn.forward(x, train=False)
         assert np.max(np.abs(y.mean(axis=(0, 1, 2)))) < 0.05
 
-    # train mode keeps the bare seed ids; eval mode backpropagates through
-    # fixed running statistics
-    @pytest.mark.parametrize("seed, train", [(s, True) for s in range(3)] +
-                             [(s, False) for s in range(3)],
-                             ids=["0", "1", "2", "eval-0", "eval-1", "eval-2"])
-    def test_gradcheck(self, seed, train):
+    def test_eval_forward_keeps_no_cache(self):
+        bn = BatchNorm2d(3)
+        x = rng_for(2).standard_normal((2, 3, 4, 3))
+        bn.forward(x, train=True)
+        assert bn._cache is not None
+        bn.forward(x, train=False)
+        assert bn._cache is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradcheck(self, seed):
         bn = BatchNorm2d(3)
         bn.gamma.value[...] = rng_for(seed).uniform(0.5, 1.5, 3)
-        if not train:
-            bn.running_mean[...] = rng_for(seed + 20).standard_normal(3)
-            bn.running_var[...] = rng_for(seed + 30).uniform(0.5, 2.0, 3)
         x = rng_for(seed + 10).standard_normal((2, 3, 4, 3))
-        check_layer_gradients(bn, x, seed=seed, train=train)
+        check_layer_gradients(bn, x, seed=seed)
 
 
 class TestLeakyReLU:
