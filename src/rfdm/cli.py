@@ -132,8 +132,12 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _radar_config(cfg: dict) -> RadarConfig:
-    return RadarConfig(**cfg["radar"])
+def _radar_config(fields, error, where: str) -> RadarConfig:
+    """RadarConfig from a JSON object; an unknown key or a non-object raises `error`."""
+    try:
+        return RadarConfig(**fields)
+    except TypeError as exc:
+        raise error(f"{where} field error: {exc}") from exc
 
 
 def _dataset_spec(cfg: dict) -> DatasetSpec:
@@ -186,7 +190,7 @@ def _worker_count() -> int:
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
-    radar = _radar_config(cfg)
+    radar = _radar_config(cfg["radar"], ConfigError, "radar config")
     spec = _dataset_spec(cfg)
     out = Path(args.out)
     (out / "cubes").mkdir(parents=True, exist_ok=True)
@@ -224,7 +228,8 @@ def cmd_preprocess(args) -> int:
     manifest = read_manifest(args.manifest)
     base = Path(args.manifest).parent
     verify_manifest_files(manifest, base)
-    radar = RadarConfig(**manifest.get("radar_config", cfg["radar"]))
+    radar = _radar_config(manifest.get("radar_config", cfg["radar"]), ManifestError,
+                          f"{args.manifest}: radar_config")
     out = Path(args.out)
     (out / "rfdm").mkdir(parents=True, exist_ok=True)
     rows = []
@@ -239,11 +244,10 @@ def cmd_preprocess(args) -> int:
             scale_mode=pp["scale_mode"],
         )
         rel = f"rfdm/sample_{row['index']:05d}.rfdm"
-        write_rfdm(out / rel, seq)
         entry = {k: row[k] for k in row if k not in ("path", "sha256")}
         entry["path"] = rel
         entry["cube_path"] = row["path"]
-        entry["sha256"] = sha256_file(out / rel)
+        entry["sha256"] = write_rfdm(out / rel, seq)
         rows.append(entry)
     doc = {
         "version": 1,
@@ -317,7 +321,8 @@ def cmd_eval(args) -> int:
     if args.epochs is not None:
         tr["epochs"] = args.epochs
     x, labels, meta, _ = _load_rfdm_dataset(args.manifest)
-    plans = make_splits(meta, protocol, labels=labels, seed=child_seed(args.seed, "splits"))
+    plans = make_splits(meta, protocol, labels=labels, val_fraction=float(tr["val_fraction"]),
+                        seed=child_seed(args.seed, "splits"))
     tcfg = TrainConfig(lr=float(tr["lr"]), batch_size=int(tr["batch_size"]),
                        epochs=int(tr["epochs"]), seed=0, patience=tr["patience"])
     result = run_protocol(

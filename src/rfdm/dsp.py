@@ -3,14 +3,15 @@
 The DFT is a pruned one (FFT pruning, Markel 1971): zero-padding, the
 fftshift and the crop are linear, so each transform multiplies the windowed
 input by a cached [length, count] DFT matrix that computes only the bins the
-crop keeps (32 of 128 range and 32 of 128 Doppler bins by default). It is
-verified in the test suite against `dft_oracle`, the literal O(N^2)
-transform, and against numpy.fft. Transforms operate along the last axis of
-an arbitrary-rank array as one 2-D GEMM, so the cube pipeline stays
-vectorized.
+crop keeps (32 of 128 range and 32 of 128 Doppler bins by default). The
+crop is placed once, by `cube_to_rfdm`, and conditioning only scales the
+kept bins. The DFT is verified in the test suite against `dft_oracle`, the
+literal O(N^2) transform, and against numpy.fft. Transforms operate along
+the last axis of an arbitrary-rank array as one 2-D GEMM, so the cube
+pipeline stays vectorized.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -131,12 +132,6 @@ class RfdmSequence:
 
     frames: np.ndarray
     scale_mode: str = "linear"
-    seq_max: float = 0.0
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def shape(self):
-        return self.frames.shape
 
     def validate(self) -> None:
         if self.frames.ndim != 3:
@@ -147,8 +142,8 @@ class RfdmSequence:
             raise ShapeError("linear-scale RFDM must be non-negative")
 
 
-def doppler_process(rc: np.ndarray, window: str = "hann", provenance: dict | None = None,
-                    start: int = 0, count: int | None = None) -> RfdmSequence:
+def doppler_process(rc: np.ndarray, window: str = "hann", start: int = 0,
+                    count: int | None = None) -> RfdmSequence:
     """Slow-time FFT per range bin: [frame][chirp][range][rx] -> RFDM sequence.
 
     Chirp axis is windowed, zero-padded to the next power of two,
@@ -169,56 +164,28 @@ def doppler_process(rc: np.ndarray, window: str = "hann", provenance: dict | Non
     spec = fft(np.moveaxis(xw, 1, -1), n_pad, start - n_pad // 2,
                count)                           # [frame, range, rx, doppler]
     mag = np.abs(spec).mean(axis=2)             # average rx -> [frame, range, doppler]
-    return RfdmSequence(frames=mag, scale_mode="linear", seq_max=float(mag.max(initial=0.0)),
-                        provenance=dict(provenance or {}))
+    return RfdmSequence(frames=mag, scale_mode="linear")
 
 
-def _crop_starts(map_shape, n_range_crop: int, n_doppler_crop: int,
-                 range_center_bin: int | None) -> tuple:
-    """(range, Doppler) start bins of the crop window in a map of `map_shape`."""
-    n_r, n_d = map_shape
-    if n_range_crop > n_r or n_doppler_crop > n_d:
-        raise ShapeError(
-            f"crop ({n_range_crop}, {n_doppler_crop}) exceeds map size ({n_r}, {n_d})"
-        )
-    center = n_range_crop // 2 if range_center_bin is None else int(range_center_bin)
-    r0 = min(max(center - n_range_crop // 2, 0), n_r - n_range_crop)
-    d0 = n_d // 2 - n_doppler_crop // 2
-    return r0, d0
+def condition_rfdm(seq: RfdmSequence, scale_mode: str = "linear-maxnorm") -> RfdmSequence:
+    """Scale a map sequence that already holds only the kept bins.
 
-
-def condition_rfdm(
-    seq: RfdmSequence,
-    n_range_crop: int = 32,
-    n_doppler_crop: int = 32,
-    scale_mode: str = "linear-maxnorm",
-    range_center_bin: int | None = None,
-) -> RfdmSequence:
-    """Crop to the gesture zone and normalize.
-
-    Range bins are cropped to a window centered on `range_center_bin`
-    (default: the window starts at bin 0, covering the near-field gesture
-    zone); Doppler is center-cropped around zero velocity. 'linear-maxnorm'
-    divides by the per-sequence max (all-zero sequences pass unchanged);
-    'log-db' maps 20*log10(x + 1e-12) then min-max scales to [0, 1].
+    'linear-maxnorm' divides by the per-sequence max (all-zero sequences
+    pass unchanged); 'log-db' maps 20*log10(x + 1e-12) then min-max scales
+    to [0, 1].
     """
     seq.validate()
-    r0, d0 = _crop_starts(seq.frames.shape[1:], n_range_crop, n_doppler_crop, range_center_bin)
-    cropped = seq.frames[:, r0 : r0 + n_range_crop, d0 : d0 + n_doppler_crop]
-
-    peak = float(cropped.max(initial=0.0))
+    frames = seq.frames
     if scale_mode == "linear-maxnorm":
-        out = cropped / peak if peak > 0.0 else cropped.copy()
+        peak = float(frames.max(initial=0.0))
+        out = frames / peak if peak > 0.0 else frames.copy()
     elif scale_mode == "log-db":
-        db = 20.0 * np.log10(cropped + 1e-12)
+        db = 20.0 * np.log10(frames + 1e-12)
         lo, hi = float(db.min()), float(db.max())
         out = (db - lo) / (hi - lo) if hi > lo else np.zeros_like(db)
     else:
         raise ValueError(f"unknown scale_mode {scale_mode!r}")
-    prov = dict(seq.provenance)
-    prov.update({"range_crop_start": int(r0), "doppler_crop_start": int(d0)})
-    return RfdmSequence(frames=np.ascontiguousarray(out), scale_mode=scale_mode,
-                        seq_max=peak, provenance=prov)
+    return RfdmSequence(frames=out, scale_mode=scale_mode)
 
 
 def cube_to_rfdm(
@@ -232,19 +199,24 @@ def cube_to_rfdm(
 ) -> RfdmSequence:
     """Full chain: range FFT -> (optional) 4th-order MTI -> Doppler FFT -> conditioning.
 
-    The crop window is placed on the full padded map first, and both
-    transforms compute only the bins inside it.
+    The crop window is placed here, once, on the full padded map: range bins
+    are cropped to a window centered on `range_center_bin` (default: the
+    window starts at bin 0, covering the near-field gesture zone) and
+    clamped inside the map; Doppler is center-cropped around zero velocity.
+    Both transforms compute only the bins inside the window, so the maps
+    arrive cropped and conditioning only scales them.
     """
     n_slow = cube.config.n_chirps - 4 if mti else cube.config.n_chirps  # MTI drops 4 chirps
-    map_shape = (next_pow2(cube.config.n_samples), next_pow2(n_slow))
-    r0, d0 = _crop_starts(map_shape, n_range_crop, n_doppler_crop, range_center_bin)
+    n_r, n_d = next_pow2(cube.config.n_samples), next_pow2(n_slow)
+    if n_range_crop > n_r or n_doppler_crop > n_d:
+        raise ShapeError(
+            f"crop ({n_range_crop}, {n_doppler_crop}) exceeds map size ({n_r}, {n_d})"
+        )
+    center = n_range_crop // 2 if range_center_bin is None else int(range_center_bin)
+    r0 = min(max(center - n_range_crop // 2, 0), n_r - n_range_crop)
+    d0 = n_d // 2 - n_doppler_crop // 2
     rc = range_compress(cube, window=window, start=r0, count=n_range_crop)
     if mti:
         rc = mti_filter(rc, axis=1)
-    prov = {"mti": bool(mti), "window": window,
-            "n_chirps": cube.config.n_chirps, "n_samples": cube.config.n_samples}
-    seq = doppler_process(rc, window=window, provenance=prov, start=d0, count=n_doppler_crop)
-    out = condition_rfdm(seq, n_range_crop, n_doppler_crop, scale_mode)
-    # the map arrives cropped: record where the crop sits on the full padded map
-    out.provenance.update(range_crop_start=r0, doppler_crop_start=d0)
-    return out
+    seq = doppler_process(rc, window=window, start=d0, count=n_doppler_crop)
+    return condition_rfdm(seq, scale_mode)

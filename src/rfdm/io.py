@@ -108,17 +108,19 @@ def read_cube(path, config: RadarConfig | None = None) -> DataCube:
 # ---------------------------------------------------------------------------
 
 
-def write_rfdm(path, seq: RfdmSequence) -> None:
+def write_rfdm(path, seq: RfdmSequence) -> str:
+    """Write `seq` as RFDM; returns the SHA-256 hex digest of the bytes written."""
     seq.validate()
-    t, n_r, n_d = seq.frames.shape
     code = _SCALE_CODES.get(seq.scale_mode)
     if code is None:
         raise ValueError(f"unknown scale mode {seq.scale_mode!r}")
+    x = np.ascontiguousarray(seq.frames, dtype="<f4")
+    h = hashlib.sha256()
     with open(path, "wb") as f:
-        f.write(RFDM_MAGIC)
-        f.write(struct.pack("<4I", FORMAT_VERSION, t, n_r, n_d))
-        f.write(struct.pack("<B", code))
-        f.write(seq.frames.astype("<f4").tobytes())
+        for part in (RFDM_MAGIC, struct.pack("<4IB", FORMAT_VERSION, *x.shape, code), x):
+            f.write(part)
+            h.update(part)
+    return h.hexdigest()
 
 
 def read_rfdm(path) -> RfdmSequence:

@@ -251,7 +251,7 @@ class ChannelReduce(Layer):
 
     def forward(self, x, train=False):
         _check_axis(x, 3, 2, self.c_in, "ChannelReduce input channels")
-        self._x = x
+        self._x = x if train else None
         return x @ self.w.value + self.b.value
 
     def backward(self, dy):
@@ -289,7 +289,7 @@ class CausalConv1d(Layer):
         out = np.broadcast_to(self.b.value, (n, t, self.c_out)).copy()
         for i in range(self.kt):
             out += xp[:, i * self.dilation : i * self.dilation + t, :] @ self.w.value[i]
-        self._cache = (xp, (n, t))
+        self._cache = (xp, (n, t)) if train else None
         return out
 
     def backward(self, dy):
@@ -343,7 +343,7 @@ class Dense(Layer):
 
     def forward(self, x, train=False):
         _check_axis(x, 2, 1, self.d_in, "Dense input")
-        self._x = x
+        self._x = x if train else None
         return x @ self.w.value + self.b.value
 
     def backward(self, dy):
@@ -359,24 +359,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, labels) -> tuple:
-    """Numerically stable softmax cross-entropy.
+    """Numerically stable softmax cross-entropy of a batch.
 
-    Batched [N, K] with integer labels [N]: returns (mean loss, probs,
-    dlogits) where dlogits = (probs - onehot)/N. A single [K] vector returns
-    the unscaled gradient probs - onehot."""
+    logits [N, K] with integer labels [N]: returns (mean loss, probs,
+    dlogits) where dlogits = (probs - onehot)/N."""
     logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    lg = logits[np.newaxis, :] if single else logits
-    lab = np.asarray([labels] if single else labels, dtype=np.intp)
-    n, k = lg.shape
-    if np.any(lab < 0) or np.any(lab >= k):
+    labels = np.asarray(labels, dtype=np.intp)
+    n, k = logits.shape
+    if np.any(labels < 0) or np.any(labels >= k):
         raise IndexError(f"label out of range [0, {k})")
-    probs = softmax(lg)
-    nll = -np.log(probs[np.arange(n), lab])
+    probs = softmax(logits)
+    nll = -np.log(probs[np.arange(n), labels])
     dlogits = probs.copy()
-    dlogits[np.arange(n), lab] -= 1.0
-    if single:
-        return float(nll[0]), probs[0], dlogits[0]
+    dlogits[np.arange(n), labels] -= 1.0
     return float(nll.mean()), probs, dlogits / n
 
 

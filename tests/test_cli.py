@@ -16,7 +16,7 @@ from rfdm.errors import (
     ShapeError,
     SimulationError,
 )
-from rfdm.io import read_manifest, read_rfdm
+from rfdm.io import read_manifest, read_rfdm, sha256_file
 
 SMOKE_CONFIG = {
     "gen": {
@@ -67,6 +67,13 @@ def tree_hashes(root: Path, exclude_run_manifests=True) -> dict:
 
 
 class TestGen:
+    def test_unknown_radar_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radar": {"f_cc": 1}}))
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
+        assert rc == 3
+        assert "f_cc" in capsys.readouterr().err
+
     def test_manifest_matches_files_and_counts(self, smoke, capsys):
         _, cfg_path, gen_dir, _ = smoke
         man = read_manifest(gen_dir / "dataset_manifest.json")
@@ -92,6 +99,20 @@ class TestPreprocess:
         man = read_manifest(pp_dir / "rfdm_manifest.json")
         seq = read_rfdm(pp_dir / man["samples"][0]["path"])
         assert seq.frames.shape == (8, 16, 16)
+
+    def test_manifest_digests_match_files(self, smoke):
+        _, _, _, pp_dir = smoke
+        man = read_manifest(pp_dir / "rfdm_manifest.json")
+        assert len(man["samples"]) == 28
+        for row in man["samples"]:
+            assert row["sha256"] == sha256_file(pp_dir / row["path"])
+
+    def test_unknown_radar_key_in_manifest_is_manifest_error(self, tmp_path, capsys):
+        man = tmp_path / "dataset_manifest.json"
+        man.write_text(json.dumps({"radar_config": {"bogus": 1}, "samples": []}))
+        rc = main(["preprocess", "--manifest", str(man), "--out", str(tmp_path / "pp")])
+        assert rc == 4
+        assert "bogus" in capsys.readouterr().err
 
     def test_hash_mismatch_detected(self, smoke, tmp_path):
         root, cfg_path, gen_dir, _ = smoke
@@ -210,6 +231,25 @@ class TestTrainEvalInfer:
         for fold in report["folds"]:
             conf = np.array(fold["confusion"]["counts"])
             assert fold["accuracy"] == pytest.approx(np.trace(conf) / conf.sum())
+
+    def test_eval_honours_val_fraction(self, tmp_path):
+        # two instances leave 4 training samples per class and fold, so the
+        # default fraction of 0.15 would carve a validation set from them
+        cfg = json.loads(json.dumps(SMOKE_CONFIG))
+        cfg["gen"].update(instances=2, n_frames=4)
+        cfg["train"]["val_fraction"] = 0.0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        common = ["--config", str(cfg_path), "--seed", "7"]
+        assert main(["gen", *common, "--out", str(tmp_path / "gen")]) == 0
+        assert main(["preprocess", *common, "--out", str(tmp_path / "pp"),
+                     "--manifest", str(tmp_path / "gen" / "dataset_manifest.json")]) == 0
+        assert main(["eval", *common, "--protocol", "loocv", "--epochs", "1",
+                     "--manifest", str(tmp_path / "pp" / "rfdm_manifest.json"),
+                     "--out", str(tmp_path / "eval")]) == 0
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert len(report["folds"]) == 2
+        assert all(fold["best_epoch"] == -1 for fold in report["folds"])
 
 
 class TestPlot:

@@ -200,26 +200,22 @@ class TestCondition:
         return RfdmSequence(frames=np.asarray(arr, dtype=float))
 
     def test_all_zero_passes_through(self):
-        out = condition_rfdm(self._seq(np.zeros((2, 64, 64))), 32, 32)
+        out = condition_rfdm(self._seq(np.zeros((2, 32, 32))))
         assert out.frames.shape == (2, 32, 32)
         assert np.all(out.frames == 0)
+        assert out.scale_mode == "linear-maxnorm"
 
     def test_maxnorm_peak_is_one(self):
         rng = np.random.default_rng(3)
-        out = condition_rfdm(self._seq(rng.random((3, 64, 64))), 32, 32)
+        frames = rng.random((3, 32, 32))
+        out = condition_rfdm(self._seq(frames))
         assert out.frames.max() == 1.0
-
-    def test_crop_shape_contract(self):
-        out = condition_rfdm(self._seq(np.ones((4, 128, 128))), 32, 32)
-        assert out.frames.shape == (4, 32, 32)
-
-    def test_oversized_crop_rejected(self):
-        with pytest.raises(ShapeError, match="crop"):
-            condition_rfdm(self._seq(np.ones((1, 16, 16))), 32, 32)
+        assert np.array_equal(out.frames, frames / frames.max())
 
     def test_log_db_range(self):
         rng = np.random.default_rng(4)
-        out = condition_rfdm(self._seq(rng.random((2, 40, 40))), 16, 16, scale_mode="log-db")
+        out = condition_rfdm(self._seq(rng.random((2, 16, 16))), scale_mode="log-db")
+        assert out.frames.shape == (2, 16, 16)
         assert out.frames.min() == 0.0 and out.frames.max() == 1.0
 
 
@@ -279,6 +275,7 @@ class TestPrunedChain:
         seq = cube_to_rfdm(self.CUBE, mti=mti, n_range_crop=n_range_crop,
                            n_doppler_crop=n_doppler_crop, range_center_bin=center)
         assert seq.frames.shape == (2, n_range_crop, n_doppler_crop)
+        assert seq.frames.flags.c_contiguous
         expect = reference_rfdm(self.CUBE, mti, n_range_crop, n_doppler_crop, center)
         assert np.max(np.abs(seq.frames - expect)) < 1e-12
 
@@ -286,10 +283,3 @@ class TestPrunedChain:
     def test_oversized_crop_rejected(self, crops):
         with pytest.raises(ShapeError, match="crop"):
             cube_to_rfdm(self.CUBE, n_range_crop=crops[0], n_doppler_crop=crops[1])
-
-    def test_provenance_records_crop_on_full_map(self):
-        prov = cube_to_rfdm(self.CUBE).provenance
-        assert (prov["range_crop_start"], prov["doppler_crop_start"]) == (0, 48)
-        prov = cube_to_rfdm(self.CUBE, n_range_crop=16, n_doppler_crop=8,
-                            range_center_bin=40).provenance
-        assert (prov["range_crop_start"], prov["doppler_crop_start"]) == (32, 60)

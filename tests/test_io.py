@@ -115,6 +115,19 @@ class TestRfdmFormat:
         assert back.scale_mode == seq.scale_mode
         assert np.array_equal(back.frames, seq.frames.astype(np.float32).astype(np.float64))
 
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_returned_digest_is_of_the_bytes_written(self, tmp_path, contiguous):
+        frames = np.random.default_rng(5).random((3, 4, 6))
+        seq = RfdmSequence(frames=frames if contiguous else frames[:, ::2],
+                           scale_mode="linear-maxnorm")
+        p = tmp_path / "d.rfdm"
+        digest = write_rfdm(p, seq)
+        assert digest == sha256_file(p)
+        t, n_r, n_d = seq.frames.shape
+        want = (b"RFDM" + struct.pack("<4I", 1, t, n_r, n_d) + struct.pack("<B", 1)
+                + np.ascontiguousarray(seq.frames).astype("<f4").tobytes())
+        assert p.read_bytes() == want
+
     def test_truncation(self, tmp_path):
         seq = RfdmSequence(frames=np.random.default_rng(0).random((2, 4, 4)))
         p = tmp_path / "b.rfdm"

@@ -155,6 +155,20 @@ class TestEvalKeepsNoBackwardCache:
         m.forward(x, train=False)
         assert all(layer._cache is None for layer in cached)
 
+    def test_eval_forward_drops_reduce_tcn_and_head_inputs(self):
+        m = tiny_model()
+        x = np.random.default_rng(5).random((2, 4, 8, 8))
+        convs = [b.conv for b in m.blocks]
+        inputs = [m.frame.reduce] + [b.proj for b in m.blocks if b.proj is not None] \
+            + m.head.denses
+        assert len(convs) == 3 and len(inputs) == 5
+        m.forward(x, train=True)
+        assert all(c._cache is not None for c in convs)
+        assert all(layer._x is not None for layer in inputs)
+        m.forward(x, train=False)
+        assert all(c._cache is None for c in convs)
+        assert all(layer._x is None for layer in inputs)
+
 
 class TestEndToEndGradcheck:
     @pytest.mark.parametrize("seed", [0, 1])

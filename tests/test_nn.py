@@ -395,18 +395,19 @@ class TestDense:
 
 class TestSoftmaxXent:
     def test_uniform_logits(self):
-        loss, probs, _ = softmax_xent(np.zeros(7), 3)
+        loss, probs, _ = softmax_xent(np.zeros((1, 7)), np.array([3]))
         assert np.allclose(probs, 1 / 7)
         assert abs(loss - math.log(7)) < 1e-12
 
     def test_extreme_logits_stable(self):
-        loss, probs, _ = softmax_xent(np.array([1000.0, 0.0]), 0)
-        assert np.isfinite(loss) and abs(probs[0] - 1.0) < 1e-12
+        loss, probs, _ = softmax_xent(np.array([[1000.0, 0.0]]), np.array([0]))
+        assert np.isfinite(loss) and abs(probs[0, 0] - 1.0) < 1e-12
 
     def test_gradient_identity_and_fd(self):
+        # for a batch of one, dlogits = (probs - onehot) / 1
         rng = rng_for(3)
-        logits = rng.standard_normal(5)
-        label = 2
+        logits = rng.standard_normal((1, 5))
+        label = np.array([2])
         loss, probs, grad = softmax_xent(logits, label)
         onehot = np.eye(5)[label]
         assert np.allclose(grad, probs - onehot, atol=1e-12)
@@ -415,13 +416,13 @@ class TestSoftmaxXent:
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            softmax_xent(np.zeros(4), 7)
+            softmax_xent(np.zeros((1, 4)), np.array([7]))
 
     def test_batch_mean_scaling(self):
         logits = rng_for(4).standard_normal((3, 4))
         labels = np.array([0, 1, 3])
         loss, probs, dl = softmax_xent(logits, labels)
-        per = [softmax_xent(logits[i], labels[i])[0] for i in range(3)]
+        per = [softmax_xent(logits[i : i + 1], labels[i : i + 1])[0] for i in range(3)]
         assert abs(loss - np.mean(per)) < 1e-12
         assert np.allclose(dl.sum(), 0.0, atol=1e-12)
 
