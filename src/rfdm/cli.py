@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     SimulationError,
 )
-from .evaluate import make_splits, run_protocol
+from .evaluate import carve_validation, make_splits, run_protocol
 from .gestures import (
     GESTURE_CLASSES,
     DatasetSpec,
@@ -227,14 +227,15 @@ def cmd_preprocess(args) -> int:
     pp = cfg["preprocess"]
     manifest = read_manifest(args.manifest)
     base = Path(args.manifest).parent
-    verify_manifest_files(manifest, base)
+    verify_manifest_files(manifest, base, ("index",))
     radar = _radar_config(manifest.get("radar_config", cfg["radar"]), ManifestError,
                           f"{args.manifest}: radar_config")
     out = Path(args.out)
     (out / "rfdm").mkdir(parents=True, exist_ok=True)
     rows = []
     for row in manifest["samples"]:
-        cube = read_cube(base / row["path"], radar)
+        # a corrupt cube stops the job here, before rfdm_manifest.json is written
+        cube = read_cube(base / row["path"], radar, sha256=row.get("sha256"))
         seq = cube_to_rfdm(
             cube,
             window=pp["window"],
@@ -266,10 +267,10 @@ def cmd_preprocess(args) -> int:
 def _load_rfdm_dataset(manifest_path):
     manifest = read_manifest(manifest_path)
     base = Path(manifest_path).parent
-    verify_manifest_files(manifest, base)
+    verify_manifest_files(manifest, base, ("class_id",))
     xs, labels, meta = [], [], []
     for row in manifest["samples"]:
-        seq = read_rfdm(base / row["path"])
+        seq = read_rfdm(base / row["path"], sha256=row.get("sha256"))
         xs.append(seq.frames)
         labels.append(int(row["class_id"]))
         meta.append(row)
@@ -291,10 +292,9 @@ def cmd_train(args) -> int:
         tr["epochs"] = args.epochs
     x, labels, meta, _ = _load_rfdm_dataset(args.manifest)
     model_cfg = _model_config_for(x)
-    rng = substream(args.seed, "train-split")
-    order = rng.permutation(len(labels))
-    n_val = max(1, int(round(tr["val_fraction"] * len(labels))))
-    val_idx, train_idx = np.sort(order[:n_val]), np.sort(order[n_val:])
+    train_idx, val_idx = carve_validation(np.arange(len(labels)), labels,
+                                          substream(args.seed, "train-split"),
+                                          float(tr["val_fraction"]))
     model = build_model(tr["model"], model_cfg, init_seed=child_seed(args.seed, "init"))
     tcfg = TrainConfig(lr=float(tr["lr"]), batch_size=int(tr["batch_size"]),
                        epochs=int(tr["epochs"]), seed=child_seed(args.seed, "sgd"),

@@ -44,7 +44,7 @@ class SplitPlan:
                 raise ConfigError(f"fold {self.fold_id}: indices do not cover the dataset")
 
 
-def _carve_validation(train_ids, labels, rng, fraction=0.15):
+def carve_validation(train_ids, labels, rng, fraction=0.15):
     """Per-class validation slice; always leaves >= 1 training sample per class."""
     train_ids = np.asarray(train_ids, dtype=np.intp)
     val = []
@@ -87,7 +87,7 @@ def make_splits(meta: list, kind: str, labels=None, val_fraction: float = 0.15,
         users = _require(meta, "user_id").astype(int)
         for u in sorted(set(users.tolist())):
             test = all_idx[users == u]
-            train, val = _carve_validation(all_idx[users != u], labels, rng, val_fraction)
+            train, val = carve_validation(all_idx[users != u], labels, rng, val_fraction)
             plans.append(SplitPlan(kind, f"user:{u}", train, val, test))
     elif kind == "location":
         loc = _require(meta, "location_id").astype(int)
@@ -102,7 +102,7 @@ def make_splits(meta: list, kind: str, labels=None, val_fraction: float = 0.15,
         train_pool = all_idx[at_train]
         for l in sorted(set(loc[~at_train].tolist())):
             test = all_idx[(loc == l) & ~at_train]
-            train, val = _carve_validation(train_pool, labels, rng, val_fraction)
+            train, val = carve_validation(train_pool, labels, rng, val_fraction)
             plans.append(SplitPlan(kind, f"location:{l}", train, val, test))
     elif kind == "environment":
         env = _require(meta, "environment")
@@ -112,13 +112,13 @@ def make_splits(meta: list, kind: str, labels=None, val_fraction: float = 0.15,
         train_pool = all_idx[is_classroom]
         for e in sorted(set(env[~is_classroom].tolist())):
             test = all_idx[env == e]
-            train, val = _carve_validation(train_pool, labels, rng, val_fraction)
+            train, val = carve_validation(train_pool, labels, rng, val_fraction)
             plans.append(SplitPlan(kind, f"environment:{e}", train, val, test))
     else:  # random
         order = substream(seed, "random-split").permutation(n)
         n_test = max(1, int(round(0.2 * n)))
         test = np.sort(order[:n_test]).astype(np.intp)
-        train, val = _carve_validation(np.sort(order[n_test:]), labels, rng, val_fraction)
+        train, val = carve_validation(np.sort(order[n_test:]), labels, rng, val_fraction)
         plans.append(SplitPlan(kind, "random:0", train, val, test))
 
     for p in plans:

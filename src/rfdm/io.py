@@ -1,16 +1,15 @@
 """File formats: raw cubes (RFDC), map sequences (RFDM), checkpoints (RFNN),
 JSON manifests with content hashes, and CSV/PGM exports.
 
-All binary payloads are little-endian. Cube files carry a trailing sample
-count for truncation detection; manifests carry sha256 digests so any stage
-can verify its inputs byte-for-byte. The readers fail closed: a short or
-overlong file, or a header that does not describe the bytes after it,
-raises IntegrityError.
+All binary payloads are little-endian; cube files carry a trailing sample
+count. Each reader reads its file once and verifies those bytes alone: the
+manifest digest it is given (`sha256=`), the magic, the version and the
+exact size the header implies. Readers fail closed: a mismatch, or a
+payload its type rejects, raises IntegrityError.
 """
 
 import hashlib
 import json
-import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import RfdmSequence
-from .errors import IntegrityError, ManifestError
+from .errors import IntegrityError, ManifestError, ShapeError
 from .model import CnnTcnConfig, build_model
 from .radar import DataCube, RadarConfig
 
@@ -31,17 +30,30 @@ _SCALE_CODES = {"linear": 0, "linear-maxnorm": 1, "log-db": 2}
 _SCALE_NAMES = {v: k for k, v in _SCALE_CODES.items()}
 
 
-def _read_exact(f, n, path, what) -> bytes:
-    """The next n bytes of f. The file size is checked first, so a corrupt
-    length field raises IntegrityError instead of sizing a read."""
-    if n > os.fstat(f.fileno()).st_size - f.tell():
+def _expect_size(data, path, size, what, exact=True) -> None:
+    """IntegrityError if `data` is shorter than `size` bytes or, when
+    `exact`, longer."""
+    if len(data) < size:
         raise IntegrityError(f"{path}: truncated {what}")
-    return f.read(n)
-
-
-def _expect_end(f, path, what) -> None:
-    if f.read(1):
+    if exact and len(data) > size:
         raise IntegrityError(f"{path}: trailing bytes after the {what}")
+
+
+def _read_file(path, magic, what, header_size, sha256) -> bytes:
+    """Every byte of `path`, read once, with the digest (if given), magic,
+    header length and the u32 format version after the magic checked."""
+    data = Path(path).read_bytes()
+    if sha256 is not None:
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != sha256:
+            raise IntegrityError(f"{path}: sha256 mismatch (manifest {sha256}, file {actual})")
+    if data[:4] != magic:
+        raise IntegrityError(f"{path}: bad magic {data[:4]!r}, expected {magic!r}")
+    _expect_size(data, path, header_size, what + " header", exact=False)
+    (version,) = struct.unpack_from("<I", data, 4)
+    if version != FORMAT_VERSION:
+        raise IntegrityError(f"{path}: unsupported {what} version {version}")
+    return data
 
 
 def sha256_file(path) -> str:
@@ -75,24 +87,16 @@ def write_cube(path, cube: DataCube) -> str:
     return h.hexdigest()
 
 
-def read_cube(path, config: RadarConfig | None = None) -> DataCube:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CUBE_MAGIC:
-            raise IntegrityError(f"{path}: bad magic {magic!r}, expected {CUBE_MAGIC!r}")
-        header = _read_exact(f, 20, path, "cube header")
-        version, n_frames, n_chirps, n_samples, n_rx = struct.unpack("<5I", header)
-        if version != FORMAT_VERSION:
-            raise IntegrityError(f"{path}: unsupported cube version {version}")
-        count = n_frames * n_chirps * n_samples * n_rx
-        payload = _read_exact(f, 16 * count + 8, path, "cube file")
-        (stored,) = struct.unpack("<Q", payload[-8:])
-        if stored != count:
-            raise IntegrityError(
-                f"{path}: trailer count {stored} != header count {count} (truncation?)"
-            )
-        _expect_end(f, path, "cube trailer")
-    samples = np.frombuffer(payload, dtype="<c16", count=count)
+def read_cube(path, config: RadarConfig | None = None, *, sha256=None) -> DataCube:
+    """An RFDC file's cube; its samples are a read-only view of the bytes read."""
+    data = _read_file(path, CUBE_MAGIC, "cube", 24, sha256)
+    n_frames, n_chirps, n_samples, n_rx = struct.unpack_from("<4I", data, 8)
+    count = n_frames * n_chirps * n_samples * n_rx
+    _expect_size(data, path, 24 + 16 * count + 8, "cube file")
+    (stored,) = struct.unpack_from("<Q", data, len(data) - 8)
+    if stored != count:
+        raise IntegrityError(f"{path}: trailer count {stored} != header count {count}")
+    samples = np.frombuffer(data, dtype="<c16", count=count, offset=24)
     samples = samples.reshape(n_frames, n_chirps, n_samples, n_rx)
     cfg = config or RadarConfig()
     if (n_chirps, n_samples, n_rx) != (cfg.n_chirps, cfg.n_samples, cfg.n_rx):
@@ -100,7 +104,7 @@ def read_cube(path, config: RadarConfig | None = None) -> DataCube:
             f_c=cfg.f_c, B=cfg.B, f_s=cfg.f_s, n_samples=n_samples,
             n_chirps=n_chirps, t_pri=cfg.t_pri, t_frame=cfg.t_frame, n_rx=n_rx,
         )
-    return DataCube(config=cfg, samples=samples.astype(np.complex128), n_frames=n_frames)
+    return DataCube(config=cfg, samples=samples, n_frames=n_frames)
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +127,19 @@ def write_rfdm(path, seq: RfdmSequence) -> str:
     return h.hexdigest()
 
 
-def read_rfdm(path) -> RfdmSequence:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != RFDM_MAGIC:
-            raise IntegrityError(f"{path}: bad magic {magic!r}, expected {RFDM_MAGIC!r}")
-        header = _read_exact(f, 17, path, "rfdm header")
-        version, t, n_r, n_d, code = struct.unpack("<4IB", header)
-        if version != FORMAT_VERSION:
-            raise IntegrityError(f"{path}: unsupported rfdm version {version}")
-        if code not in _SCALE_NAMES:
-            raise IntegrityError(f"{path}: unknown scale code {code}")
-        payload = _read_exact(f, 4 * t * n_r * n_d, path, "rfdm payload")
-        _expect_end(f, path, "rfdm payload")
-    frames = np.frombuffer(payload, dtype="<f4").reshape(t, n_r, n_d).astype(np.float64)
-    return RfdmSequence(frames=frames, scale_mode=_SCALE_NAMES[code])
+def read_rfdm(path, *, sha256=None) -> RfdmSequence:
+    data = _read_file(path, RFDM_MAGIC, "rfdm", 21, sha256)
+    t, n_r, n_d, code = struct.unpack_from("<3IB", data, 8)
+    if code not in _SCALE_NAMES:
+        raise IntegrityError(f"{path}: unknown scale code {code}")
+    _expect_size(data, path, 21 + 4 * t * n_r * n_d, "rfdm payload")
+    frames = np.frombuffer(data, dtype="<f4", offset=21).reshape(t, n_r, n_d)
+    seq = RfdmSequence(frames=frames.astype(np.float64), scale_mode=_SCALE_NAMES[code])
+    try:
+        seq.validate()
+    except ShapeError as exc:
+        raise IntegrityError(f"{path}: invalid rfdm payload ({exc})") from exc
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -171,46 +173,49 @@ def save_checkpoint(path, model, adam=None) -> None:
                 f.write(v.astype("<f8").tobytes())
 
 
-def load_checkpoint(path):
+def _f8_arrays(data, offset, likes):
+    """Arrays shaped like each of `likes`, read in turn from `data` at `offset`."""
+    for a in likes:
+        yield np.frombuffer(data, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
+        offset += 8 * a.size
+
+
+def load_checkpoint(path, *, sha256=None):
     """Rebuild the model (and optional Adam state dict) from an RFNN file."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CKPT_MAGIC:
-            raise IntegrityError(f"{path}: bad magic {magic!r}, expected {CKPT_MAGIC!r}")
-        version, blob_len = struct.unpack("<2I", _read_exact(f, 8, path, "checkpoint header"))
-        if version != FORMAT_VERSION:
-            raise IntegrityError(f"{path}: unsupported checkpoint version {version}")
-        blob = _read_exact(f, blob_len, path, "checkpoint descriptor")
-        try:
-            descriptor = json.loads(blob.decode("utf-8"))
-            kind, config = descriptor["kind"], descriptor["config"]
-            layout = [(d["name"], list(d["shape"]))
-                      for d in descriptor["params"] + descriptor["buffers"]]
-            cfg = CnnTcnConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                  for k, v in config.items()})
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise IntegrityError(f"{path}: unreadable checkpoint descriptor ({exc!r})") from exc
+    data = _read_file(path, CKPT_MAGIC, "checkpoint", 12, sha256)
+    (blob_len,) = struct.unpack_from("<I", data, 8)
+    _expect_size(data, path, 12 + blob_len, "checkpoint descriptor", exact=False)
+    try:
+        descriptor = json.loads(data[12 : 12 + blob_len].decode("utf-8"))
+        kind, config = descriptor["kind"], descriptor["config"]
+        layout = [(d["name"], list(d["shape"]))
+                  for d in descriptor["params"] + descriptor["buffers"]]
+        cfg = CnnTcnConfig(**{k: tuple(v) if isinstance(v, list) else v
+                              for k, v in config.items()})
+        # an invalid architecture raises ConfigError (a ValueError), a mistyped field TypeError
         model = build_model(kind, cfg, init_seed=0)
-        params = model.params()
-        named = [(p.name, p.value) for p in params] + model.buffers()
-        if layout != [(n, list(a.shape)) for n, a in named]:
-            raise IntegrityError(f"{path}: parameter layout does not match architecture")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IntegrityError(f"{path}: unreadable checkpoint descriptor ({exc!r})") from exc
+    params = model.params()
+    named = [(p.name, p.value) for p in params] + model.buffers()
+    if layout != [(n, list(a.shape)) for n, a in named]:
+        raise IntegrityError(f"{path}: parameter layout does not match architecture")
 
-        def read_array(like):
-            buf = _read_exact(f, 8 * like.size, path, "checkpoint")
-            return np.frombuffer(buf, dtype="<f8").reshape(like.shape)
-
-        for _, a in named:
-            a[...] = read_array(a)
-        (flag,) = _read_exact(f, 1, path, "checkpoint")
-        adam_state = None
-        if flag:
-            (t,) = struct.unpack("<Q", _read_exact(f, 8, path, "checkpoint"))
-            ms = [read_array(p.value) for p in params]
-            vs = [read_array(p.value) for p in params]
-            adam_state = {"t": t, "m": ms, "v": vs}
-        _expect_end(f, path, "checkpoint")
-    return model, adam_state
+    arrays = [a for _, a in named]
+    end = 12 + blob_len + 8 * sum(a.size for a in arrays)
+    _expect_size(data, path, end + 1, "checkpoint", exact=False)
+    flag = data[end]
+    if flag not in (0, 1):
+        raise IntegrityError(f"{path}: bad optimizer-state flag {flag}")
+    adam_size = 8 + 16 * sum(p.value.size for p in params)
+    _expect_size(data, path, end + 1 + flag * adam_size, "checkpoint")
+    for a, v in zip(arrays, _f8_arrays(data, 12 + blob_len, arrays)):
+        a[...] = v
+    if not flag:
+        return model, None
+    (t,) = struct.unpack_from("<Q", data, end + 1)
+    m_v = list(_f8_arrays(data, end + 9, [p.value for p in params] * 2))
+    return model, {"t": t, "m": m_v[: len(params)], "v": m_v[len(params) :]}
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +238,23 @@ def read_manifest(path) -> dict:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    if "samples" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
         raise ManifestError(f"{path}: manifest lacks a 'samples' list")
     return doc
 
 
-def verify_manifest_files(manifest: dict, base_dir) -> None:
-    """Check that every referenced file exists and matches its digest."""
+def verify_manifest_files(manifest: dict, base_dir, fields=()) -> None:
+    """Check that every row has a `path` and each of `fields`, and that the
+    file it names exists. File bytes are not read here: each reader checks
+    the row's digest on the bytes it parses."""
     base = Path(base_dir)
-    for row in manifest["samples"]:
+    for i, row in enumerate(manifest["samples"]):
+        for key in ("path", *fields):
+            if not isinstance(row, dict) or key not in row:
+                raise ManifestError(f"manifest row {i} lacks required field {key!r}")
         p = base / row["path"]
         if not p.exists():
             raise IntegrityError(f"missing file {p}")
-        if "sha256" in row:
-            actual = sha256_file(p)
-            if actual != row["sha256"]:
-                raise IntegrityError(
-                    f"{p}: sha256 mismatch (manifest {row['sha256'][:12]}.., file {actual[:12]}..)"
-                )
 
 
 # ---------------------------------------------------------------------------

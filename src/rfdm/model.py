@@ -71,6 +71,11 @@ class CnnTcnConfig:
             raise ConfigError("height and width must be divisible by 4 (two 2x2 pools)")
         if len(self.conv_channels) != 3:
             raise ConfigError("exactly three conv widths expected")
+        sizes = (self.height, self.width, *self.conv_channels, *self.conv_kernel,
+                 self.reduce_divisor, self.tcn_kernel, *self.dilations,
+                 *self.head_hidden, *self.baseline_head_hidden)
+        if any(v < 1 for v in sizes):
+            raise ConfigError("every size, width, kernel, divisor and dilation must be >= 1")
         if any(d2 <= d1 for d1, d2 in zip(self.dilations, self.dilations[1:])):
             raise ConfigError("dilations must be strictly increasing")
         if not (0.0 <= self.dropout < 1.0):

@@ -1,5 +1,10 @@
+import builtins
 import hashlib
+import io
 import json
+import os
+import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +59,22 @@ def smoke(tmp_path_factory):
         "--manifest", str(gen_dir / "dataset_manifest.json"), "--out", str(pp_dir),
     ]) == 0
     return root, cfg_path, gen_dir, pp_dir
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """Counts the opens of each file path, through open() and pathlib alike."""
+    counts = Counter()
+    real = io.open
+
+    def counting(file, *args, **kwargs):
+        if isinstance(file, (str, bytes, os.PathLike)):
+            counts[os.path.realpath(file)] += 1
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    monkeypatch.setattr(io, "open", counting)
+    return counts
 
 
 def tree_hashes(root: Path, exclude_run_manifests=True) -> dict:
@@ -117,8 +138,6 @@ class TestPreprocess:
     def test_hash_mismatch_detected(self, smoke, tmp_path):
         root, cfg_path, gen_dir, _ = smoke
         # copy the dataset and corrupt one cube
-        import shutil
-
         broken = tmp_path / "broken"
         shutil.copytree(gen_dir, broken)
         victim = sorted((broken / "cubes").glob("*.rfdc"))[0]
@@ -131,6 +150,43 @@ class TestPreprocess:
             "--out", str(tmp_path / "pp"),
         ])
         assert rc == 5
+
+    def test_corrupt_last_cube_stops_before_the_manifest(self, smoke, tmp_path, capsys):
+        _, cfg_path, gen_dir, _ = smoke
+        broken = tmp_path / "broken"
+        (broken / "cubes").mkdir(parents=True)
+        shutil.copy(gen_dir / "dataset_manifest.json", broken)
+        cubes = sorted((gen_dir / "cubes").glob("*.rfdc"))
+        for cube in cubes[:-1]:
+            (broken / "cubes" / cube.name).symlink_to(cube)
+        data = bytearray(cubes[-1].read_bytes())
+        data[100] ^= 0x1
+        (broken / "cubes" / cubes[-1].name).write_bytes(bytes(data))
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--config", str(cfg_path), "--seed", "7",
+                     "--manifest", str(broken / "dataset_manifest.json"),
+                     "--out", str(out)]) == 5
+        assert f"{cubes[-1].name}: sha256 mismatch" in capsys.readouterr().err
+        assert not (out / "rfdm_manifest.json").exists()
+        assert len(list((out / "rfdm").glob("*.rfdm"))) == len(cubes) - 1
+
+    def test_each_cube_is_opened_once(self, smoke, tmp_path, opens):
+        _, cfg_path, gen_dir, _ = smoke
+        assert main(["preprocess", "--config", str(cfg_path), "--seed", "7",
+                     "--manifest", str(gen_dir / "dataset_manifest.json"),
+                     "--out", str(tmp_path / "pp")]) == 0
+        cubes = sorted((gen_dir / "cubes").glob("*.rfdc"))
+        assert len(cubes) == 28
+        assert {str(c): opens[os.path.realpath(c)] for c in cubes} == {str(c): 1 for c in cubes}
+
+    @pytest.mark.parametrize("row, field", [({"index": 0}, "path"),
+                                            ({"path": "cubes/x.rfdc"}, "index")])
+    def test_row_missing_a_field_is_manifest_error(self, tmp_path, capsys, row, field):
+        man = tmp_path / "dataset_manifest.json"
+        man.write_text(json.dumps({"samples": [row]}))
+        rc = main(["preprocess", "--manifest", str(man), "--out", str(tmp_path / "pp")])
+        assert rc == 4
+        assert f"row 0 lacks required field '{field}'" in capsys.readouterr().err
 
     def test_no_mti_flag_preserves_moving_peak(self, tmp_path):
         # a noise-free constant-velocity target keeps its Doppler peak bin
@@ -231,6 +287,37 @@ class TestTrainEvalInfer:
         for fold in report["folds"]:
             conf = np.array(fold["confusion"]["counts"])
             assert fold["accuracy"] == pytest.approx(np.trace(conf) / conf.sum())
+
+    def test_train_val_fraction_zero_carves_no_validation(self, smoke, tmp_path, capsys):
+        _, _, _, pp_dir = smoke
+        cfg = json.loads(json.dumps(SMOKE_CONFIG))
+        cfg["train"].update(val_fraction=0.0, epochs=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path), "--seed", "3",
+                     "--manifest", str(pp_dir / "rfdm_manifest.json"),
+                     "--out", str(tmp_path / "train")]) == 0
+        assert "at epoch -1;" in capsys.readouterr().out
+
+    def test_eval_reads_each_rfdm_once(self, smoke, tmp_path, opens):
+        _, cfg_path, _, pp_dir = smoke
+        assert main(["eval", "--config", str(cfg_path), "--seed", "5", "--protocol", "loocv",
+                     "--manifest", str(pp_dir / "rfdm_manifest.json"),
+                     "--out", str(tmp_path / "eval"), "--epochs", "1"]) == 0
+        files = sorted((pp_dir / "rfdm").glob("*.rfdm"))
+        assert len(files) == 28
+        assert {str(f): opens[os.path.realpath(f)] for f in files} == {str(f): 1 for f in files}
+
+    def test_rfdm_row_missing_class_id_is_manifest_error(self, smoke, tmp_path, capsys):
+        _, _, _, pp_dir = smoke
+        man = json.loads((pp_dir / "rfdm_manifest.json").read_text())
+        for row in man["samples"]:
+            row["path"] = str(pp_dir / row["path"])
+        del man["samples"][3]["class_id"]
+        bad = tmp_path / "rfdm_manifest.json"
+        bad.write_text(json.dumps(man))
+        assert main(["train", "--manifest", str(bad), "--out", str(tmp_path / "train")]) == 4
+        assert "row 3 lacks required field 'class_id'" in capsys.readouterr().err
 
     def test_eval_honours_val_fraction(self, tmp_path):
         # two instances leave 4 training samples per class and fold, so the

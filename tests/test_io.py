@@ -72,6 +72,13 @@ class TestCubeFormat:
         with pytest.raises(IntegrityError, match="trailing bytes after the cube"):
             read_cube(p)
 
+    def test_samples_are_a_view_of_the_bytes_read(self, tmp_path):
+        p = tmp_path / "v.rfdc"
+        write_cube(p, synthesize_cube(CFG, [], n_frames=1, noise_sigma=0.1))
+        samples = read_cube(p).samples
+        assert samples.dtype == np.complex128
+        assert not samples.flags.owndata and not samples.flags.writeable
+
     def test_write_is_deterministic(self, tmp_path):
         cube = synthesize_cube(CFG, [linear_scatterer(4.0, -1.0)], n_frames=1,
                                noise_sigma=0.1, rng_seed=7)
@@ -290,28 +297,106 @@ class TestTruncationSweep:
         assert_prefixes_fail_closed(p, load_checkpoint, strided_cuts(p.stat().st_size, 12))
 
 
+def flipped(raw, flips):
+    """`raw` with each (byte, bit) of `flips` inverted, one flip at a time."""
+    for i, bit in flips:
+        data = bytearray(raw)
+        data[i] ^= 1 << bit
+        yield bytes(data)
+
+
+class TestBitFlips:
+    def test_every_rfdm_bit_flip(self, tmp_path):
+        p = tmp_path / "a.rfdm"
+        write_rfdm(p, RfdmSequence(frames=np.random.default_rng(1).random((2, 3, 4)),
+                                   scale_mode="linear-maxnorm"))
+        raw = p.read_bytes()
+        loaded = 0
+        for data in flipped(raw, [(i, b) for i in range(len(raw)) for b in range(8)]):
+            p.write_bytes(data)
+            try:
+                seq = read_rfdm(p)
+            except IntegrityError:
+                continue
+            loaded += 1
+            assert seq.scale_mode.startswith("linear")  # no flip of code 1 reaches log-db
+            assert np.all(np.isfinite(seq.frames)) and np.all(seq.frames >= 0)
+        assert 0 < loaded < 8 * len(raw)
+
+    def test_checkpoint_descriptor_bit_flips(self, tmp_path):
+        # every bit of every digit in the config, where a flip changes the
+        # architecture, and a seeded sample of the rest of the descriptor
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, CnnTcn(TINY))
+        raw = p.read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[8:12])
+        blob = raw[12 : 12 + blob_len]
+        start = blob.index(b'"config"')
+        digits = [12 + i for i in range(start, blob.index(b"}", start))
+                  if blob[i] in b"0123456789"]
+        rng = np.random.default_rng(0)
+        flips = [(i, b) for i in digits for b in range(8)]
+        flips += zip((12 + rng.integers(0, blob_len, 600)).tolist(),
+                     rng.integers(0, 8, 600).tolist())
+        outcomes = set()
+        for data in flipped(raw, flips):
+            p.write_bytes(data)
+            try:
+                load_checkpoint(p)
+                outcomes.add("loaded")
+            except IntegrityError:
+                outcomes.add("refused")
+        assert outcomes == {"loaded", "refused"}
+
+
+class TestDigests:
+    @pytest.mark.parametrize("reader", ["cube", "rfdm", "checkpoint"])
+    def test_reader_checks_the_digest_of_the_bytes_it_parses(self, tmp_path, reader):
+        p = tmp_path / f"f.{reader}"
+        if reader == "cube":
+            digest, read = write_cube(p, synthesize_cube(CFG, [], n_frames=1)), read_cube
+        elif reader == "rfdm":
+            digest, read = write_rfdm(p, RfdmSequence(frames=np.ones((1, 2, 2)))), read_rfdm
+        else:
+            save_checkpoint(p, CnnTcn(TINY))
+            digest, read = sha256_file(p), load_checkpoint
+        read(p, sha256=digest)
+        with pytest.raises(IntegrityError, match=f"f.{reader}: sha256 mismatch"):
+            read(p, sha256="0" * 64)
+
+
 class TestManifests:
     def test_hash_verification(self, tmp_path):
+        # verify_manifest_files reads no file bytes; the reader checks the
+        # row's digest on the bytes it parses
         cube = synthesize_cube(CFG, [], n_frames=1)
-        write_cube(tmp_path / "s0.rfdc", cube)
-        rows = [{"path": "s0.rfdc", "sha256": sha256_file(tmp_path / "s0.rfdc")}]
-        write_dataset_manifest(tmp_path / "m.json", CFG, {"n": 1}, rows)
+        digest = write_cube(tmp_path / "s0.rfdc", cube)
+        write_dataset_manifest(tmp_path / "m.json", CFG, {"n": 1},
+                               [{"path": "s0.rfdc", "sha256": digest}])
         man = read_manifest(tmp_path / "m.json")
         verify_manifest_files(man, tmp_path)
-        # corrupt the cube: verification must name the file
+        read_cube(tmp_path / "s0.rfdc", sha256=man["samples"][0]["sha256"])
+        # corrupt the cube: the reader must name the file
         data = bytearray((tmp_path / "s0.rfdc").read_bytes())
         data[40] ^= 0xFF
         (tmp_path / "s0.rfdc").write_bytes(bytes(data))
-        with pytest.raises(IntegrityError, match="s0.rfdc"):
-            verify_manifest_files(man, tmp_path)
+        verify_manifest_files(man, tmp_path)
+        read_cube(tmp_path / "s0.rfdc")  # still well formed
+        with pytest.raises(IntegrityError, match="s0.rfdc: sha256 mismatch"):
+            read_cube(tmp_path / "s0.rfdc", sha256=man["samples"][0]["sha256"])
 
     def test_missing_file_and_bad_manifest(self, tmp_path):
         write_dataset_manifest(tmp_path / "m.json", CFG, {}, [{"path": "gone.rfdc"}])
         with pytest.raises(IntegrityError, match="missing"):
             verify_manifest_files(read_manifest(tmp_path / "m.json"), tmp_path)
-        (tmp_path / "bad.json").write_text("{}")
-        with pytest.raises(ManifestError, match="samples"):
-            read_manifest(tmp_path / "bad.json")
+        with pytest.raises(ManifestError, match="row 0 lacks required field 'index'"):
+            verify_manifest_files(read_manifest(tmp_path / "m.json"), tmp_path, ("index",))
+        with pytest.raises(ManifestError, match="row 1 lacks required field 'path'"):
+            verify_manifest_files({"samples": [{"path": "m.json"}, 3]}, tmp_path)
+        for doc in ("{}", '{"samples": 3}', "3"):
+            (tmp_path / "bad.json").write_text(doc)
+            with pytest.raises(ManifestError, match="lacks a 'samples' list"):
+                read_manifest(tmp_path / "bad.json")
 
 
 class TestExports:

@@ -60,6 +60,16 @@ class TestShapes:
         with pytest.raises(ConfigError):
             CnnTcnConfig(dilations=(1, 2, 2)).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("height", 0), ("conv_channels", (0, 3, 4)), ("conv_kernel", (3, 0)),
+        ("reduce_divisor", 0), ("tcn_kernel", 0), ("dilations", (0, 1, 2)),
+        ("head_hidden", (6, 0)), ("baseline_head_hidden", (0, 4)),
+    ])
+    def test_sizes_below_one_rejected(self, field, value):
+        # a zero width would reach he_uniform as a fan-in of 0
+        with pytest.raises(ConfigError, match=">= 1"):
+            CnnTcnConfig(**{field: value}).validate()
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             build_model("lstm", TINY)
