@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ManifestError
+from .io import require_field
 from .model import CnnTcnConfig, TrainConfig, build_model, predict_classes, train_model
 from .seeding import child_seed, substream
 
@@ -59,10 +60,7 @@ def carve_validation(train_ids, labels, rng, fraction=0.15):
 
 
 def _require(meta, key):
-    missing = [i for i, m in enumerate(meta) if key not in m]
-    if missing:
-        raise ManifestError(f"manifest row {missing[0]} lacks required field {key!r}")
-    return np.array([m[key] for m in meta])
+    return np.array(require_field(meta, key))
 
 
 def make_splits(meta: list, kind: str, labels=None, val_fraction: float = 0.15,

@@ -3,9 +3,9 @@ JSON manifests with content hashes, and CSV/PGM exports.
 
 All binary payloads are little-endian; cube files carry a trailing sample
 count. Each reader reads its file once and verifies those bytes alone: the
-manifest digest it is given (`sha256=`), the magic, the version and the
-exact size the header implies. Readers fail closed: a mismatch, or a
-payload its type rejects, raises IntegrityError.
+magic, the version, the exact size the header implies and, for cubes and
+map sequences, the manifest row's digest (`sha256=`). Readers fail closed:
+a mismatch, or a payload its type rejects, raises IntegrityError.
 """
 
 import hashlib
@@ -180,9 +180,9 @@ def _f8_arrays(data, offset, likes):
         offset += 8 * a.size
 
 
-def load_checkpoint(path, *, sha256=None):
+def load_checkpoint(path):
     """Rebuild the model (and optional Adam state dict) from an RFNN file."""
-    data = _read_file(path, CKPT_MAGIC, "checkpoint", 12, sha256)
+    data = _read_file(path, CKPT_MAGIC, "checkpoint", 12, None)
     (blob_len,) = struct.unpack_from("<I", data, 8)
     _expect_size(data, path, 12 + blob_len, "checkpoint descriptor", exact=False)
     try:
@@ -243,16 +243,24 @@ def read_manifest(path) -> dict:
     return doc
 
 
+def require_field(rows, key) -> list:
+    """The `key` of every manifest row; ManifestError naming the first row
+    that lacks it."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or key not in row:
+            raise ManifestError(f"manifest row {i} lacks required field {key!r}")
+    return [row[key] for row in rows]
+
+
 def verify_manifest_files(manifest: dict, base_dir, fields=()) -> None:
     """Check that every row has a `path` and each of `fields`, and that the
     file it names exists. File bytes are not read here: each reader checks
     the row's digest on the bytes it parses."""
     base = Path(base_dir)
-    for i, row in enumerate(manifest["samples"]):
-        for key in ("path", *fields):
-            if not isinstance(row, dict) or key not in row:
-                raise ManifestError(f"manifest row {i} lacks required field {key!r}")
-        p = base / row["path"]
+    for key in fields:
+        require_field(manifest["samples"], key)
+    for rel in require_field(manifest["samples"], "path"):
+        p = base / rel
         if not p.exists():
             raise IntegrityError(f"missing file {p}")
 

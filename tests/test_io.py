@@ -350,16 +350,13 @@ class TestBitFlips:
 
 
 class TestDigests:
-    @pytest.mark.parametrize("reader", ["cube", "rfdm", "checkpoint"])
+    @pytest.mark.parametrize("reader", ["cube", "rfdm"])
     def test_reader_checks_the_digest_of_the_bytes_it_parses(self, tmp_path, reader):
         p = tmp_path / f"f.{reader}"
         if reader == "cube":
             digest, read = write_cube(p, synthesize_cube(CFG, [], n_frames=1)), read_cube
-        elif reader == "rfdm":
-            digest, read = write_rfdm(p, RfdmSequence(frames=np.ones((1, 2, 2)))), read_rfdm
         else:
-            save_checkpoint(p, CnnTcn(TINY))
-            digest, read = sha256_file(p), load_checkpoint
+            digest, read = write_rfdm(p, RfdmSequence(frames=np.ones((1, 2, 2)))), read_rfdm
         read(p, sha256=digest)
         with pytest.raises(IntegrityError, match=f"f.{reader}: sha256 mismatch"):
             read(p, sha256="0" * 64)
