@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 internal/IO, 2 usage, 3 configuration, 4 data/manifest,
 import argparse
 import datetime
 import json
+import logging
 import os
 import sys
 from dataclasses import asdict
@@ -101,7 +102,6 @@ def _default_config() -> dict:
             "lr": 5e-4,
             "batch_size": 32,
             "epochs": 30,
-            "patience": None,
             "model": "cnn-tcn",
             "val_fraction": 0.15,
         },
@@ -265,17 +265,23 @@ def cmd_preprocess(args) -> int:
 
 
 def _load_rfdm_dataset(manifest_path):
+    """(sequences [N, T, H, W] in one float64 array, class ids, manifest rows)."""
     manifest = read_manifest(manifest_path)
     base = Path(manifest_path).parent
     verify_manifest_files(manifest, base, ("class_id",))
-    xs, labels, meta = [], [], []
-    for row in manifest["samples"]:
-        seq = read_rfdm(base / row["path"], sha256=row.get("sha256"))
-        xs.append(seq.frames)
-        labels.append(int(row["class_id"]))
-        meta.append(row)
-    x = np.asarray(xs, dtype=np.float64)
-    return x, np.asarray(labels, dtype=np.intp), meta, manifest
+    rows = manifest["samples"]
+    if not rows:
+        raise DataError(f"{manifest_path}: no samples")
+    x = None
+    for k, row in enumerate(rows):
+        frames = read_rfdm(base / row["path"], sha256=row.get("sha256")).frames
+        if x is None:
+            x = np.empty((len(rows),) + frames.shape)
+        elif frames.shape != x.shape[1:]:
+            raise DataError(f"{row['path']}: maps of shape {frames.shape}, "
+                            f"but the first file's are {x.shape[1:]}")
+        x[k] = frames
+    return x, np.array([int(row["class_id"]) for row in rows], dtype=np.intp), rows
 
 
 def _model_config_for(x: np.ndarray) -> CnnTcnConfig:
@@ -283,24 +289,28 @@ def _model_config_for(x: np.ndarray) -> CnnTcnConfig:
     return CnnTcnConfig(t_frames=t, height=h, width=w)
 
 
+def _train_config(cfg: dict, epochs, seed: int) -> TrainConfig:
+    """TrainConfig from the config's train section; an --epochs value
+    overrides it there, so the run manifest records it."""
+    tr = cfg["train"]
+    if epochs is not None:
+        tr["epochs"] = epochs
+    return TrainConfig(lr=float(tr["lr"]), batch_size=int(tr["batch_size"]),
+                       epochs=int(tr["epochs"]), seed=seed)
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     tr = cfg["train"]
     if args.model:
         tr["model"] = args.model
-    if args.epochs is not None:
-        tr["epochs"] = args.epochs
-    x, labels, meta, _ = _load_rfdm_dataset(args.manifest)
-    model_cfg = _model_config_for(x)
+    tcfg = _train_config(cfg, args.epochs, child_seed(args.seed, "sgd"))
+    x, labels, _ = _load_rfdm_dataset(args.manifest)
     train_idx, val_idx = carve_validation(np.arange(len(labels)), labels,
                                           substream(args.seed, "train-split"),
                                           float(tr["val_fraction"]))
-    model = build_model(tr["model"], model_cfg, init_seed=child_seed(args.seed, "init"))
-    tcfg = TrainConfig(lr=float(tr["lr"]), batch_size=int(tr["batch_size"]),
-                       epochs=int(tr["epochs"]), seed=child_seed(args.seed, "sgd"),
-                       patience=tr["patience"])
-    res = train_model(model, x, labels, train_idx, val_idx, tcfg,
-                      class_names=CLASS_NAMES, log=print if args.verbose else None)
+    model = build_model(tr["model"], _model_config_for(x), init_seed=child_seed(args.seed, "init"))
+    res = train_model(model, x, labels, train_idx, val_idx, tcfg, class_names=CLASS_NAMES)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "model.rfnn", model)
@@ -318,19 +328,13 @@ def cmd_eval(args) -> int:
     tr = cfg["train"]
     protocol = args.protocol or cfg["eval"]["protocol"]
     model_kind = args.model or tr["model"]
-    if args.epochs is not None:
-        tr["epochs"] = args.epochs
-    x, labels, meta, _ = _load_rfdm_dataset(args.manifest)
-    plans = make_splits(meta, protocol, labels=labels, val_fraction=float(tr["val_fraction"]),
+    tcfg = _train_config(cfg, args.epochs, 0)  # each fold sets its own seed
+    x, labels, meta = _load_rfdm_dataset(args.manifest)
+    plans = make_splits(meta, protocol, val_fraction=float(tr["val_fraction"]),
                         seed=child_seed(args.seed, "splits"))
-    tcfg = TrainConfig(lr=float(tr["lr"]), batch_size=int(tr["batch_size"]),
-                       epochs=int(tr["epochs"]), seed=0, patience=tr["patience"])
-    result = run_protocol(
-        x, labels, plans, model_kind, _model_config_for(x), tcfg,
-        master_seed=child_seed(args.seed, "protocol"),
-        class_names=CLASS_NAMES, log=print if args.verbose else None,
-        workers=_worker_count(),
-    )
+    result = run_protocol(x, labels, plans, model_kind, _model_config_for(x), tcfg,
+                          master_seed=child_seed(args.seed, "protocol"),
+                          class_names=CLASS_NAMES, workers=_worker_count())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = result.to_dict()
@@ -433,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, manifest=True)
     p.add_argument("--model", choices=["cnn-tcn", "cnn"], help="model kind")
     p.add_argument("--epochs", type=int, help="override the configured epoch count")
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true", help="log each epoch to stderr")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="run an evaluation protocol")
@@ -441,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=["loocv", "location", "environment", "random"])
     p.add_argument("--model", choices=["cnn-tcn", "cnn"])
     p.add_argument("--epochs", type=int)
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true",
+                   help="log each fold's epochs and test accuracy to stderr")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="classify RFDM files with a checkpoint")
@@ -467,12 +472,20 @@ def main(argv=None) -> int:
     if args.command == "infer" and not Path(args.checkpoint).exists():
         print(f"rfdm infer: checkpoint not found: {args.checkpoint}", file=sys.stderr)
         return 2
+    logger = logging.getLogger("rfdm")
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    if getattr(args, "verbose", False):  # INFO lines to stderr, for this call only
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
     try:
         return args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
         code = next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
         print(f"rfdm {args.command}: {exc}", file=sys.stderr)
         return code
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,13 @@ Splits are built from sample provenance metadata (user_id, location_id,
 environment). Every fold trains a fresh seeded model, selects the best
 epoch on a validation slice carved from its training samples, and counts a
 confusion matrix on the held-out samples. Fold accuracies are averaged
-unweighted.
+unweighted. Each line a fold logs, its training epochs included, starts
+with the fold id.
 """
 
-from dataclasses import dataclass
+import contextvars
+import logging
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +24,19 @@ PROTOCOLS = ("loocv", "location", "environment", "random")
 # the designated training position for the location-holdout protocol
 TRAIN_LOCATION = (0.75, 0.0)
 
+log = logging.getLogger(__name__)
+_fold_id = contextvars.ContextVar("fold_id", default=None)  # set while run_fold trains
+
+
+def _tag_fold(record) -> bool:
+    """Logging filter: prefix what train_model logs inside a fold with the fold id."""
+    if _fold_id.get() is not None:
+        record.msg = f"[{_fold_id.get()}] {record.msg}"
+    return True
+
+
+logging.getLogger("rfdm.model").addFilter(_tag_fold)
+
 
 @dataclass
 class SplitPlan:
@@ -30,22 +46,21 @@ class SplitPlan:
     val: np.ndarray
     test: np.ndarray
 
-    def validate(self, n_total: int | None = None) -> None:
+    def validate(self, n_total: int) -> None:
         tr, va, te = set(self.train.tolist()), set(self.val.tolist()), set(self.test.tolist())
         if tr & te or tr & va or va & te:
             raise ConfigError(f"fold {self.fold_id}: train/val/test overlap")
         if not tr or not te:
             raise ConfigError(f"fold {self.fold_id}: empty train or test split")
-        if n_total is not None:
-            if not (tr | va | te) <= set(range(n_total)):
-                raise ConfigError(f"fold {self.fold_id}: index out of range")
-            # holdout protocols cover only the involved groups; full coverage
-            # is required for the partitioning kinds
-            if self.kind in ("loocv", "random") and len(tr) + len(va) + len(te) != n_total:
-                raise ConfigError(f"fold {self.fold_id}: indices do not cover the dataset")
+        if not (tr | va | te) <= set(range(n_total)):
+            raise ConfigError(f"fold {self.fold_id}: index out of range")
+        # holdout protocols cover only the involved groups; full coverage
+        # is required for the partitioning kinds
+        if self.kind in ("loocv", "random") and len(tr) + len(va) + len(te) != n_total:
+            raise ConfigError(f"fold {self.fold_id}: indices do not cover the dataset")
 
 
-def carve_validation(train_ids, labels, rng, fraction=0.15):
+def carve_validation(train_ids, labels, rng, fraction):
     """Per-class validation slice; always leaves >= 1 training sample per class."""
     train_ids = np.asarray(train_ids, dtype=np.intp)
     val = []
@@ -63,9 +78,8 @@ def _require(meta, key):
     return np.array(require_field(meta, key))
 
 
-def make_splits(meta: list, kind: str, labels=None, val_fraction: float = 0.15,
-                seed: int = 0) -> list:
-    """Build SplitPlans from per-sample metadata dicts.
+def make_splits(meta: list, kind: str, *, val_fraction: float = 0.15, seed: int = 0) -> list:
+    """Build SplitPlans from per-sample metadata dicts; labels are their class_id.
 
     loocv: one fold per user (test = that user). location: train at
     TRAIN_LOCATION, one test fold per other location. environment: train in
@@ -74,9 +88,7 @@ def make_splits(meta: list, kind: str, labels=None, val_fraction: float = 0.15,
     if kind not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {kind!r}; expected one of {PROTOCOLS}")
     n = len(meta)
-    if labels is None:
-        labels = _require(meta, "class_id").astype(np.intp)
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = _require(meta, "class_id").astype(np.intp)
     all_idx = np.arange(n, dtype=np.intp)
     rng = substream(seed, "val-carve")
     plans = []
@@ -200,42 +212,26 @@ class ProtocolResult:
         }
 
 
-def run_protocol(
-    x: np.ndarray,
-    labels: np.ndarray,
-    plans: list,
-    model_kind: str = "cnn-tcn",
-    model_cfg: CnnTcnConfig | None = None,
-    train_cfg: TrainConfig | None = None,
-    master_seed: int = 0,
-    class_names=None,
-    log=None,
-    workers: int = 1,
-) -> ProtocolResult:
+def run_protocol(x: np.ndarray, labels: np.ndarray, plans: list, model_kind: str,
+                 model_cfg: CnnTcnConfig, train_cfg: TrainConfig, *, master_seed: int,
+                 class_names, workers: int = 1) -> ProtocolResult:
     """Train one fresh model per fold and aggregate confusion counts.
 
     Folds are independent (fresh model, derived seed), so `workers` > 1 runs
     them on a thread pool without changing any result."""
-    model_cfg = model_cfg or CnnTcnConfig()
-    train_cfg = train_cfg or TrainConfig()
-    if class_names is None:
-        class_names = [str(i) for i in range(model_cfg.n_classes)]
-    labels = np.asarray(labels, dtype=np.intp)
 
     def run_fold(fi: int, plan: SplitPlan) -> FoldResult:
         fold_seed = child_seed(master_seed, "fold", fi)
         model = build_model(model_kind, model_cfg, init_seed=fold_seed)
-        fold_train = TrainConfig(
-            lr=train_cfg.lr, batch_size=train_cfg.batch_size, epochs=train_cfg.epochs,
-            seed=fold_seed, patience=train_cfg.patience,
-        )
-        res = train_model(model, x, labels, plan.train, plan.val, fold_train,
-                          class_names=class_names,
-                          log=(lambda s, _f=plan.fold_id: log(f"[{_f}] {s}")) if log else None)
+        token = _fold_id.set(plan.fold_id)
+        try:
+            res = train_model(model, x, labels, plan.train, plan.val,
+                              replace(train_cfg, seed=fold_seed), class_names=class_names)
+        finally:
+            _fold_id.reset(token)
         preds = predict_classes(model, x[plan.test])
         conf = ConfusionMatrix.from_predictions(labels[plan.test], preds, class_names)
-        if log:
-            log(f"[{plan.fold_id}] test accuracy {conf.accuracy:.4f}")
+        log.info("[%s] test accuracy %.4f", plan.fold_id, conf.accuracy)
         return FoldResult(plan.fold_id, conf.accuracy, conf,
                           res.best_epoch, res.best_val_acc, fold_seed)
 

@@ -14,7 +14,7 @@ of static clutter scatterers.
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,12 +170,8 @@ def template_trace(
 
 @dataclass
 class GestureScene:
-    gesture: GestureClass
-    placement: ScenePlacement
-    user: UserProfile
-    hand: list = field(default_factory=list)     # moving Scatterers
-    clutter: list = field(default_factory=list)  # static Scatterers
-    meta: dict = field(default_factory=dict)
+    hand: list     # moving Scatterers
+    clutter: list  # static Scatterers
 
     @property
     def scatterers(self) -> list:
@@ -245,7 +241,7 @@ def make_gesture_scene(
                 % (gesture.value, cfg.max_doppler_velocity)
             )
 
-    return GestureScene(gesture, placement, user, hand, room_clutter(placement))
+    return GestureScene(hand, room_clutter(placement))
 
 
 def room_clutter(placement: ScenePlacement) -> list:

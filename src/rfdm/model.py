@@ -2,9 +2,10 @@
 
 The frame model (conv 16 -> 32 -> 64 with 3x5 kernels, BN + LeakyReLU per
 block, 2x2 max-pool after the first two blocks) is applied with shared
-weights to every frame of the RFDM sequence. Its spatial output is
-flattened per channel and a pointwise map reduces the 64 channels to
-ceil(64/12) = 6; the reduced maps are flattened into one feature vector
+weights to every frame of the RFDM sequence; its convs have no bias, since
+each feeds a train-mode BN whose batch mean would cancel one. Its spatial
+output is flattened per channel and a pointwise map reduces the 64 channels
+to ceil(64/12) = 6; the reduced maps are flattened into one feature vector
 per frame. Three dilated causal temporal blocks (dilations 1/2/4,
 kernel 3, LeakyReLU + dropout, residual with 1x1 projection on channel
 change) run over the frame axis; the last time step feeds three dense
@@ -14,6 +15,7 @@ A plain-CNN baseline shares the frame model, replaces the temporal stack
 with a mean over frames, and uses a smaller dense head.
 """
 
+import logging
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -34,6 +36,8 @@ from .nn import (
     softmax_xent,
 )
 from .seeding import substream
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 30
     seed: int = 0
-    patience: int | None = None  # stop after this many epochs without val improvement
 
     def validate(self) -> None:
         if self.lr < 0 or self.batch_size < 1 or self.epochs < 1:
@@ -262,8 +265,7 @@ class CnnTcn:
         return feats.reshape(b, t, -1)
 
     def forward(self, x, train=False):
-        feats = self.frame_features(x, train)
-        h = feats
+        h = self.frame_features(x, train)
         for blk in self.blocks:
             h = blk.forward(h, train)
         self._t = h.shape[1]
@@ -349,20 +351,21 @@ def predict_classes(model, x, batch_size: int = 64) -> np.ndarray:
                            for i in range(0, len(x), batch_size)])
 
 
-def evaluate_accuracy(model, x, y, batch_size: int = 64) -> float:
+def evaluate_accuracy(model, x, y) -> float:
     if len(y) == 0:
         return float("nan")
-    return int((predict_classes(model, x, batch_size) == y).sum()) / len(y)
+    return int((predict_classes(model, x) == y).sum()) / len(y)
 
 
-def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig,
-                class_names=None, log=None) -> TrainResult:
+def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig, *,
+                class_names=None) -> TrainResult:
     """Mini-batch Adam training with best-val-accuracy checkpointing.
 
     Deterministic for a fixed cfg.seed: shuffles, dropout masks and
     parameter updates all derive from it. The model is left holding the
     best-validation parameters (ties resolve to the earliest epoch). With an
-    empty validation set the final parameters are kept."""
+    empty validation set the final parameters are kept. Each epoch logs one
+    INFO line."""
     cfg.validate()
     train_idx = np.asarray(train_idx, dtype=np.intp)
     val_idx = np.asarray(val_idx, dtype=np.intp)
@@ -377,7 +380,6 @@ def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig,
     curve = []
     best = (-1.0, -1)  # (val acc, epoch)
     best_snap = None
-    no_improve = 0
     train_loss = float("nan")
 
     for epoch in range(cfg.epochs):
@@ -394,18 +396,12 @@ def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig,
             adam.step()
             losses.append(loss)
         train_loss = float(np.mean(losses))
-        val_acc = evaluate_accuracy(model, x[val_idx], y[val_idx]) if len(val_idx) else float("nan")
+        val_acc = evaluate_accuracy(model, x[val_idx], y[val_idx])  # nan without a val set
         curve.append((epoch, train_loss, val_acc))
-        if log:
-            log(f"epoch {epoch}: train_loss={train_loss:.4f} val_acc={val_acc:.4f}")
+        log.info("epoch %d: train_loss=%.4f val_acc=%.4f", epoch, train_loss, val_acc)
         if len(val_idx) and val_acc > best[0]:
             best = (val_acc, epoch)
             best_snap = _snapshot(model)
-            no_improve = 0
-        else:
-            no_improve += 1
-        if cfg.patience is not None and no_improve > cfg.patience:
-            break
 
     if best_snap is not None:
         _restore(model, best_snap)

@@ -53,7 +53,9 @@ def _check_axis(x, ndim, axis, want, what):
 
 
 class Conv2d(Layer):
-    """2-D cross-correlation at stride 1 with "same" zero padding, bias included.
+    """2-D cross-correlation at stride 1 with "same" zero padding, no bias:
+    each Conv2d of the model feeds a train-mode BatchNorm2d, whose batch mean
+    would cancel a bias and leave it a gradient of rounding noise.
 
     weights: [kh, kw, C_in, C_out]. Forward lowers each batch to an im2col
     matrix in one copy; a train forward caches only the padded input.
@@ -66,11 +68,10 @@ class Conv2d(Layer):
         rng = rng or np.random.default_rng(0)
         self.c_in, self.c_out, self.kh, self.kw = c_in, c_out, kh, kw
         self.w = Param(name + ".w", he_uniform(rng, (kh, kw, c_in, c_out), kh * kw * c_in))
-        self.b = Param(name + ".b", np.zeros(c_out))
         self._cache = None
 
     def params(self):
-        return [self.w, self.b]
+        return [self.w]
 
     def _geometry(self, h, w):
         """(Ho, Wo, (top, bottom), (left, right) padding) for an h x w input."""
@@ -91,19 +92,17 @@ class Conv2d(Layer):
         xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if pt or pb or pl or pr else x
         cols = self._im2col(xp)
         out = cols @ self.w.value.reshape(-1, self.c_out)
-        out += self.b.value
         # _cache[0] has the im2col matrix's shape but holds no data (a
         # zero-stride view): perfbench's tracer counts backward FLOPs from it
         self._cache = (np.broadcast_to(0.0, cols.shape), xp) if train else None
         return out.reshape(n, h, w, self.c_out)
 
     def backward(self, dy, need_dx=True):
-        """Accumulates w.grad and b.grad; returns the input gradient, or None
-        when need_dx is False (the input is data, not an activation)."""
+        """Accumulates w.grad; returns the input gradient, or None when
+        need_dx is False (the input is data, not an activation)."""
         _, xp = self._cache
         dym = dy.reshape(-1, self.c_out)
         self.w.grad += (self._im2col(xp).T @ dym).reshape(self.w.value.shape)
-        self.b.grad += dym.sum(axis=0)
         if not need_dx:
             return None
         _, h, w, _ = dy.shape
@@ -255,7 +254,6 @@ class ChannelReduce(Layer):
         return x @ self.w.value + self.b.value
 
     def backward(self, dy):
-        n, l, _ = dy.shape
         self.w.grad += self._x.reshape(-1, self.c_in).T @ dy.reshape(-1, self.c_out)
         self.b.grad += dy.sum(axis=(0, 1))
         return dy @ self.w.value.T

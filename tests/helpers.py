@@ -25,9 +25,10 @@ def numeric_grad(f, arr, h=GRADCHECK_STEP):
 def grad_rel_err(analytic, numeric):
     """Max elementwise difference normalized by the larger gradient magnitude.
 
-    The 1e-5 floor keeps exact-zero gradient directions (e.g. a bias whose
-    shift is cancelled by a following batch norm) from dividing finite-
-    difference noise by itself."""
+    The 1e-5 floor keeps a gradient that is zero in exact arithmetic from
+    dividing finite-difference noise by itself: e.g. a train-mode
+    BatchNorm2d's input gradient under an output gradient that is constant
+    per channel, which the batch mean cancels."""
     a = np.asarray(analytic, dtype=float)
     n = np.asarray(numeric, dtype=float)
     scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(n), initial=0.0), 1e-5)

@@ -2,7 +2,9 @@ import builtins
 import hashlib
 import io
 import json
+import logging
 import os
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -21,7 +23,7 @@ from rfdm.errors import (
     ShapeError,
     SimulationError,
 )
-from rfdm.io import read_manifest, read_rfdm, sha256_file
+from rfdm.io import read_manifest, read_rfdm, sha256_file, write_rfdm
 
 SMOKE_CONFIG = {
     "gen": {
@@ -41,7 +43,7 @@ SMOKE_CONFIG = {
     },
     "preprocess": {"mti": False, "n_range_crop": 16, "n_doppler_crop": 16},
     "train": {"lr": 2e-3, "batch_size": 8, "epochs": 2, "model": "cnn-tcn",
-              "val_fraction": 0.15, "patience": None},
+              "val_fraction": 0.15},
 }
 
 
@@ -319,6 +321,40 @@ class TestTrainEvalInfer:
         assert main(["train", "--manifest", str(bad), "--out", str(tmp_path / "train")]) == 4
         assert "row 3 lacks required field 'class_id'" in capsys.readouterr().err
 
+    def test_train_twice_at_one_seed_writes_identical_bytes(self, smoke, trained, tmp_path):
+        _, cfg_path, _, pp_dir = smoke
+        assert main(["train", "--config", str(cfg_path), "--seed", "3",
+                     "--manifest", str(pp_dir / "rfdm_manifest.json"),
+                     "--out", str(tmp_path)]) == 0
+        for name in ("model.rfnn", "curve.csv"):
+            assert (tmp_path / name).read_bytes() == (trained / name).read_bytes()
+
+    def test_eval_fold_threads_do_not_change_the_report(self, smoke, tmp_path, monkeypatch):
+        _, cfg_path, _, pp_dir = smoke
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RFDM_THREADS", threads)
+            out = tmp_path / f"eval{threads}"
+            assert main(["eval", "--config", str(cfg_path), "--seed", "5", "--protocol", "loocv",
+                         "--manifest", str(pp_dir / "rfdm_manifest.json"),
+                         "--out", str(out), "--epochs", "1"]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_maps_of_another_shape_are_data_error(self, smoke, tmp_path, capsys):
+        _, _, _, pp_dir = smoke
+        man = json.loads((pp_dir / "rfdm_manifest.json").read_text())
+        for row in man["samples"]:
+            row["path"] = str(pp_dir / row["path"])
+        odd = read_rfdm(man["samples"][5]["path"])
+        odd.frames = odd.frames[:, :8, :]
+        man["samples"][5]["path"] = str(tmp_path / "odd.rfdm")
+        man["samples"][5]["sha256"] = write_rfdm(tmp_path / "odd.rfdm", odd)
+        bad = tmp_path / "rfdm_manifest.json"
+        bad.write_text(json.dumps(man))
+        assert main(["train", "--manifest", str(bad), "--out", str(tmp_path / "train")]) == 4
+        assert f"{tmp_path / 'odd.rfdm'}: maps of shape (8, 8, 16)" in capsys.readouterr().err
+
     def test_eval_honours_val_fraction(self, tmp_path):
         # two instances leave 4 training samples per class and fold, so the
         # default fraction of 0.15 would carve a validation set from them
@@ -337,6 +373,49 @@ class TestTrainEvalInfer:
         report = json.loads((tmp_path / "eval" / "report.json").read_text())
         assert len(report["folds"]) == 2
         assert all(fold["best_epoch"] == -1 for fold in report["folds"])
+
+
+class TestVerbose:
+    """--verbose logs to stderr through the `rfdm` logger, for one call only."""
+
+    EPOCH_LINE = re.compile(r"epoch \d+: train_loss=\S+ val_acc=\S+")
+
+    @staticmethod
+    def run(smoke, command, out, *flags):
+        _, cfg_path, _, pp_dir = smoke
+        return main([command, "--config", str(cfg_path), "--seed", "5", *flags,
+                     "--manifest", str(pp_dir / "rfdm_manifest.json"), "--out", str(out)])
+
+    def test_train_logs_one_line_per_epoch(self, smoke, tmp_path, capsys):
+        assert self.run(smoke, "train", tmp_path, "--verbose") == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2  # 2 epochs
+        for epoch, line in enumerate(lines):
+            assert self.EPOCH_LINE.fullmatch(line) and line.startswith(f"epoch {epoch}:")
+
+    def test_eval_prefixes_each_line_with_its_fold(self, smoke, tmp_path, capsys):
+        assert self.run(smoke, "eval", tmp_path, "--verbose", "--protocol", "loocv",
+                        "--epochs", "1") == 0
+        lines = capsys.readouterr().err.splitlines()
+        for fold in ("user:0", "user:1"):
+            mine = [line[len(fold) + 3:] for line in lines if line.startswith(f"[{fold}] ")]
+            assert len(mine) == 2  # 1 epoch, then the test accuracy
+            assert self.EPOCH_LINE.fullmatch(mine[0]) and mine[0].startswith("epoch 0:")
+            assert re.fullmatch(r"test accuracy \S+", mine[1])
+        assert len(lines) == 4
+
+    def test_nothing_is_logged_without_the_flag(self, smoke, tmp_path, capsys, caplog):
+        assert self.run(smoke, "train", tmp_path / "train") == 0
+        assert self.run(smoke, "eval", tmp_path / "eval", "--epochs", "1") == 0
+        assert capsys.readouterr().err == ""
+        assert [r for r in caplog.records if r.name.startswith("rfdm")] == []
+
+    def test_two_calls_do_not_duplicate_lines(self, smoke, tmp_path, capsys):
+        handlers = list(logging.getLogger("rfdm").handlers)
+        for k in range(2):
+            assert self.run(smoke, "train", tmp_path / str(k), "--verbose") == 0
+            assert len(capsys.readouterr().err.splitlines()) == 2
+        assert logging.getLogger("rfdm").handlers == handlers
 
 
 class TestPlot:

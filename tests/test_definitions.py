@@ -1,5 +1,5 @@
-"""Every top-level function and class of the package, and every method of
-those classes, is used somewhere.
+"""Every top-level function and class of the package, every method of
+those classes, and every field of its dataclasses is used somewhere.
 
 A stdlib-`ast` stand-in for a linter's dead-code check: each name that a
 module of `src/rfdm` defines at top level, and each non-dunder method name of
@@ -8,6 +8,10 @@ outside its own definition. A reference is a name, an attribute, an imported
 name, or a string equal to the name (the benchmark's tracer names the
 functions it wraps by string). Methods are matched by bare name, so a method
 counts as used when any object's attribute of that name is referenced.
+
+Each field of a top-level `@dataclass` must be read: loaded as an attribute
+(`obj.field`) or named by a string, anywhere in those sources. Passing it to
+the constructor does not count, since nothing then reads the value back.
 """
 
 import ast
@@ -64,6 +68,39 @@ def unused_definitions(package: dict, users: list) -> list:
     return sorted(dead)
 
 
+def dataclass_fields(tree):
+    """(qualified name, field name) of each annotated field of the module's
+    top-level classes decorated with `dataclass` or `dataclass(...)`."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def reads(node) -> set:
+    """Attribute names loaded, and identifier-like strings, within `node`."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            names.add(n.value)
+    return names
+
+
+def unread_fields(package: dict, users: list) -> list:
+    """(module, Class.field) of each dataclass field in `package` that no
+    source in `users` reads as an attribute or names by string."""
+    read = set().union(*(reads(ast.parse(src)) for src in users))
+    return sorted((module, qualname)
+                  for module, source in package.items()
+                  for qualname, field in dataclass_fields(ast.parse(source))
+                  if field not in read)
+
+
 def test_modules_found():
     assert len(PACKAGE) > 5 and len(USERS) > len(PACKAGE)
 
@@ -71,6 +108,11 @@ def test_modules_found():
 def test_no_unused_definitions():
     package = {p.stem: p.read_text() for p in PACKAGE}
     assert unused_definitions(package, [p.read_text() for p in USERS]) == []
+
+
+def test_every_dataclass_field_is_read():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert unread_fields(package, [p.read_text() for p in USERS]) == []
 
 
 @pytest.mark.parametrize("package, users, expected", [
@@ -85,3 +127,20 @@ def test_no_unused_definitions():
 ])
 def test_checker_flags_only_unreferenced_definitions(package, users, expected):
     assert unused_definitions(package, list(package.values()) + users) == expected
+
+
+DATACLASS = "from dataclasses import dataclass\n@dataclass\nclass D:\n    a: int\n    b: int = 0\n"
+
+
+@pytest.mark.parametrize("package, users, expected", [
+    ({"m": DATACLASS}, [], [("m", "D.a"), ("m", "D.b")]),
+    ({"m": DATACLASS}, ["d.a\nprint(d.b)\n"], []),
+    ({"m": DATACLASS.replace("@dataclass", "@dataclass(frozen=True)")}, ["d.a\n"],
+     [("m", "D.b")]),
+    ({"m": DATACLASS}, ["D(a=1, b=2)\n"], [("m", "D.a"), ("m", "D.b")]),
+    ({"m": DATACLASS}, ["d.a = 1\nrow['b']\n"], [("m", "D.a")]),
+    ({"m": DATACLASS}, ["a = 1\nb = a\n"], [("m", "D.a"), ("m", "D.b")]),
+    ({"m": DATACLASS.replace("@dataclass\n", "")}, [], []),
+])
+def test_checker_flags_only_unread_fields(package, users, expected):
+    assert unread_fields(package, list(package.values()) + users) == expected

@@ -1,3 +1,6 @@
+import logging
+import sys
+
 import numpy as np
 import pytest
 
@@ -183,6 +186,27 @@ class TestRunProtocol:
             ).to_dict()
 
         assert run(2) == run(1)
+
+    def test_fold_threads_tag_their_own_log_lines(self, caplog):
+        # more fold threads than cores, switching often: a fold id shared
+        # between threads would tag some epoch lines with another fold's id
+        meta = make_meta(n_users=4, n_locations=1, n_instances=1)
+        x, y = separable_dataset(meta)
+        plans = make_splits(meta, "loocv", seed=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level(logging.INFO, logger="rfdm"):
+                run_protocol(x, y, plans, "cnn-tcn", SMALL_CFG,
+                             TrainConfig(lr=5e-3, batch_size=7, epochs=4, seed=0),
+                             master_seed=3, class_names=CLASS_NAMES, workers=len(plans))
+        finally:
+            sys.setswitchinterval(interval)
+        lines = [r.getMessage() for r in caplog.records if r.name == "rfdm.model"]
+        assert len(lines) == 4 * len(plans)
+        for plan in plans:
+            mine = [line.split()[1:3] for line in lines if line.startswith(f"[{plan.fold_id}] ")]
+            assert mine == [["epoch", f"{k}:"] for k in range(4)]
 
     def test_no_index_leaks_between_train_and_test(self):
         meta = make_meta(n_users=3, n_locations=2)

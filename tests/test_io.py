@@ -245,6 +245,21 @@ class TestCheckpointFailsClosed:
         with pytest.raises(IntegrityError, match="layout does not match"):
             load_checkpoint(p)
 
+    def test_checkpoint_with_frame_conv_biases_is_rejected(self, tmp_path):
+        # the layout of a checkpoint written while the frame convs had biases
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, CnnTcn(TINY))
+        raw = p.read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[8:12])
+        entry = b'{"name": "frame.conv1.w", "shape": [3, 5, 1, 2]}'
+        blob = raw[12 : 12 + blob_len].replace(
+            entry, entry + b', {"name": "frame.conv1.b", "shape": [2]}')
+        payload = raw[12 + blob_len :]
+        p.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                      + payload[: 8 * 3 * 5 * 2] + bytes(16) + payload[8 * 3 * 5 * 2 :])
+        with pytest.raises(IntegrityError, match="layout does not match"):
+            load_checkpoint(p)
+
     def test_trailing_bytes(self, tmp_path):
         p = tmp_path / "m.rfnn"
         save_checkpoint(p, CnnTcn(TINY))

@@ -315,6 +315,14 @@ class TestPredict:
         assert predict_classes(m, x, batch_size=2).tolist() == want
 
 
+class TestFrameStack:
+    def test_frame_convs_have_no_bias(self):
+        # each frame conv feeds a train-mode BN, whose batch mean cancels a bias
+        names = [p.name for p in CnnTcn(CnnTcnConfig()).params()]
+        assert [n for n in names if n.startswith("frame.conv")] == \
+            ["frame.conv1.w", "frame.conv2.w", "frame.conv3.w"]
+
+
 class TestBaseline:
     def test_parameter_count_strictly_less(self):
         cfg = CnnTcnConfig()
