@@ -110,12 +110,19 @@ def _default_config() -> dict:
 
 
 def _merge(base: dict, override: dict) -> dict:
+    """`base` (sections of keys) with `override`'s values; a section or key
+    that `base` lacks, or a section that is not an object, raises ConfigError
+    naming it."""
     out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
+    for section, values in override.items():
+        if section not in base:
+            raise ConfigError(f"unknown config key {section!r}")
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
+        for key in values:
+            if key not in base[section]:
+                raise ConfigError(f"unknown config key {section + '.' + key!r}")
+        out[section] = {**base[section], **values}
     return out
 
 
@@ -130,14 +137,6 @@ def _load_config(path) -> dict:
             raise ConfigError(f"config {path}: top level must be a JSON object")
         cfg = _merge(cfg, user)
     return cfg
-
-
-def _radar_config(fields, error, where: str) -> RadarConfig:
-    """RadarConfig from a JSON object; an unknown key or a non-object raises `error`."""
-    try:
-        return RadarConfig(**fields)
-    except TypeError as exc:
-        raise error(f"{where} field error: {exc}") from exc
 
 
 def _dataset_spec(cfg: dict) -> DatasetSpec:
@@ -190,7 +189,7 @@ def _worker_count() -> int:
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
-    radar = _radar_config(cfg["radar"], ConfigError, "radar config")
+    radar = RadarConfig(**cfg["radar"])  # _load_config admits only its fields
     spec = _dataset_spec(cfg)
     out = Path(args.out)
     (out / "cubes").mkdir(parents=True, exist_ok=True)
@@ -201,7 +200,6 @@ def cmd_gen(args) -> int:
         rel = f"cubes/sample_{row['index']:05d}.rfdc"
         entry = dict(row)
         entry["path"] = rel
-        entry["location"] = {"range": row["base_range"], "azimuth": row["azimuth_deg"]}
         entry["sha256"] = write_cube(out / rel, cube)
         rows.append(entry)
     write_dataset_manifest(out / "dataset_manifest.json", radar,
@@ -228,8 +226,10 @@ def cmd_preprocess(args) -> int:
     manifest = read_manifest(args.manifest)
     base = Path(args.manifest).parent
     verify_manifest_files(manifest, base, ("index",))
-    radar = _radar_config(manifest.get("radar_config", cfg["radar"]), ManifestError,
-                          f"{args.manifest}: radar_config")
+    try:
+        radar = RadarConfig(**manifest.get("radar_config", cfg["radar"]))
+    except TypeError as exc:  # an unknown key, or not an object
+        raise ManifestError(f"{args.manifest}: radar_config field error: {exc}") from exc
     out = Path(args.out)
     (out / "rfdm").mkdir(parents=True, exist_ok=True)
     rows = []
@@ -326,8 +326,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     tr = cfg["train"]
-    protocol = args.protocol or cfg["eval"]["protocol"]
-    model_kind = args.model or tr["model"]
+    if args.model:
+        tr["model"] = args.model
+    if args.protocol:
+        cfg["eval"]["protocol"] = args.protocol
+    protocol, model_kind = cfg["eval"]["protocol"], tr["model"]
     tcfg = _train_config(cfg, args.epochs, 0)  # each fold sets its own seed
     x, labels, meta = _load_rfdm_dataset(args.manifest)
     plans = make_splits(meta, protocol, val_fraction=float(tr["val_fraction"]),
@@ -362,7 +365,7 @@ def cmd_infer(args) -> int:
         rec = {
             "path": str(path),
             "class_id": idx,
-            "class_name": CLASS_NAMES[idx] if idx < len(CLASS_NAMES) else str(idx),
+            "class_name": CLASS_NAMES[idx],
             "probs": [float(p) for p in probs],
         }
         lines.append(json.dumps(rec, sort_keys=True))

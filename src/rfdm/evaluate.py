@@ -160,6 +160,9 @@ class ConfusionMatrix:
             "class_names": list(self.class_names),
             "counts": self.counts.tolist(),
             "accuracy": self.accuracy,
+            # null for a class with no test samples
+            "per_class_recall": [None if np.isnan(r) else float(r)
+                                 for r in self.per_class_recall],
         }
 
     @classmethod

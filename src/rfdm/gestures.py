@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PlacementError
-from .radar import DataCube, RadarConfig, Scatterer, synthesize_cube
+from .radar import DataCube, RadarConfig, Scatterer, static_scatterer, synthesize_cube
 from .seeding import child_seed, substream
 
 
@@ -256,12 +256,7 @@ def room_clutter(placement: ScenePlacement) -> list:
     for i in range(n_clutter):
         r = float(rng.uniform(0.4, 15.0))
         a = base_amp * float(rng.uniform(0.5, 1.5))
-
-        def ctraj(t, _r=r):
-            t = np.asarray(t, dtype=float)
-            return np.full_like(t, _r), np.zeros_like(t)
-
-        clutter.append(Scatterer(ctraj, a, label=f"clutter{i}"))
+        clutter.append(static_scatterer(r, a, label=f"clutter{i}"))
     return clutter
 
 

@@ -87,8 +87,10 @@ def write_cube(path, cube: DataCube) -> str:
     return h.hexdigest()
 
 
-def read_cube(path, config: RadarConfig | None = None, *, sha256=None) -> DataCube:
-    """An RFDC file's cube; its samples are a read-only view of the bytes read."""
+def read_cube(path, config: RadarConfig, *, sha256=None) -> DataCube:
+    """An RFDC file's cube under `config`; its samples are a read-only view of
+    the bytes read. A cube whose chirp, sample or receiver count differs from
+    `config` raises IntegrityError."""
     data = _read_file(path, CUBE_MAGIC, "cube", 24, sha256)
     n_frames, n_chirps, n_samples, n_rx = struct.unpack_from("<4I", data, 8)
     count = n_frames * n_chirps * n_samples * n_rx
@@ -96,15 +98,13 @@ def read_cube(path, config: RadarConfig | None = None, *, sha256=None) -> DataCu
     (stored,) = struct.unpack_from("<Q", data, len(data) - 8)
     if stored != count:
         raise IntegrityError(f"{path}: trailer count {stored} != header count {count}")
+    expect = (config.n_chirps, config.n_samples, config.n_rx)
+    if (n_chirps, n_samples, n_rx) != expect:
+        raise IntegrityError(f"{path}: (chirps, samples, rx) {(n_chirps, n_samples, n_rx)} "
+                             f"differ from the radar config's {expect}")
     samples = np.frombuffer(data, dtype="<c16", count=count, offset=24)
     samples = samples.reshape(n_frames, n_chirps, n_samples, n_rx)
-    cfg = config or RadarConfig()
-    if (n_chirps, n_samples, n_rx) != (cfg.n_chirps, cfg.n_samples, cfg.n_rx):
-        cfg = RadarConfig(
-            f_c=cfg.f_c, B=cfg.B, f_s=cfg.f_s, n_samples=n_samples,
-            n_chirps=n_chirps, t_pri=cfg.t_pri, t_frame=cfg.t_frame, n_rx=n_rx,
-        )
-    return DataCube(config=cfg, samples=samples, n_frames=n_frames)
+    return DataCube(config=config, samples=samples, n_frames=n_frames)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def read_rfdm(path, *, sha256=None) -> RfdmSequence:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, model, adam=None) -> None:
+def save_checkpoint(path, model) -> None:
     descriptor = model.describe()
     descriptor["params"] = [{"name": p.name, "shape": list(p.value.shape)}
                             for p in model.params()]
@@ -162,26 +162,11 @@ def save_checkpoint(path, model, adam=None) -> None:
             f.write(p.value.astype("<f8").tobytes())
         for _, b in model.buffers():
             f.write(b.astype("<f8").tobytes())
-        if adam is None:
-            f.write(struct.pack("<B", 0))
-        else:
-            f.write(struct.pack("<B", 1))
-            f.write(struct.pack("<Q", adam.t))
-            for m in adam.m:
-                f.write(m.astype("<f8").tobytes())
-            for v in adam.v:
-                f.write(v.astype("<f8").tobytes())
-
-
-def _f8_arrays(data, offset, likes):
-    """Arrays shaped like each of `likes`, read in turn from `data` at `offset`."""
-    for a in likes:
-        yield np.frombuffer(data, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
-        offset += 8 * a.size
 
 
 def load_checkpoint(path):
-    """Rebuild the model (and optional Adam state dict) from an RFNN file."""
+    """Rebuild the model from an RFNN file. Returns (model, None): the file
+    holds no optimizer state, and callers unpack two values."""
     data = _read_file(path, CKPT_MAGIC, "checkpoint", 12, None)
     (blob_len,) = struct.unpack_from("<I", data, 8)
     _expect_size(data, path, 12 + blob_len, "checkpoint descriptor", exact=False)
@@ -192,30 +177,21 @@ def load_checkpoint(path):
                   for d in descriptor["params"] + descriptor["buffers"]]
         cfg = CnnTcnConfig(**{k: tuple(v) if isinstance(v, list) else v
                               for k, v in config.items()})
-        # an invalid architecture raises ConfigError (a ValueError), a mistyped field TypeError
+        # an invalid architecture raises ConfigError (a ValueError); a mistyped
+        # or unknown field, TypeError
         model = build_model(kind, cfg, init_seed=0)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise IntegrityError(f"{path}: unreadable checkpoint descriptor ({exc!r})") from exc
-    params = model.params()
-    named = [(p.name, p.value) for p in params] + model.buffers()
+    named = [(p.name, p.value) for p in model.params()] + model.buffers()
     if layout != [(n, list(a.shape)) for n, a in named]:
         raise IntegrityError(f"{path}: parameter layout does not match architecture")
 
-    arrays = [a for _, a in named]
-    end = 12 + blob_len + 8 * sum(a.size for a in arrays)
-    _expect_size(data, path, end + 1, "checkpoint", exact=False)
-    flag = data[end]
-    if flag not in (0, 1):
-        raise IntegrityError(f"{path}: bad optimizer-state flag {flag}")
-    adam_size = 8 + 16 * sum(p.value.size for p in params)
-    _expect_size(data, path, end + 1 + flag * adam_size, "checkpoint")
-    for a, v in zip(arrays, _f8_arrays(data, 12 + blob_len, arrays)):
-        a[...] = v
-    if not flag:
-        return model, None
-    (t,) = struct.unpack_from("<Q", data, end + 1)
-    m_v = list(_f8_arrays(data, end + 9, [p.value for p in params] * 2))
-    return model, {"t": t, "m": m_v[: len(params)], "v": m_v[len(params) :]}
+    offset = 12 + blob_len
+    _expect_size(data, path, offset + 8 * sum(a.size for _, a in named), "checkpoint")
+    for _, a in named:
+        a[...] = np.frombuffer(data, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
+        offset += 8 * a.size
+    return model, None
 
 
 # ---------------------------------------------------------------------------

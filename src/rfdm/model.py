@@ -9,7 +9,10 @@ to ceil(64/12) = 6; the reduced maps are flattened into one feature vector
 per frame. Three dilated causal temporal blocks (dilations 1/2/4,
 kernel 3, LeakyReLU + dropout, residual with 1x1 projection on channel
 change) run over the frame axis; the last time step feeds three dense
-layers ending in the 7 class logits.
+layers ending in the 7 class logits. The kernels (FRAME_KERNEL, TCN_KERNEL),
+LeakyReLU's default slope of 0.01 and the class count (gestures.N_CLASSES)
+are fixed; CnnTcnConfig, which a checkpoint records, holds the sizes that
+vary.
 
 A plain-CNN baseline shares the frame model, replaces the temporal stack
 with a mean over frames, and uses a smaller dense head.
@@ -21,6 +24,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
+from .gestures import N_CLASSES
 from .nn import (
     Adam,
     BatchNorm2d,
@@ -39,6 +43,9 @@ from .seeding import substream
 
 log = logging.getLogger(__name__)
 
+FRAME_KERNEL = (3, 5)  # (height, width) of each frame conv
+TCN_KERNEL = 3
+
 
 @dataclass(frozen=True)
 class CnnTcnConfig:
@@ -46,15 +53,11 @@ class CnnTcnConfig:
     height: int = 32
     width: int = 32
     conv_channels: tuple = (16, 32, 64)
-    conv_kernel: tuple = (3, 5)
     reduce_divisor: int = 12
-    tcn_kernel: int = 3
     dilations: tuple = (1, 2, 4)
     dropout: float = 0.1
     head_hidden: tuple = (48, 24)
     baseline_head_hidden: tuple = (24, 16)
-    n_classes: int = 7
-    leaky_slope: float = 0.01
 
     @property
     def reduced_channels(self) -> int:
@@ -69,17 +72,15 @@ class CnnTcnConfig:
         return self.spatial_positions * self.reduced_channels
 
     def validate(self) -> None:
-        if self.t_frames < 1 or self.n_classes < 2:
-            raise ConfigError("t_frames >= 1 and n_classes >= 2 required")
         if self.height % 4 or self.width % 4:
             raise ConfigError("height and width must be divisible by 4 (two 2x2 pools)")
         if len(self.conv_channels) != 3:
             raise ConfigError("exactly three conv widths expected")
-        sizes = (self.height, self.width, *self.conv_channels, *self.conv_kernel,
-                 self.reduce_divisor, self.tcn_kernel, *self.dilations,
+        sizes = (self.t_frames, self.height, self.width, *self.conv_channels,
+                 self.reduce_divisor, *self.dilations,
                  *self.head_hidden, *self.baseline_head_hidden)
         if any(v < 1 for v in sizes):
-            raise ConfigError("every size, width, kernel, divisor and dilation must be >= 1")
+            raise ConfigError("every size, width, divisor and dilation must be >= 1")
         if any(d2 <= d1 for d1, d2 in zip(self.dilations, self.dilations[1:])):
             raise ConfigError("dilations must be strictly increasing")
         if not (0.0 <= self.dropout < 1.0):
@@ -102,16 +103,15 @@ class _FrameStack:
     """Shared-weight frame CNN; processes all frames as one batch."""
 
     def __init__(self, cfg: CnnTcnConfig, rng):
-        kh, kw = cfg.conv_kernel
+        kh, kw = FRAME_KERNEL
         c1, c2, c3 = cfg.conv_channels
-        a = cfg.leaky_slope
         self.conv1 = Conv2d(1, c1, kh, kw, rng=rng, name="frame.conv1")
         self.bn1 = BatchNorm2d(c1, name="frame.bn1")
         self.conv2 = Conv2d(c1, c2, kh, kw, rng=rng, name="frame.conv2")
         self.bn2 = BatchNorm2d(c2, name="frame.bn2")
         self.conv3 = Conv2d(c2, c3, kh, kw, rng=rng, name="frame.conv3")
         self.bn3 = BatchNorm2d(c3, name="frame.bn3")
-        self.acts = [LeakyReLU(a) for _ in range(3)]
+        self.acts = [LeakyReLU() for _ in range(3)]
         self.pools = [MaxPool2d(), MaxPool2d()]
         self.reduce = ChannelReduce(c3, cfg.reduced_channels, rng=rng, name="frame.reduce")
         self.cfg = cfg
@@ -149,9 +149,9 @@ class _FrameStack:
 
 
 class _TemporalBlock:
-    def __init__(self, c_in, c_out, kt, dilation, p, slope, rng, name):
-        self.conv = CausalConv1d(c_in, c_out, kt, dilation, rng=rng, name=name + ".conv")
-        self.act = LeakyReLU(slope)
+    def __init__(self, c_in, c_out, dilation, p, rng, name):
+        self.conv = CausalConv1d(c_in, c_out, TCN_KERNEL, dilation, rng=rng, name=name + ".conv")
+        self.act = LeakyReLU()
         self.drop = Dropout(p)
         self.proj = None
         if c_in != c_out:
@@ -175,13 +175,13 @@ class _TemporalBlock:
 
 
 class _Head:
-    def __init__(self, widths, n_classes, slope, rng, name):
-        dims = list(widths) + [n_classes]
+    def __init__(self, widths, rng, name):
+        dims = list(widths) + [N_CLASSES]
         self.denses = [
             Dense(dims[i], dims[i + 1], rng=rng, name=f"{name}.fc{i + 1}")
             for i in range(len(dims) - 1)
         ]
-        self.acts = [LeakyReLU(slope) for _ in range(len(self.denses) - 1)]
+        self.acts = [LeakyReLU() for _ in range(len(self.denses) - 1)]
 
     def layers(self):
         return list(self.denses)
@@ -214,12 +214,9 @@ class CnnTcn:
         c_in = c_feat
         for bi, d in enumerate(cfg.dilations):
             self.blocks.append(
-                _TemporalBlock(c_in, c_hidden, cfg.tcn_kernel, d, cfg.dropout,
-                               cfg.leaky_slope, rng, name=f"tcn.block{bi}")
-            )
+                _TemporalBlock(c_in, c_hidden, d, cfg.dropout, rng, name=f"tcn.block{bi}"))
             c_in = c_hidden
-        self.head = _Head((c_hidden,) + cfg.head_hidden, cfg.n_classes,
-                          cfg.leaky_slope, rng, name="head")
+        self.head = _Head((c_hidden,) + cfg.head_hidden, rng, name="head")
         self.reset_rngs(init_seed)
 
     # -- plumbing ----------------------------------------------------------
@@ -294,8 +291,8 @@ class CnnBaseline(CnnTcn):
         rng = substream(init_seed, "init")
         self.frame = _FrameStack(cfg, rng)
         self.blocks = []
-        self.head = _Head((cfg.frame_feature_len,) + cfg.baseline_head_hidden,
-                          cfg.n_classes, cfg.leaky_slope, rng, name="head")
+        self.head = _Head((cfg.frame_feature_len,) + cfg.baseline_head_hidden, rng,
+                          name="head")
         self.reset_rngs(init_seed)
 
     def forward(self, x, train=False):
@@ -370,7 +367,7 @@ def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig, *,
     train_idx = np.asarray(train_idx, dtype=np.intp)
     val_idx = np.asarray(val_idx, dtype=np.intp)
     present = set(np.unique(y[train_idx]).tolist())
-    for k in range(model.cfg.n_classes):
+    for k in range(N_CLASSES):
         if k not in present:
             name = class_names[k] if class_names else str(k)
             raise DataError(f"class {name} has no samples in the training split")

@@ -74,10 +74,6 @@ class RadarConfig:
         return C_LIGHT / self.f_c
 
     @property
-    def range_resolution(self) -> float:
-        return C_LIGHT / (2.0 * self.B)
-
-    @property
     def max_range(self) -> float:
         """Range where the beat frequency reaches f_s [m]."""
         return self.f_s * C_LIGHT / (2.0 * self.slope)
@@ -86,11 +82,6 @@ class RadarConfig:
     def max_doppler_velocity(self) -> float:
         """Unambiguous radial velocity span is +/- this value [m/s]."""
         return self.wavelength / (4.0 * self.t_pri)
-
-    @property
-    def doppler_resolution(self) -> float:
-        """Velocity bin width of a full-frame Doppler FFT [m/s]."""
-        return self.wavelength / (2.0 * self.n_chirps * self.t_pri)
 
     def validate(self) -> None:
         if not (self.f_c > 0 and self.B > 0 and self.f_s > 0):
@@ -111,19 +102,6 @@ class RadarConfig:
             )
 
 
-def derived_quantities(config: RadarConfig) -> dict:
-    """Resolution/ambiguity numbers implied by a chirp configuration."""
-    config.validate()
-    return {
-        "slope": config.slope,
-        "range_resolution": config.range_resolution,
-        "max_range": config.max_range,
-        "wavelength": config.wavelength,
-        "max_doppler_velocity": config.max_doppler_velocity,
-        "doppler_resolution": config.doppler_resolution,
-    }
-
-
 @dataclass
 class Scatterer:
     """A point scatterer with a radial trajectory and fixed echo amplitude."""
@@ -139,16 +117,6 @@ def static_scatterer(range_m: float, amplitude: float = 1.0, label: str = "") ->
         return np.full_like(t, range_m), np.zeros_like(t)
 
     return Scatterer(traj, amplitude, label or f"static@{range_m:.2f}m")
-
-
-def linear_scatterer(r0: float, v: float, amplitude: float = 1.0, label: str = "") -> Scatterer:
-    """Constant radial velocity, R(t) = r0 + v*t."""
-
-    def traj(t: np.ndarray):
-        t = np.asarray(t, dtype=float)
-        return r0 + v * t, np.full_like(t, v)
-
-    return Scatterer(traj, amplitude, label or f"linear@{r0:.2f}m{v:+.2f}m/s")
 
 
 def if_signal_sample(config: RadarConfig, scatterer: Scatterer, t_fast, t_slow) -> complex:

@@ -1,6 +1,13 @@
-"""Shared test utilities: central-difference gradient checking."""
+"""Shared test utilities: central-difference gradient checking, a
+constant-velocity scatterer, the radar's bin widths and an older checkpoint
+layout."""
+
+import json
+import struct
 
 import numpy as np
+
+from rfdm.radar import C_LIGHT, Scatterer
 
 GRADCHECK_STEP = 1e-5
 GRADCHECK_TOL = 1e-4
@@ -58,3 +65,35 @@ def check_layer_gradients(layer, x, seed=0, tol=GRADCHECK_TOL):
         worst = max(worst, grad_rel_err(p.grad, numeric_grad(loss, p.value)))
     assert worst <= tol, f"gradcheck failed: rel err {worst:.3e} > {tol}"
     return worst
+
+
+def linear_scatterer(r0: float, v: float, amplitude: float = 1.0, label: str = "") -> Scatterer:
+    """Constant radial velocity, R(t) = r0 + v*t."""
+
+    def traj(t: np.ndarray):
+        t = np.asarray(t, dtype=float)
+        return r0 + v * t, np.full_like(t, v)
+
+    return Scatterer(traj, amplitude, label or f"linear@{r0:.2f}m{v:+.2f}m/s")
+
+
+def range_resolution(config) -> float:
+    """Range bin width of an unpadded range FFT, c / (2B) [m]."""
+    return C_LIGHT / (2.0 * config.B)
+
+
+def doppler_resolution(config) -> float:
+    """Velocity bin width of an unpadded full-frame Doppler FFT [m/s]."""
+    return config.wavelength / (2.0 * config.n_chirps * config.t_pri)
+
+
+def older_checkpoint_layout(raw: bytes) -> bytes:
+    """An RFNN file's bytes rewritten in the layout written while the model
+    config carried the kernels, the LeakyReLU slope and the class count,
+    and the file ended in an optimizer-state flag (0: none)."""
+    (blob_len,) = struct.unpack("<I", raw[8:12])
+    descriptor = json.loads(raw[12 : 12 + blob_len])
+    descriptor["config"].update(conv_kernel=[3, 5], tcn_kernel=3, n_classes=7,
+                                leaky_slope=0.01)
+    blob = json.dumps(descriptor, sort_keys=True).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :] + b"\x00"

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import older_checkpoint_layout
 from rfdm import cli
 from rfdm.cli import main
 from rfdm.errors import (
@@ -97,6 +98,21 @@ class TestGen:
         assert rc == 3
         assert "f_cc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"train": {"patience": 3}}, "unknown config key 'train.patience'"),
+        ({"evaluate": {"protocol": "loocv"}}, "unknown config key 'evaluate'"),
+        ({"gen": {"users": [], "seed": 1}}, "unknown config key 'gen.seed'"),
+        ({"eval": "loocv"}, "config section 'eval' must be a JSON object"),
+    ], ids=["train-key", "section", "gen-key", "non-object-section"])
+    def test_config_keys_outside_the_defaults_are_config_errors(self, tmp_path, capsys,
+                                                                doc, fragment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
+        assert rc == 3
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
+
     def test_manifest_matches_files_and_counts(self, smoke, capsys):
         _, cfg_path, gen_dir, _ = smoke
         man = read_manifest(gen_dir / "dataset_manifest.json")
@@ -106,6 +122,12 @@ class TestGen:
         for row in man["samples"]:
             counts[row["class_name"]] = counts.get(row["class_name"], 0) + 1
         assert set(counts.values()) == {4}
+
+    def test_rows_record_the_placement_once(self, smoke):
+        _, _, gen_dir, _ = smoke
+        row = read_manifest(gen_dir / "dataset_manifest.json")["samples"][0]
+        assert {"base_range", "azimuth_deg", "location_id"} <= set(row)
+        assert "location" not in row
 
     def test_same_seed_same_hashes(self, smoke, tmp_path):
         root, cfg_path, gen_dir, _ = smoke
@@ -172,6 +194,22 @@ class TestPreprocess:
         assert not (out / "rfdm_manifest.json").exists()
         assert len(list((out / "rfdm").glob("*.rfdm"))) == len(cubes) - 1
 
+    def test_cubes_differing_from_the_manifest_radar_config(self, smoke, tmp_path, capsys):
+        _, cfg_path, gen_dir, _ = smoke
+        man = json.loads((gen_dir / "dataset_manifest.json").read_text())
+        man["radar_config"].update(n_chirps=64, n_samples=100)
+        for row in man["samples"]:
+            row["path"] = str(gen_dir / row["path"])
+        bad = tmp_path / "dataset_manifest.json"
+        bad.write_text(json.dumps(man))
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--config", str(cfg_path), "--seed", "7",
+                     "--manifest", str(bad), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert f"{man['samples'][0]['path']}: (chirps, samples, rx) (128, 112, 1)" in err
+        assert "(64, 100, 1)" in err
+        assert not (out / "rfdm_manifest.json").exists()
+
     def test_each_cube_is_opened_once(self, smoke, tmp_path, opens):
         _, cfg_path, gen_dir, _ = smoke
         assert main(["preprocess", "--config", str(cfg_path), "--seed", "7",
@@ -194,10 +232,11 @@ class TestPreprocess:
         # a noise-free constant-velocity target keeps its Doppler peak bin
         # whether or not the MTI stage runs (MTI attenuates, DC excepted)
         from rfdm.io import write_cube, write_dataset_manifest
-        from rfdm.radar import RadarConfig, linear_scatterer, synthesize_cube
+        from helpers import doppler_resolution, linear_scatterer
+        from rfdm.radar import RadarConfig, synthesize_cube
 
         radar = RadarConfig()
-        v = 3.0 * radar.doppler_resolution
+        v = 3.0 * doppler_resolution(radar)
         cube = synthesize_cube(radar, [linear_scatterer(5.0, v)], n_frames=2)
         (tmp_path / "cubes").mkdir()
         write_cube(tmp_path / "cubes" / "t.rfdc", cube)
@@ -270,6 +309,13 @@ class TestTrainEvalInfer:
         bad.write_bytes(raw[:12] + b"\x00" + raw[13:])  # first descriptor byte
         assert main(["infer", "--checkpoint", str(bad), "x.rfdm"]) == 5
 
+    def test_infer_checkpoint_in_the_older_layout_is_integrity_error(self, trained, tmp_path,
+                                                                      capsys):
+        old = tmp_path / "old.rfnn"
+        old.write_bytes(older_checkpoint_layout((trained / "model.rfnn").read_bytes()))
+        assert main(["infer", "--checkpoint", str(old), "x.rfdm"]) == 5
+        assert "unreadable checkpoint descriptor" in capsys.readouterr().err
+
     def test_infer_missing_checkpoint_usage_error(self, capsys):
         rc = main(["infer", "--checkpoint", "/nonexistent/m.rfnn", "x.rfdm"])
         assert rc == 2
@@ -289,6 +335,18 @@ class TestTrainEvalInfer:
         for fold in report["folds"]:
             conf = np.array(fold["confusion"]["counts"])
             assert fold["accuracy"] == pytest.approx(np.trace(conf) / conf.sum())
+
+    def test_eval_manifest_records_the_model_and_protocol_run(self, smoke, tmp_path):
+        _, cfg_path, _, pp_dir = smoke
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg_path), "--seed", "5", "--protocol", "location",
+                     "--model", "cnn", "--epochs", "1",
+                     "--manifest", str(pp_dir / "rfdm_manifest.json"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["protocol"], report["model"]) == ("location", "cnn")
+        cfg = json.loads((out / "run_manifest_eval.json").read_text())["config"]
+        assert cfg["eval"]["protocol"] == "location"
+        assert (cfg["train"]["model"], cfg["train"]["epochs"]) == ("cnn", 1)
 
     def test_train_val_fraction_zero_carves_no_validation(self, smoke, tmp_path, capsys):
         _, _, _, pp_dir = smoke

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import doppler_resolution, linear_scatterer, range_resolution
 from rfdm.dsp import (
     RfdmSequence,
     condition_rfdm,
@@ -13,7 +14,7 @@ from rfdm.dsp import (
     range_compress,
 )
 from rfdm.errors import ShapeError
-from rfdm.radar import RadarConfig, linear_scatterer, static_scatterer, synthesize_cube
+from rfdm.radar import RadarConfig, static_scatterer, synthesize_cube
 
 CFG = RadarConfig()
 
@@ -98,7 +99,7 @@ class TestFft:
 class TestRangeCompress:
     def test_peak_bin_with_zero_padding(self):
         # a target at 5 range-resolution cells lands at bin round(5 * 128/112)
-        r = 5.0 * CFG.range_resolution
+        r = 5.0 * range_resolution(CFG)
         cube = synthesize_cube(CFG, [static_scatterer(r)], n_frames=1)
         rc = range_compress(cube, window="none")
         assert rc.shape == (1, 128, 128, 1)
@@ -119,7 +120,7 @@ class TestRangeCompress:
         assert np.all(range_compress(cube) == 0)
 
     def test_two_separated_targets_two_peaks(self):
-        r1, r2 = 8 * CFG.range_resolution, 40 * CFG.range_resolution
+        r1, r2 = 8 * range_resolution(CFG), 40 * range_resolution(CFG)
         cube = synthesize_cube(
             CFG, [static_scatterer(r1), static_scatterer(r2)], n_frames=1
         )
@@ -170,7 +171,7 @@ class TestDoppler:
         assert d_bin == n_d // 2
 
     def test_moving_target_three_bins_positive(self):
-        v = 3.0 * CFG.doppler_resolution
+        v = 3.0 * doppler_resolution(CFG)
         cube = synthesize_cube(CFG, [linear_scatterer(5.0, v)], n_frames=1)
         seq = doppler_process(range_compress(cube, "none"), window="none")
         m = seq.frames[0]
@@ -232,7 +233,7 @@ class TestEndToEnd:
                 m = seq.frames[0]
                 rb, db = np.unravel_index(np.argmax(m), m.shape)
                 assert abs(rb - round(r / range_bin_m)) <= 1
-                assert abs(db - (64 + round(v / CFG.doppler_resolution))) <= 1
+                assert abs(db - (64 + round(v / doppler_resolution(CFG)))) <= 1
 
     def test_pipeline_determinism(self):
         cube = synthesize_cube(CFG, [linear_scatterer(4.0, 2.0)], n_frames=2,

@@ -1,3 +1,4 @@
+import json
 import logging
 import sys
 
@@ -116,6 +117,11 @@ class TestConfusion:
         cm = ConfusionMatrix.from_predictions([0, 0, 1], [0, 1, 1], ("x", "y"))
         assert cm.per_class_recall[0] == 0.5
         assert cm.per_class_recall[1] == 1.0
+
+    def test_dict_writes_recall_with_null_for_an_untested_class(self):
+        cm = ConfusionMatrix.from_predictions([0, 0, 2], [0, 1, 1], ("x", "y", "z"))
+        doc = json.loads(json.dumps(cm.to_dict()))
+        assert doc["per_class_recall"] == [0.5, None, 0.0]
 
 
 SMALL_CFG = CnnTcnConfig(

@@ -1,8 +1,11 @@
+import dataclasses
+import functools
 import struct
 
 import numpy as np
 import pytest
 
+from helpers import linear_scatterer, older_checkpoint_layout
 from rfdm.dsp import RfdmSequence, cube_to_rfdm
 from rfdm.errors import IntegrityError, ManifestError
 from rfdm.io import (
@@ -24,8 +27,7 @@ from rfdm.io import (
     write_rfdm_pgm,
 )
 from rfdm.model import CnnTcn, CnnTcnConfig, predict
-from rfdm.nn import Adam
-from rfdm.radar import RadarConfig, linear_scatterer, synthesize_cube
+from rfdm.radar import RadarConfig, synthesize_cube
 
 CFG = RadarConfig()
 TINY = CnnTcnConfig(
@@ -40,7 +42,7 @@ class TestCubeFormat:
                                noise_sigma=0.2, rng_seed=1)
         p = tmp_path / "a.rfdc"
         write_cube(p, cube)
-        back = read_cube(p)
+        back = read_cube(p, CFG)
         assert np.array_equal(back.samples, cube.samples)
         assert back.n_frames == 2
 
@@ -51,31 +53,39 @@ class TestCubeFormat:
         raw = p.read_bytes()
         p.write_bytes(raw[:-12])  # chop into the trailer
         with pytest.raises(IntegrityError, match="truncat"):
-            read_cube(p)
+            read_cube(p, CFG)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "c.rfdc"
         p.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(IntegrityError, match="magic"):
-            read_cube(p)
+            read_cube(p, CFG)
 
     def test_short_header(self, tmp_path):
         p = tmp_path / "e.rfdc"
         p.write_bytes(b"RFDC" + bytes(6))
         with pytest.raises(IntegrityError, match="truncated cube header"):
-            read_cube(p)
+            read_cube(p, CFG)
 
     def test_trailing_bytes(self, tmp_path):
         p = tmp_path / "f.rfdc"
         write_cube(p, synthesize_cube(CFG, [], n_frames=1))
         p.write_bytes(p.read_bytes() + b"junk")
         with pytest.raises(IntegrityError, match="trailing bytes after the cube"):
-            read_cube(p)
+            read_cube(p, CFG)
+
+    @pytest.mark.parametrize("field", ["n_chirps", "n_samples", "n_rx"])
+    def test_dims_differing_from_the_config(self, tmp_path, field):
+        p = tmp_path / "x.rfdc"
+        write_cube(p, synthesize_cube(CFG, [], n_frames=1))
+        other = dataclasses.replace(CFG, **{field: getattr(CFG, field) // 2 or 2})
+        with pytest.raises(IntegrityError, match=r"x\.rfdc: \(chirps, samples, rx\)"):
+            read_cube(p, other)
 
     def test_samples_are_a_view_of_the_bytes_read(self, tmp_path):
         p = tmp_path / "v.rfdc"
         write_cube(p, synthesize_cube(CFG, [], n_frames=1, noise_sigma=0.1))
-        samples = read_cube(p).samples
+        samples = read_cube(p, CFG).samples
         assert samples.dtype == np.complex128
         assert not samples.flags.owndata and not samples.flags.writeable
 
@@ -108,7 +118,7 @@ class TestCubeFormat:
         cube.samples = np.asfortranarray(cube.samples)
         p = tmp_path / "h.rfdc"
         write_cube(p, cube)
-        assert np.array_equal(read_cube(p).samples, cube.samples)
+        assert np.array_equal(read_cube(p, cube.config).samples, cube.samples)
 
 
 class TestRfdmFormat:
@@ -182,24 +192,11 @@ class TestCheckpoint:
         before = predict(model, x)
         p = tmp_path / "m.rfnn"
         save_checkpoint(p, model)
-        loaded, adam_state = load_checkpoint(p)
-        assert adam_state is None
+        loaded, nothing = load_checkpoint(p)
+        assert nothing is None
         after = predict(loaded, x)
         assert before[0] == after[0]
         assert np.array_equal(before[1], after[1])
-
-    def test_adam_state_round_trip(self, tmp_path):
-        model = CnnTcn(TINY, init_seed=2)
-        adam = Adam(model.params(), lr=1e-3)
-        for p_ in model.params():
-            p_.grad[...] = 0.01
-        adam.step()
-        p = tmp_path / "m.rfnn"
-        save_checkpoint(p, model, adam=adam)
-        _, state = load_checkpoint(p)
-        assert state["t"] == 1
-        assert all(np.array_equal(a, b) for a, b in zip(state["m"], adam.m))
-        assert all(np.array_equal(a, b) for a, b in zip(state["v"], adam.v))
 
     def test_bn_running_stats_round_trip(self, tmp_path):
         model = CnnTcn(TINY, init_seed=1)
@@ -267,12 +264,20 @@ class TestCheckpointFailsClosed:
         with pytest.raises(IntegrityError, match="trailing bytes after the checkpoint"):
             load_checkpoint(p)
 
-    def test_truncated_adam_state(self, tmp_path):
+    def test_file_ends_after_the_buffers(self, tmp_path):
         model = CnnTcn(TINY)
         p = tmp_path / "m.rfnn"
-        save_checkpoint(p, model, adam=Adam(model.params()))
-        p.write_bytes(p.read_bytes()[:-3])
-        with pytest.raises(IntegrityError, match="truncated checkpoint"):
+        save_checkpoint(p, model)
+        raw = p.read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[8:12])
+        arrays = [q.value for q in model.params()] + [b for _, b in model.buffers()]
+        assert len(raw) == 12 + blob_len + 8 * sum(a.size for a in arrays)
+
+    def test_checkpoint_in_the_older_layout_is_rejected(self, tmp_path):
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, CnnTcn(TINY))
+        p.write_bytes(older_checkpoint_layout(p.read_bytes()))
+        with pytest.raises(IntegrityError, match="unreadable checkpoint descriptor"):
             load_checkpoint(p)
 
 
@@ -303,12 +308,12 @@ class TestTruncationSweep:
         p = tmp_path / "a.rfdc"
         write_cube(p, synthesize_cube(cfg, [linear_scatterer(1.0, 0.5)], n_frames=2,
                                       noise_sigma=0.1, rng_seed=1))
-        assert_prefixes_fail_closed(p, read_cube, strided_cuts(p.stat().st_size, 24))
+        assert_prefixes_fail_closed(p, lambda path: read_cube(path, cfg),
+                                    strided_cuts(p.stat().st_size, 24))
 
     def test_strided_rfnn_prefixes(self, tmp_path):
-        model = CnnTcn(TINY)
         p = tmp_path / "m.rfnn"
-        save_checkpoint(p, model, adam=Adam(model.params()))
+        save_checkpoint(p, CnnTcn(TINY))
         assert_prefixes_fail_closed(p, load_checkpoint, strided_cuts(p.stat().st_size, 12))
 
 
@@ -369,7 +374,8 @@ class TestDigests:
     def test_reader_checks_the_digest_of_the_bytes_it_parses(self, tmp_path, reader):
         p = tmp_path / f"f.{reader}"
         if reader == "cube":
-            digest, read = write_cube(p, synthesize_cube(CFG, [], n_frames=1)), read_cube
+            digest = write_cube(p, synthesize_cube(CFG, [], n_frames=1))
+            read = functools.partial(read_cube, config=CFG)
         else:
             digest, read = write_rfdm(p, RfdmSequence(frames=np.ones((1, 2, 2)))), read_rfdm
         read(p, sha256=digest)
@@ -387,15 +393,15 @@ class TestManifests:
                                [{"path": "s0.rfdc", "sha256": digest}])
         man = read_manifest(tmp_path / "m.json")
         verify_manifest_files(man, tmp_path)
-        read_cube(tmp_path / "s0.rfdc", sha256=man["samples"][0]["sha256"])
+        read_cube(tmp_path / "s0.rfdc", CFG, sha256=man["samples"][0]["sha256"])
         # corrupt the cube: the reader must name the file
         data = bytearray((tmp_path / "s0.rfdc").read_bytes())
         data[40] ^= 0xFF
         (tmp_path / "s0.rfdc").write_bytes(bytes(data))
         verify_manifest_files(man, tmp_path)
-        read_cube(tmp_path / "s0.rfdc")  # still well formed
+        read_cube(tmp_path / "s0.rfdc", CFG)  # still well formed
         with pytest.raises(IntegrityError, match="s0.rfdc: sha256 mismatch"):
-            read_cube(tmp_path / "s0.rfdc", sha256=man["samples"][0]["sha256"])
+            read_cube(tmp_path / "s0.rfdc", CFG, sha256=man["samples"][0]["sha256"])
 
     def test_missing_file_and_bad_manifest(self, tmp_path):
         write_dataset_manifest(tmp_path / "m.json", CFG, {}, [{"path": "gone.rfdc"}])

@@ -61,8 +61,8 @@ class TestShapes:
             CnnTcnConfig(dilations=(1, 2, 2)).validate()
 
     @pytest.mark.parametrize("field, value", [
-        ("height", 0), ("conv_channels", (0, 3, 4)), ("conv_kernel", (3, 0)),
-        ("reduce_divisor", 0), ("tcn_kernel", 0), ("dilations", (0, 1, 2)),
+        ("height", 0), ("conv_channels", (0, 3, 4)), ("width", 0),
+        ("reduce_divisor", 0), ("t_frames", 0), ("dilations", (0, 1, 2)),
         ("head_hidden", (6, 0)), ("baseline_head_hidden", (0, 4)),
     ])
     def test_sizes_below_one_rejected(self, field, value):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import doppler_resolution, linear_scatterer, range_resolution
 from rfdm.dsp import dft_oracle
 from rfdm.errors import ConfigError, SimulationError
 from rfdm.gestures import (
@@ -15,9 +16,7 @@ from rfdm.radar import (
     C_LIGHT,
     DataCube,
     RadarConfig,
-    derived_quantities,
     if_signal_sample,
-    linear_scatterer,
     static_scatterer,
     synthesize_cube,
 )
@@ -32,17 +31,18 @@ def rel_err(a, b):
 
 class TestDerivedQuantities:
     def test_reference_parameter_set(self):
-        q = derived_quantities(CFG)
-        assert rel_err(q["slope"], 9.0e12) < 1e-12
-        assert rel_err(q["max_range"], 104.095) < 1e-3
-        assert rel_err(q["max_doppler_velocity"], 29.512) < 1e-3
-        assert rel_err(q["doppler_resolution"], 0.461) < 1e-3
+        CFG.validate()
+        assert rel_err(CFG.slope, 9.0e12) < 1e-12
+        assert rel_err(CFG.max_range, 104.095) < 1e-3
+        assert rel_err(CFG.max_doppler_velocity, 29.512) < 1e-3
+        assert rel_err(doppler_resolution(CFG), 0.461) < 1e-3
 
     def test_bandwidth_scaling(self):
-        # range resolution is c/(2B): doubling B exactly halves it
-        q1 = derived_quantities(CFG)
-        q2 = derived_quantities(RadarConfig(B=2 * CFG.B))
-        assert q2["range_resolution"] == q1["range_resolution"] / 2.0
+        # the slope is B / t_sample and the max range f_s*c / (2*slope):
+        # doubling B exactly doubles the one and halves the other
+        wide = RadarConfig(B=2 * CFG.B)
+        assert wide.slope == 2.0 * CFG.slope
+        assert wide.max_range == CFG.max_range / 2.0
 
     @pytest.mark.parametrize(
         "bad, fragment",
@@ -56,7 +56,7 @@ class TestDerivedQuantities:
     )
     def test_invalid_config_names_invariant(self, bad, fragment):
         with pytest.raises(ConfigError, match=fragment):
-            derived_quantities(bad)
+            bad.validate()
 
 
 class TestIfSignal:
@@ -80,7 +80,7 @@ class TestIfSignal:
         assert rel_err(f_meas, f_if_expect) < 1e-9
 
     def test_two_resolution_cells_peaks_at_bin_two(self):
-        sc = static_scatterer(2.0 * CFG.range_resolution)
+        sc = static_scatterer(2.0 * range_resolution(CFG))
         t_fast = np.arange(CFG.n_samples) / CFG.f_s
         s = if_signal_sample(CFG, sc, t_fast, 0.0)
         spec = np.abs(dft_oracle(s))
