@@ -1,4 +1,4 @@
-"""Command-line entry point: gen, preprocess, train, eval, infer, plot.
+"""Command-line entry point: gen, preprocess, train, eval, infer.
 
 One JSON config file drives the pipeline; flags override file values which
 override defaults. All randomness flows from --seed through named
@@ -54,8 +54,6 @@ from .io import (
     write_curve_csv,
     write_dataset_manifest,
     write_rfdm,
-    write_rfdm_csv,
-    write_rfdm_pgm,
 )
 from .model import CnnTcnConfig, TrainConfig, build_model, predict, train_model
 from .radar import RadarConfig
@@ -91,13 +89,7 @@ def _default_config() -> dict:
                 for p in bench.placements
             ],
         },
-        "preprocess": {
-            "window": "hann",
-            "mti": True,
-            "n_range_crop": 32,
-            "n_doppler_crop": 32,
-            "scale_mode": "linear-maxnorm",
-        },
+        "preprocess": {"mti": True, "n_range_crop": 32, "n_doppler_crop": 32},
         "train": {
             "lr": 5e-4,
             "batch_size": 32,
@@ -148,15 +140,15 @@ def _dataset_spec(cfg: dict) -> DatasetSpec:
                            Environment.from_name(p["environment"]))
             for p in g["placements"]
         )
+        return DatasetSpec(
+            instances=int(g["instances"]),
+            users=users,
+            placements=placements,
+            n_frames=int(g["n_frames"]),
+            noise_sigma=float(g["noise_sigma"]),
+        )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"gen config field error: {exc}") from exc
-    return DatasetSpec(
-        instances=int(g["instances"]),
-        users=users,
-        placements=placements,
-        n_frames=int(g["n_frames"]),
-        noise_sigma=float(g["noise_sigma"]),
-    )
 
 
 def _write_run_manifest(out_dir: Path, subcommand: str, cfg: dict, seed: int,
@@ -191,6 +183,11 @@ def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     radar = RadarConfig(**cfg["radar"])  # _load_config admits only its fields
     spec = _dataset_spec(cfg)
+    try:  # before any output exists
+        radar.validate()
+        spec.validate()
+    except TypeError as exc:  # a value of the wrong JSON type, e.g. a string count
+        raise ConfigError(f"config value of the wrong type: {exc}") from exc
     out = Path(args.out)
     (out / "cubes").mkdir(parents=True, exist_ok=True)
     plan = dataset_plan(spec, args.seed)
@@ -236,14 +233,8 @@ def cmd_preprocess(args) -> int:
     for row in manifest["samples"]:
         # a corrupt cube stops the job here, before rfdm_manifest.json is written
         cube = read_cube(base / row["path"], radar, sha256=row.get("sha256"))
-        seq = cube_to_rfdm(
-            cube,
-            window=pp["window"],
-            mti=bool(pp["mti"]),
-            n_range_crop=int(pp["n_range_crop"]),
-            n_doppler_crop=int(pp["n_doppler_crop"]),
-            scale_mode=pp["scale_mode"],
-        )
+        seq = cube_to_rfdm(cube, mti=bool(pp["mti"]), n_range_crop=int(pp["n_range_crop"]),
+                           n_doppler_crop=int(pp["n_doppler_crop"]))
         rel = f"rfdm/sample_{row['index']:05d}.rfdm"
         entry = {k: row[k] for k in row if k not in ("path", "sha256")}
         entry["path"] = rel
@@ -375,38 +366,6 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def cmd_plot(args) -> int:
-    src = Path(args.input)
-    out_stem = Path(args.out)
-    if src.suffix == ".rfdm":
-        seq = read_rfdm(src)
-        if args.format == "pgm":
-            paths = write_rfdm_pgm(out_stem, seq)
-        else:
-            paths = write_rfdm_csv(out_stem, seq)
-        print(f"wrote {len(paths)} {args.format} files")
-        return 0
-    if src.suffix == ".json":
-        doc = json.loads(src.read_text())
-        if "folds" in doc:  # protocol report: aggregate the fold counts
-            counts = None
-            names = None
-            for fold in doc["folds"]:
-                c = np.array(fold["confusion"]["counts"])
-                names = fold["confusion"]["class_names"]
-                counts = c if counts is None else counts + c
-            conf = {"class_names": names, "counts": counts.tolist()}
-        elif "counts" in doc:
-            conf = doc
-        else:
-            raise DataError(f"{src}: no confusion data found")
-        target = out_stem if out_stem.suffix == ".csv" else Path(str(out_stem) + ".csv")
-        write_confusion_csv(target, conf)
-        print(f"wrote {target}")
-        return 0
-    raise ConfigError(f"cannot plot {src}: expected a .rfdm or .json input")
-
-
 # ---------------------------------------------------------------------------
 # Parser / dispatch
 # ---------------------------------------------------------------------------
@@ -457,12 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional JSONL output path")
     p.add_argument("inputs", nargs="+", help=".rfdm files")
     p.set_defaults(func=cmd_infer)
-
-    p = sub.add_parser("plot", help="export RFDM heatmaps or confusion tables")
-    p.add_argument("--input", required=True, help=".rfdm or report/confusion .json")
-    p.add_argument("--out", required=True, help="output path stem")
-    p.add_argument("--format", choices=["csv", "pgm"], default="csv")
-    p.set_defaults(func=cmd_plot)
     return parser
 
 

@@ -1,5 +1,10 @@
 """Preprocessing chain: range FFT, 4th-order MTI, Doppler FFT, RFDM conditioning.
 
+One chain, fixed: both transforms apply a Hann window, the range crop
+starts at bin 0 (the near-field gesture zone), Doppler is centre-cropped
+around zero velocity, and conditioning divides by the sequence maximum.
+The MTI stage is the only optional step.
+
 The DFT is a pruned one (FFT pruning, Markel 1971): zero-padding, the
 fftshift and the crop are linear, so each transform multiplies the windowed
 input by a cached [length, count] DFT matrix that computes only the bins the
@@ -77,28 +82,18 @@ def next_pow2(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _window_vector(kind: str, n: int) -> np.ndarray:
-    if kind == "none":
-        return np.ones(n)
-    if kind == "hann":
-        return np.hanning(n)
-    raise ValueError(f"unknown window {kind!r} (expected 'none' or 'hann')")
-
-
-def range_compress(cube: DataCube, window: str = "hann", start: int = 0,
-                   count: int | None = None) -> np.ndarray:
+def range_compress(cube: DataCube, start: int = 0, count: int | None = None) -> np.ndarray:
     """Fast-time FFT per chirp: [frame][chirp][sample][rx] -> [frame][chirp][range_bin][rx].
 
-    The fast-time axis is windowed then zero-padded to the next power of two
-    (112 -> 128 with the default config), so range bin b maps to beat
-    frequency b * f_s / n_padded. Only range bins start .. start + count - 1
+    The fast-time axis is Hann-windowed then zero-padded to the next power
+    of two (112 -> 128 with the default config), so range bin b maps to
+    beat frequency b * f_s / n_padded. Only range bins start .. start + count - 1
     are computed (default: all of them).
     """
     cube.validate()
     x = cube.samples
     n_s = x.shape[2]
-    w = _window_vector(window, n_s)
-    xw = x * w[np.newaxis, np.newaxis, :, np.newaxis]
+    xw = x * np.hanning(n_s)[np.newaxis, np.newaxis, :, np.newaxis]
     # transform along fast time: move axis to the end and back
     y = fft(np.moveaxis(xw, 2, -1), next_pow2(n_s), start, count)
     return np.moveaxis(y, -1, 2)
@@ -127,7 +122,8 @@ class RfdmSequence:
 
     frames: float64 [n_frames][n_range_bins][n_doppler_bins]; the Doppler
     axis is fftshifted so zero velocity sits at bin n_doppler // 2.
-    scale_mode: 'linear' (raw magnitudes), 'linear-maxnorm' or 'log-db'.
+    scale_mode: 'linear' (raw magnitudes) or 'linear-maxnorm' (divided by
+    the sequence maximum).
     """
 
     frames: np.ndarray
@@ -138,15 +134,14 @@ class RfdmSequence:
             raise ShapeError(f"RFDM frames must be 3-D, got shape {self.frames.shape}")
         if not np.all(np.isfinite(self.frames)):
             raise ShapeError("RFDM contains non-finite values")
-        if self.scale_mode.startswith("linear") and np.any(self.frames < 0):
-            raise ShapeError("linear-scale RFDM must be non-negative")
+        if np.any(self.frames < 0):
+            raise ShapeError("RFDM magnitudes must be non-negative")
 
 
-def doppler_process(rc: np.ndarray, window: str = "hann", start: int = 0,
-                    count: int | None = None) -> RfdmSequence:
+def doppler_process(rc: np.ndarray, start: int = 0, count: int | None = None) -> RfdmSequence:
     """Slow-time FFT per range bin: [frame][chirp][range][rx] -> RFDM sequence.
 
-    Chirp axis is windowed, zero-padded to the next power of two,
+    Chirp axis is Hann-windowed, zero-padded to the next power of two,
     transformed, fftshifted and magnitude-detected; rx channels are averaged.
     Only bins start .. start + count - 1 of the fftshifted axis are computed
     (default: all of them).
@@ -157,8 +152,7 @@ def doppler_process(rc: np.ndarray, window: str = "hann", start: int = 0,
     n_chirps = rc.shape[1]
     if n_chirps < 2:
         raise ShapeError("Doppler processing needs slow-time length >= 2")
-    w = _window_vector(window, n_chirps)
-    xw = rc * w[np.newaxis, :, np.newaxis, np.newaxis]
+    xw = rc * np.hanning(n_chirps)[np.newaxis, :, np.newaxis, np.newaxis]
     n_pad = next_pow2(n_chirps)
     # the fftshift moves DFT bin k to n_pad // 2 + k: start there, wrapping
     spec = fft(np.moveaxis(xw, 1, -1), n_pad, start - n_pad // 2,
@@ -167,44 +161,25 @@ def doppler_process(rc: np.ndarray, window: str = "hann", start: int = 0,
     return RfdmSequence(frames=mag, scale_mode="linear")
 
 
-def condition_rfdm(seq: RfdmSequence, scale_mode: str = "linear-maxnorm") -> RfdmSequence:
-    """Scale a map sequence that already holds only the kept bins.
-
-    'linear-maxnorm' divides by the per-sequence max (all-zero sequences
-    pass unchanged); 'log-db' maps 20*log10(x + 1e-12) then min-max scales
-    to [0, 1].
-    """
+def condition_rfdm(seq: RfdmSequence) -> RfdmSequence:
+    """Divide a map sequence that already holds only the kept bins by its
+    maximum ('linear-maxnorm'); an all-zero sequence passes unchanged."""
     seq.validate()
     frames = seq.frames
-    if scale_mode == "linear-maxnorm":
-        peak = float(frames.max(initial=0.0))
-        out = frames / peak if peak > 0.0 else frames.copy()
-    elif scale_mode == "log-db":
-        db = 20.0 * np.log10(frames + 1e-12)
-        lo, hi = float(db.min()), float(db.max())
-        out = (db - lo) / (hi - lo) if hi > lo else np.zeros_like(db)
-    else:
-        raise ValueError(f"unknown scale_mode {scale_mode!r}")
-    return RfdmSequence(frames=out, scale_mode=scale_mode)
+    peak = float(frames.max(initial=0.0))
+    out = frames / peak if peak > 0.0 else frames.copy()
+    return RfdmSequence(frames=out, scale_mode="linear-maxnorm")
 
 
-def cube_to_rfdm(
-    cube: DataCube,
-    window: str = "hann",
-    mti: bool = True,
-    n_range_crop: int = 32,
-    n_doppler_crop: int = 32,
-    scale_mode: str = "linear-maxnorm",
-    range_center_bin: int | None = None,
-) -> RfdmSequence:
+def cube_to_rfdm(cube: DataCube, mti: bool = True, n_range_crop: int = 32,
+                 n_doppler_crop: int = 32) -> RfdmSequence:
     """Full chain: range FFT -> (optional) 4th-order MTI -> Doppler FFT -> conditioning.
 
-    The crop window is placed here, once, on the full padded map: range bins
-    are cropped to a window centered on `range_center_bin` (default: the
-    window starts at bin 0, covering the near-field gesture zone) and
-    clamped inside the map; Doppler is center-cropped around zero velocity.
-    Both transforms compute only the bins inside the window, so the maps
-    arrive cropped and conditioning only scales them.
+    The crop window is placed here, once, on the full padded map: range
+    bins 0 .. n_range_crop - 1 (the near-field gesture zone) and Doppler
+    bins centred on zero velocity. Both transforms compute only the bins
+    inside the window, so the maps arrive cropped and conditioning only
+    scales them.
     """
     n_slow = cube.config.n_chirps - 4 if mti else cube.config.n_chirps  # MTI drops 4 chirps
     n_r, n_d = next_pow2(cube.config.n_samples), next_pow2(n_slow)
@@ -212,11 +187,9 @@ def cube_to_rfdm(
         raise ShapeError(
             f"crop ({n_range_crop}, {n_doppler_crop}) exceeds map size ({n_r}, {n_d})"
         )
-    center = n_range_crop // 2 if range_center_bin is None else int(range_center_bin)
-    r0 = min(max(center - n_range_crop // 2, 0), n_r - n_range_crop)
     d0 = n_d // 2 - n_doppler_crop // 2
-    rc = range_compress(cube, window=window, start=r0, count=n_range_crop)
+    rc = range_compress(cube, count=n_range_crop)
     if mti:
         rc = mti_filter(rc, axis=1)
-    seq = doppler_process(rc, window=window, start=d0, count=n_doppler_crop)
-    return condition_rfdm(seq, scale_mode)
+    seq = doppler_process(rc, start=d0, count=n_doppler_crop)
+    return condition_rfdm(seq)

@@ -131,6 +131,9 @@ def make_splits(meta: list, kind: str, *, val_fraction: float = 0.15, seed: int 
         train, val = carve_validation(np.sort(order[n_test:]), labels, rng, val_fraction)
         plans.append(SplitPlan(kind, "random:0", train, val, test))
 
+    if not plans:  # a holdout whose samples all sit in its training group
+        raise ManifestError(f"{kind} protocol: every sample is in the training group, "
+                            f"so there is nothing to hold out")
     for p in plans:
         p.validate(n)
     return plans
@@ -245,5 +248,5 @@ def run_protocol(x: np.ndarray, labels: np.ndarray, plans: list, model_kind: str
             folds = list(pool.map(run_fold, range(len(plans)), plans))
     else:
         folds = [run_fold(fi, plan) for fi, plan in enumerate(plans)]
-    return ProtocolResult(protocol=plans[0].kind if plans else "none",
-                          model_kind=model_kind, folds=folds, master_seed=master_seed)
+    return ProtocolResult(protocol=plans[0].kind, model_kind=model_kind, folds=folds,
+                          master_seed=master_seed)

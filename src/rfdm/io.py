@@ -1,11 +1,13 @@
 """File formats: raw cubes (RFDC), map sequences (RFDM), checkpoints (RFNN),
-JSON manifests with content hashes, and CSV/PGM exports.
+JSON manifests with content hashes, and the training-curve and confusion
+CSVs.
 
 All binary payloads are little-endian; cube files carry a trailing sample
 count. Each reader reads its file once and verifies those bytes alone: the
 magic, the version, the exact size the header implies and, for cubes and
 map sequences, the manifest row's digest (`sha256=`). Readers fail closed:
-a mismatch, or a payload its type rejects, raises IntegrityError.
+a mismatch, or a payload its type rejects (a non-finite value, a negative
+map magnitude or running variance), raises IntegrityError.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ RFDM_MAGIC = b"RFDM"
 CKPT_MAGIC = b"RFNN"
 FORMAT_VERSION = 1
 
-_SCALE_CODES = {"linear": 0, "linear-maxnorm": 1, "log-db": 2}
+_SCALE_CODES = {"linear": 0, "linear-maxnorm": 1}
 _SCALE_NAMES = {v: k for k, v in _SCALE_CODES.items()}
 
 
@@ -103,6 +105,8 @@ def read_cube(path, config: RadarConfig, *, sha256=None) -> DataCube:
         raise IntegrityError(f"{path}: (chirps, samples, rx) {(n_chirps, n_samples, n_rx)} "
                              f"differ from the radar config's {expect}")
     samples = np.frombuffer(data, dtype="<c16", count=count, offset=24)
+    if not np.all(np.isfinite(samples)):
+        raise IntegrityError(f"{path}: non-finite cube samples")
     samples = samples.reshape(n_frames, n_chirps, n_samples, n_rx)
     return DataCube(config=config, samples=samples, n_frames=n_frames)
 
@@ -188,9 +192,13 @@ def load_checkpoint(path):
 
     offset = 12 + blob_len
     _expect_size(data, path, offset + 8 * sum(a.size for _, a in named), "checkpoint")
-    for _, a in named:
+    for name, a in named:
         a[...] = np.frombuffer(data, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
         offset += 8 * a.size
+        if not np.all(np.isfinite(a)):
+            raise IntegrityError(f"{path}: non-finite values in {name}")
+        if name.endswith(".running_var") and np.any(a < 0):
+            raise IntegrityError(f"{path}: negative running variance in {name}")
     return model, None
 
 
@@ -259,32 +267,3 @@ def write_confusion_csv(path, confusion_dict) -> None:
     for name, row in zip(names, confusion_dict["counts"]):
         lines.append(name + "," + ",".join(str(int(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_rfdm_csv(path_stem, seq: RfdmSequence) -> list:
-    """One CSV per frame (exact f32 round-trip values); returns paths written."""
-    paths = []
-    frames = seq.frames.astype(np.float32)
-    for t in range(frames.shape[0]):
-        p = Path(f"{path_stem}_f{t:03d}.csv")
-        lines = [",".join("%.9g" % v for v in row) for row in frames[t]]
-        p.write_text("\n".join(lines) + "\n")
-        paths.append(p)
-    return paths
-
-
-def write_rfdm_pgm(path_stem, seq: RfdmSequence) -> list:
-    """8-bit binary PGM per frame, min-max scaled; returns paths written."""
-    paths = []
-    for t in range(seq.frames.shape[0]):
-        frame = seq.frames[t]
-        lo, hi = float(frame.min()), float(frame.max())
-        if hi > lo:
-            img = np.round((frame - lo) / (hi - lo) * 255.0).astype(np.uint8)
-        else:
-            img = np.zeros(frame.shape, dtype=np.uint8)
-        p = Path(f"{path_stem}_f{t:03d}.pgm")
-        header = f"P5\n{frame.shape[1]} {frame.shape[0]}\n255\n".encode()
-        p.write_bytes(header + img.tobytes())
-        paths.append(p)
-    return paths

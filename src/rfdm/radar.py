@@ -88,7 +88,10 @@ class RadarConfig:
             raise ConfigError("frequencies must be positive (f_c, B, f_s > 0)")
         if not (self.t_pri > 0 and self.t_frame > 0):
             raise ConfigError("times must be positive (t_pri, t_frame > 0)")
-        if self.n_samples < 1 or self.n_chirps < 1 or self.n_rx < 1:
+        counts = (self.n_samples, self.n_chirps, self.n_rx)
+        if not all(isinstance(v, (int, np.integer)) for v in counts):
+            raise ConfigError("counts must be integers (n_samples, n_chirps, n_rx)")
+        if min(counts) < 1:
             raise ConfigError("counts must be >= 1 (n_samples, n_chirps, n_rx)")
         if self.t_sample > self.t_pri:
             raise ConfigError(

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import hashlib
 import io
@@ -103,9 +104,28 @@ class TestGen:
         ({"evaluate": {"protocol": "loocv"}}, "unknown config key 'evaluate'"),
         ({"gen": {"users": [], "seed": 1}}, "unknown config key 'gen.seed'"),
         ({"eval": "loocv"}, "config section 'eval' must be a JSON object"),
-    ], ids=["train-key", "section", "gen-key", "non-object-section"])
+        ({"preprocess": {"window": "hann"}}, "unknown config key 'preprocess.window'"),
+        ({"preprocess": {"scale_mode": "log-db"}}, "unknown config key 'preprocess.scale_mode'"),
+    ], ids=["train-key", "section", "gen-key", "non-object-section", "preprocess-window",
+            "preprocess-scale_mode"])
     def test_config_keys_outside_the_defaults_are_config_errors(self, tmp_path, capsys,
                                                                 doc, fragment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
+        assert rc == 3
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"radar": {"n_chirps": "x"}}, "counts must be integers"),
+        ({"radar": {"n_chirps": 64.0}}, "counts must be integers"),
+        ({"radar": {"f_s": "fast"}}, "config value of the wrong type"),
+        ({"gen": {"users": [{"speed_scale": "fast"}]}}, "config value of the wrong type"),
+        ({"gen": {"instances": None}}, "gen config field error"),
+    ], ids=["radar-count", "radar-float-count", "radar-rate", "user-scale", "instances-null"])
+    def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, capsys, doc,
+                                                        fragment):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
@@ -348,6 +368,24 @@ class TestTrainEvalInfer:
         assert cfg["eval"]["protocol"] == "location"
         assert (cfg["train"]["model"], cfg["train"]["epochs"]) == ("cnn", 1)
 
+    @pytest.mark.parametrize("protocol", ["location", "environment"])
+    def test_eval_with_nothing_to_hold_out_is_manifest_error(self, smoke, tmp_path, capsys,
+                                                             protocol):
+        # every sample at the training placement, in the Classroom
+        _, cfg_path, _, pp_dir = smoke
+        man = json.loads((pp_dir / "rfdm_manifest.json").read_text())
+        for row in man["samples"]:
+            row.update(path=str(pp_dir / row["path"]), location_id=0, base_range=0.75,
+                       azimuth_deg=0.0, environment="Classroom")
+        one = tmp_path / "rfdm_manifest.json"
+        one.write_text(json.dumps(man))
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg_path), "--protocol", protocol, "--epochs", "1",
+                     "--manifest", str(one), "--out", str(out)]) == 4
+        assert f"{protocol} protocol: every sample is in the training group" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_val_fraction_zero_carves_no_validation(self, smoke, tmp_path, capsys):
         _, _, _, pp_dir = smoke
         cfg = json.loads(json.dumps(SMOKE_CONFIG))
@@ -476,40 +514,41 @@ class TestVerbose:
         assert logging.getLogger("rfdm").handlers == handlers
 
 
-class TestPlot:
-    def test_rfdm_to_pgm_and_csv(self, smoke, tmp_path):
-        _, _, _, pp_dir = smoke
-        man = read_manifest(pp_dir / "rfdm_manifest.json")
-        src = pp_dir / man["samples"][0]["path"]
-        assert main(["plot", "--input", str(src), "--out", str(tmp_path / "m"),
-                     "--format", "pgm"]) == 0
-        pgms = sorted(tmp_path.glob("m_f*.pgm"))
-        assert len(pgms) == 8 and pgms[0].read_bytes().startswith(b"P5\n")
-        assert main(["plot", "--input", str(src), "--out", str(tmp_path / "c"),
-                     "--format", "csv"]) == 0
-        assert len(sorted(tmp_path.glob("c_f*.csv"))) == 8
-
-    def test_confusion_json_to_csv(self, tmp_path):
-        names = ["SwipeLeft", "SwipeRight", "SwipeUp", "SwipeDown", "Push", "Pull", "Circle"]
-        doc = {"class_names": names, "counts": np.eye(7, dtype=int).tolist()}
-        src = tmp_path / "conf.json"
-        src.write_text(json.dumps(doc))
-        assert main(["plot", "--input", str(src), "--out", str(tmp_path / "conf.csv")]) == 0
-        lines = (tmp_path / "conf.csv").read_text().strip().splitlines()
-        assert lines[0].split(",")[1:] == names
-
-    def test_unknown_input_type(self, tmp_path):
-        bad = tmp_path / "x.txt"
-        bad.write_text("hi")
-        assert main(["plot", "--input", str(bad), "--out", str(tmp_path / "o")]) == 3
-
-
 class TestUsage:
     def test_unknown_flag_usage_error(self):
         assert main(["gen", "--frobnicate"]) == 2
 
     def test_missing_subcommand(self):
         assert main([]) == 2
+
+    def test_plot_is_not_a_subcommand(self, tmp_path):
+        assert main(["plot", "--input", "x.rfdm", "--out", str(tmp_path / "m")]) == 2
+
+
+def subparsers() -> dict:
+    """Subcommand name -> its parser, as `build_parser()` registers them."""
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def readme_section(title: str) -> str:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+class TestReadme:
+    def test_cli_block_names_each_subcommand(self):
+        block = readme_section("CLI pipeline").split("```")[1]
+        named = {line.split()[1] for line in block.splitlines() if line.startswith("rfdm ")}
+        assert named == set(subparsers())
+
+    def test_each_flag_it_lists_is_accepted(self):
+        flags = set(re.findall(r"--[a-z][a-z-]*", readme_section("CLI pipeline")))
+        accepted = set().union(*(p._option_string_actions for p in subparsers().values()))
+        assert "--no-mti" in flags and flags <= accepted
 
 
 class TestExitCodes:
@@ -529,14 +568,14 @@ class TestExitCodes:
         def raise_it(args):
             raise exc("boom")
 
-        monkeypatch.setattr(cli, "cmd_plot", raise_it)
-        assert main(["plot", "--input", "x.rfdm", "--out", "o"]) == code
-        assert capsys.readouterr().err == "rfdm plot: boom\n"
+        monkeypatch.setattr(cli, "cmd_gen", raise_it)
+        assert main(["gen", "--out", "o"]) == code
+        assert capsys.readouterr().err == "rfdm gen: boom\n"
 
     def test_unmapped_exception_propagates(self, monkeypatch):
         def raise_it(args):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(cli, "cmd_plot", raise_it)
+        monkeypatch.setattr(cli, "cmd_gen", raise_it)
         with pytest.raises(RuntimeError, match="bug"):
-            main(["plot", "--input", "x.rfdm", "--out", "o"])
+            main(["gen", "--out", "o"])

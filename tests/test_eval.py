@@ -90,6 +90,12 @@ class TestSplits:
         with pytest.raises(ManifestError, match="user_id"):
             make_splits(meta, "loocv")
 
+    @pytest.mark.parametrize("protocol", ["location", "environment"])
+    def test_single_placement_holdout_is_manifest_error(self, protocol):
+        # every sample at TRAIN_LOCATION, in the Classroom: nothing to test on
+        with pytest.raises(ManifestError, match=f"{protocol} protocol: every sample"):
+            make_splits(make_meta(n_locations=1), protocol)
+
     def test_unknown_protocol(self):
         with pytest.raises(ConfigError, match="protocol"):
             make_splits(make_meta(), "bootstrap")

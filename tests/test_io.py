@@ -1,9 +1,12 @@
 import dataclasses
 import functools
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import linear_scatterer, older_checkpoint_layout
 from rfdm.dsp import RfdmSequence, cube_to_rfdm
@@ -23,8 +26,6 @@ from rfdm.io import (
     write_curve_csv,
     write_dataset_manifest,
     write_rfdm,
-    write_rfdm_csv,
-    write_rfdm_pgm,
 )
 from rfdm.model import CnnTcn, CnnTcnConfig, predict
 from rfdm.radar import RadarConfig, synthesize_cube
@@ -81,6 +82,14 @@ class TestCubeFormat:
         other = dataclasses.replace(CFG, **{field: getattr(CFG, field) // 2 or 2})
         with pytest.raises(IntegrityError, match=r"x\.rfdc: \(chirps, samples, rx\)"):
             read_cube(p, other)
+
+    def test_non_finite_sample(self, tmp_path):
+        p = tmp_path / "n.rfdc"
+        write_cube(p, synthesize_cube(CFG, [], n_frames=1))
+        raw = p.read_bytes()
+        p.write_bytes(raw[:40] + struct.pack("<d", np.nan) + raw[48:])
+        with pytest.raises(IntegrityError, match="n.rfdc: non-finite cube samples"):
+            read_cube(p, CFG)
 
     def test_samples_are_a_view_of_the_bytes_read(self, tmp_path):
         p = tmp_path / "v.rfdc"
@@ -170,6 +179,13 @@ class TestRfdmFormat:
         with pytest.raises(IntegrityError, match="scale code 9"):
             read_rfdm(p)
 
+    def test_log_db_scale_code_is_refused(self, tmp_path):
+        # code 2 was log-dB scaling, which the program no longer writes
+        p, raw = self._written(tmp_path)
+        p.write_bytes(raw[:20] + bytes([2]) + raw[21:])
+        with pytest.raises(IntegrityError, match="scale code 2"):
+            read_rfdm(p)
+
     def test_trailing_bytes(self, tmp_path):
         p, raw = self._written(tmp_path)
         p.write_bytes(raw + b"junk")
@@ -257,6 +273,20 @@ class TestCheckpointFailsClosed:
         with pytest.raises(IntegrityError, match="layout does not match"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("at_end, value, fragment", [
+        (False, np.inf, "non-finite values in frame.conv1.w"),
+        (True, -1.0, "negative running variance in frame.bn3.running_var"),
+    ], ids=["non-finite-weight", "negative-variance"])
+    def test_invalid_payload_value(self, tmp_path, at_end, value, fragment):
+        # the first weight, or the last buffer (bn3's running variance)
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, CnnTcn(TINY))
+        raw = p.read_bytes()
+        i = len(raw) - 8 if at_end else 12 + struct.unpack("<I", raw[8:12])[0]
+        p.write_bytes(raw[:i] + struct.pack("<d", value) + raw[i + 8 :])
+        with pytest.raises(IntegrityError, match=fragment):
+            load_checkpoint(p)
+
     def test_trailing_bytes(self, tmp_path):
         p = tmp_path / "m.rfnn"
         save_checkpoint(p, CnnTcn(TINY))
@@ -339,7 +369,7 @@ class TestBitFlips:
             except IntegrityError:
                 continue
             loaded += 1
-            assert seq.scale_mode.startswith("linear")  # no flip of code 1 reaches log-db
+            assert seq.scale_mode in ("linear", "linear-maxnorm")  # codes 0 and 1
             assert np.all(np.isfinite(seq.frames)) and np.all(seq.frames >= 0)
         assert 0 < loaded < 8 * len(raw)
 
@@ -367,6 +397,84 @@ class TestBitFlips:
             except IntegrityError:
                 outcomes.add("refused")
         assert outcomes == {"loaded", "refused"}
+
+
+def mutations(raw, offset, fmt):
+    """Strategy: `raw` cut short, with a run of up to 16 bytes overwritten,
+    with one of the values of struct format `fmt` from byte `offset` on
+    overwritten by NaN, an infinity, -1 or any float, or with a tail
+    appended. Half the cuts and runs start in the header (and
+    descriptor) before `offset`."""
+    n = len(raw)
+    start = st.one_of(st.integers(0, offset - 1), st.integers(0, n - 1))
+    size = struct.calcsize(fmt)
+    slot = st.integers(0, (n - offset) // size - 1).map(lambda k: offset + k * size)
+    value = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, -1.0]), st.floats(width=8 * size))
+
+    def overwrite(i, run):
+        run = run[: n - i]
+        return raw[:i] + run + raw[i + len(run):]
+
+    return st.one_of(
+        start.map(lambda k: raw[:k]),
+        st.builds(overwrite, start, st.binary(min_size=1, max_size=16)),
+        st.builds(overwrite, slot, value.map(lambda v: struct.pack(fmt, v))),
+        st.binary(min_size=1, max_size=64).map(lambda tail: raw + tail),
+    )
+
+
+MUTATION_RADAR = RadarConfig(n_samples=16, n_chirps=8, n_rx=2)
+
+
+def valid_checkpoint(loaded):
+    """(model, None), the model's parameters and buffers finite and no
+    running variance negative."""
+    model, nothing = loaded
+    assert nothing is None
+    for name, a in [(p.name, p.value) for p in model.params()] + model.buffers():
+        assert np.all(np.isfinite(a)), name
+        assert not (name.endswith(".running_var") and np.any(a < 0)), name
+
+
+# file name -> (reader, check that what it returned is valid, payload value format)
+READERS = {
+    "a.rfdc": (functools.partial(read_cube, config=MUTATION_RADAR), lambda cube: cube.validate(),
+               "<d"),
+    "a.rfdm": (read_rfdm, lambda seq: seq.validate(), "<f"),
+    "m.rfnn": (load_checkpoint, valid_checkpoint, "<d"),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("valid")
+    write_cube(d / "a.rfdc", synthesize_cube(MUTATION_RADAR, [linear_scatterer(1.0, 0.5)],
+                                             n_frames=2, noise_sigma=0.1, rng_seed=1))
+    write_rfdm(d / "a.rfdm", RfdmSequence(frames=np.random.default_rng(1).random((2, 3, 4)),
+                                          scale_mode="linear-maxnorm"))
+    save_checkpoint(d / "m.rfnn", CnnTcn(TINY))
+    return d
+
+
+class TestMutatedFiles:
+    """A reader given a mutated valid file returns a valid object or raises
+    IntegrityError, and nothing else."""
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_reads_a_valid_object_or_refuses(self, valid_files, name, data):
+        reader, check, fmt = READERS[name]
+        raw = (valid_files / name).read_bytes()
+        # the payload follows the header, or the checkpoint's descriptor
+        offset = {"a.rfdc": 24, "a.rfdm": 21}.get(name) or 12 + struct.unpack_from("<I", raw, 8)[0]
+        p = valid_files / ("mutated" + Path(name).suffix)
+        p.write_bytes(data.draw(mutations(raw, offset, fmt)))
+        try:
+            loaded = reader(p)
+        except IntegrityError:
+            return
+        check(loaded)
 
 
 class TestDigests:
@@ -432,25 +540,3 @@ class TestExports:
         lines = p.read_text().strip().splitlines()
         assert lines[0].split(",")[1:] == names
         assert len(lines) == 8
-
-    def test_rfdm_csv_round_trip(self, tmp_path):
-        seq = RfdmSequence(frames=np.random.default_rng(2).random((2, 5, 6)))
-        paths = write_rfdm_csv(tmp_path / "m", seq)
-        assert len(paths) == 2
-        got = np.array([[float(v) for v in line.split(",")]
-                        for line in paths[0].read_text().strip().splitlines()])
-        # 9 significant digits identify each float32 exactly
-        assert np.array_equal(got.astype(np.float32), seq.frames[0].astype(np.float32))
-
-    def test_constant_rfdm_pgm_single_gray(self, tmp_path):
-        seq = RfdmSequence(frames=np.full((1, 4, 4), 3.3))
-        (p,) = write_rfdm_pgm(tmp_path / "m", seq)
-        raw = p.read_bytes()
-        assert raw.startswith(b"P5\n4 4\n255\n")
-        assert set(raw[len(b"P5\n4 4\n255\n"):]) == {0}
-
-    def test_pgm_deterministic_bytes(self, tmp_path):
-        seq = RfdmSequence(frames=np.random.default_rng(3).random((1, 8, 8)))
-        (p1,) = write_rfdm_pgm(tmp_path / "a", seq)
-        (p2,) = write_rfdm_pgm(tmp_path / "b", seq)
-        assert p1.read_bytes() == p2.read_bytes()
