@@ -101,19 +101,37 @@ def _default_config() -> dict:
     }
 
 
+# JSON type names of the default values' Python types
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def _has_type_of(value, default) -> bool:
+    """Whether `value` has the JSON type of `default`: an int counts as a
+    float, and a bool never counts as a number."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
 def _merge(base: dict, override: dict) -> dict:
     """`base` (sections of keys) with `override`'s values; a section or key
-    that `base` lacks, or a section that is not an object, raises ConfigError
-    naming it."""
+    that `base` lacks, a section that is not an object, or a value of
+    another JSON type than its default raises ConfigError naming it."""
     out = dict(base)
     for section, values in override.items():
         if section not in base:
             raise ConfigError(f"unknown config key {section!r}")
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section!r} must be a JSON object")
-        for key in values:
+        for key, value in values.items():
+            name = section + "." + key
             if key not in base[section]:
-                raise ConfigError(f"unknown config key {section + '.' + key!r}")
+                raise ConfigError(f"unknown config key {name!r}")
+            default = base[section][key]
+            if not _has_type_of(value, default):
+                raise ConfigError(f"config value of the wrong type: {name} must be "
+                                  f"{_JSON_TYPES[type(default)]}, got {json.dumps(value)}")
         out[section] = {**base[section], **values}
     return out
 
@@ -141,10 +159,10 @@ def _dataset_spec(cfg: dict) -> DatasetSpec:
             for p in g["placements"]
         )
         return DatasetSpec(
-            instances=int(g["instances"]),
+            instances=g["instances"],
             users=users,
             placements=placements,
-            n_frames=int(g["n_frames"]),
+            n_frames=g["n_frames"],
             noise_sigma=float(g["noise_sigma"]),
         )
     except (KeyError, TypeError) as exc:
@@ -168,10 +186,16 @@ def _write_run_manifest(out_dir: Path, subcommand: str, cfg: dict, seed: int,
 
 
 def _worker_count() -> int:
+    """Fold workers from RFDM_THREADS (default 1); anything but a positive
+    integer is a ConfigError."""
+    value = os.environ.get("RFDM_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("RFDM_THREADS", "1")))
+        workers = int(value)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"RFDM_THREADS must be a positive integer, got {value!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +210,7 @@ def cmd_gen(args) -> int:
     try:  # before any output exists
         radar.validate()
         spec.validate()
-    except TypeError as exc:  # a value of the wrong JSON type, e.g. a string count
+    except TypeError as exc:  # a gen.users value of the wrong JSON type, e.g. a string scale
         raise ConfigError(f"config value of the wrong type: {exc}") from exc
     out = Path(args.out)
     (out / "cubes").mkdir(parents=True, exist_ok=True)
@@ -233,8 +257,8 @@ def cmd_preprocess(args) -> int:
     for row in manifest["samples"]:
         # a corrupt cube stops the job here, before rfdm_manifest.json is written
         cube = read_cube(base / row["path"], radar, sha256=row.get("sha256"))
-        seq = cube_to_rfdm(cube, mti=bool(pp["mti"]), n_range_crop=int(pp["n_range_crop"]),
-                           n_doppler_crop=int(pp["n_doppler_crop"]))
+        seq = cube_to_rfdm(cube, mti=pp["mti"], n_range_crop=pp["n_range_crop"],
+                           n_doppler_crop=pp["n_doppler_crop"])
         rel = f"rfdm/sample_{row['index']:05d}.rfdm"
         entry = {k: row[k] for k in row if k not in ("path", "sha256")}
         entry["path"] = rel
@@ -286,8 +310,8 @@ def _train_config(cfg: dict, epochs, seed: int) -> TrainConfig:
     tr = cfg["train"]
     if epochs is not None:
         tr["epochs"] = epochs
-    return TrainConfig(lr=float(tr["lr"]), batch_size=int(tr["batch_size"]),
-                       epochs=int(tr["epochs"]), seed=seed)
+    return TrainConfig(lr=float(tr["lr"]), batch_size=tr["batch_size"], epochs=tr["epochs"],
+                       seed=seed)
 
 
 def cmd_train(args) -> int:
@@ -316,6 +340,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
+    workers = _worker_count()
     tr = cfg["train"]
     if args.model:
         tr["model"] = args.model
@@ -328,7 +353,7 @@ def cmd_eval(args) -> int:
                         seed=child_seed(args.seed, "splits"))
     result = run_protocol(x, labels, plans, model_kind, _model_config_for(x), tcfg,
                           master_seed=child_seed(args.seed, "protocol"),
-                          class_names=CLASS_NAMES, workers=_worker_count())
+                          class_names=CLASS_NAMES, workers=workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = result.to_dict()

@@ -88,9 +88,10 @@ def range_compress(cube: DataCube, start: int = 0, count: int | None = None) -> 
     The fast-time axis is Hann-windowed then zero-padded to the next power
     of two (112 -> 128 with the default config), so range bin b maps to
     beat frequency b * f_s / n_padded. Only range bins start .. start + count - 1
-    are computed (default: all of them).
+    are computed (default: all of them). The cube is not checked again here:
+    `io.read_cube` has checked the shape and values of every cube that
+    `rfdm preprocess` transforms.
     """
-    cube.validate()
     x = cube.samples
     n_s = x.shape[2]
     xw = x * np.hanning(n_s)[np.newaxis, np.newaxis, :, np.newaxis]

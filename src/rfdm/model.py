@@ -1,20 +1,21 @@
 """CNN-TCN classifier: per-frame CNN features, temporal conv stack, dense head.
 
-The frame model (conv 16 -> 32 -> 64 with 3x5 kernels, BN + LeakyReLU per
-block, 2x2 max-pool after the first two blocks) is applied with shared
-weights to every frame of the RFDM sequence; its convs have no bias, since
-each feeds a train-mode BN whose batch mean would cancel one. Its spatial
-output is flattened per channel and a pointwise map reduces the 64 channels
-to ceil(64/12) = 6; the reduced maps are flattened into one feature vector
-per frame. Three dilated causal temporal blocks (dilations 1/2/4,
-kernel 3, LeakyReLU + dropout, residual with 1x1 projection on channel
-change) run over the frame axis; the last time step feeds three dense
-layers ending in the 7 class logits. The kernels (FRAME_KERNEL, TCN_KERNEL),
-LeakyReLU's default slope of 0.01 and the class count (gestures.N_CLASSES)
-are fixed; CnnTcnConfig, which a checkpoint records, holds the sizes that
-vary.
+The model is three layer lists. The frame CNN (conv 16 -> 32 -> 64 with 3x5
+kernels, BN + LeakyReLU per block, 2x2 max-pool after the first two blocks,
+then a pointwise map reducing the 64 channels to ceil(64/12) = 6) is applied
+with shared weights to every frame of the RFDM sequence; its convs have no
+bias, since each feeds a train-mode BN whose batch mean would cancel one. The
+reduced maps are flattened into one feature vector per frame. Three dilated
+causal temporal blocks (dilations 1/2/4, kernel 3, LeakyReLU + dropout,
+residual with 1x1 projection on channel change) run over the frame axis;
+the last time step feeds the dense head, Dense and LeakyReLU alternating and
+ending in the 7 class logits. `_forward` runs a list front to back and
+`_backward` runs it back to front; only the residual temporal blocks wire
+their own passes. The kernels (FRAME_KERNEL, TCN_KERNEL), LeakyReLU's default
+slope of 0.01 and the class count (gestures.N_CLASSES) are fixed;
+CnnTcnConfig, which a checkpoint records, holds the sizes that vary.
 
-A plain-CNN baseline shares the frame model, replaces the temporal stack
+A plain-CNN baseline shares the frame CNN, replaces the temporal stack
 with a mean over frames, and uses a smaller dense head.
 """
 
@@ -35,7 +36,6 @@ from .nn import (
     Dropout,
     LeakyReLU,
     MaxPool2d,
-    reduced_channel_count,
     softmax,
     softmax_xent,
 )
@@ -61,7 +61,9 @@ class CnnTcnConfig:
 
     @property
     def reduced_channels(self) -> int:
-        return reduced_channel_count(self.conv_channels[-1], self.reduce_divisor)
+        """Channel count after the frame CNN's 1/reduce_divisor reduction
+        (ceil, at least 1)."""
+        return max(1, -(-self.conv_channels[-1] // self.reduce_divisor))
 
     @property
     def spatial_positions(self) -> int:
@@ -99,53 +101,41 @@ class TrainConfig:
             raise ConfigError("lr >= 0, batch_size >= 1, epochs >= 1 required")
 
 
-class _FrameStack:
-    """Shared-weight frame CNN; processes all frames as one batch."""
+def _forward(layers, x, train):
+    for layer in layers:
+        x = layer.forward(x, train)
+    return x
 
-    def __init__(self, cfg: CnnTcnConfig, rng):
-        kh, kw = FRAME_KERNEL
-        c1, c2, c3 = cfg.conv_channels
-        self.conv1 = Conv2d(1, c1, kh, kw, rng=rng, name="frame.conv1")
-        self.bn1 = BatchNorm2d(c1, name="frame.bn1")
-        self.conv2 = Conv2d(c1, c2, kh, kw, rng=rng, name="frame.conv2")
-        self.bn2 = BatchNorm2d(c2, name="frame.bn2")
-        self.conv3 = Conv2d(c2, c3, kh, kw, rng=rng, name="frame.conv3")
-        self.bn3 = BatchNorm2d(c3, name="frame.bn3")
-        self.acts = [LeakyReLU() for _ in range(3)]
-        self.pools = [MaxPool2d(), MaxPool2d()]
-        self.reduce = ChannelReduce(c3, cfg.reduced_channels, rng=rng, name="frame.reduce")
-        self.cfg = cfg
 
-    def layers(self):
-        return [self.conv1, self.bn1, self.conv2, self.bn2, self.conv3, self.bn3, self.reduce]
+def _backward(layers, dy):
+    for layer in reversed(layers):
+        dy = layer.backward(dy)
+    return dy
 
-    def forward(self, frames, train):
-        # frames: [N, H, W] -> features [N, frame_feature_len]
-        z = frames[..., np.newaxis]
-        z = self.bn1.forward(self.conv1.forward(z, train), train)
-        z = self.pools[0].forward(self.acts[0].forward(z, train), train)
-        z = self.bn2.forward(self.conv2.forward(z, train), train)
-        z = self.pools[1].forward(self.acts[1].forward(z, train), train)
-        z = self.acts[2].forward(self.bn3.forward(self.conv3.forward(z, train), train), train)
-        n, hh, ww, c = z.shape
-        z = z.reshape(n, hh * ww, c)          # flatten spatial, keep channels
-        z = self.reduce.forward(z, train)     # [N, L, C']
-        self._l = z.shape[1]
-        return z.reshape(n, -1)
 
-    def backward(self, dfeat):
-        """Accumulates the frame CNN's parameter gradients. The frames are
-        data, so conv1 forms no input gradient and nothing is returned."""
-        n = dfeat.shape[0]
-        dz = dfeat.reshape(n, self._l, self.cfg.reduced_channels)
-        dz = self.reduce.backward(dz)
-        hw = self.cfg.height // 4
-        dz = dz.reshape(n, hw, self.cfg.width // 4, self.cfg.conv_channels[-1])
-        dz = self.conv3.backward(self.bn3.backward(self.acts[2].backward(dz)))
-        dz = self.pools[1].backward(dz)
-        dz = self.conv2.backward(self.bn2.backward(self.acts[1].backward(dz)))
-        dz = self.pools[0].backward(dz)
-        self.conv1.backward(self.bn1.backward(self.acts[0].backward(dz)), need_dx=False)
+def _frame_cnn(cfg: CnnTcnConfig, rng) -> list:
+    """[N, H, W, 1] frames -> [N, H/4, W/4, reduced_channels] maps."""
+    kh, kw = FRAME_KERNEL
+    layers, c_in = [], 1
+    for i, c in enumerate(cfg.conv_channels, start=1):
+        layers += [Conv2d(c_in, c, kh, kw, rng=rng, name=f"frame.conv{i}"),
+                   BatchNorm2d(c, name=f"frame.bn{i}"), LeakyReLU()]
+        if i < 3:
+            layers.append(MaxPool2d())
+        c_in = c
+    layers.append(ChannelReduce(c_in, cfg.reduced_channels, rng=rng, name="frame.reduce"))
+    return layers
+
+
+def _dense_head(widths, rng) -> list:
+    """Dense layers through `widths` to the class logits, LeakyReLU between."""
+    dims = list(widths) + [N_CLASSES]
+    layers = []
+    for i in range(len(dims) - 1):
+        if i:
+            layers.append(LeakyReLU())
+        layers.append(Dense(dims[i], dims[i + 1], rng=rng, name=f"head.fc{i + 1}"))
+    return layers
 
 
 class _TemporalBlock:
@@ -156,12 +146,7 @@ class _TemporalBlock:
         self.proj = None
         if c_in != c_out:
             self.proj = ChannelReduce(c_in, c_out, rng=rng, name=name + ".proj")
-
-    def layers(self):
-        out = [self.conv]
-        if self.proj is not None:
-            out.append(self.proj)
-        return out
+        self.layers = [self.conv] if self.proj is None else [self.conv, self.proj]
 
     def forward(self, x, train):
         y = self.drop.forward(self.act.forward(self.conv.forward(x, train), train), train)
@@ -174,30 +159,6 @@ class _TemporalBlock:
         return dx + dres
 
 
-class _Head:
-    def __init__(self, widths, rng, name):
-        dims = list(widths) + [N_CLASSES]
-        self.denses = [
-            Dense(dims[i], dims[i + 1], rng=rng, name=f"{name}.fc{i + 1}")
-            for i in range(len(dims) - 1)
-        ]
-        self.acts = [LeakyReLU() for _ in range(len(self.denses) - 1)]
-
-    def layers(self):
-        return list(self.denses)
-
-    def forward(self, x, train):
-        for i, d in enumerate(self.denses[:-1]):
-            x = self.acts[i].forward(d.forward(x, train), train)
-        return self.denses[-1].forward(x, train)
-
-    def backward(self, dy):
-        dy = self.denses[-1].backward(dy)
-        for act, d in zip(reversed(self.acts), reversed(self.denses[:-1])):
-            dy = d.backward(act.backward(dy))
-        return dy
-
-
 class CnnTcn:
     """The full spatio-temporal classifier."""
 
@@ -207,105 +168,87 @@ class CnnTcn:
         cfg.validate()
         self.cfg = cfg
         rng = substream(init_seed, "init")
-        self.frame = _FrameStack(cfg, rng)
-        c_feat = cfg.frame_feature_len
-        c_hidden = cfg.reduced_channels
-        self.blocks = []
-        c_in = c_feat
-        for bi, d in enumerate(cfg.dilations):
-            self.blocks.append(
-                _TemporalBlock(c_in, c_hidden, d, cfg.dropout, rng, name=f"tcn.block{bi}"))
-            c_in = c_hidden
-        self.head = _Head((c_hidden,) + cfg.head_hidden, rng, name="head")
+        self.frame = _frame_cnn(cfg, rng)
+        self.blocks, self.head = self._blocks_and_head(cfg, rng)
+        # every layer in parameter order, the order an RFNN checkpoint stores
+        self.layers = self.frame + [layer for b in self.blocks for layer in b.layers] + self.head
         self.reset_rngs(init_seed)
 
-    # -- plumbing ----------------------------------------------------------
-    def _layer_objs(self):
-        objs = self.frame.layers()
-        for b in self.blocks:
-            objs.extend(b.layers())
-        objs.extend(self.head.layers())
-        return objs
+    def _blocks_and_head(self, cfg, rng):
+        blocks, c_in = [], cfg.frame_feature_len
+        for bi, d in enumerate(cfg.dilations):
+            blocks.append(_TemporalBlock(c_in, cfg.reduced_channels, d, cfg.dropout, rng,
+                                         name=f"tcn.block{bi}"))
+            c_in = cfg.reduced_channels
+        return blocks, _dense_head((c_in,) + cfg.head_hidden, rng)
 
+    # -- plumbing ----------------------------------------------------------
     def params(self):
-        out = []
-        for layer in self._layer_objs():
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     def buffers(self):
-        out = []
-        for layer in self._layer_objs():
-            out.extend(layer.buffers())
-        return out
+        return [b for layer in self.layers for b in layer.buffers()]
 
     def reset_rngs(self, seed: int):
         for i, b in enumerate(self.blocks):
-            b.drop.set_rng(substream(seed, "dropout", i))
+            b.drop.rng = substream(seed, "dropout", i)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "config": asdict(self.cfg)}
 
     # -- computation --------------------------------------------------------
-    def _check_input(self, x):
+    def frame_features(self, x, train=False):
+        """Per-frame feature vectors [B, T, F]; weights shared across frames."""
         c = self.cfg
         if x.ndim != 4 or x.shape[1:] != (c.t_frames, c.height, c.width):
             raise ShapeError(
                 f"expected [batch, {c.t_frames}, {c.height}, {c.width}], got {x.shape}"
             )
-
-    def frame_features(self, x, train=False):
-        """Per-frame feature vectors [B, T, F]; weights shared across frames."""
-        self._check_input(x)
         b, t, h, w = x.shape
-        feats = self.frame.forward(x.reshape(b * t, h, w), train)
-        return feats.reshape(b, t, -1)
+        return _forward(self.frame, x.reshape(b * t, h, w, 1), train).reshape(b, t, -1)
+
+    def _frame_backward(self, dfeats):
+        """Frame-CNN parameter gradients from feature gradients [B, T, F]. The
+        frames are data, so conv1 forms no input gradient."""
+        c = self.cfg
+        dz = dfeats.reshape(-1, c.height // 4, c.width // 4, c.reduced_channels)
+        self.frame[0].backward(_backward(self.frame[1:], dz), need_dx=False)
 
     def forward(self, x, train=False):
         h = self.frame_features(x, train)
         for blk in self.blocks:
             h = blk.forward(h, train)
         self._t = h.shape[1]
-        return self.head.forward(h[:, -1, :], train)
+        return _forward(self.head, h[:, -1, :], train)
 
     def backward(self, dlogits):
         """Accumulates every parameter gradient for the last forward; no
         gradient is formed for the input sequences."""
-        dlast = self.head.backward(dlogits)
+        dlast = _backward(self.head, dlogits)
         dh = np.zeros((dlast.shape[0], self._t, dlast.shape[1]))
         dh[:, -1, :] = dlast
         for blk in reversed(self.blocks):
             dh = blk.backward(dh)
-        b, t, f = dh.shape
-        self.frame.backward(dh.reshape(b * t, f))
+        self._frame_backward(dh)
 
 
 class CnnBaseline(CnnTcn):
-    """Frame model + mean over frames + dense head (no temporal stack)."""
+    """Frame CNN + mean over frames + dense head (no temporal stack)."""
 
     kind = "cnn"
 
-    def __init__(self, cfg: CnnTcnConfig, init_seed: int = 0):
-        cfg.validate()
-        self.cfg = cfg
-        rng = substream(init_seed, "init")
-        self.frame = _FrameStack(cfg, rng)
-        self.blocks = []
-        self.head = _Head((cfg.frame_feature_len,) + cfg.baseline_head_hidden, rng,
-                          name="head")
-        self.reset_rngs(init_seed)
+    def _blocks_and_head(self, cfg, rng):
+        return [], _dense_head((cfg.frame_feature_len,) + cfg.baseline_head_hidden, rng)
 
     def forward(self, x, train=False):
         feats = self.frame_features(x, train)
         self._t = feats.shape[1]
-        return self.head.forward(feats.mean(axis=1), train)
+        return _forward(self.head, feats.mean(axis=1), train)
 
     def backward(self, dlogits):
         """As CnnTcn.backward: parameter gradients only."""
-        dmean = self.head.backward(dlogits)
-        b, f = dmean.shape
-        dfeats = np.repeat(dmean[:, np.newaxis, :], self._t, axis=1) / self._t
-        self.frame.backward(dfeats.reshape(b * self._t, f))
+        dmean = _backward(self.head, dlogits)
+        self._frame_backward(np.repeat(dmean[:, np.newaxis, :], self._t, axis=1) / self._t)
 
 
 def build_model(kind: str, cfg: CnnTcnConfig, init_seed: int = 0):

@@ -1,12 +1,14 @@
 """Minimal deterministic tensor/layer library with hand-derived backprop.
 
 Everything is float64 and channels-last: images are [N, H, W, C], temporal
-streams [N, T, C], dense activations [N, D]. Each layer implements
-forward(x, train) and backward(dy); backward returns the input gradient and
-accumulates parameter gradients into Param.grad. A train forward caches
-what backward needs, so backward requires a preceding train forward and
-runs one forward/backward pair at a time; an eval forward keeps no backward
-state.
+streams [N, T, C], dense activations [N, D]; ChannelReduce maps the last
+axis of an input of any rank. Each layer implements forward(x, train) and
+backward(dy); backward returns the input gradient and accumulates parameter
+gradients into Param.grad. So a chain of layers is a plain list, run front
+to back by one forward loop and back to front by one backward loop. A train
+forward caches what backward needs, so backward requires a preceding train
+forward and runs one forward/backward pair at a time; an eval forward keeps
+no backward state.
 
 Backward derivations are checked against central finite differences in the
 test suite (h = 1e-5, relative error <= 1e-4).
@@ -237,7 +239,8 @@ class MaxPool2d(Layer):
 
 
 class ChannelReduce(Layer):
-    """Pointwise (1x1) linear map across channels: [N, L, C] -> [N, L, C']."""
+    """Pointwise (1x1) linear map across channels, the last axis of an input
+    of any rank: [..., C] -> [..., C']."""
 
     def __init__(self, c_in, c_out, rng=None, name="reduce"):
         rng = rng or np.random.default_rng(0)
@@ -249,19 +252,15 @@ class ChannelReduce(Layer):
         return [self.w, self.b]
 
     def forward(self, x, train=False):
-        _check_axis(x, 3, 2, self.c_in, "ChannelReduce input channels")
+        _check_axis(x, x.ndim, -1, self.c_in, "ChannelReduce input channels")
         self._x = x if train else None
         return x @ self.w.value + self.b.value
 
     def backward(self, dy):
-        self.w.grad += self._x.reshape(-1, self.c_in).T @ dy.reshape(-1, self.c_out)
-        self.b.grad += dy.sum(axis=(0, 1))
+        dym = dy.reshape(-1, self.c_out)
+        self.w.grad += self._x.reshape(-1, self.c_in).T @ dym
+        self.b.grad += dym.sum(axis=0)
         return dy @ self.w.value.T
-
-
-def reduced_channel_count(c: int, divisor: int = 12) -> int:
-    """Channel count after the 1/12 reduction (ceil, at least 1)."""
-    return max(1, -(-c // divisor))
 
 
 class CausalConv1d(Layer):
@@ -305,7 +304,8 @@ class CausalConv1d(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: train zeroes with prob p and rescales by 1/(1-p);
-    eval is the identity. The mask stream is owned by the caller via set_rng."""
+    eval is the identity. The caller owns the mask stream and may replace
+    `rng`."""
 
     def __init__(self, p):
         if not (0.0 <= p < 1.0):
@@ -313,9 +313,6 @@ class Dropout(Layer):
         self.p = p
         self.rng = np.random.default_rng(0)
         self._mask = None
-
-    def set_rng(self, rng: np.random.Generator):
-        self.rng = rng
 
     def forward(self, x, train=False):
         if not train or self.p == 0.0:
@@ -373,7 +370,7 @@ def softmax_xent(logits: np.ndarray, labels) -> tuple:
     return float(nll.mean()), probs, dlogits / n
 
 
-class Adam(Layer):
+class Adam:
     """Adam with bias correction; eps sits outside the square root."""
 
     def __init__(self, params, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -393,8 +390,6 @@ class Adam(Layer):
         c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         for p, m, v in zip(self.param_list, self.m, self.v):
             g = p.grad
-            if g.shape != p.value.shape:
-                raise ShapeError(f"grad shape {g.shape} != param shape {p.value.shape}")
             m[...] = b1 * m + (1 - b1) * g
             v[...] = b2 * v + (1 - b2) * g * g
             p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

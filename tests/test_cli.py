@@ -118,12 +118,22 @@ class TestGen:
         assert not (tmp_path / "gen").exists()
 
     @pytest.mark.parametrize("doc, fragment", [
-        ({"radar": {"n_chirps": "x"}}, "counts must be integers"),
-        ({"radar": {"n_chirps": 64.0}}, "counts must be integers"),
+        ({"radar": {"n_chirps": "x"}}, 'radar.n_chirps must be an integer, got "x"'),
+        ({"radar": {"n_chirps": 64.0}}, "radar.n_chirps must be an integer, got 64.0"),
         ({"radar": {"f_s": "fast"}}, "config value of the wrong type"),
         ({"gen": {"users": [{"speed_scale": "fast"}]}}, "config value of the wrong type"),
-        ({"gen": {"instances": None}}, "gen config field error"),
-    ], ids=["radar-count", "radar-float-count", "radar-rate", "user-scale", "instances-null"])
+        ({"gen": {"instances": None}}, "gen.instances must be an integer, got null"),
+        ({"gen": {"noise_sigma": True}}, "gen.noise_sigma must be a number, got true"),
+        ({"preprocess": {"n_range_crop": None}}, "preprocess.n_range_crop must be an integer"),
+        ({"preprocess": {"mti": "false"}}, 'preprocess.mti must be a boolean, got "false"'),
+        ({"preprocess": {"mti": 0}}, "preprocess.mti must be a boolean, got 0"),
+        ({"train": {"lr": None}}, "train.lr must be a number, got null"),
+        ({"train": {"val_fraction": [0.1]}}, "train.val_fraction must be a number, got [0.1]"),
+        ({"train": {"model": 1}}, "train.model must be a string, got 1"),
+        ({"gen": {"users": {}}}, "gen.users must be an array, got {}"),
+    ], ids=["radar-count", "radar-float-count", "radar-rate", "user-scale", "instances-null",
+            "bool-number", "crop-null", "mti-string", "mti-int", "lr-null", "val-fraction-list",
+            "model-int", "users-object"])
     def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, capsys, doc,
                                                         fragment):
         cfg = tmp_path / "cfg.json"
@@ -132,6 +142,21 @@ class TestGen:
         assert rc == 3
         assert fragment in capsys.readouterr().err
         assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "eval"])
+    def test_wrong_type_stops_each_command_before_output(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preprocess": {"n_range_crop": None},
+                                   "train": {"lr": None}}))
+        rc = main([command, "--config", str(cfg), "--manifest", str(tmp_path / "none.json"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "config value of the wrong type" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_an_int_is_a_number(self):
+        merged = cli._merge({"train": {"lr": 5e-4, "epochs": 30}}, {"train": {"lr": 1}})
+        assert merged == {"train": {"lr": 1, "epochs": 30}}
 
     def test_manifest_matches_files_and_counts(self, smoke, capsys):
         _, cfg_path, gen_dir, _ = smoke
@@ -424,6 +449,19 @@ class TestTrainEvalInfer:
                      "--out", str(tmp_path)]) == 0
         for name in ("model.rfnn", "curve.csv"):
             assert (tmp_path / name).read_bytes() == (trained / name).read_bytes()
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "two", ""])
+    def test_threads_that_are_not_a_positive_integer_are_config_errors(
+            self, smoke, tmp_path, monkeypatch, capsys, threads):
+        _, cfg_path, _, pp_dir = smoke
+        monkeypatch.setenv("RFDM_THREADS", threads)
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg_path), "--protocol", "loocv",
+                     "--manifest", str(pp_dir / "rfdm_manifest.json"),
+                     "--out", str(out), "--epochs", "1"]) == 3
+        assert f"RFDM_THREADS must be a positive integer, got {threads!r}" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_fold_threads_do_not_change_the_report(self, smoke, tmp_path, monkeypatch):
         _, cfg_path, _, pp_dir = smoke

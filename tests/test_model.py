@@ -16,7 +16,16 @@ from rfdm.model import (
     predict_classes,
     train_model,
 )
-from rfdm.nn import Adam, softmax_xent
+from rfdm.nn import (
+    Adam,
+    BatchNorm2d,
+    ChannelReduce,
+    Conv2d,
+    Dense,
+    LeakyReLU,
+    MaxPool2d,
+    softmax_xent,
+)
 
 TINY = CnnTcnConfig(
     t_frames=4, height=8, width=8, conv_channels=(2, 3, 4),
@@ -32,6 +41,10 @@ SMALL = CnnTcnConfig(
 
 def tiny_model(seed=0):
     return CnnTcn(TINY, init_seed=seed)
+
+
+def of_type(layers, *types):
+    return [layer for layer in layers if isinstance(layer, types)]
 
 
 class TestShapes:
@@ -53,6 +66,12 @@ class TestShapes:
         m = tiny_model()
         with pytest.raises(ShapeError, match="expected"):
             m.forward(np.zeros((1, 4, 8, 9)))
+
+    def test_reduction_counts(self):
+        # the frame CNN's last width over reduce_divisor (default 12), ceil, at least 1
+        assert CnnTcnConfig(conv_channels=(16, 32, 64)).reduced_channels == 6
+        assert CnnTcnConfig(conv_channels=(4, 8, 12)).reduced_channels == 1
+        assert CnnTcnConfig(conv_channels=(2, 3, 4)).reduced_channels == 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -148,18 +167,20 @@ class TestEvalKeepsNoBackwardCache:
         m = tiny_model()
         x = np.random.default_rng(3).random((2, 4, 8, 8))
         m.forward(x, train=True)
-        acts = m.frame.acts + [b.act for b in m.blocks] + m.head.acts
+        acts = of_type(m.frame + m.head, LeakyReLU) + [b.act for b in m.blocks]
+        pools = of_type(m.frame, MaxPool2d)
+        assert len(acts) == 8 and len(pools) == 2
         assert all(a._mask is not None for a in acts)
-        assert all(p._cache is not None for p in m.frame.pools)
+        assert all(p._cache is not None for p in pools)
         m.forward(x, train=False)
         assert all(a._mask is None for a in acts)
-        assert all(p._cache is None for p in m.frame.pools)
+        assert all(p._cache is None for p in pools)
 
     def test_eval_forward_drops_conv_and_bn_inputs(self):
         m = tiny_model()
         x = np.random.default_rng(4).random((2, 4, 8, 8))
-        f = m.frame
-        cached = [f.conv1, f.bn1, f.conv2, f.bn2, f.conv3, f.bn3]
+        cached = of_type(m.frame, Conv2d, BatchNorm2d)
+        assert len(cached) == 6
         m.forward(x, train=True)
         assert all(layer._cache is not None for layer in cached)
         m.forward(x, train=False)
@@ -169,8 +190,8 @@ class TestEvalKeepsNoBackwardCache:
         m = tiny_model()
         x = np.random.default_rng(5).random((2, 4, 8, 8))
         convs = [b.conv for b in m.blocks]
-        inputs = [m.frame.reduce] + [b.proj for b in m.blocks if b.proj is not None] \
-            + m.head.denses
+        inputs = of_type(m.frame + m.head, ChannelReduce, Dense) \
+            + [b.proj for b in m.blocks if b.proj is not None]
         assert len(convs) == 3 and len(inputs) == 5
         m.forward(x, train=True)
         assert all(c._cache is not None for c in convs)
@@ -302,7 +323,7 @@ class TestPredict:
 
     def test_zeroed_head_gives_uniform_probs(self):
         m = tiny_model(10)
-        last = m.head.denses[-1]
+        last = m.head[-1]
         last.w.value[...] = 0.0
         last.b.value[...] = 0.0
         _, probs = predict(m, np.random.default_rng(2).random((4, 8, 8)))
@@ -321,6 +342,42 @@ class TestFrameStack:
         names = [p.name for p in CnnTcn(CnnTcnConfig()).params()]
         assert [n for n in names if n.startswith("frame.conv")] == \
             ["frame.conv1.w", "frame.conv2.w", "frame.conv3.w"]
+
+
+FRAME_LAYOUT = [
+    ("frame.conv1.w", (3, 5, 1, 2)), ("frame.bn1.gamma", (2,)), ("frame.bn1.beta", (2,)),
+    ("frame.conv2.w", (3, 5, 2, 3)), ("frame.bn2.gamma", (3,)), ("frame.bn2.beta", (3,)),
+    ("frame.conv3.w", (3, 5, 3, 4)), ("frame.bn3.gamma", (4,)), ("frame.bn3.beta", (4,)),
+    ("frame.reduce.w", (4, 1)), ("frame.reduce.b", (1,)),
+]
+BUFFER_LAYOUT = [
+    ("frame.bn1.running_mean", (2,)), ("frame.bn1.running_var", (2,)),
+    ("frame.bn2.running_mean", (3,)), ("frame.bn2.running_var", (3,)),
+    ("frame.bn3.running_mean", (4,)), ("frame.bn3.running_var", (4,)),
+]
+
+
+class TestRfnnLayout:
+    # An RFNN checkpoint stores params() then buffers() in this order; a
+    # reordered layer list would make every older checkpoint unloadable.
+    @pytest.mark.parametrize("cls, tail", [
+        (CnnTcn, [
+            ("tcn.block0.conv.w", (3, 4, 1)), ("tcn.block0.conv.b", (1,)),
+            ("tcn.block0.proj.w", (4, 1)), ("tcn.block0.proj.b", (1,)),
+            ("tcn.block1.conv.w", (3, 1, 1)), ("tcn.block1.conv.b", (1,)),
+            ("tcn.block2.conv.w", (3, 1, 1)), ("tcn.block2.conv.b", (1,)),
+            ("head.fc1.w", (1, 6)), ("head.fc1.b", (6,)), ("head.fc2.w", (6, 5)),
+            ("head.fc2.b", (5,)), ("head.fc3.w", (5, 7)), ("head.fc3.b", (7,)),
+        ]),
+        (CnnBaseline, [
+            ("head.fc1.w", (4, 5)), ("head.fc1.b", (5,)), ("head.fc2.w", (5, 4)),
+            ("head.fc2.b", (4,)), ("head.fc3.w", (4, 7)), ("head.fc3.b", (7,)),
+        ]),
+    ], ids=["cnn-tcn", "cnn"])
+    def test_param_and_buffer_order(self, cls, tail):
+        m = cls(TINY)
+        assert [(p.name, p.value.shape) for p in m.params()] == FRAME_LAYOUT + tail
+        assert [(name, b.shape) for name, b in m.buffers()] == BUFFER_LAYOUT
 
 
 class TestBaseline:

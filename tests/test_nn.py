@@ -16,7 +16,6 @@ from rfdm.nn import (
     LeakyReLU,
     MaxPool2d,
     Param,
-    reduced_channel_count,
     softmax_xent,
 )
 
@@ -301,11 +300,6 @@ class TestMaxPool:
 
 
 class TestChannelReduce:
-    def test_reduction_counts(self):
-        assert reduced_channel_count(64) == 6
-        assert reduced_channel_count(12) == 1
-        assert reduced_channel_count(4) == 1
-
     def test_row_of_ones_sums_channels(self):
         red = ChannelReduce(12, 1, rng=rng_for(0))
         red.w.value[...] = 1.0
@@ -317,6 +311,14 @@ class TestChannelReduce:
     def test_gradcheck(self, seed):
         red = ChannelReduce(24, 2, rng=rng_for(seed))
         x = rng_for(seed + 5).standard_normal((1, 10, 24))
+        check_layer_gradients(red, x, seed=seed)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_gradcheck_on_channels_last_images(self, seed):
+        # the frame CNN feeds it [N, H, W, C] maps: only the last axis is mapped
+        red = ChannelReduce(6, 2, rng=rng_for(seed))
+        x = rng_for(seed + 7).standard_normal((2, 3, 4, 6))
+        assert np.array_equal(red.forward(x).reshape(2, 12, 2), red.forward(x.reshape(2, 12, 6)))
         check_layer_gradients(red, x, seed=seed)
 
 
@@ -371,7 +373,7 @@ class TestDropout:
 
     def test_survivor_statistics(self):
         drop = Dropout(0.5)
-        drop.set_rng(np.random.default_rng(123))
+        drop.rng = np.random.default_rng(123)
         x = np.ones((200, 200))
         y = drop.forward(x, train=True)
         survivors = y != 0
@@ -380,7 +382,7 @@ class TestDropout:
 
     def test_gradient_matches_mask(self):
         drop = Dropout(0.3)
-        drop.set_rng(np.random.default_rng(7))
+        drop.rng = np.random.default_rng(7)
         x = rng_for(1).standard_normal((6, 6))
         y = drop.forward(x, train=True)
         dy = rng_for(2).standard_normal(y.shape)
