@@ -1,19 +1,25 @@
 """CNN-TCN classifier: per-frame CNN features, temporal conv stack, dense head.
 
 The model is three layer lists. The frame CNN (conv 16 -> 32 -> 64 with 3x5
-kernels, BN + LeakyReLU per block, 2x2 max-pool after the first two blocks,
-then a pointwise map reducing the 64 channels to ceil(64/12) = 6) is applied
-with shared weights to every frame of the RFDM sequence; its convs have no
-bias, since each feeds a train-mode BN whose batch mean would cancel one. The
-reduced maps are flattened into one feature vector per frame. Three dilated
-causal temporal blocks (dilations 1/2/4, kernel 3, LeakyReLU + dropout,
-residual with 1x1 projection on channel change) run over the frame axis;
-the last time step feeds the dense head, Dense and LeakyReLU alternating and
-ending in the 7 class logits. `_forward` runs a list front to back and
-`_backward` runs it back to front; only the residual temporal blocks wire
-their own passes. The kernels (FRAME_KERNEL, TCN_KERNEL), LeakyReLU's default
-slope of 0.01 and the class count (gestures.N_CLASSES) are fixed;
-CnnTcnConfig, which a checkpoint records, holds the sizes that vary.
+kernels, each block conv -> BN -> 2x2 max-pool -> LeakyReLU, the third block
+without the pool, then a pointwise map reducing the 64 channels to
+ceil(64/12) = 6) is applied with shared weights to every frame of the RFDM
+sequence; its convs have no bias, since each feeds a train-mode BN whose
+batch mean would cancel one. Pooling before the activation runs LeakyReLU on
+a quarter of the cells. LeakyReLU is monotone, so this gives the outputs and
+gradients of the usual conv -> BN -> LeakyReLU -> pool order bit for bit, but
+for a 2x2 window holding two distinct negative values whose 0.01x rounds to
+one double: there the max-pool gradient goes to the larger input, not to the
+first of the tied activations. The reduced maps are flattened into one
+feature vector per frame. Three dilated causal temporal blocks (dilations
+1/2/4, kernel 3, LeakyReLU + dropout, residual with 1x1 projection on
+channel change) run over the frame axis; the last time step feeds the dense
+head, Dense and LeakyReLU alternating and ending in the 7 class logits.
+`_forward` runs a list front to back and `_backward` runs it back to front;
+only the residual temporal blocks wire their own passes. The kernels
+(FRAME_KERNEL, TCN_KERNEL), LeakyReLU's default slope of 0.01 and the class
+count (gestures.N_CLASSES) are fixed; CnnTcnConfig, which a checkpoint
+records, holds the sizes that vary.
 
 A plain-CNN baseline shares the frame CNN, replaces the temporal stack
 with a mean over frames, and uses a smaller dense head.
@@ -119,9 +125,10 @@ def _frame_cnn(cfg: CnnTcnConfig, rng) -> list:
     layers, c_in = [], 1
     for i, c in enumerate(cfg.conv_channels, start=1):
         layers += [Conv2d(c_in, c, kh, kw, rng=rng, name=f"frame.conv{i}"),
-                   BatchNorm2d(c, name=f"frame.bn{i}"), LeakyReLU()]
+                   BatchNorm2d(c, name=f"frame.bn{i}")]
         if i < 3:
             layers.append(MaxPool2d())
+        layers.append(LeakyReLU())
         c_in = c
     layers.append(ChannelReduce(c_in, cfg.reduced_channels, rng=rng, name="frame.reduce"))
     return layers

@@ -6,9 +6,15 @@ axis of an input of any rank. Each layer implements forward(x, train) and
 backward(dy); backward returns the input gradient and accumulates parameter
 gradients into Param.grad. So a chain of layers is a plain list, run front
 to back by one forward loop and back to front by one backward loop. A train
-forward caches what backward needs, so backward requires a preceding train
-forward and runs one forward/backward pair at a time; an eval forward keeps
-no backward state.
+forward caches what backward needs, and backward consumes it: each layer
+drops its cached inputs, masks or indices as its backward runs, so a chain's
+caches are freed back to front while the backward loop walks it. Backward
+therefore requires a preceding train forward, once per forward; an eval
+forward keeps no backward state.
+
+Conv2d lowers its input to im2col patch matrices one batch slice at a time
+(IM2COL_CHUNK_BYTES per slice), so its memory does not grow with a matrix of
+the whole batch; see Conv2d.
 
 Backward derivations are checked against central finite differences in the
 test suite (h = 1e-5, relative error <= 1e-4).
@@ -19,6 +25,14 @@ import math
 import numpy as np
 
 from .errors import ShapeError
+
+# Bytes of im2col matrix that Conv2d builds at a time. Swept over 1-16 MiB on
+# the frame CNN's conv1-conv3 shapes at 512 frames (2-core Xeon, 2 MiB L2 per
+# core, 1 BLAS thread), forward plus weight gradient of the three convs, two
+# sweeps: 561-600 ms at 1 MiB, 576-580 ms at 2 MiB, 653-654 ms at 4 MiB,
+# 691-712 ms at 8 MiB, 711-718 ms at 16 MiB, 968-975 ms as one whole-batch
+# matrix. 1 and 2 MiB tie within noise; 2 MiB takes fewer chunks.
+IM2COL_CHUNK_BYTES = 2 << 20
 
 
 class Param:
@@ -59,11 +73,19 @@ class Conv2d(Layer):
     each Conv2d of the model feeds a train-mode BatchNorm2d, whose batch mean
     would cancel a bias and leave it a gradient of rounding noise.
 
-    weights: [kh, kw, C_in, C_out]. Forward lowers each batch to an im2col
-    matrix in one copy; a train forward caches only the padded input.
-    Backward rebuilds the matrix for the weight-gradient GEMM, frees it, and
-    unless need_dx is False forms the data gradient tap by tap: tap (i, j)
-    adds dy @ W[i, j].T into the input window it read.
+    weights: [kh, kw, C_in, C_out]. Forward lowers the batch in slices of b
+    images, b = max(1, IM2COL_CHUNK_BYTES // im2col bytes per image): each
+    slice's im2col matrix is built in one copy and its GEMM written into the
+    slice's rows of the output. Splitting a GEMM by rows leaves each
+    output's dot product as it was: on the frame CNN's shapes the output is
+    that of one whole-batch GEMM bit for bit (measured), though a slice small
+    enough for the BLAS to pick a small-matrix kernel may round differently.
+    A train forward caches only the padded input. Backward takes that cache
+    (the layer then holds none), rebuilds the same slices and sums the
+    weight gradient over them, which rounds differently from one
+    whole-batch GEMM when there is more than one slice; unless need_dx is
+    False it forms the data gradient tap by tap: tap (i, j) adds
+    dy @ W[i, j].T into the input window it read.
     """
 
     def __init__(self, c_in, c_out, kh, kw, rng=None, name="conv"):
@@ -80,31 +102,47 @@ class Conv2d(Layer):
         ph, pw = self.kh - 1, self.kw - 1
         return h, w, (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)
 
-    def _im2col(self, xp):
-        """[N*Ho*Wo, kh*kw*C_in] patch matrix of the padded input; columns run
-        over (kh, kw, C_in) in weight order."""
-        win = np.lib.stride_tricks.sliding_window_view(xp, (self.kh, self.kw), axis=(1, 2))
-        cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
-        return cols.reshape(-1, self.kh * self.kw * self.c_in)
+    def _im2col_chunks(self, xp):
+        """(row slice, patch matrix) per slice of b images of the padded
+        input: the matrix is [b*Ho*Wo, kh*kw*C_in], columns over (kh, kw,
+        C_in) in weight order, and the slice selects its rows of the whole
+        batch's [N*Ho*Wo, ...] output."""
+        n, hp, wp, _ = xp.shape
+        k = self.kh * self.kw * self.c_in
+        rows = (hp - self.kh + 1) * (wp - self.kw + 1)
+        b = max(1, IM2COL_CHUNK_BYTES // (rows * k * xp.itemsize))
+        for s in range(0, n, b):
+            win = np.lib.stride_tricks.sliding_window_view(xp[s : s + b], (self.kh, self.kw),
+                                                           axis=(1, 2))
+            cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+            yield slice(s * rows, (s + b) * rows), cols.reshape(-1, k)
 
     def forward(self, x, train=False):
         _check_axis(x, 4, 3, self.c_in, "Conv2d input channels")
         n, h, w, _ = x.shape
         _, _, (pt, pb), (pl, pr) = self._geometry(h, w)
         xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if pt or pb or pl or pr else x
-        cols = self._im2col(xp)
-        out = cols @ self.w.value.reshape(-1, self.c_out)
-        # _cache[0] has the im2col matrix's shape but holds no data (a
-        # zero-stride view): perfbench's tracer counts backward FLOPs from it
-        self._cache = (np.broadcast_to(0.0, cols.shape), xp) if train else None
+        wmat = self.w.value.reshape(-1, self.c_out)
+        out = np.empty((n * h * w, self.c_out))
+        for rows, cols in self._im2col_chunks(xp):
+            np.matmul(cols, wmat, out=out[rows])
+        # _cache[0] has the whole-batch im2col matrix's shape but holds no
+        # data (a zero-stride view): perfbench's tracer counts backward FLOPs
+        # from it
+        self._cache = (np.broadcast_to(0.0, (len(out), len(wmat))), xp) if train else None
         return out.reshape(n, h, w, self.c_out)
 
     def backward(self, dy, need_dx=True):
         """Accumulates w.grad; returns the input gradient, or None when
         need_dx is False (the input is data, not an activation)."""
         _, xp = self._cache
+        self._cache = None
         dym = dy.reshape(-1, self.c_out)
-        self.w.grad += (self._im2col(xp).T @ dym).reshape(self.w.value.shape)
+        gw = self.w.grad.reshape(-1, self.c_out)
+        for rows, cols in self._im2col_chunks(xp):
+            # measured bit-equal to cols.T @ dym[rows], and faster on the
+            # frame CNN's conv2 and conv3 shapes
+            gw += (dym[rows].T @ cols).T
         if not need_dx:
             return None
         _, h, w, _ = dy.shape
@@ -167,6 +205,7 @@ class BatchNorm2d(Layer):
 
     def backward(self, dy):
         x, mean, inv, m = self._cache
+        self._cache = None
         flat_x = x.reshape(-1, self.c)
         flat_dy = dy.reshape(-1, self.c)
         dbeta = flat_dy.sum(axis=0)
@@ -202,6 +241,7 @@ class LeakyReLU(Layer):
     def backward(self, dy):
         dx = self.alpha * dy
         np.copyto(dx, dy, where=self._mask)
+        self._mask = None
         return dx
 
 
@@ -232,6 +272,7 @@ class MaxPool2d(Layer):
 
     def backward(self, dy):
         idx, (n, h, w, c) = self._cache
+        self._cache = None
         dx = np.zeros((n, h, w, c))
         for m, (i, j) in enumerate(_POOL_OFFSETS):
             np.copyto(dx[:, i::2, j::2, :], dy, where=(idx == m))
@@ -257,8 +298,9 @@ class ChannelReduce(Layer):
         return x @ self.w.value + self.b.value
 
     def backward(self, dy):
+        x, self._x = self._x, None
         dym = dy.reshape(-1, self.c_out)
-        self.w.grad += self._x.reshape(-1, self.c_in).T @ dym
+        self.w.grad += x.reshape(-1, self.c_in).T @ dym
         self.b.grad += dym.sum(axis=0)
         return dy @ self.w.value.T
 
@@ -291,6 +333,7 @@ class CausalConv1d(Layer):
 
     def backward(self, dy):
         xp, (n, t) = self._cache
+        self._cache = None
         pad = (self.kt - 1) * self.dilation
         dxp = np.zeros_like(xp)
         dym = dy.reshape(-1, self.c_out)
@@ -323,7 +366,8 @@ class Dropout(Layer):
         return x * self._mask
 
     def backward(self, dy):
-        return dy if self._mask is None else dy * self._mask
+        mask, self._mask = self._mask, None
+        return dy if mask is None else dy * mask
 
 
 class Dense(Layer):
@@ -342,7 +386,8 @@ class Dense(Layer):
         return x @ self.w.value + self.b.value
 
     def backward(self, dy):
-        self.w.grad += self._x.T @ dy
+        x, self._x = self._x, None
+        self.w.grad += x.T @ dy
         self.b.grad += dy.sum(axis=0)
         return dy @ self.w.value.T
 

@@ -1,6 +1,6 @@
-"""Shared test utilities: central-difference gradient checking, a
-constant-velocity scatterer, the radar's bin widths and an older checkpoint
-layout."""
+"""Shared test utilities: central-difference gradient checking, a layer's
+backward state, a constant-velocity scatterer, the radar's bin widths and an
+older checkpoint layout."""
 
 import json
 import struct
@@ -65,6 +65,12 @@ def check_layer_gradients(layer, x, seed=0, tol=GRADCHECK_TOL):
         worst = max(worst, grad_rel_err(p.grad, numeric_grad(loss, p.value)))
     assert worst <= tol, f"gradcheck failed: rel err {worst:.3e} > {tol}"
     return worst
+
+
+def backward_state(layer) -> list:
+    """Names of the layer's backward caches (inputs, masks, indices) that
+    are set."""
+    return [a for a in ("_cache", "_mask", "_x") if getattr(layer, a, None) is not None]
 
 
 def linear_scatterer(r0: float, v: float, amplitude: float = 1.0, label: str = "") -> Scatterer:

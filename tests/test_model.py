@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import grad_rel_err, numeric_grad
+from helpers import backward_state, grad_rel_err, numeric_grad
 from rfdm.errors import ConfigError, DataError, ShapeError
 from rfdm.model import (
     CnnBaseline,
@@ -201,6 +201,22 @@ class TestEvalKeepsNoBackwardCache:
         assert all(layer._x is None for layer in inputs)
 
 
+class TestBackwardFreesState:
+    @pytest.mark.parametrize("cls", [CnnTcn, CnnBaseline], ids=["cnn-tcn", "cnn"])
+    def test_backward_leaves_no_layer_state(self, cls):
+        # each layer drops its cache as the backward pass reaches it, so no
+        # stale input of a later layer stays alive under an earlier backward
+        m = cls(CnnTcnConfig(t_frames=4, height=8, width=8, dropout=0.5), init_seed=0)
+        layers = m.frame + m.head + [layer for b in m.blocks
+                                     for layer in (b.conv, b.act, b.drop, b.proj) if layer]
+        rng = np.random.default_rng(6)
+        _, _, dlogits = softmax_xent(m.forward(rng.random((2, 4, 8, 8)), train=True),
+                                     np.array([1, 5]))
+        assert all(backward_state(layer) for layer in layers)
+        m.backward(dlogits)
+        assert [backward_state(layer) for layer in layers] == [[]] * len(layers)
+
+
 class TestEndToEndGradcheck:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_full_model_gradient(self, seed):
@@ -224,11 +240,13 @@ class TestEndToEndGradcheck:
 
 
 class TestTrainStepMemory:
-    # Measured tracemalloc peaks of this step: 34.2 MB with the frame layers
-    # caching conv inputs and sign masks, 65.4 MB when Conv2d cached its
-    # im2col matrices, LeakyReLU its input and conv1 formed an input gradient.
-    # The bound is the first figure plus a 17% margin.
-    PEAK_BOUND_MB = 40.0
+    # Measured tracemalloc peaks of this step: 17.3 MB with Conv2d lowering
+    # 2 MiB batch slices and each layer dropping its cache in backward;
+    # 30.5 MB with whole-batch im2col matrices and caches kept until the next
+    # forward; 65.4 MB when Conv2d cached its im2col matrices, LeakyReLU its
+    # input and conv1 formed an input gradient. The bound is the first
+    # figure plus a 16% margin.
+    PEAK_BOUND_MB = 20.0
 
     def test_peak_of_one_batch2_step(self):
         m = CnnTcn(CnnTcnConfig(), init_seed=0)
@@ -342,6 +360,45 @@ class TestFrameStack:
         names = [p.name for p in CnnTcn(CnnTcnConfig()).params()]
         assert [n for n in names if n.startswith("frame.conv")] == \
             ["frame.conv1.w", "frame.conv2.w", "frame.conv3.w"]
+
+
+def activation_before_pool(frame):
+    """The frame list in conv -> BN -> LeakyReLU -> pool order."""
+    old = list(frame)
+    for i in [i for i, layer in enumerate(frame) if isinstance(layer, MaxPool2d)]:
+        old[i], old[i + 1] = old[i + 1], old[i]
+    return old
+
+
+class TestPoolBeforeActivation:
+    def test_block_order(self):
+        kinds = [type(layer) for layer in CnnTcn(TINY).frame]
+        assert kinds == [Conv2d, BatchNorm2d, MaxPool2d, LeakyReLU] * 2 \
+            + [Conv2d, BatchNorm2d, LeakyReLU, ChannelReduce]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_activation_before_pool(self, seed):
+        # LeakyReLU is monotone, so it commutes with the max of each window
+        m = CnnTcn(CnnTcnConfig(t_frames=4, height=16, width=16, dropout=0.0), init_seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, 4, 16, 16))
+        labels = rng.integers(0, 7, 3)
+
+        def run(frame, train):
+            m.frame = frame
+            for p in m.params():
+                p.zero_grad()
+            logits = m.forward(x, train)
+            if train:
+                m.backward(softmax_xent(logits, labels)[2])
+            return logits, [p.grad.copy() for p in m.params()]
+
+        new_frame, old_frame = m.frame, activation_before_pool(m.frame)
+        # eval runs first: a train forward moves the BN running stats
+        for train in (False, True):
+            new, old = run(new_frame, train), run(old_frame, train)
+            assert np.array_equal(new[0], old[0])
+            assert all(np.array_equal(a, b) for a, b in zip(new[1], old[1]))
 
 
 FRAME_LAYOUT = [

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import check_layer_gradients, grad_rel_err, numeric_grad
+from helpers import backward_state, check_layer_gradients, grad_rel_err, numeric_grad
 from rfdm.errors import ShapeError
 from rfdm.nn import (
+    IM2COL_CHUNK_BYTES,
     Adam,
     BatchNorm2d,
     CausalConv1d,
@@ -128,6 +130,54 @@ class TestConv2d:
         assert np.array_equal(out, ref_out) and np.array_equal(conv.w.grad, ref_dw)
         bound = self.DX_BOUND_EPS * np.finfo(np.float64).eps * np.max(np.abs(ref_dx))
         assert np.max(np.abs(dx - ref_dx)) <= bound
+
+    # The chunked weight gradient sums per-slice GEMMs where the reference
+    # sums one; measured at most 4.8 eps * max|dw| on this case (3 seeds)
+    # and 14 eps * max|dw| on the conv1-conv3 shapes at up to 512 frames.
+    # The bound is 32 eps, twice the worst of those.
+    DW_BOUND_EPS = 32.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chunked_batch_equals_slice_loop_reference(self, seed):
+        # the frame CNN's conv2 shape: 3 whole slices of b images and a
+        # remainder of 1, each slice large enough for the BLAS's general
+        # GEMM kernel (a tiny one may get a small-matrix kernel that rounds
+        # differently)
+        rng = rng_for(seed)
+        conv = Conv2d(16, 32, 3, 5, rng=rng)
+        b = IM2COL_CHUNK_BYTES // (16 * 16 * 3 * 5 * 16 * 8)
+        assert b >= 2
+        x = rng.standard_normal((3 * b + 1, 16, 16, 16))
+        out = conv.forward(x, train=True)
+        dy = rng.standard_normal(out.shape)
+        dx = conv.backward(dy)
+        ref_out, ref_dx, ref_dw = slice_loop_conv(conv, x, dy)
+        eps = np.finfo(np.float64).eps
+        assert np.array_equal(out, ref_out)
+        assert np.max(np.abs(conv.w.grad - ref_dw)) <= \
+            self.DW_BOUND_EPS * eps * np.max(np.abs(ref_dw))
+        assert np.max(np.abs(dx - ref_dx)) <= self.DX_BOUND_EPS * eps * np.max(np.abs(ref_dx))
+
+    def test_memory_stays_below_a_whole_batch_im2col_matrix(self):
+        # 64 frames of the conv2 shape: one whole-batch im2col matrix is
+        # 64*16*16 x 240 doubles (31.5 MB). Measured traced peaks: 11.1 MB
+        # forward and 10.1 MB backward, against 38.6 and 34.5 MB when the
+        # layer built the whole-batch matrix.
+        rng = rng_for(3)
+        conv = Conv2d(16, 32, 3, 5, rng=rng)
+        x = rng.standard_normal((64, 16, 16, 16))
+        dy = rng.standard_normal((64, 16, 16, 32))
+        whole = 64 * 16 * 16 * 3 * 5 * 16 * 8
+        tracemalloc.start()
+        try:
+            conv.forward(x, train=True)
+            _, fwd_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            conv.backward(dy)
+            _, bwd_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fwd_peak < whole and bwd_peak < whole
 
     def test_no_input_gradient_keeps_parameter_gradients(self):
         rng = rng_for(5)
@@ -411,6 +461,27 @@ class TestDense:
         d = Dense(8, 4, rng=rng_for(seed))
         x = rng_for(seed + 1).standard_normal((3, 8))
         check_layer_gradients(d, x, seed=seed)
+
+
+class TestBackwardConsumesState:
+    @pytest.mark.parametrize("make, shape", [
+        (lambda: Conv2d(2, 3, 3, 5, rng=rng_for(0)), (2, 4, 6, 2)),
+        (lambda: BatchNorm2d(3), (2, 4, 6, 3)),
+        (lambda: LeakyReLU(), (2, 4, 6, 3)),
+        (lambda: MaxPool2d(), (2, 4, 6, 3)),
+        (lambda: ChannelReduce(3, 2, rng=rng_for(0)), (2, 4, 6, 3)),
+        (lambda: CausalConv1d(3, 2, kt=3, dilation=2, rng=rng_for(0)), (2, 7, 3)),
+        (lambda: Dropout(0.5), (4, 5)),
+        (lambda: Dense(5, 3, rng=rng_for(0)), (4, 5)),
+    ], ids=["Conv2d", "BatchNorm2d", "LeakyReLU", "MaxPool2d", "ChannelReduce",
+            "CausalConv1d", "Dropout", "Dense"])
+    def test_backward_leaves_no_state(self, make, shape):
+        layer = make()
+        x = rng_for(1).standard_normal(shape)
+        y = layer.forward(x, train=True)
+        assert backward_state(layer)
+        layer.backward(rng_for(2).standard_normal(y.shape))
+        assert backward_state(layer) == []
 
 
 class TestSoftmaxXent:
