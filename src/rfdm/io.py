@@ -12,6 +12,7 @@ map magnitude or running variance), raises IntegrityError.
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -174,15 +175,23 @@ def load_checkpoint(path):
     data = _read_file(path, CKPT_MAGIC, "checkpoint", 12, None)
     (blob_len,) = struct.unpack_from("<I", data, 8)
     _expect_size(data, path, 12 + blob_len, "checkpoint descriptor", exact=False)
+    offset = 12 + blob_len
     try:
-        descriptor = json.loads(data[12 : 12 + blob_len].decode("utf-8"))
+        descriptor = json.loads(data[12:offset].decode("utf-8"))
         kind, config = descriptor["kind"], descriptor["config"]
         layout = [(d["name"], list(d["shape"]))
                   for d in descriptor["params"] + descriptor["buffers"]]
+        if not all(type(n) is int and n >= 0 for _, shape in layout for n in shape):
+            raise ValueError("array dimensions must be non-negative integers")
+        # an unknown field raises TypeError
         cfg = CnnTcnConfig(**{k: tuple(v) if isinstance(v, list) else v
                               for k, v in config.items()})
-        # an invalid architecture raises ConfigError (a ValueError); a mistyped
-        # or unknown field, TypeError
+        # the file holds exactly the arrays the descriptor declares, checked
+        # before any model is built: a small file cannot make a huge model
+        _expect_size(data, path, offset + 8 * sum(math.prod(shape) for _, shape in layout),
+                     "checkpoint")
+        # an invalid architecture raises ConfigError (a ValueError); a
+        # mistyped field, TypeError
         model = build_model(kind, cfg, init_seed=0)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise IntegrityError(f"{path}: unreadable checkpoint descriptor ({exc!r})") from exc
@@ -190,8 +199,6 @@ def load_checkpoint(path):
     if layout != [(n, list(a.shape)) for n, a in named]:
         raise IntegrityError(f"{path}: parameter layout does not match architecture")
 
-    offset = 12 + blob_len
-    _expect_size(data, path, offset + 8 * sum(a.size for _, a in named), "checkpoint")
     for name, a in named:
         a[...] = np.frombuffer(data, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
         offset += 8 * a.size

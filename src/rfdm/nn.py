@@ -12,9 +12,12 @@ caches are freed back to front while the backward loop walks it. Backward
 therefore requires a preceding train forward, once per forward; an eval
 forward keeps no backward state.
 
-Conv2d lowers its input to im2col patch matrices one batch slice at a time
-(IM2COL_CHUNK_BYTES per slice), so its memory does not grow with a matrix of
-the whole batch; see Conv2d.
+Conv2d runs its three GEMMs (forward, weight gradient and data gradient)
+through one lowering: im2col patch matrices built one batch slice at a time
+(at most IM2COL_CHUNK_BYTES per slice), each slice zero-padded on its own,
+so its memory grows with neither a patch matrix nor a padded copy of the
+whole batch; see Conv2d. BatchNorm2d and MaxPool2d write their input
+gradients with no temporary of the whole batch's size.
 
 Backward derivations are checked against central finite differences in the
 test suite (h = 1e-5, relative error <= 1e-4).
@@ -32,6 +35,7 @@ from .errors import ShapeError
 # sweeps: 561-600 ms at 1 MiB, 576-580 ms at 2 MiB, 653-654 ms at 4 MiB,
 # 691-712 ms at 8 MiB, 711-718 ms at 16 MiB, 968-975 ms as one whole-batch
 # matrix. 1 and 2 MiB tie within noise; 2 MiB takes fewer chunks.
+# BatchNorm2d.backward slices its batch by the same size.
 IM2COL_CHUNK_BYTES = 2 << 20
 
 
@@ -73,19 +77,24 @@ class Conv2d(Layer):
     each Conv2d of the model feeds a train-mode BatchNorm2d, whose batch mean
     would cancel a bias and leave it a gradient of rounding noise.
 
-    weights: [kh, kw, C_in, C_out]. Forward lowers the batch in slices of b
-    images, b = max(1, IM2COL_CHUNK_BYTES // im2col bytes per image): each
-    slice's im2col matrix is built in one copy and its GEMM written into the
-    slice's rows of the output. Splitting a GEMM by rows leaves each
-    output's dot product as it was: on the frame CNN's shapes the output is
-    that of one whole-batch GEMM bit for bit (measured), though a slice small
-    enough for the BLAS to pick a small-matrix kernel may round differently.
-    A train forward caches only the padded input. Backward takes that cache
-    (the layer then holds none), rebuilds the same slices and sums the
-    weight gradient over them, which rounds differently from one
-    whole-batch GEMM when there is more than one slice; unless need_dx is
-    False it forms the data gradient tap by tap: tap (i, j) adds
-    dy @ W[i, j].T into the input window it read.
+    weights: [kh, kw, C_in, C_out]. All three GEMMs go through one lowering,
+    _im2col_chunks: it splits the batch into slices of b images, b =
+    max(1, IM2COL_CHUNK_BYTES // im2col bytes per image), copies each slice
+    into a buffer zero-padded to "same" geometry and that into one patch
+    matrix, whose GEMM lands in the slice's rows of the result. Forward
+    lowers the input.
+    Splitting a GEMM by rows leaves each output's dot product as it was: on
+    the frame CNN's shapes the output is that of one whole-batch GEMM bit for
+    bit (measured), though a slice small enough for the BLAS to pick a
+    small-matrix kernel may round differently. A train forward caches the
+    unpadded input, and no padded copy of the whole batch is ever made.
+    Backward takes that cache (the layer then holds none) and lowers it again
+    to sum the weight gradient over the slices, which rounds differently
+    from one whole-batch GEMM when there is more than one slice. Unless
+    need_dx is False it lowers dy the same way for the data gradient: a
+    "same" correlation of dy with the kernel flipped in (kh, kw) and its
+    channel axes swapped, padded on the opposite sides to forward (the same
+    sides for odd kernels).
     """
 
     def __init__(self, c_in, c_out, kh, kw, rng=None, name="conv"):
@@ -102,56 +111,65 @@ class Conv2d(Layer):
         ph, pw = self.kh - 1, self.kw - 1
         return h, w, (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)
 
-    def _im2col_chunks(self, xp):
-        """(row slice, patch matrix) per slice of b images of the padded
-        input: the matrix is [b*Ho*Wo, kh*kw*C_in], columns over (kh, kw,
-        C_in) in weight order, and the slice selects its rows of the whole
-        batch's [N*Ho*Wo, ...] output."""
-        n, hp, wp, _ = xp.shape
-        k = self.kh * self.kw * self.c_in
-        rows = (hp - self.kh + 1) * (wp - self.kw + 1)
-        b = max(1, IM2COL_CHUNK_BYTES // (rows * k * xp.itemsize))
+    def _im2col_chunks(self, x, flip=False):
+        """(row slice, patch matrix) per slice of b images of x [N, H, W, C]:
+        the matrix is [b*H*W, kh*kw*C], columns over (kh, kw, C) in weight
+        order, built from the slice zero-padded to "same" geometry (top and
+        bottom, left and right swapped when flip), and the row slice selects
+        its rows of the whole batch's [N*H*W, ...] result. Each slice is
+        copied into the interior of one zero-bordered buffer, which the next
+        slice overwrites: use a matrix before asking for the next."""
+        n, h, w, c = x.shape
+        _, _, (pt, pb), (pl, pr) = self._geometry(h, w)
+        if flip:
+            pt, pb, pl, pr = pb, pt, pr, pl
+        k = self.kh * self.kw * c
+        rows = h * w
+        b = max(1, min(n, IM2COL_CHUNK_BYTES // (rows * k * x.itemsize)))
+        xp = np.zeros((b, pt + h + pb, pl + w + pr, c), dtype=x.dtype)
         for s in range(0, n, b):
-            win = np.lib.stride_tricks.sliding_window_view(xp[s : s + b], (self.kh, self.kw),
+            m = min(b, n - s)
+            xp[:m, pt : pt + h, pl : pl + w] = x[s : s + m]
+            win = np.lib.stride_tricks.sliding_window_view(xp[:m], (self.kh, self.kw),
                                                            axis=(1, 2))
-            cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
-            yield slice(s * rows, (s + b) * rows), cols.reshape(-1, k)
+            # not kept in a local: only the caller holds a slice's matrix
+            yield (slice(s * rows, (s + m) * rows),
+                   np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, k))
+
+    def _lowered_gemm(self, x, wmat, flip=False):
+        """The "same" correlation of x with wmat [kh*kw*C, C'] as [N*H*W, C']."""
+        out = np.empty((x.shape[0] * x.shape[1] * x.shape[2], wmat.shape[1]))
+        for rows, cols in self._im2col_chunks(x, flip):
+            np.matmul(cols, wmat, out=out[rows])
+        return out
 
     def forward(self, x, train=False):
         _check_axis(x, 4, 3, self.c_in, "Conv2d input channels")
         n, h, w, _ = x.shape
-        _, _, (pt, pb), (pl, pr) = self._geometry(h, w)
-        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if pt or pb or pl or pr else x
         wmat = self.w.value.reshape(-1, self.c_out)
-        out = np.empty((n * h * w, self.c_out))
-        for rows, cols in self._im2col_chunks(xp):
-            np.matmul(cols, wmat, out=out[rows])
+        out = self._lowered_gemm(x, wmat)
         # _cache[0] has the whole-batch im2col matrix's shape but holds no
         # data (a zero-stride view): perfbench's tracer counts backward FLOPs
         # from it
-        self._cache = (np.broadcast_to(0.0, (len(out), len(wmat))), xp) if train else None
+        self._cache = (np.broadcast_to(0.0, (len(out), len(wmat))), x) if train else None
         return out.reshape(n, h, w, self.c_out)
 
     def backward(self, dy, need_dx=True):
         """Accumulates w.grad; returns the input gradient, or None when
         need_dx is False (the input is data, not an activation)."""
-        _, xp = self._cache
+        _, x = self._cache
         self._cache = None
+        dx = None
+        if need_dx:
+            wflip = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, self.c_in)
+            dx = self._lowered_gemm(dy, wflip, flip=True).reshape(x.shape)
         dym = dy.reshape(-1, self.c_out)
         gw = self.w.grad.reshape(-1, self.c_out)
-        for rows, cols in self._im2col_chunks(xp):
+        for rows, cols in self._im2col_chunks(x):
             # measured bit-equal to cols.T @ dym[rows], and faster on the
             # frame CNN's conv2 and conv3 shapes
             gw += (dym[rows].T @ cols).T
-        if not need_dx:
-            return None
-        _, h, w, _ = dy.shape
-        _, _, (pt, _), (pl, _) = self._geometry(h, w)
-        dxp = np.zeros(xp.shape)
-        for i in range(self.kh):
-            for j in range(self.kw):
-                dxp[:, i : i + h, j : j + w, :] += dy @ self.w.value[i, j].T
-        return dxp[:, pt : pt + h, pl : pl + w, :]
+        return dx
 
 
 class BatchNorm2d(Layer):
@@ -160,7 +178,9 @@ class BatchNorm2d(Layer):
     Train mode normalizes by biased batch statistics, updates running stats
     with momentum 0.9 and caches its input and the per-channel mean and
     1/std for backward; eval mode applies the running stats and keeps
-    nothing."""
+    nothing. Backward writes the input gradient one batch slice of at most
+    IM2COL_CHUNK_BYTES at a time, so beside its input, dy and the gradient
+    it holds only a slice-sized temporary."""
 
     def __init__(self, channels, momentum=0.9, eps=1e-5, name="bn"):
         self.c, self.momentum, self.eps = channels, momentum, eps
@@ -218,9 +238,14 @@ class BatchNorm2d(Layer):
         c1 = self.gamma.value * inv
         k = (c1 / m) * dgamma * inv
         c0 = (c1 / m) * dbeta - k * mean
-        dx = c1 * dy
-        dx -= k * x
-        dx -= c0
+        # dx = c1*dy - k*x - c0, a batch slice at a time: the one temporary,
+        # k*x, is a slice, and each value rounds as in the whole-array form
+        dx = np.empty(dy.shape)
+        b = max(1, IM2COL_CHUNK_BYTES // dy[0].nbytes)
+        for s in range(0, len(dy), b):
+            d = np.multiply(c1, dy[s : s + b], out=dx[s : s + b])
+            d -= k * x[s : s + b]
+            d -= c0
         return dx
 
 
@@ -253,7 +278,9 @@ class MaxPool2d(Layer):
     """2x2 window, stride 2; gradient routes to the first max per window.
 
     A train forward caches the uint8 window index of each maximum, not the
-    input; an eval forward keeps nothing."""
+    input; an eval forward keeps nothing. Backward writes each of the four
+    window positions of the input gradient once, dy where the maximum sat
+    there and +0.0 elsewhere, with no zero fill of the whole gradient."""
 
     def forward(self, x, train=False):
         n, h, w, c = x.shape
@@ -273,9 +300,10 @@ class MaxPool2d(Layer):
     def backward(self, dy):
         idx, (n, h, w, c) = self._cache
         self._cache = None
-        dx = np.zeros((n, h, w, c))
+        dx = np.empty((n, h, w, c))
+        windows = dx.reshape(n, h // 2, 2, w // 2, 2, c)
         for m, (i, j) in enumerate(_POOL_OFFSETS):
-            np.copyto(dx[:, i::2, j::2, :], dy, where=(idx == m))
+            windows[:, :, i, :, j, :] = np.where(idx == m, dy, 0.0)
         return dx
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +227,16 @@ class TestCheckpoint:
             assert na == nb and np.array_equal(a, b)
 
 
+def rewrite_descriptor(path, edit):
+    """Rewrite the checkpoint at `path` with `edit` applied to its descriptor."""
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", raw[8:12])
+    descriptor = json.loads(raw[12 : 12 + blob_len])
+    edit(descriptor)
+    blob = json.dumps(descriptor, sort_keys=True).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :])
+
+
 class TestCheckpointFailsClosed:
     def test_short_header(self, tmp_path):
         p = tmp_path / "m.rfnn"
@@ -302,6 +314,39 @@ class TestCheckpointFailsClosed:
         (blob_len,) = struct.unpack("<I", raw[8:12])
         arrays = [q.value for q in model.params()] + [b for _, b in model.buffers()]
         assert len(raw) == 12 + blob_len + 8 * sum(a.size for a in arrays)
+
+    def test_small_file_declaring_a_huge_model_builds_nothing(self, tmp_path):
+        # the descriptor honestly declares a head of 10**8 hidden units (about
+        # 7e8 doubles, 5.6 GB) over a 5 kB file: the size check runs before
+        # the model would be built. Measured traced peak: 14 kB.
+        hidden = 10**8
+        shapes = {"head.fc1.w": [1, hidden], "head.fc1.b": [hidden], "head.fc2.w": [hidden, 5]}
+
+        def declare_huge_head(descriptor):
+            descriptor["config"]["head_hidden"] = [hidden, 5]
+            for d in descriptor["params"]:
+                d["shape"] = shapes.get(d["name"], d["shape"])
+
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, CnnTcn(TINY))
+        rewrite_descriptor(p, declare_huge_head)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrityError, match="truncated checkpoint"):
+                load_checkpoint(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("shape", [[-1, 5], [2.0, 5], [True, 5], "ab"],
+                             ids=["negative", "float", "bool", "string"])
+    def test_dimension_that_is_not_a_count(self, tmp_path, shape):
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, CnnTcn(TINY))
+        rewrite_descriptor(p, lambda descriptor: descriptor["params"][-1].update(shape=shape))
+        with pytest.raises(IntegrityError, match="unreadable checkpoint descriptor"):
+            load_checkpoint(p)
 
     def test_checkpoint_in_the_older_layout_is_rejected(self, tmp_path):
         p = tmp_path / "m.rfnn"

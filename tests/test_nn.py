@@ -111,11 +111,13 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="expected"):
             conv.forward(np.zeros((1, 4, 4, 5)))
 
-    # The tap-wise input gradient sums each tap's dy @ W[i, j].T, where the
-    # reference sums the columns of one GEMM; BLAS orders the c_out products
-    # differently in the two, so dx may differ in the last bits. Measured:
-    # at most 2.0 eps * max|dx| on these cases and 2.5 eps * max|dx| on
-    # conv2/conv3 shapes at up to 512 frames; the bound is 8 eps, a 3x margin.
+    # The layer's input gradient is one GEMM per slice over all kh*kw*c_out
+    # products of an output pixel (dy lowered against the flipped kernel),
+    # where the reference sums c_out products per tap in one GEMM and then
+    # adds the taps, so dx may differ in the last bits. Measured: at most
+    # 1.2 eps * max|dx| on these cases, 4.5 on the chunked conv2 case below
+    # (3 seeds) and 6.5 on conv2 and conv3 at 512 frames (10 seeds each).
+    # The bound is 8 eps.
     DX_BOUND_EPS = 8.0
 
     @pytest.mark.parametrize("c_in", [1, 3])
@@ -160,9 +162,11 @@ class TestConv2d:
 
     def test_memory_stays_below_a_whole_batch_im2col_matrix(self):
         # 64 frames of the conv2 shape: one whole-batch im2col matrix is
-        # 64*16*16 x 240 doubles (31.5 MB). Measured traced peaks: 11.1 MB
-        # forward and 10.1 MB backward, against 38.6 and 34.5 MB when the
-        # layer built the whole-batch matrix.
+        # 64*16*16 x 240 doubles (31.5 MB). Measured traced peaks: 8.3 MB
+        # forward and 6.3 MB backward with each slice padded on its own and
+        # the data gradient lowered; 11.1 and 10.1 MB with a padded copy of
+        # the whole batch and a tap-wise data gradient; 38.6 and 34.5 MB when
+        # the layer built the whole-batch matrix.
         rng = rng_for(3)
         conv = Conv2d(16, 32, 3, 5, rng=rng)
         x = rng.standard_normal((64, 16, 16, 16))
@@ -207,6 +211,13 @@ class TestConv2d:
         conv = Conv2d(2, 3, 3, 3, rng=rng)
         x = rng.standard_normal((2, 5, 6, 2))
         check_layer_gradients(conv, x, seed=seed)
+
+    @pytest.mark.parametrize("kh, kw", [(2, 4), (1, 2), (4, 1), (1, 1)])
+    def test_gradcheck_even_and_unit_kernels(self, kh, kw):
+        rng = rng_for(kh * 10 + kw)
+        conv = Conv2d(2, 3, kh, kw, rng=rng)
+        x = rng.standard_normal((2, 5, 6, 2))
+        check_layer_gradients(conv, x, seed=kh)
 
 
 class TestBatchNorm:
@@ -263,6 +274,48 @@ class TestBatchNorm:
         eps = np.finfo(np.float64).eps
         assert np.max(np.abs(y_shift - y)) <= self.SHIFT_BOUND_EPS * eps * np.max(np.abs(y))
         assert np.max(np.abs(dx_shift - dx)) <= self.SHIFT_BOUND_EPS * eps * np.max(np.abs(dx))
+
+    def test_sliced_backward_equals_whole_array_formula(self):
+        # 3 whole slices of 16 images and a remainder of 5, against the
+        # whole-array form dx = c1*dy; dx -= k*x; dx -= c0
+        rng = rng_for(4)
+        n = 3 * (IM2COL_CHUNK_BYTES // (32 * 32 * 16 * 8)) + 5
+        x = rng.standard_normal((n, 32, 32, 16)) * 3.0 + 0.5
+        dy = rng.standard_normal(x.shape)
+        bn = BatchNorm2d(16)
+        bn.gamma.value[...] = rng.uniform(0.5, 1.5, 16)
+        bn.forward(x, train=True)
+        mean, inv, m = bn._cache[1:]
+        dx = bn.backward(dy)
+        flat_x, flat_dy = x.reshape(-1, 16), dy.reshape(-1, 16)
+        dbeta = flat_dy.sum(axis=0)
+        dgamma = inv * (np.einsum("nc,nc->c", flat_dy, flat_x) - mean * dbeta)
+        c1 = bn.gamma.value * inv
+        k = (c1 / m) * dgamma * inv
+        c0 = (c1 / m) * dbeta - k * mean
+        want = c1 * dy
+        want -= k * x
+        want -= c0
+        assert np.array_equal(dx, want)
+        assert np.array_equal(bn.gamma.grad, dgamma) and np.array_equal(bn.beta.grad, dbeta)
+
+    def test_backward_memory_is_the_gradient_and_one_slice(self):
+        # 64 images of conv1's output shape, 8.4 MB per array; x and dy exist
+        # before tracing starts. Measured traced peak of backward: 10.6 MB
+        # (dx and a 2.1 MB slice of k*x), against 16.8 MB (dx and a
+        # whole-size k*x) for the whole-array form
+        rng = rng_for(5)
+        x = rng.standard_normal((64, 32, 32, 16))
+        dy = rng.standard_normal(x.shape)
+        bn = BatchNorm2d(16)
+        bn.forward(x, train=True)
+        tracemalloc.start()
+        try:
+            bn.backward(dy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + 2 * IM2COL_CHUNK_BYTES
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradcheck(self, seed):
@@ -328,6 +381,23 @@ class TestMaxPool:
         for m, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
             want[:, i::2, j::2, :] = np.where(idx == m, dy, 0.0)
         assert np.array_equal(pool.backward(dy), want)
+
+    def test_backward_equals_zero_fill_and_masked_copies(self):
+        # dy holds -0.0 and negatives: the cells a window's maximum did not
+        # come from stay +0.0, as after a zero fill
+        rng = rng_for(6)
+        x = rng.integers(-2, 2, (9, 8, 10, 5)).astype(float)
+        pool = MaxPool2d()
+        out = pool.forward(x, train=True)
+        idx = pool._cache[0]
+        dy = rng.standard_normal(out.shape)
+        dy[::3] = -0.0
+        want = np.zeros(x.shape)
+        for m, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            np.copyto(want[:, i::2, j::2, :], dy, where=(idx == m))
+        dx = pool.backward(dy)
+        assert np.array_equal(dx, want)
+        assert np.array_equal(np.signbit(dx), np.signbit(want))
 
     def test_eval_forward_keeps_no_index(self):
         pool = MaxPool2d()
@@ -482,6 +552,28 @@ class TestBackwardConsumesState:
         assert backward_state(layer)
         layer.backward(rng_for(2).standard_normal(y.shape))
         assert backward_state(layer) == []
+
+
+class TestWhatTheBenchmarkTracerReads:
+    """perfbench/tracer.py wraps forward and backward of these classes by
+    name, found in each class's own __dict__, and counts a Conv2d backward's
+    FLOPs from the shape of _cache[0] and a forward's from _geometry."""
+
+    WRAPPED = (Conv2d, BatchNorm2d, LeakyReLU, MaxPool2d, ChannelReduce, CausalConv1d,
+               Dropout, Dense)
+
+    def test_each_wrapped_class_defines_its_own_passes(self):
+        for cls in self.WRAPPED:
+            assert "forward" in vars(cls) and "backward" in vars(cls), cls.__name__
+        assert "step" in vars(Adam)
+
+    def test_conv_cache_holds_a_zero_stride_matrix_placeholder(self):
+        conv = Conv2d(2, 3, 3, 5, rng=rng_for(0))
+        conv.forward(rng_for(1).standard_normal((4, 6, 8, 2)), train=True)
+        placeholder = conv._cache[0]
+        assert placeholder.shape == (4 * 6 * 8, 3 * 5 * 2)
+        assert placeholder.strides == (0, 0)
+        assert conv._geometry(6, 8)[:2] == (6, 8)
 
 
 class TestSoftmaxXent:
