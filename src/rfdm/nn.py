@@ -17,7 +17,11 @@ through one lowering: im2col patch matrices built one batch slice at a time
 (at most IM2COL_CHUNK_BYTES per slice), each slice zero-padded on its own,
 so its memory grows with neither a patch matrix nor a padded copy of the
 whole batch; see Conv2d. BatchNorm2d and MaxPool2d write their input
-gradients with no temporary of the whole batch's size.
+gradients with no temporary of the whole batch's size. A BatchNorm2d built
+with pool=True runs its 2x2 max-pool on its raw input and normalizes only
+the pooled quarter, so it makes no full-size output, and its backward
+writes the input gradient over the pool's routed gradient; see
+BatchNorm2d.
 
 Backward derivations are checked against central finite differences in the
 test suite (h = 1e-5, relative error <= 1e-4).
@@ -173,22 +177,41 @@ class Conv2d(Layer):
 
 
 class BatchNorm2d(Layer):
-    """Per-channel batch normalization over (N, H, W); eps = 1e-5.
+    """Per-channel batch normalization over (N, H, W); eps = 1e-5. With
+    pool=True the layer also applies the 2x2 max-pool that follows it (a
+    MaxPool2d, `self.pool`), run on its raw input: it makes no full-size
+    normalized map, and its backward writes dx over the gradient the pool
+    routes.
 
     Train mode normalizes by biased batch statistics, updates running stats
     with momentum 0.9 and caches its input and the per-channel mean and
     1/std for backward; eval mode applies the running stats and keeps
-    nothing. Backward writes the input gradient one batch slice of at most
-    IM2COL_CHUNK_BYTES at a time, so beside its input, dy and the gradient
-    it holds only a slice-sized temporary."""
+    nothing. Either mode maps each channel by z = a*x + b, a = gamma/std.
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5, name="bn"):
+    Pooling: z is monotone in x per channel (increasing for a >= 0,
+    decreasing for a < 0), and so is its rounding, fl(fl(a*x) + b). So the
+    window max of z is fl(fl(|a|*max y) + b) bit for bit, with y = x, or
+    y = -x on channels where a < 0; that sign-flipped copy is made only
+    when some a < 0. The gradient goes to the first max of y in each
+    window, which is the first max of z but where two distinct inputs of a
+    window round to one z: there it goes to the larger y, not to the first
+    of the tied outputs.
+
+    Backward writes the input gradient one batch slice of at most
+    IM2COL_CHUNK_BYTES at a time, dx = c1*dz - k*x - c0, so beside its
+    input, dz (dy, or the pool's routing of dy into a new full-size array)
+    and dx it holds only a slice-sized temporary. With a pool, dx
+    overwrites dz, which is this layer's own, so one full-size array
+    serves both."""
+
+    def __init__(self, channels, momentum=0.9, eps=1e-5, name="bn", pool=False):
         self.c, self.momentum, self.eps = channels, momentum, eps
         self.gamma = Param(name + ".gamma", np.ones(channels))
         self.beta = Param(name + ".beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
         self.name = name
+        self.pool = MaxPool2d() if pool else None
         self._cache = None
 
     def params(self):
@@ -219,31 +242,42 @@ class BatchNorm2d(Layer):
             self._cache = None
         a = self.gamma.value * inv
         b = self.beta.value - mean * a
-        out = x * a
+        if self.pool is not None:
+            neg = a < 0
+            # multiplying by -1.0 is exact, so a*x rounds as |a|*(-x). The
+            # pooled maxima are a new array, scaled in place: scaling into a
+            # second quarter-size array left heap holes that raised a LOOCV
+            # run's peak RSS from 252-260 to 312 MB (measured)
+            out = self.pool.forward(x * np.where(neg, -1.0, 1.0) if neg.any() else x, train)
+            out *= np.abs(a)
+        else:
+            out = x * a
         out += b
         return out
 
     def backward(self, dy):
         x, mean, inv, m = self._cache
         self._cache = None
+        dz = dy if self.pool is None else self.pool.backward(dy)
         flat_x = x.reshape(-1, self.c)
-        flat_dy = dy.reshape(-1, self.c)
-        dbeta = flat_dy.sum(axis=0)
-        # sum(dy * xhat) = inv * (sum(dy * x) - mean * sum(dy))
-        dgamma = inv * (np.einsum("nc,nc->c", flat_dy, flat_x) - mean * dbeta)
+        flat_dz = dz.reshape(-1, self.c)
+        dbeta = flat_dz.sum(axis=0)
+        # sum(dz * xhat) = inv * (sum(dz * x) - mean * sum(dz))
+        dgamma = inv * (np.einsum("nc,nc->c", flat_dz, flat_x) - mean * dbeta)
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
-        # dx = (gamma*inv/m) * (m*dy - dbeta - xhat*dgamma) with xhat = (x-mean)*inv,
+        # dx = (gamma*inv/m) * (m*dz - dbeta - xhat*dgamma) with xhat = (x-mean)*inv,
         # expanded into per-channel constants
         c1 = self.gamma.value * inv
         k = (c1 / m) * dgamma * inv
         c0 = (c1 / m) * dbeta - k * mean
-        # dx = c1*dy - k*x - c0, a batch slice at a time: the one temporary,
-        # k*x, is a slice, and each value rounds as in the whole-array form
-        dx = np.empty(dy.shape)
-        b = max(1, IM2COL_CHUNK_BYTES // dy[0].nbytes)
-        for s in range(0, len(dy), b):
-            d = np.multiply(c1, dy[s : s + b], out=dx[s : s + b])
+        # dx = c1*dz - k*x - c0, a batch slice at a time: the one temporary,
+        # k*x, is a slice, and each value rounds as in the whole-array form.
+        # The caller's dy is left as it is; the pool's routed dz is overwritten
+        dx = np.empty(dz.shape) if self.pool is None else dz
+        b = max(1, IM2COL_CHUNK_BYTES // dz[0].nbytes)
+        for s in range(0, len(dz), b):
+            d = np.multiply(c1, dz[s : s + b], out=dx[s : s + b])
             d -= k * x[s : s + b]
             d -= c0
         return dx

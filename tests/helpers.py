@@ -69,8 +69,10 @@ def check_layer_gradients(layer, x, seed=0, tol=GRADCHECK_TOL):
 
 def backward_state(layer) -> list:
     """Names of the layer's backward caches (inputs, masks, indices) that
-    are set."""
-    return [a for a in ("_cache", "_mask", "_x") if getattr(layer, a, None) is not None]
+    are set, with those of a BatchNorm2d's pool as "pool._cache"."""
+    own = [a for a in ("_cache", "_mask", "_x") if getattr(layer, a, None) is not None]
+    pool = getattr(layer, "pool", None)
+    return own + (["pool." + a for a in backward_state(pool)] if pool else [])
 
 
 def linear_scatterer(r0: float, v: float, amplitude: float = 1.0, label: str = "") -> Scatterer:

@@ -325,6 +325,110 @@ class TestBatchNorm:
         check_layer_gradients(bn, x, seed=seed)
 
 
+def pooled_bn(gamma, beta=0.0):
+    bn = BatchNorm2d(len(gamma), pool=True)
+    bn.gamma.value[...] = gamma
+    bn.beta.value[...] = beta
+    return bn
+
+
+def unfused(bn):
+    """An unpooled BatchNorm2d with bn's gamma and beta, and a MaxPool2d: the
+    composition that bn computes."""
+    twin = BatchNorm2d(bn.c)
+    twin.gamma.value[...] = bn.gamma.value
+    twin.beta.value[...] = bn.beta.value
+    return twin, MaxPool2d()
+
+
+def spaced_values(rng, shape, step=0.37):
+    """Distinct values `step` apart in random order, centred on 0."""
+    n = math.prod(shape)
+    return (rng.permutation(n).reshape(shape) - n / 2) * step
+
+
+class TestPooledBatchNorm:
+    # mixed signs, so the sign-flipped pooling runs on channels 1 and 3
+    GAMMA = (0.8, -1.3, 0.5, -0.2)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_batchnorm_then_maxpool(self, seed):
+        # inputs 0.37 apart, so no two BN outputs of a window round to one
+        # double: outputs, gradients and running stats are bit-equal
+        rng = rng_for(seed)
+        bn = pooled_bn(self.GAMMA, rng.standard_normal(4))
+        twin, pool = unfused(bn)
+        for _ in range(2):  # the second train step starts from moved running stats
+            x = spaced_values(rng, (3, 6, 8, 4))
+            dy = rng.standard_normal((3, 3, 4, 4))
+            assert np.array_equal(bn.forward(x, train=True),
+                                  pool.forward(twin.forward(x, train=True), train=True))
+            assert np.array_equal(bn.backward(dy), twin.backward(pool.backward(dy)))
+        for a, b in zip(bn.params(), twin.params()):
+            assert np.array_equal(a.grad, b.grad)
+        for (_, a), (_, b) in zip(bn.buffers(), twin.buffers()):
+            assert np.array_equal(a, b)
+        x = spaced_values(rng, (2, 4, 6, 4))
+        assert np.array_equal(bn.forward(x), pool.forward(twin.forward(x)))
+
+    def test_near_tie_routes_to_the_larger_input(self):
+        # a window's two largest inputs one ulp apart, first the smaller: with
+        # beta = 1000 their BN outputs round to one double, so the unfused
+        # pool routes to the first of the tied outputs, the pooled BN to the
+        # larger input. The outputs are still equal.
+        x = spaced_values(rng_for(7), (2, 4, 4, 1))
+        x[0, 0, 0, 0] = x.max() + 1.0
+        x[0, 0, 1, 0] = np.nextafter(x[0, 0, 0, 0], np.inf)
+        bn = pooled_bn((0.9,), 1000.0)
+        twin, pool = unfused(bn)
+        z = twin.forward(x, train=True)
+        assert z[0, 0, 0, 0] == z[0, 0, 1, 0]
+        assert np.array_equal(bn.forward(x, train=True), pool.forward(z, train=True))
+        assert bn.pool._cache[0][0, 0, 0, 0] == 1 and pool._cache[0][0, 0, 0, 0] == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradcheck(self, seed):
+        bn = pooled_bn((0.8, -1.2, 0.6), rng_for(seed).standard_normal(3))
+        check_layer_gradients(bn, spaced_values(rng_for(seed + 10), (2, 4, 6, 3), 0.1),
+                              seed=seed)
+
+    # 64 images of conv1's output shape: 8.4 MB per input-sized array, 2.1 MB
+    # per pooled one; x and dy exist before tracing starts.
+
+    def test_train_forward_makes_no_input_sized_array(self):
+        # Measured traced peak with gamma >= 0: 6.6 MB (the pool's quarter-size
+        # maxima and its index); the unfused BN -> MaxPool2d peaks at 14.9 MB,
+        # as does the pooled BN's sign-flipped copy when some gamma < 0.
+        rng = rng_for(5)
+        x = rng.standard_normal((64, 32, 32, 16))
+        bn = pooled_bn(rng.uniform(0.5, 1.5, 16))
+        tracemalloc.start()
+        try:
+            bn.forward(x, train=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
+
+    def test_backward_peaks_at_one_input_sized_array_and_a_slice(self):
+        # Measured traced peak: 10.8 MB, the routed gradient that dx
+        # overwrites and the pool's dy-sized where() temporary (2.1 MB, the
+        # size of one slice here); the unfused composition, which routes dy
+        # into one array and writes dx into another, peaks at 18.9 MB.
+        rng = rng_for(5)
+        x = rng.standard_normal((64, 32, 32, 16))
+        dy = rng.standard_normal((64, 16, 16, 16))
+        bn = pooled_bn(rng.uniform(0.5, 1.5, 16))
+        bn.forward(x, train=True)
+        tracemalloc.start()
+        try:
+            bn.backward(dy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + 2 * IM2COL_CHUNK_BYTES
+
+
 class TestLeakyReLU:
     def test_values(self):
         act = LeakyReLU()
@@ -537,13 +641,14 @@ class TestBackwardConsumesState:
     @pytest.mark.parametrize("make, shape", [
         (lambda: Conv2d(2, 3, 3, 5, rng=rng_for(0)), (2, 4, 6, 2)),
         (lambda: BatchNorm2d(3), (2, 4, 6, 3)),
+        (lambda: pooled_bn((0.8, -1.2, 0.6)), (2, 4, 6, 3)),
         (lambda: LeakyReLU(), (2, 4, 6, 3)),
         (lambda: MaxPool2d(), (2, 4, 6, 3)),
         (lambda: ChannelReduce(3, 2, rng=rng_for(0)), (2, 4, 6, 3)),
         (lambda: CausalConv1d(3, 2, kt=3, dilation=2, rng=rng_for(0)), (2, 7, 3)),
         (lambda: Dropout(0.5), (4, 5)),
         (lambda: Dense(5, 3, rng=rng_for(0)), (4, 5)),
-    ], ids=["Conv2d", "BatchNorm2d", "LeakyReLU", "MaxPool2d", "ChannelReduce",
+    ], ids=["Conv2d", "BatchNorm2d", "BatchNorm2d-pool", "LeakyReLU", "MaxPool2d", "ChannelReduce",
             "CausalConv1d", "Dropout", "Dense"])
     def test_backward_leaves_no_state(self, make, shape):
         layer = make()
