@@ -1,11 +1,14 @@
 """Parametric hand-gesture scenes: labeled trajectories plus static clutter.
 
 Seven gesture classes are realized as radial range templates, since a
-range-Doppler pipeline only observes radial motion. Each template is an
-offset trace added to the placement's base range, active over a centered
-sub-window of the gesture so swipe pairs are exact time reversals of each
+range-Doppler pipeline only observes radial motion. Each template is one row
+of `_TEMPLATES`: an extent times a unit offset curve of the gesture's
+progress, added to the placement's base range and active over a centered
+sub-window of the gesture, so swipe pairs are exact time reversals of each
 other and push/pull are exact range mirrors. Tangential motions (the four
 swipes) project onto the radar line of sight with a cos(azimuth) factor.
+A trajectory gives range only: its velocity is the slope of that range,
+which the scene check samples and the synthesized chirp phase carries.
 
 A hand is modeled as 3..5 point scatterers with small static range offsets
 and low-frequency positional jitter; environments contribute preset counts
@@ -34,10 +37,10 @@ class GestureClass(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "GestureClass":
-        for g in cls:
-            if g.value == name:
-                return g
-        raise ConfigError(f"unknown gesture class {name!r}")
+        try:
+            return cls(name)
+        except ValueError:
+            raise ConfigError(f"unknown gesture class {name!r}") from None
 
 
 GESTURE_CLASSES = tuple(GestureClass)
@@ -51,10 +54,10 @@ class Environment(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "Environment":
-        for e in cls:
-            if e.value == name:
-                return e
-        raise ConfigError(f"unknown environment {name!r}")
+        try:
+            return cls(name)
+        except ValueError:
+            raise ConfigError(f"unknown environment {name!r}") from None
 
 
 # clutter scatterer count and base reflectivity per environment
@@ -98,21 +101,25 @@ def _smoothstep(p):
     return p * p * (3.0 - 2.0 * p)
 
 
-def _smoothstep_d(p):
-    return 6.0 * p * (1.0 - p)
+def _two_bursts(p):
+    """A smoothstep's net drift, executed as two faster bursts."""
+    return 0.5 * (_smoothstep(np.clip(2.0 * p, 0.0, 1.0))
+                  + _smoothstep(np.clip(2.0 * p - 1.0, 0.0, 1.0)))
 
 
-# (extent[m], active fraction of the gesture window, tangential?)
-# short active windows keep peak radial speeds in the 0.5..1.2 m/s band,
-# a few Doppler bins at the reference chirp timing
-_TEMPLATE_SHAPE = {
-    GestureClass.SWIPE_LEFT: (0.10, 0.35, True),
-    GestureClass.SWIPE_RIGHT: (0.10, 0.35, True),
-    GestureClass.SWIPE_UP: (0.05, 0.5, True),
-    GestureClass.SWIPE_DOWN: (0.05, 0.5, True),
-    GestureClass.PUSH: (0.15, 0.3, False),
-    GestureClass.PULL: (0.15, 0.3, False),
-    GestureClass.CIRCLE: (0.08, 0.5, False),
+# gesture: (extent [m], active fraction of the gesture window, tangential?,
+# unit offset curve of the progress p in [0, 1]). The offset is extent times
+# the curve; short active windows keep peak radial speeds in the 0.5..1.2 m/s
+# band, a few Doppler bins at the reference chirp timing.
+_TEMPLATES = {
+    GestureClass.SWIPE_LEFT: (0.10, 0.35, True, lambda p: np.sin(2 * np.pi * p)),
+    GestureClass.SWIPE_RIGHT: (0.10, 0.35, True, lambda p: -np.sin(2 * np.pi * p)),
+    # one slow smooth drift toward the radar; the same drift away in two bursts
+    GestureClass.SWIPE_UP: (0.05, 0.5, True, lambda p: -_smoothstep(p)),
+    GestureClass.SWIPE_DOWN: (0.05, 0.5, True, _two_bursts),
+    GestureClass.PUSH: (0.15, 0.3, False, lambda p: 1.0 - 2.0 * p),
+    GestureClass.PULL: (0.15, 0.3, False, lambda p: -(1.0 - 2.0 * p)),
+    GestureClass.CIRCLE: (0.08, 0.5, False, lambda p: -(1.0 - np.cos(2 * np.pi * p))),
 }
 
 
@@ -124,48 +131,18 @@ def template_trace(
     speed_scale: float = 1.0,
     cos_az: float = 1.0,
 ):
-    """Radial offset [m] and velocity [m/s] of a gesture template.
+    """Radial offset [m] of a gesture template at times t [s].
 
     The active motion occupies a window of the gesture duration centered at
     duration/2 and shortened by speed_scale; outside it the hand holds its
     boundary position.
     """
-    t = np.asarray(t, dtype=float)
-    amp, frac, tangential = _TEMPLATE_SHAPE[gesture]
-    amp = amp * extent_scale * (cos_az if tangential else 1.0)
+    extent, frac, tangential, unit = _TEMPLATES[gesture]
+    amp = extent * extent_scale * (cos_az if tangential else 1.0)
     frac = min(frac / speed_scale, 1.0)
     u0 = 0.5 * (1.0 - frac)
-    p = np.clip((t / duration - u0) / frac, 0.0, 1.0)
-    dp_dt = np.where((p > 0.0) & (p < 1.0), 1.0 / (frac * duration), 0.0)
-
-    if gesture is GestureClass.SWIPE_LEFT:
-        off = amp * np.sin(2 * np.pi * p)
-        d = amp * 2 * np.pi * np.cos(2 * np.pi * p)
-    elif gesture is GestureClass.SWIPE_RIGHT:
-        off = -amp * np.sin(2 * np.pi * p)
-        d = -amp * 2 * np.pi * np.cos(2 * np.pi * p)
-    elif gesture is GestureClass.SWIPE_UP:
-        # one slow smooth drift toward the radar
-        off = -amp * _smoothstep(p)
-        d = -amp * _smoothstep_d(p)
-    elif gesture is GestureClass.SWIPE_DOWN:
-        # same net drift away, executed as two faster bursts
-        p2 = np.clip(2.0 * p, 0.0, 1.0)
-        p3 = np.clip(2.0 * p - 1.0, 0.0, 1.0)
-        off = amp * 0.5 * (_smoothstep(p2) + _smoothstep(p3))
-        d = amp * (_smoothstep_d(p2) * (p < 0.5) + _smoothstep_d(p3) * (p >= 0.5))
-    elif gesture is GestureClass.PUSH:
-        off = amp * (1.0 - 2.0 * p)
-        d = amp * (-2.0) * np.ones_like(p)
-    elif gesture is GestureClass.PULL:
-        off = -amp * (1.0 - 2.0 * p)
-        d = amp * 2.0 * np.ones_like(p)
-    elif gesture is GestureClass.CIRCLE:
-        off = -amp * (1.0 - np.cos(2 * np.pi * p))
-        d = -amp * 2 * np.pi * np.sin(2 * np.pi * p)
-    else:  # pragma: no cover
-        raise ConfigError(f"no template for {gesture}")
-    return off, d * dp_dt
+    p = np.clip((np.asarray(t, dtype=float) / duration - u0) / frac, 0.0, 1.0)
+    return amp * unit(p)
 
 
 @dataclass
@@ -200,7 +177,8 @@ def make_gesture_scene(
     """Build a deterministic scene for one gesture instance.
 
     Raises PlacementError if the realized hand motion would leave
-    [0.3 m, max_range)."""
+    [0.3 m, max_range), or if its speed, the slope of its range between
+    probe times, reaches the unambiguous Doppler velocity."""
     placement.validate()
     user.validate()
     cfg = config or RadarConfig()
@@ -215,27 +193,25 @@ def make_gesture_scene(
         jf, jp, ja = _jitter_components(rng, user.jitter_sigma)
 
         def traj(t, _off=offsets[i], _jf=jf, _jp=jp, _ja=ja):
-            t = np.asarray(t, dtype=float)
-            base_off, v = template_trace(
+            base_off = template_trace(
                 gesture, t, duration, user.extent_scale, user.speed_scale, cos_az
             )
             arg = 2 * np.pi * np.multiply.outer(_jf, t) + _jp[:, None]
             jit = (_ja[:, None] * np.sin(arg)).sum(axis=0)
-            jit_v = (_ja[:, None] * 2 * np.pi * _jf[:, None] * np.cos(arg)).sum(axis=0)
-            return placement.base_range + _off + base_off + jit, v + jit_v
+            return placement.base_range + _off + base_off + jit
 
         hand.append(Scatterer(traj, float(amps[i]), label=f"hand{i}"))
 
     # verify realized hand motion stays inside the gesture zone
     probe = np.linspace(0.0, duration, 512)
     for sc in hand:
-        r, v = sc.trajectory(probe)
+        r = sc.trajectory(probe)
         if r.min() < 0.3 or r.max() >= cfg.max_range:
             raise PlacementError(
                 "%s at base %.2f m drives range to [%.3f, %.3f] m, outside [0.3, %.1f) m"
                 % (gesture.value, placement.base_range, r.min(), r.max(), cfg.max_range)
             )
-        if np.max(np.abs(v)) >= cfg.max_doppler_velocity:
+        if np.max(np.abs(np.diff(r) / np.diff(probe))) >= cfg.max_doppler_velocity:
             raise PlacementError(
                 "%s exceeds the unambiguous velocity %.2f m/s"
                 % (gesture.value, cfg.max_doppler_velocity)

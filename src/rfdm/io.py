@@ -109,7 +109,7 @@ def read_cube(path, config: RadarConfig, *, sha256=None) -> DataCube:
     if not np.all(np.isfinite(samples)):
         raise IntegrityError(f"{path}: non-finite cube samples")
     samples = samples.reshape(n_frames, n_chirps, n_samples, n_rx)
-    return DataCube(config=config, samples=samples, n_frames=n_frames)
+    return DataCube(config=config, samples=samples)
 
 
 # ---------------------------------------------------------------------------

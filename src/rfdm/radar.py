@@ -32,7 +32,7 @@ does, so noise samples are bit-exact.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -41,9 +41,9 @@ from .seeding import substream
 
 C_LIGHT = 299_792_458.0  # propagation speed [m/s]
 
-# Trajectory: vectorized time [s] -> (range [m], radial velocity [m/s]).
-# Positive velocity = increasing range (receding).
-Trajectory = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+# Trajectory: vectorized time [s] -> range [m]. Its slope is the radial
+# velocity (positive = receding), which the chirp-to-chirp phase carries.
+Trajectory = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class RadarConfig:
 
 @dataclass
 class Scatterer:
-    """A point scatterer with a radial trajectory and fixed echo amplitude."""
+    """A point scatterer with a range trajectory and a fixed echo amplitude."""
 
     trajectory: Trajectory
     amplitude: float = 1.0
@@ -115,9 +115,10 @@ class Scatterer:
 
 
 def static_scatterer(range_m: float, amplitude: float = 1.0, label: str = "") -> Scatterer:
+    """A scatterer whose range is `range_m` at every time."""
+
     def traj(t: np.ndarray):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, range_m), np.zeros_like(t)
+        return np.full_like(np.asarray(t, dtype=float), range_m)
 
     return Scatterer(traj, amplitude, label or f"static@{range_m:.2f}m")
 
@@ -130,7 +131,7 @@ def if_signal_sample(config: RadarConfig, scatterer: Scatterer, t_fast, t_slow) 
         raise ValueError(
             "t_fast outside the sampling window [0, %.4g s)" % config.t_sample
         )
-    r, _ = scatterer.trajectory(np.asarray(t_slow, dtype=float))
+    r = scatterer.trajectory(np.asarray(t_slow, dtype=float))
     t_d = 2.0 * r / C_LIGHT
     phase = 2.0 * np.pi * (config.slope * t_d * t_fast + config.f_c * t_d)
     out = scatterer.amplitude * np.exp(1j * phase)
@@ -145,12 +146,12 @@ class DataCube:
 
     config: RadarConfig
     samples: np.ndarray  # complex128 [n_frames, n_chirps, n_samples, n_rx]
-    n_frames: int = 16
 
     def validate(self) -> None:
-        expect = (self.n_frames, self.config.n_chirps, self.config.n_samples, self.config.n_rx)
-        if self.samples.shape != expect:
-            raise ConfigError(f"cube shape {self.samples.shape} does not match config {expect}")
+        c = self.config
+        if self.samples.ndim != 4 or self.samples.shape[1:] != (c.n_chirps, c.n_samples, c.n_rx):
+            raise ConfigError(f"cube shape {self.samples.shape} does not match config "
+                              f"(n_frames, {c.n_chirps}, {c.n_samples}, {c.n_rx})")
         if not np.all(np.isfinite(self.samples)):
             raise ConfigError("cube contains non-finite samples")
 
@@ -176,7 +177,7 @@ def synthesize_cube(
     two_pi = 2.0 * np.pi
     t_slow = np.arange(n_frames)[:, np.newaxis] * config.t_frame + np.arange(n_c) * config.t_pri
     # range [m] of each scatterer from one trajectory call on the flat grid
-    ranges = [np.asarray(sc.trajectory(t_slow.ravel())[0], dtype=float).reshape(t_slow.shape)
+    ranges = [np.asarray(sc.trajectory(t_slow.ravel()), dtype=float).reshape(t_slow.shape)
               for sc in scene]
     _check_ranges(scene, ranges, t_slow, config.max_range)
 
@@ -224,7 +225,7 @@ def synthesize_cube(
         else:
             cube[f] = frame_sum[:, :, np.newaxis]
 
-    return DataCube(config=config, samples=cube, n_frames=n_frames)
+    return DataCube(config=config, samples=cube)
 
 
 def _check_ranges(scene, ranges, t_slow: np.ndarray, max_range: float) -> None:

@@ -1,6 +1,6 @@
 """Shared test utilities: central-difference gradient checking, a layer's
-backward state, a constant-velocity scatterer, the radar's bin widths and an
-older checkpoint layout."""
+backward state, a scatterer whose range moves at a constant velocity, the
+radar's bin widths and an older checkpoint layout."""
 
 import json
 import struct
@@ -76,11 +76,10 @@ def backward_state(layer) -> list:
 
 
 def linear_scatterer(r0: float, v: float, amplitude: float = 1.0, label: str = "") -> Scatterer:
-    """Constant radial velocity, R(t) = r0 + v*t."""
+    """Range R(t) = r0 + v*t [m]: constant radial velocity v [m/s]."""
 
     def traj(t: np.ndarray):
-        t = np.asarray(t, dtype=float)
-        return r0 + v * t, np.full_like(t, v)
+        return r0 + v * np.asarray(t, dtype=float)
 
     return Scatterer(traj, amplitude, label or f"linear@{r0:.2f}m{v:+.2f}m/s")
 

@@ -154,6 +154,15 @@ class TestGen:
         assert "config value of the wrong type" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_hand_faster_than_the_doppler_span_is_placement_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radar": {"t_pri": 700e-6},
+                                   "gen": {"users": [{"speed_scale": 1.5, "extent_scale": 1.5}]}}))
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
+        assert rc == 6
+        assert "exceeds the unambiguous velocity 1.39 m/s" in capsys.readouterr().err
+        assert not (tmp_path / "gen" / "dataset_manifest.json").exists()
+
     def test_an_int_is_a_number(self):
         merged = cli._merge({"train": {"lr": 5e-4, "epochs": 30}}, {"train": {"lr": 1}})
         assert merged == {"train": {"lr": 1, "epochs": 30}}

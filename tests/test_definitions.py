@@ -1,5 +1,6 @@
 """Every top-level function and class of the package, every method of
-those classes, and every field of its dataclasses is used by the program.
+those classes, and every field of its dataclasses is used by the program,
+and every module of the program uses each name it imports.
 
 A stdlib-`ast` stand-in for a linter's dead-code check: each name that a
 module of `src/rfdm` defines at top level, and each non-dunder method name of
@@ -14,6 +15,9 @@ used when any object's attribute of that name is referenced.
 Each field of a top-level `@dataclass` must be read: loaded as an attribute
 (`obj.field`) or named by a string, anywhere in those sources. Passing it to
 the constructor does not count, since nothing then reads the value back.
+
+Each name that an import statement of a `src/rfdm` or `perfbench` module
+binds must be loaded as a name elsewhere in that module.
 """
 
 import ast
@@ -107,6 +111,18 @@ def unread_fields(package: dict, users: list) -> list:
                   if field not in read)
 
 
+def unused_imports(source: str) -> list:
+    """Names that the module's import statements bind but the module never
+    loads; `from __future__` imports bind no name."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
 def test_modules_found():
     assert len(PACKAGE) > 5 and len(USERS) > len(PACKAGE)
 
@@ -119,6 +135,21 @@ def test_no_unused_definitions():
 def test_every_dataclass_field_is_read():
     package = {p.stem: p.read_text() for p in PACKAGE}
     assert unread_fields(package, [p.read_text() for p in USERS]) == []
+
+
+def test_every_import_is_used():
+    assert {p.name: unused_imports(p.read_text()) for p in USERS} == {p.name: [] for p in USERS}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from typing import Callable, Tuple\nf: Callable\n", ["Tuple"]),
+    ("import numpy as np\nimport os.path\nos.path.join()\n", ["np"]),
+    ("def f():\n    import json\n", ["json"]),
+    ("from __future__ import annotations\nimport json\njson.dumps({})\n", []),
+    ("import json  # noqa: E402\nX = 'json'\n", ["json"]),
+])
+def test_checker_flags_only_unused_imports(source, expected):
+    assert unused_imports(source) == expected
 
 
 @pytest.mark.parametrize("package, users, expected", [

@@ -15,6 +15,7 @@ from rfdm.gestures import (
     synthesize_sample,
     template_trace,
 )
+from rfdm.io import write_cube
 from rfdm.radar import RadarConfig
 
 DUR = 1.6
@@ -24,22 +25,22 @@ T = np.linspace(0.0, DUR, 401)
 class TestTemplates:
     def test_push_monotone_and_pull_mirrored(self):
         for e in (0.8, 1.0, 1.4):
-            push, _ = template_trace(GestureClass.PUSH, T, DUR, extent_scale=e)
-            pull, _ = template_trace(GestureClass.PULL, T, DUR, extent_scale=e)
+            push = template_trace(GestureClass.PUSH, T, DUR, extent_scale=e)
+            pull = template_trace(GestureClass.PULL, T, DUR, extent_scale=e)
             assert push[0] == pytest.approx(0.15 * e)
             assert push[-1] == pytest.approx(-0.15 * e)
             assert np.all(np.diff(push) <= 1e-12)
             assert np.allclose(pull, -push, atol=1e-12)
 
     def test_swipe_pair_is_time_reversal(self):
-        left, _ = template_trace(GestureClass.SWIPE_LEFT, T, DUR)
-        right, _ = template_trace(GestureClass.SWIPE_RIGHT, DUR - T, DUR)
+        left = template_trace(GestureClass.SWIPE_LEFT, T, DUR)
+        right = template_trace(GestureClass.SWIPE_RIGHT, DUR - T, DUR)
         assert np.allclose(left, right, atol=1e-12)
 
     def test_azimuth_projects_tangential_classes_only(self):
         for g in GESTURE_CLASSES:
-            full, _ = template_trace(g, T, DUR, cos_az=1.0)
-            proj, _ = template_trace(g, T, DUR, cos_az=0.5)
+            full = template_trace(g, T, DUR, cos_az=1.0)
+            proj = template_trace(g, T, DUR, cos_az=0.5)
             tangential = g in (
                 GestureClass.SWIPE_LEFT,
                 GestureClass.SWIPE_RIGHT,
@@ -51,24 +52,13 @@ class TestTemplates:
             else:
                 assert np.array_equal(proj, full)
 
-    def test_velocity_matches_finite_difference(self):
-        tt = np.linspace(0.01, DUR - 0.01, 1201)
-        h = 1e-6
-        for g in GESTURE_CLASSES:
-            _, v = template_trace(g, tt, DUR, extent_scale=1.2, speed_scale=1.1)
-            rp, _ = template_trace(g, tt + h, DUR, extent_scale=1.2, speed_scale=1.1)
-            rm, _ = template_trace(g, tt - h, DUR, extent_scale=1.2, speed_scale=1.1)
-            fd = (rp - rm) / (2 * h)
-            assert np.max(np.abs(v - fd)) < 1e-5
-
     def test_class_separability_statistics(self):
         # push recedes toward the radar, pull away; swipes are reversals
-        push, vp = template_trace(GestureClass.PUSH, T, DUR)
-        pull, vl = template_trace(GestureClass.PULL, T, DUR)
-        assert vp.mean() < 0 < vl.mean()
+        push = template_trace(GestureClass.PUSH, T, DUR)
+        pull = template_trace(GestureClass.PULL, T, DUR)
         assert push[-1] - push[0] < 0 < pull[-1] - pull[0]
-        left, _ = template_trace(GestureClass.SWIPE_LEFT, T, DUR)
-        right, _ = template_trace(GestureClass.SWIPE_RIGHT, T, DUR)
+        left = template_trace(GestureClass.SWIPE_LEFT, T, DUR)
+        right = template_trace(GestureClass.SWIPE_RIGHT, T, DUR)
         assert np.allclose(left, right[::-1], atol=1e-12)
 
 
@@ -81,9 +71,7 @@ class TestSceneConstruction:
         assert len(a.hand) == len(b.hand)
         t = np.linspace(0, 1.6, 37)
         for sa, sb in zip(a.scatterers, b.scatterers):
-            ra, va = sa.trajectory(t)
-            rb, vb = sb.trajectory(t)
-            assert np.array_equal(ra, rb) and np.array_equal(va, vb)
+            assert np.array_equal(sa.trajectory(t), sb.trajectory(t))
             assert sa.amplitude == sb.amplitude
 
     def test_hand_cluster_size_and_static_clutter(self):
@@ -94,8 +82,7 @@ class TestSceneConstruction:
         assert len(scene.clutter) == 8  # Classroom preset
         t = np.linspace(0, 1.6, 11)
         for sc in scene.clutter:
-            r, v = sc.trajectory(t)
-            assert np.ptp(r) == 0.0 and np.all(v == 0.0)
+            assert np.ptp(sc.trajectory(t)) == 0.0
 
     def test_environment_clutter_presets(self):
         for env, count in [(Environment.CLASSROOM, 8), (Environment.OFFICE, 12),
@@ -114,6 +101,26 @@ class TestSceneConstruction:
                 UserProfile(extent_scale=1.5),
                 rng_seed=1,
             )
+
+    def test_placement_error_when_hand_exceeds_the_unambiguous_velocity(self):
+        # at a 700 us PRI the Doppler span is +/-1.39 m/s: a fast, wide
+        # swipe crosses it, the default user's swipe does not
+        slow_chirps = RadarConfig(t_pri=700e-6)
+        with pytest.raises(PlacementError,
+                           match="SwipeLeft exceeds the unambiguous velocity 1.39 m/s"):
+            make_gesture_scene(GestureClass.SWIPE_LEFT, ScenePlacement(),
+                               UserProfile(speed_scale=1.5, extent_scale=1.5), 3,
+                               config=slow_chirps)
+        make_gesture_scene(GestureClass.SWIPE_LEFT, ScenePlacement(), UserProfile(), 3,
+                           config=slow_chirps)
+
+    def test_unknown_names_are_config_errors(self):
+        assert GestureClass.from_name("Circle") is GestureClass.CIRCLE
+        assert Environment.from_name("Office") is Environment.OFFICE
+        with pytest.raises(ConfigError, match="unknown gesture class 'Wave'"):
+            GestureClass.from_name("Wave")
+        with pytest.raises(ConfigError, match=r"unknown environment \['Office'\]"):
+            Environment.from_name(["Office"])
 
     def test_invalid_placement_and_profile(self):
         with pytest.raises(ConfigError):
@@ -182,3 +189,32 @@ class TestDatasetGeneration:
         cube = synthesize_sample(spec, row)
         cube.validate()
         assert cube.samples.shape == (4, 128, 112, 1)
+
+
+# sha256 of each class's `write_cube` bytes for GOLDEN_SPEC at seed 3,
+# recorded with numpy 2.4.6 on x86-64; a numpy whose sin/cos/exp round
+# differently changes them without any change to the program.
+GOLDEN_SPEC = DatasetSpec(
+    instances=1,
+    users=(UserProfile(speed_scale=1.15, amplitude_scale=1.1, extent_scale=1.2,
+                       jitter_sigma=0.003),),
+    placements=(ScenePlacement(1.2, 20.0, Environment.OFFICE),),
+    n_frames=2,
+    noise_sigma=1.0,
+)
+GOLDEN_CUBE_SHA256 = {
+    "SwipeLeft": "50b8507e09d5df10b419c8886f0ad3c1e510f60fe4f962774cdc07957cdf61f0",
+    "SwipeRight": "c8e64e44e2ccb9e2c6433ab826aac07e9960ffbfd4d881ab306bc0da0f5a66ca",
+    "SwipeUp": "ffebda9a83f23cec66a0b8bb5aaf6734a8134e0078a0a798501733884cf4b84d",
+    "SwipeDown": "75da7335c89f0ed02f6b65f0625e5253d37eda9e1bbf087eefaf4fd7903e569c",
+    "Push": "47ebf7368fbc89ef78347d7a467d8ccd5544390f0996bffa663ca76fdd8f156c",
+    "Pull": "dd84ca688d2f02cf4dda980560a35d27839c3cb0fd63dfec735c0e3dc80a0f0a",
+    "Circle": "881c306c8a366c16177f1df74288f80c8c4ac5354bbbef28d86f14f83cf20015",
+}
+
+
+@pytest.mark.parametrize("row", dataset_plan(GOLDEN_SPEC, rng_seed=3),
+                         ids=lambda row: row["class_name"])
+def test_cube_bytes_match_the_golden_digest(tmp_path, row):
+    cube = synthesize_sample(GOLDEN_SPEC, row)
+    assert write_cube(tmp_path / "c.rfdc", cube) == GOLDEN_CUBE_SHA256[row["class_name"]]

@@ -132,9 +132,9 @@ class TestSynthesis:
     def test_cube_validation(self):
         cube = synthesize_cube(CFG, [], n_frames=1)
         cube.validate()
-        bad = DataCube(config=CFG, samples=cube.samples[:, :10], n_frames=1)
-        with pytest.raises(ConfigError, match="shape"):
-            bad.validate()
+        for samples in (cube.samples[:, :10], cube.samples[0]):
+            with pytest.raises(ConfigError, match="shape"):
+                DataCube(config=CFG, samples=samples).validate()
 
 
 class TestSignalLaws:
@@ -154,7 +154,7 @@ class TestSignalLaws:
         t_slow = np.arange(CFG.n_chirps) * CFG.t_pri
         for v in [-20.0, -7.5, -1.0, 2.5, 12.0, 25.0]:
             sc = linear_scatterer(10.0, v)
-            r, _ = sc.trajectory(t_slow)
+            r = sc.trajectory(t_slow)
             tone = np.exp(1j * 4 * np.pi * r / CFG.wavelength)
             spec = np.abs(dft_oracle(tone))
             peak = int(np.argmax(spec))
@@ -176,8 +176,7 @@ def reference_cube(config, scene, n_frames, noise_sigma=0.0, rng_seed=0):
         t_slow = f * config.t_frame + chirp_starts
         frame_sum = np.zeros((n_c, n_s), dtype=np.complex128)
         for sc in scene:
-            r, _ = sc.trajectory(t_slow)
-            r = np.asarray(r, dtype=float)
+            r = np.asarray(sc.trajectory(t_slow), dtype=float)
             bad = (r <= 0.0) | (r >= config.max_range)
             if np.any(bad):
                 i = int(np.argmax(bad))
