@@ -247,8 +247,10 @@ def cmd_preprocess(args) -> int:
     manifest = read_manifest(args.manifest)
     base = Path(args.manifest).parent
     verify_manifest_files(manifest, base, ("index",))
+    if "radar_config" not in manifest:  # the cubes' parameters, which only gen knows
+        raise ManifestError(f"{args.manifest}: no radar_config field")
     try:
-        radar = RadarConfig(**manifest.get("radar_config", cfg["radar"]))
+        radar = RadarConfig(**manifest["radar_config"])
     except TypeError as exc:  # an unknown key, or not an object
         raise ManifestError(f"{args.manifest}: radar_config field error: {exc}") from exc
     out = Path(args.out)
@@ -287,6 +289,11 @@ def _load_rfdm_dataset(manifest_path):
     rows = manifest["samples"]
     if not rows:
         raise DataError(f"{manifest_path}: no samples")
+    for k, row in enumerate(rows):
+        c = row["class_id"]
+        if type(c) is not int or not 0 <= c < len(CLASS_NAMES):  # a JSON bool is no class
+            raise ManifestError(f"manifest row {k}: class_id must be an integer in "
+                                f"[0, {len(CLASS_NAMES)}), got {json.dumps(c)}")
     x = None
     for k, row in enumerate(rows):
         frames = read_rfdm(base / row["path"], sha256=row.get("sha256")).frames
@@ -296,7 +303,7 @@ def _load_rfdm_dataset(manifest_path):
             raise DataError(f"{row['path']}: maps of shape {frames.shape}, "
                             f"but the first file's are {x.shape[1:]}")
         x[k] = frames
-    return x, np.array([int(row["class_id"]) for row in rows], dtype=np.intp), rows
+    return x, np.array([row["class_id"] for row in rows], dtype=np.intp), rows
 
 
 def _model_config_for(x: np.ndarray) -> CnnTcnConfig:
@@ -351,12 +358,11 @@ def cmd_eval(args) -> int:
     x, labels, meta = _load_rfdm_dataset(args.manifest)
     plans = make_splits(meta, protocol, val_fraction=float(tr["val_fraction"]),
                         seed=child_seed(args.seed, "splits"))
-    result = run_protocol(x, labels, plans, model_kind, _model_config_for(x), tcfg,
+    report = run_protocol(x, labels, plans, model_kind, _model_config_for(x), tcfg,
                           master_seed=child_seed(args.seed, "protocol"),
                           class_names=CLASS_NAMES, workers=workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = result.to_dict()
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     outputs = ["report.json"]
     for fold in report["folds"]:
@@ -367,7 +373,7 @@ def cmd_eval(args) -> int:
                         {str(args.manifest): sha256_file(args.manifest)}, outputs)
     for fold in report["folds"]:
         print(f"{fold['id']}: accuracy {fold['accuracy']:.4f}")
-    print(f"mean accuracy ({protocol}, {model_kind}): {result.mean_accuracy:.4f}")
+    print(f"mean accuracy ({protocol}, {model_kind}): {report['mean_accuracy']:.4f}")
     return 0
 
 

@@ -3,12 +3,12 @@
 Splits are built from sample provenance metadata (user_id, location_id,
 environment). Every fold trains a fresh seeded model, selects the best
 epoch on a validation slice carved from its training samples, and counts a
-confusion matrix on the held-out samples. Fold accuracies are averaged
-unweighted. Each line a fold logs, its training epochs included, starts
-with the fold id.
+confusion matrix on the held-out samples. `run_protocol` returns the
+`report.json` document: the folds' records and their unweighted mean
+accuracy. Each line a fold logs, its training epochs included, starts with
+the fold id.
 """
 
-import contextvars
 import logging
 from dataclasses import dataclass, replace
 
@@ -25,17 +25,6 @@ PROTOCOLS = ("loocv", "location", "environment", "random")
 TRAIN_LOCATION = (0.75, 0.0)
 
 log = logging.getLogger(__name__)
-_fold_id = contextvars.ContextVar("fold_id", default=None)  # set while run_fold trains
-
-
-def _tag_fold(record) -> bool:
-    """Logging filter: prefix what train_model logs inside a fold with the fold id."""
-    if _fold_id.get() is not None:
-        record.msg = f"[{_fold_id.get()}] {record.msg}"
-    return True
-
-
-logging.getLogger("rfdm.model").addFilter(_tag_fold)
 
 
 @dataclass
@@ -99,31 +88,24 @@ def make_splits(meta: list, kind: str, *, val_fraction: float = 0.15, seed: int 
             test = all_idx[users == u]
             train, val = carve_validation(all_idx[users != u], labels, rng, val_fraction)
             plans.append(SplitPlan(kind, f"user:{u}", train, val, test))
-    elif kind == "location":
-        loc = _require(meta, "location_id").astype(int)
-        ranges = _require(meta, "base_range").astype(float)
-        azim = _require(meta, "azimuth_deg").astype(float)
-        at_train = (np.abs(ranges - TRAIN_LOCATION[0]) < 1e-9) & \
-                   (np.abs(azim - TRAIN_LOCATION[1]) < 1e-9)
+    elif kind in ("location", "environment"):  # one fold per group outside training
+        if kind == "location":
+            group = _require(meta, "location_id").astype(int)
+            ranges = _require(meta, "base_range").astype(float)
+            azim = _require(meta, "azimuth_deg").astype(float)
+            at_train = (np.abs(ranges - TRAIN_LOCATION[0]) < 1e-9) & \
+                       (np.abs(azim - TRAIN_LOCATION[1]) < 1e-9)
+            no_train = f"no samples at the training location {TRAIN_LOCATION}; cannot hold out"
+        else:
+            group = _require(meta, "environment")
+            at_train = group == "Classroom"
+            no_train = "no Classroom samples to train the environment holdout"
         if not at_train.any():
-            raise ManifestError(
-                f"no samples at the training location {TRAIN_LOCATION}; cannot hold out"
-            )
-        train_pool = all_idx[at_train]
-        for l in sorted(set(loc[~at_train].tolist())):
-            test = all_idx[(loc == l) & ~at_train]
-            train, val = carve_validation(train_pool, labels, rng, val_fraction)
-            plans.append(SplitPlan(kind, f"location:{l}", train, val, test))
-    elif kind == "environment":
-        env = _require(meta, "environment")
-        is_classroom = env == "Classroom"
-        if not is_classroom.any():
-            raise ManifestError("no Classroom samples to train the environment holdout")
-        train_pool = all_idx[is_classroom]
-        for e in sorted(set(env[~is_classroom].tolist())):
-            test = all_idx[env == e]
-            train, val = carve_validation(train_pool, labels, rng, val_fraction)
-            plans.append(SplitPlan(kind, f"environment:{e}", train, val, test))
+            raise ManifestError(no_train)
+        for g in sorted(set(group[~at_train].tolist())):
+            train, val = carve_validation(all_idx[at_train], labels, rng, val_fraction)
+            plans.append(SplitPlan(kind, f"{kind}:{g}", train, val,
+                                   all_idx[(group == g) & ~at_train]))
     else:  # random
         order = substream(seed, "random-split").permutation(n)
         n_test = max(1, int(round(0.2 * n)))
@@ -139,107 +121,40 @@ def make_splits(meta: list, kind: str, *, val_fraction: float = 0.15, seed: int 
     return plans
 
 
-@dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # [K, K], rows = true class, cols = predicted
-    class_names: tuple
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def accuracy(self) -> float:
-        return float(np.trace(self.counts)) / self.total if self.total else float("nan")
-
-    @property
-    def per_class_recall(self) -> np.ndarray:
-        row = self.counts.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(row > 0, np.diag(self.counts) / row, np.nan)
-
-    def to_dict(self) -> dict:
-        return {
-            "class_names": list(self.class_names),
-            "counts": self.counts.tolist(),
-            "accuracy": self.accuracy,
-            # null for a class with no test samples
-            "per_class_recall": [None if np.isnan(r) else float(r)
-                                 for r in self.per_class_recall],
-        }
-
-    @classmethod
-    def from_predictions(cls, y_true, y_pred, class_names) -> "ConfusionMatrix":
-        k = len(class_names)
-        counts = np.zeros((k, k), dtype=np.int64)
-        for t, p in zip(np.asarray(y_true, int), np.asarray(y_pred, int)):
-            counts[t, p] += 1
-        return cls(counts, tuple(class_names))
-
-
-@dataclass
-class FoldResult:
-    fold_id: str
-    accuracy: float
-    confusion: ConfusionMatrix
-    best_epoch: int
-    best_val_acc: float
-    train_seed: int
-
-
-@dataclass
-class ProtocolResult:
-    protocol: str
-    model_kind: str
-    folds: list
-    master_seed: int
-
-    @property
-    def mean_accuracy(self) -> float:
-        return float(np.mean([f.accuracy for f in self.folds]))
-
-    def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "model": self.model_kind,
-            "master_seed": self.master_seed,
-            "mean_accuracy": self.mean_accuracy,
-            "folds": [
-                {
-                    "id": f.fold_id,
-                    "accuracy": f.accuracy,
-                    "best_epoch": f.best_epoch,
-                    "best_val_acc": f.best_val_acc,
-                    "train_seed": f.train_seed,
-                    "confusion": f.confusion.to_dict(),
-                }
-                for f in self.folds
-            ],
-        }
+def confusion(y_true, y_pred, class_names) -> dict:
+    """Confusion counts (rows = true class, columns = predicted), accuracy
+    and per-class recall, null for a class with no test samples."""
+    k = len(class_names)
+    flat = k * np.asarray(y_true, np.intp) + np.asarray(y_pred, np.intp)
+    counts = np.bincount(flat, minlength=k * k).reshape(k, k)
+    hits, row = np.diag(counts), counts.sum(axis=1)
+    total = int(row.sum())
+    return {
+        "class_names": list(class_names),
+        "counts": counts.tolist(),
+        "accuracy": float(hits.sum()) / total if total else float("nan"),
+        "per_class_recall": [float(h / n) if n else None for h, n in zip(hits, row)],
+    }
 
 
 def run_protocol(x: np.ndarray, labels: np.ndarray, plans: list, model_kind: str,
                  model_cfg: CnnTcnConfig, train_cfg: TrainConfig, *, master_seed: int,
-                 class_names, workers: int = 1) -> ProtocolResult:
-    """Train one fresh model per fold and aggregate confusion counts.
+                 class_names, workers: int = 1) -> dict:
+    """Train one fresh model per fold and return the report document.
 
     Folds are independent (fresh model, derived seed), so `workers` > 1 runs
     them on a thread pool without changing any result."""
 
-    def run_fold(fi: int, plan: SplitPlan) -> FoldResult:
+    def run_fold(fi: int, plan: SplitPlan) -> dict:
         fold_seed = child_seed(master_seed, "fold", fi)
         model = build_model(model_kind, model_cfg, init_seed=fold_seed)
-        token = _fold_id.set(plan.fold_id)
-        try:
-            res = train_model(model, x, labels, plan.train, plan.val,
-                              replace(train_cfg, seed=fold_seed), class_names=class_names)
-        finally:
-            _fold_id.reset(token)
-        preds = predict_classes(model, x[plan.test])
-        conf = ConfusionMatrix.from_predictions(labels[plan.test], preds, class_names)
-        log.info("[%s] test accuracy %.4f", plan.fold_id, conf.accuracy)
-        return FoldResult(plan.fold_id, conf.accuracy, conf,
-                          res.best_epoch, res.best_val_acc, fold_seed)
+        res = train_model(model, x, labels, plan.train, plan.val,
+                          replace(train_cfg, seed=fold_seed), class_names=class_names,
+                          log_prefix=f"[{plan.fold_id}] ")
+        conf = confusion(labels[plan.test], predict_classes(model, x[plan.test]), class_names)
+        log.info("[%s] test accuracy %.4f", plan.fold_id, conf["accuracy"])
+        return {"id": plan.fold_id, "accuracy": conf["accuracy"], "best_epoch": res.best_epoch,
+                "best_val_acc": res.best_val_acc, "train_seed": fold_seed, "confusion": conf}
 
     if workers > 1 and len(plans) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -248,5 +163,5 @@ def run_protocol(x: np.ndarray, labels: np.ndarray, plans: list, model_kind: str
             folds = list(pool.map(run_fold, range(len(plans)), plans))
     else:
         folds = [run_fold(fi, plan) for fi, plan in enumerate(plans)]
-    return ProtocolResult(protocol=plans[0].kind, model_kind=model_kind, folds=folds,
-                          master_seed=master_seed)
+    return {"protocol": plans[0].kind, "model": model_kind, "master_seed": master_seed,
+            "mean_accuracy": float(np.mean([f["accuracy"] for f in folds])), "folds": folds}

@@ -196,8 +196,9 @@ def make_gesture_scene(
             base_off = template_trace(
                 gesture, t, duration, user.extent_scale, user.speed_scale, cos_az
             )
-            arg = 2 * np.pi * np.multiply.outer(_jf, t) + _jp[:, None]
-            jit = (_ja[:, None] * np.sin(arg)).sum(axis=0)
+            axes = (-1,) + (1,) * np.ndim(t)  # components on a leading axis, t scalar or not
+            arg = 2 * np.pi * np.multiply.outer(_jf, t) + _jp.reshape(axes)
+            jit = (_ja.reshape(axes) * np.sin(arg)).sum(axis=0)
             return placement.base_range + _off + base_off + jit
 
         hand.append(Scatterer(traj, float(amps[i]), label=f"hand{i}"))

@@ -306,14 +306,14 @@ def evaluate_accuracy(model, x, y) -> float:
 
 
 def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig, *,
-                class_names=None) -> TrainResult:
+                class_names=None, log_prefix: str = "") -> TrainResult:
     """Mini-batch Adam training with best-val-accuracy checkpointing.
 
     Deterministic for a fixed cfg.seed: shuffles, dropout masks and
     parameter updates all derive from it. The model is left holding the
     best-validation parameters (ties resolve to the earliest epoch). With an
     empty validation set the final parameters are kept. Each epoch logs one
-    INFO line."""
+    INFO line that starts with `log_prefix` (a fold passes its id)."""
     cfg.validate()
     train_idx = np.asarray(train_idx, dtype=np.intp)
     val_idx = np.asarray(val_idx, dtype=np.intp)
@@ -346,7 +346,8 @@ def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig, *,
         train_loss = float(np.mean(losses))
         val_acc = evaluate_accuracy(model, x[val_idx], y[val_idx])  # nan without a val set
         curve.append((epoch, train_loss, val_acc))
-        log.info("epoch %d: train_loss=%.4f val_acc=%.4f", epoch, train_loss, val_acc)
+        log.info("%sepoch %d: train_loss=%.4f val_acc=%.4f", log_prefix, epoch, train_loss,
+                 val_acc)
         if len(val_idx) and val_acc > best[0]:
             best = (val_acc, epoch)
             best_snap = _snapshot(model)

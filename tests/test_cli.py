@@ -213,6 +213,20 @@ class TestPreprocess:
         assert rc == 4
         assert "bogus" in capsys.readouterr().err
 
+    def test_manifest_without_radar_config_is_manifest_error(self, smoke, tmp_path, capsys):
+        _, cfg_path, gen_dir, _ = smoke
+        man = json.loads((gen_dir / "dataset_manifest.json").read_text())
+        del man["radar_config"]
+        for row in man["samples"]:
+            row["path"] = str(gen_dir / row["path"])
+        bad = tmp_path / "dataset_manifest.json"
+        bad.write_text(json.dumps(man))
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--config", str(cfg_path), "--manifest", str(bad),
+                     "--out", str(out)]) == 4
+        assert f"{bad}: no radar_config field" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hash_mismatch_detected(self, smoke, tmp_path):
         root, cfg_path, gen_dir, _ = smoke
         # copy the dataset and corrupt one cube
@@ -390,6 +404,26 @@ class TestTrainEvalInfer:
             conf = np.array(fold["confusion"]["counts"])
             assert fold["accuracy"] == pytest.approx(np.trace(conf) / conf.sum())
 
+    def test_report_layout(self, smoke, tmp_path):
+        # perfbench's loocv check reads mean_accuracy, folds[].id and
+        # folds[].confusion.counts
+        _, cfg_path, _, pp_dir = smoke
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg_path), "--seed", "5", "--protocol",
+                     "environment", "--epochs", "1",
+                     "--manifest", str(pp_dir / "rfdm_manifest.json"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"protocol", "model", "master_seed", "mean_accuracy", "folds"}
+        assert report["folds"]
+        for fold in report["folds"]:
+            assert set(fold) == {"id", "accuracy", "best_epoch", "best_val_acc", "train_seed",
+                                 "confusion"}
+            assert set(fold["confusion"]) == {"class_names", "counts", "accuracy",
+                                              "per_class_recall"}
+            assert fold["confusion"]["class_names"] == list(cli.CLASS_NAMES)
+            assert fold["accuracy"] == fold["confusion"]["accuracy"]
+        assert report["mean_accuracy"] == float(np.mean([f["accuracy"] for f in report["folds"]]))
+
     def test_eval_manifest_records_the_model_and_protocol_run(self, smoke, tmp_path):
         _, cfg_path, _, pp_dir = smoke
         out = tmp_path / "eval"
@@ -418,6 +452,44 @@ class TestTrainEvalInfer:
                      "--manifest", str(one), "--out", str(out)]) == 4
         assert f"{protocol} protocol: every sample is in the training group" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("protocol, away, message", [
+        ("location", {"base_range": 1.0, "azimuth_deg": 15.0},
+         "no samples at the training location (0.75, 0.0); cannot hold out"),
+        ("environment", {"environment": "Office"},
+         "no Classroom samples to train the environment holdout"),
+    ], ids=["location", "environment"])
+    def test_eval_with_no_training_group_is_manifest_error(self, smoke, tmp_path, capsys,
+                                                           protocol, away, message):
+        _, cfg_path, _, pp_dir = smoke
+        man = json.loads((pp_dir / "rfdm_manifest.json").read_text())
+        for row in man["samples"]:
+            row.update(path=str(pp_dir / row["path"]), **away)
+        none = tmp_path / "rfdm_manifest.json"
+        none.write_text(json.dumps(man))
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg_path), "--protocol", protocol, "--epochs", "1",
+                     "--manifest", str(none), "--out", str(out)]) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("class_id", [7, -1, "x", True, 3.0])
+    def test_class_id_outside_the_classes_is_manifest_error(self, smoke, tmp_path, capsys,
+                                                            command, class_id):
+        _, cfg_path, _, pp_dir = smoke
+        man = json.loads((pp_dir / "rfdm_manifest.json").read_text())
+        for row in man["samples"]:
+            row["path"] = str(pp_dir / row["path"])
+        man["samples"][3]["class_id"] = class_id
+        bad = tmp_path / "rfdm_manifest.json"
+        bad.write_text(json.dumps(man))
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--epochs", "1",
+                     "--manifest", str(bad), "--out", str(out)]) == 4
+        assert (f"manifest row 3: class_id must be an integer in [0, 7), "
+                f"got {json.dumps(class_id)}") in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_val_fraction_zero_carves_no_validation(self, smoke, tmp_path, capsys):

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from rfdm.errors import ConfigError, ManifestError
-from rfdm.evaluate import (
-    ConfusionMatrix,
-    make_splits,
-    run_protocol,
-)
+from rfdm.evaluate import confusion, make_splits, run_protocol
 from rfdm.model import CnnTcnConfig, TrainConfig
 
 CLASS_NAMES = tuple("ABCDEFG")
@@ -96,6 +92,19 @@ class TestSplits:
         with pytest.raises(ManifestError, match=f"{protocol} protocol: every sample"):
             make_splits(make_meta(n_locations=1), protocol)
 
+    @pytest.mark.parametrize("protocol, away, message", [
+        ("location", {"base_range": 1.2, "azimuth_deg": 20.0},
+         r"no samples at the training location \(0.75, 0.0\); cannot hold out"),
+        ("environment", {"environment": "Office"},
+         "no Classroom samples to train the environment holdout"),
+    ], ids=["location", "environment"])
+    def test_holdout_without_a_training_group_is_manifest_error(self, protocol, away, message):
+        meta = make_meta(n_users=2, n_locations=3)
+        for m in meta:
+            m.update(away)
+        with pytest.raises(ManifestError, match=message):
+            make_splits(meta, protocol)
+
     def test_unknown_protocol(self):
         with pytest.raises(ConfigError, match="protocol"):
             make_splits(make_meta(), "bootstrap")
@@ -112,22 +121,26 @@ class TestConfusion:
         rng = np.random.default_rng(0)
         y_true = rng.integers(0, 7, 200)
         y_pred = rng.integers(0, 7, 200)
-        cm = ConfusionMatrix.from_predictions(y_true, y_pred, CLASS_NAMES)
-        assert cm.total == 200
-        assert cm.accuracy == np.trace(cm.counts) / 200.0
-        # row sums are the per-class test counts
+        cm = confusion(y_true, y_pred, CLASS_NAMES)
+        counts = np.array(cm["counts"])
+        assert counts.sum() == 200
+        assert cm["accuracy"] == np.trace(counts) / 200.0
+        # row sums are the per-class test counts, cells the (true, predicted) pairs
         for c in range(7):
-            assert cm.counts[c].sum() == int((y_true == c).sum())
+            assert counts[c].sum() == int((y_true == c).sum())
+            for d in range(7):
+                assert counts[c, d] == int(((y_true == c) & (y_pred == d)).sum())
 
     def test_recall_diagonal(self):
-        cm = ConfusionMatrix.from_predictions([0, 0, 1], [0, 1, 1], ("x", "y"))
-        assert cm.per_class_recall[0] == 0.5
-        assert cm.per_class_recall[1] == 1.0
+        cm = confusion([0, 0, 1], [0, 1, 1], ("x", "y"))
+        assert cm["counts"] == [[1, 1], [0, 1]]
+        assert cm["per_class_recall"] == [0.5, 1.0]
 
     def test_dict_writes_recall_with_null_for_an_untested_class(self):
-        cm = ConfusionMatrix.from_predictions([0, 0, 2], [0, 1, 1], ("x", "y", "z"))
-        doc = json.loads(json.dumps(cm.to_dict()))
-        assert doc["per_class_recall"] == [0.5, None, 0.0]
+        cm = confusion([0, 0, 2], [0, 1, 1], ("x", "y", "z"))
+        doc = json.loads(json.dumps(cm))
+        assert doc == {"class_names": ["x", "y", "z"], "counts": [[1, 1, 0], [0, 0, 0], [0, 1, 0]],
+                       "accuracy": 1 / 3, "per_class_recall": [0.5, None, 0.0]}
 
 
 SMALL_CFG = CnnTcnConfig(
@@ -163,10 +176,10 @@ class TestRunProtocol:
             TrainConfig(lr=1e-2, batch_size=7, epochs=100, seed=0),
             master_seed=5, class_names=CLASS_NAMES,
         )
-        assert len(result.folds) == 2
-        for f in result.folds:
-            assert f.accuracy == 1.0
-        assert result.mean_accuracy == 1.0
+        assert len(result["folds"]) == 2
+        for f in result["folds"]:
+            assert f["accuracy"] == 1.0
+        assert result["mean_accuracy"] == 1.0
 
     def test_confusion_identity_and_determinism(self):
         meta = make_meta(n_users=2, n_locations=1, n_instances=1)
@@ -181,9 +194,10 @@ class TestRunProtocol:
             )
 
         r1, r2 = run(), run()
-        for f1, f2 in zip(r1.folds, r2.folds):
-            assert np.array_equal(f1.confusion.counts, f2.confusion.counts)
-            assert f1.confusion.accuracy == np.trace(f1.confusion.counts) / f1.confusion.total
+        assert r1 == r2
+        for f in r1["folds"]:
+            counts = np.array(f["confusion"]["counts"])
+            assert f["confusion"]["accuracy"] == np.trace(counts) / counts.sum()
 
     def test_fold_workers_do_not_change_the_result(self):
         meta = make_meta(n_users=3, n_locations=1, n_instances=1)
@@ -195,7 +209,7 @@ class TestRunProtocol:
                 x, y, plans, "cnn-tcn", SMALL_CFG,
                 TrainConfig(lr=5e-3, batch_size=7, epochs=2, seed=0),
                 master_seed=3, class_names=CLASS_NAMES, workers=workers,
-            ).to_dict()
+            )
 
         assert run(2) == run(1)
 

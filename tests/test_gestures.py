@@ -84,6 +84,22 @@ class TestSceneConstruction:
         for sc in scene.clutter:
             assert np.ptp(sc.trajectory(t)) == 0.0
 
+    def test_trajectory_keeps_the_shape_of_its_time(self):
+        from rfdm.radar import if_signal_sample
+
+        scene = make_gesture_scene(
+            GestureClass.PUSH, ScenePlacement(), UserProfile(), rng_seed=3
+        )
+        t = np.array([0.0, 0.8, 1.3])
+        for sc in scene.hand:
+            ranges = sc.trajectory(t)
+            assert ranges.shape == (3,)
+            assert np.array_equal(sc.trajectory(t.reshape(3, 1)), ranges.reshape(3, 1))
+            for k in range(3):
+                r = sc.trajectory(t[k])
+                assert np.shape(r) == () and r == ranges[k]
+            assert isinstance(if_signal_sample(RadarConfig(), sc, 0.0, 0.8), complex)
+
     def test_environment_clutter_presets(self):
         for env, count in [(Environment.CLASSROOM, 8), (Environment.OFFICE, 12),
                            (Environment.CONFERENCE_HALL, 4)]:
