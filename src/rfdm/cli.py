@@ -52,7 +52,7 @@ from .io import (
     write_confusion_csv,
     write_cube,
     write_curve_csv,
-    write_dataset_manifest,
+    write_manifest,
     write_rfdm,
 )
 from .model import CnnTcnConfig, TrainConfig, build_model, predict, train_model
@@ -114,24 +114,35 @@ def _has_type_of(value, default) -> bool:
     return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 
+def _check_value(name: str, value, default) -> None:
+    """ConfigError unless `value` has the JSON type of `default`. An
+    object's keys must be keys of the default, each value checked the same
+    way; each row of an array is checked against the default's first row."""
+    if not _has_type_of(value, default):
+        raise ConfigError(f"config value of the wrong type: {name} must be "
+                          f"{_JSON_TYPES[type(default)]}, got {json.dumps(value)}")
+    if isinstance(value, dict):
+        for key, v in value.items():
+            if key not in default:
+                raise ConfigError(f"unknown config key {name + '.' + key!r}")
+            _check_value(name + "." + key, v, default[key])
+    elif isinstance(value, list) and default:
+        for i, row in enumerate(value):
+            _check_value(f"{name}[{i}]", row, default[0])
+
+
 def _merge(base: dict, override: dict) -> dict:
     """`base` (sections of keys) with `override`'s values; a section or key
-    that `base` lacks, a section that is not an object, or a value of
-    another JSON type than its default raises ConfigError naming it."""
+    that `base` lacks (in a row of gen.users or gen.placements too), a
+    section that is not an object, or a value of another JSON type than its
+    default raises ConfigError naming it."""
     out = dict(base)
     for section, values in override.items():
         if section not in base:
             raise ConfigError(f"unknown config key {section!r}")
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section!r} must be a JSON object")
-        for key, value in values.items():
-            name = section + "." + key
-            if key not in base[section]:
-                raise ConfigError(f"unknown config key {name!r}")
-            default = base[section][key]
-            if not _has_type_of(value, default):
-                raise ConfigError(f"config value of the wrong type: {name} must be "
-                                  f"{_JSON_TYPES[type(default)]}, got {json.dumps(value)}")
+        _check_value(section, values, base[section])
         out[section] = {**base[section], **values}
     return out
 
@@ -151,7 +162,7 @@ def _load_config(path) -> dict:
 
 def _dataset_spec(cfg: dict) -> DatasetSpec:
     g = cfg["gen"]
-    try:
+    try:  # a placement row may lack a key; _load_config checked the rest
         users = tuple(UserProfile(**u) for u in g["users"])
         placements = tuple(
             ScenePlacement(p["base_range"], p["azimuth_deg"],
@@ -165,7 +176,7 @@ def _dataset_spec(cfg: dict) -> DatasetSpec:
             n_frames=g["n_frames"],
             noise_sigma=float(g["noise_sigma"]),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"gen config field error: {exc}") from exc
 
 
@@ -207,11 +218,8 @@ def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     radar = RadarConfig(**cfg["radar"])  # _load_config admits only its fields
     spec = _dataset_spec(cfg)
-    try:  # before any output exists
-        radar.validate()
-        spec.validate()
-    except TypeError as exc:  # a gen.users value of the wrong JSON type, e.g. a string scale
-        raise ConfigError(f"config value of the wrong type: {exc}") from exc
+    radar.validate()  # before any output exists
+    spec.validate()
     out = Path(args.out)
     (out / "cubes").mkdir(parents=True, exist_ok=True)
     plan = dataset_plan(spec, args.seed)
@@ -223,11 +231,10 @@ def cmd_gen(args) -> int:
         entry["path"] = rel
         entry["sha256"] = write_cube(out / rel, cube)
         rows.append(entry)
-    write_dataset_manifest(out / "dataset_manifest.json", radar,
-                           {"instances": spec.instances, "n_frames": spec.n_frames,
-                            "noise_sigma": spec.noise_sigma,
-                            "n_users": len(spec.users), "n_placements": len(spec.placements)},
-                           rows)
+    write_manifest(out / "dataset_manifest.json", radar, rows,
+                   spec={"instances": spec.instances, "n_frames": spec.n_frames,
+                         "noise_sigma": spec.noise_sigma,
+                         "n_users": len(spec.users), "n_placements": len(spec.placements)})
     _write_run_manifest(out, "gen", cfg, args.seed, {},
                         [r["path"] for r in rows] + ["dataset_manifest.json"])
     counts = {}
@@ -267,13 +274,7 @@ def cmd_preprocess(args) -> int:
         entry["cube_path"] = row["path"]
         entry["sha256"] = write_rfdm(out / rel, seq)
         rows.append(entry)
-    doc = {
-        "version": 1,
-        "radar_config": asdict(radar),
-        "preprocess": pp,
-        "samples": rows,
-    }
-    (out / "rfdm_manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    write_manifest(out / "rfdm_manifest.json", radar, rows, preprocess=pp)
     _write_run_manifest(out, "preprocess", cfg, args.seed,
                         {str(args.manifest): sha256_file(args.manifest)},
                         [r["path"] for r in rows] + ["rfdm_manifest.json"])

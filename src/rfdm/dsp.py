@@ -122,13 +122,12 @@ class RfdmSequence:
     """Per-frame range x Doppler magnitude maps, the classifier input.
 
     frames: float64 [n_frames][n_range_bins][n_doppler_bins]; the Doppler
-    axis is fftshifted so zero velocity sits at bin n_doppler // 2.
-    scale_mode: 'linear' (raw magnitudes) or 'linear-maxnorm' (divided by
-    the sequence maximum).
+    axis is fftshifted so zero velocity sits at bin n_doppler // 2. The
+    maps `cube_to_rfdm` returns, and an RFDM file stores, are divided by
+    the sequence maximum (`condition_rfdm`).
     """
 
     frames: np.ndarray
-    scale_mode: str = "linear"
 
     def validate(self) -> None:
         if self.frames.ndim != 3:
@@ -159,17 +158,17 @@ def doppler_process(rc: np.ndarray, start: int = 0, count: int | None = None) ->
     spec = fft(np.moveaxis(xw, 1, -1), n_pad, start - n_pad // 2,
                count)                           # [frame, range, rx, doppler]
     mag = np.abs(spec).mean(axis=2)             # average rx -> [frame, range, doppler]
-    return RfdmSequence(frames=mag, scale_mode="linear")
+    return RfdmSequence(frames=mag)
 
 
 def condition_rfdm(seq: RfdmSequence) -> RfdmSequence:
     """Divide a map sequence that already holds only the kept bins by its
-    maximum ('linear-maxnorm'); an all-zero sequence passes unchanged."""
+    maximum; an all-zero sequence passes unchanged."""
     seq.validate()
     frames = seq.frames
     peak = float(frames.max(initial=0.0))
     out = frames / peak if peak > 0.0 else frames.copy()
-    return RfdmSequence(frames=out, scale_mode="linear-maxnorm")
+    return RfdmSequence(frames=out)
 
 
 def cube_to_rfdm(cube: DataCube, mti: bool = True, n_range_crop: int = 32,

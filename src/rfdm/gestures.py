@@ -306,7 +306,7 @@ def synthesize_sample(spec: DatasetSpec, row: dict, config: RadarConfig | None =
         ) from exc
 
 
-def standard_benchmark_spec(instances: int = 30, noise_sigma: float = 1.0) -> DatasetSpec:
+def standard_benchmark_spec(instances: int = 30) -> DatasetSpec:
     """The stock desk-scale benchmark: 7 classes x instances x 3 users x 3 placements."""
     users = (
         UserProfile(speed_scale=0.90, amplitude_scale=0.90, extent_scale=0.95, jitter_sigma=0.0015),
@@ -319,4 +319,4 @@ def standard_benchmark_spec(instances: int = 30, noise_sigma: float = 1.0) -> Da
         ScenePlacement(0.60, -15.0, Environment.CONFERENCE_HALL),
     )
     return DatasetSpec(instances=instances, users=users, placements=placements,
-                       n_frames=16, noise_sigma=noise_sigma)
+                       n_frames=16, noise_sigma=1.0)

@@ -1,12 +1,15 @@
 """File formats: raw cubes (RFDC), map sequences (RFDM), checkpoints (RFNN),
 JSON manifests with content hashes, and the training-curve and confusion
-CSVs.
+CSVs: every layout decision, the checkpoint descriptor and the manifest
+document included, is made here.
 
-All binary payloads are little-endian; cube files carry a trailing sample
-count. Each reader reads its file once and verifies those bytes alone: the
-magic, the version, the exact size the header implies and, for cubes and
-map sequences, the manifest row's digest (`sha256=`). Readers fail closed:
-a mismatch, or a payload its type rejects (a non-finite value, a negative
+All binary payloads are little-endian, hashed as they are written; cube
+files carry a trailing sample count, and an RFDM file's scale byte is
+always 1 (maps divided by their sequence maximum). Each reader reads its
+file once and verifies those bytes alone: the magic, the version, the
+scale byte, the exact size the header implies and, for cubes and map
+sequences, the manifest row's digest (`sha256=`). Readers fail closed: a
+mismatch, or a payload its type rejects (a non-finite value, a negative
 map magnitude or running variance), raises IntegrityError.
 """
 
@@ -28,9 +31,7 @@ CUBE_MAGIC = b"RFDC"
 RFDM_MAGIC = b"RFDM"
 CKPT_MAGIC = b"RFNN"
 FORMAT_VERSION = 1
-
-_SCALE_CODES = {"linear": 0, "linear-maxnorm": 1}
-_SCALE_NAMES = {v: k for k, v in _SCALE_CODES.items()}
+_RFDM_SCALE = 1
 
 
 def _expect_size(data, path, size, what, exact=True) -> None:
@@ -59,6 +60,18 @@ def _read_file(path, magic, what, header_size, sha256) -> bytes:
     return data
 
 
+def _write(path, parts) -> str:
+    """Write `parts` (bytes, or C-contiguous arrays written as their
+    buffers) to `path` in order; returns the SHA-256 hex digest of the bytes
+    written."""
+    h = hashlib.sha256()
+    with open(path, "wb") as f:
+        for part in parts:
+            f.write(part)
+            h.update(part)
+    return h.hexdigest()
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -78,16 +91,8 @@ def write_cube(path, cube: DataCube) -> str:
     # complex128 is stored as interleaved (re, im) float64 pairs; on a
     # little-endian host this is the samples' own buffer, not a copy
     x = np.ascontiguousarray(cube.samples, dtype="<c16")
-    n_frames, n_chirps, n_samples, n_rx = x.shape
-    h = hashlib.sha256()
-    with open(path, "wb") as f:
-        for part in (CUBE_MAGIC,
-                     struct.pack("<5I", FORMAT_VERSION, n_frames, n_chirps, n_samples, n_rx),
-                     x,
-                     struct.pack("<Q", x.size)):
-            f.write(part)
-            h.update(part)
-    return h.hexdigest()
+    return _write(path, (CUBE_MAGIC, struct.pack("<5I", FORMAT_VERSION, *x.shape), x,
+                         struct.pack("<Q", x.size)))
 
 
 def read_cube(path, config: RadarConfig, *, sha256=None) -> DataCube:
@@ -120,26 +125,20 @@ def read_cube(path, config: RadarConfig, *, sha256=None) -> DataCube:
 def write_rfdm(path, seq: RfdmSequence) -> str:
     """Write `seq` as RFDM; returns the SHA-256 hex digest of the bytes written."""
     seq.validate()
-    code = _SCALE_CODES.get(seq.scale_mode)
-    if code is None:
-        raise ValueError(f"unknown scale mode {seq.scale_mode!r}")
     x = np.ascontiguousarray(seq.frames, dtype="<f4")
-    h = hashlib.sha256()
-    with open(path, "wb") as f:
-        for part in (RFDM_MAGIC, struct.pack("<4IB", FORMAT_VERSION, *x.shape, code), x):
-            f.write(part)
-            h.update(part)
-    return h.hexdigest()
+    return _write(path, (RFDM_MAGIC, struct.pack("<4IB", FORMAT_VERSION, *x.shape,
+                                                 _RFDM_SCALE), x))
 
 
 def read_rfdm(path, *, sha256=None) -> RfdmSequence:
+    """An RFDM file's maps; a scale byte other than 1 raises IntegrityError."""
     data = _read_file(path, RFDM_MAGIC, "rfdm", 21, sha256)
     t, n_r, n_d, code = struct.unpack_from("<3IB", data, 8)
-    if code not in _SCALE_NAMES:
+    if code != _RFDM_SCALE:
         raise IntegrityError(f"{path}: unknown scale code {code}")
     _expect_size(data, path, 21 + 4 * t * n_r * n_d, "rfdm payload")
     frames = np.frombuffer(data, dtype="<f4", offset=21).reshape(t, n_r, n_d)
-    seq = RfdmSequence(frames=frames.astype(np.float64), scale_mode=_SCALE_NAMES[code])
+    seq = RfdmSequence(frames=frames.astype(np.float64))
     try:
         seq.validate()
     except ShapeError as exc:
@@ -153,20 +152,16 @@ def read_rfdm(path, *, sha256=None) -> RfdmSequence:
 
 
 def save_checkpoint(path, model) -> None:
-    descriptor = model.describe()
-    descriptor["params"] = [{"name": p.name, "shape": list(p.value.shape)}
-                            for p in model.params()]
-    descriptor["buffers"] = [{"name": n, "shape": list(b.shape)}
-                             for n, b in model.buffers()]
+    """Write `model` as RFNN: a JSON descriptor (its kind, its config and
+    the name and shape of each parameter and buffer), then the parameters
+    and buffers as <f8 in that order."""
+    params, buffers = [(p.name, p.value) for p in model.params()], model.buffers()
+    descriptor = {"kind": model.kind, "config": asdict(model.cfg),
+                  "params": [{"name": n, "shape": list(a.shape)} for n, a in params],
+                  "buffers": [{"name": n, "shape": list(a.shape)} for n, a in buffers]}
     blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<2I", FORMAT_VERSION, len(blob)))
-        f.write(blob)
-        for p in model.params():
-            f.write(p.value.astype("<f8").tobytes())
-        for _, b in model.buffers():
-            f.write(b.astype("<f8").tobytes())
+    _write(path, [CKPT_MAGIC, struct.pack("<2I", FORMAT_VERSION, len(blob)), blob]
+           + [np.ascontiguousarray(a, "<f8") for _, a in params + buffers])
 
 
 def load_checkpoint(path):
@@ -214,13 +209,12 @@ def load_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 
-def write_dataset_manifest(path, radar_config: RadarConfig, spec_info: dict, rows: list) -> None:
-    doc = {
-        "version": FORMAT_VERSION,
-        "radar_config": asdict(radar_config),
-        "spec": spec_info,
-        "samples": rows,
-    }
+def write_manifest(path, radar_config: RadarConfig, rows: list, **section) -> None:
+    """Write a manifest: the format version, the radar config, the one
+    section that describes how the rows were made (`spec=` for a dataset,
+    `preprocess=` for map sequences) and the rows."""
+    doc = {"version": FORMAT_VERSION, "radar_config": asdict(radar_config), **section,
+           "samples": rows}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 

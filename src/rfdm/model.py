@@ -22,16 +22,16 @@ time step feeds the dense head, Dense and LeakyReLU alternating and ending
 in the 7 class logits.
 `_forward` runs a list front to back and `_backward` runs it back to front;
 only the residual temporal blocks wire their own passes. The kernels
-(FRAME_KERNEL, TCN_KERNEL), LeakyReLU's default slope of 0.01 and the class
-count (gestures.N_CLASSES) are fixed; CnnTcnConfig, which a checkpoint
-records, holds the sizes that vary.
+(FRAME_KERNEL, TCN_KERNEL), LeakyReLU's slope of 0.01 and the class count
+(gestures.N_CLASSES) are fixed; CnnTcnConfig holds the sizes that vary. A
+checkpoint records a model's `kind` and `cfg` (see io.save_checkpoint).
 
 A plain-CNN baseline shares the frame CNN, replaces the temporal stack
 with a mean over frames, and uses a smaller dense head.
 """
 
 import logging
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,9 +201,6 @@ class CnnTcn:
         for i, b in enumerate(self.blocks):
             b.drop.rng = substream(seed, "dropout", i)
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "config": asdict(self.cfg)}
-
     # -- computation --------------------------------------------------------
     def frame_features(self, x, train=False):
         """Per-frame feature vectors [B, T, F]; weights shared across frames."""
@@ -359,10 +356,10 @@ def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig, *,
 
 
 def predict(model, seq) -> tuple:
-    """(class index, probabilities) for one RFDM sequence [T, H, W]."""
+    """(class index, probabilities) for one RFDM sequence [T, H, W]; any
+    other rank raises ShapeError."""
     x = np.asarray(seq, dtype=np.float64)
-    if x.ndim == 3:
-        x = x[np.newaxis]
-    logits = model.forward(x, train=False)
-    probs = softmax(logits)[0]
+    if x.ndim != 3:
+        raise ShapeError(f"predict takes one [T, H, W] sequence, got shape {x.shape}")
+    probs = softmax(model.forward(x[np.newaxis], train=False))[0]
     return int(probs.argmax()), probs

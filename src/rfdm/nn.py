@@ -101,8 +101,7 @@ class Conv2d(Layer):
     sides for odd kernels).
     """
 
-    def __init__(self, c_in, c_out, kh, kw, rng=None, name="conv"):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, c_in, c_out, kh, kw, rng, name="conv"):
         self.c_in, self.c_out, self.kh, self.kw = c_in, c_out, kh, kw
         self.w = Param(name + ".w", he_uniform(rng, (kh, kw, c_in, c_out), kh * kw * c_in))
         self._cache = None
@@ -204,8 +203,10 @@ class BatchNorm2d(Layer):
     overwrites dz, which is this layer's own, so one full-size array
     serves both."""
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5, name="bn", pool=False):
-        self.c, self.momentum, self.eps = channels, momentum, eps
+    momentum, eps = 0.9, 1e-5
+
+    def __init__(self, channels, name="bn", pool=False):
+        self.c = channels
         self.gamma = Param(name + ".gamma", np.ones(channels))
         self.beta = Param(name + ".beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
@@ -284,12 +285,13 @@ class BatchNorm2d(Layer):
 
 
 class LeakyReLU(Layer):
-    """max(x, alpha*x); a train forward caches only the sign mask x >= 0
-    (1 byte per value), so the slope at x == 0 is 1. An eval forward keeps
-    nothing."""
+    """max(x, alpha*x) with alpha = 0.01; a train forward caches only the
+    sign mask x >= 0 (1 byte per value), so the slope at x == 0 is 1. An
+    eval forward keeps nothing."""
 
-    def __init__(self, alpha=0.01):
-        self.alpha = alpha
+    alpha = 0.01
+
+    def __init__(self):
         self._mask = None
 
     def forward(self, x, train=False):
@@ -345,8 +347,7 @@ class ChannelReduce(Layer):
     """Pointwise (1x1) linear map across channels, the last axis of an input
     of any rank: [..., C] -> [..., C']."""
 
-    def __init__(self, c_in, c_out, rng=None, name="reduce"):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, c_in, c_out, rng, name="reduce"):
         self.c_in, self.c_out = c_in, c_out
         self.w = Param(name + ".w", he_uniform(rng, (c_in, c_out), c_in))
         self.b = Param(name + ".b", np.zeros(c_out))
@@ -373,8 +374,7 @@ class CausalConv1d(Layer):
     Left-pads with (kt-1)*dilation zeros so y[t] sees x[t-(kt-1)*d .. t];
     weight tap i corresponds to lag (kt-1-i)*d (tap kt-1 is 'now')."""
 
-    def __init__(self, c_in, c_out, kt, dilation=1, rng=None, name="tconv"):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, c_in, c_out, kt, dilation=1, *, rng, name="tconv"):
         self.c_in, self.c_out, self.kt, self.dilation = c_in, c_out, kt, int(dilation)
         self.w = Param(name + ".w", he_uniform(rng, (kt, c_in, c_out), kt * c_in))
         self.b = Param(name + ".b", np.zeros(c_out))
@@ -433,8 +433,7 @@ class Dropout(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, d_in, d_out, rng=None, name="dense"):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, d_in, d_out, rng, name="dense"):
         self.d_in, self.d_out = d_in, d_out
         self.w = Param(name + ".w", he_uniform(rng, (d_in, d_out), d_in))
         self.b = Param(name + ".b", np.zeros(d_out))
@@ -480,9 +479,11 @@ def softmax_xent(logits: np.ndarray, labels) -> tuple:
 class Adam:
     """Adam with bias correction; eps sits outside the square root."""
 
-    def __init__(self, params, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=5e-4):
         self.param_list = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.param_list]
         self.v = [np.zeros_like(p.value) for p in self.param_list]

@@ -159,7 +159,7 @@ class DataCube:
 def synthesize_cube(
     config: RadarConfig,
     scene,
-    n_frames: int = 16,
+    n_frames: int,
     noise_sigma: float = 0.0,
     rng_seed: int = 0,
 ) -> DataCube:

@@ -48,6 +48,8 @@ SMOKE_CONFIG = {
               "val_fraction": 0.15},
 }
 
+PLACEMENT = SMOKE_CONFIG["gen"]["placements"][0]
+
 
 @pytest.fixture(scope="module")
 def smoke(tmp_path_factory):
@@ -106,8 +108,12 @@ class TestGen:
         ({"eval": "loocv"}, "config section 'eval' must be a JSON object"),
         ({"preprocess": {"window": "hann"}}, "unknown config key 'preprocess.window'"),
         ({"preprocess": {"scale_mode": "log-db"}}, "unknown config key 'preprocess.scale_mode'"),
+        ({"gen": {"placements": [dict(PLACEMENT, colour="red")]}},
+         "unknown config key 'gen.placements[0].colour'"),
+        ({"gen": {"users": [{"speed_scale": 1.0}, {"height": 1.8}]}},
+         "unknown config key 'gen.users[1].height'"),
     ], ids=["train-key", "section", "gen-key", "non-object-section", "preprocess-window",
-            "preprocess-scale_mode"])
+            "preprocess-scale_mode", "placement-key", "user-key"])
     def test_config_keys_outside_the_defaults_are_config_errors(self, tmp_path, capsys,
                                                                 doc, fragment):
         cfg = tmp_path / "cfg.json"
@@ -131,9 +137,17 @@ class TestGen:
         ({"train": {"val_fraction": [0.1]}}, "train.val_fraction must be a number, got [0.1]"),
         ({"train": {"model": 1}}, "train.model must be a string, got 1"),
         ({"gen": {"users": {}}}, "gen.users must be an array, got {}"),
+        ({"gen": {"users": [{"speed_scale": True}]}},
+         "config value of the wrong type: gen.users[0].speed_scale must be a number, got true"),
+        ({"gen": {"placements": [dict(PLACEMENT, base_range=True)]}},
+         "gen.placements[0].base_range must be a number, got true"),
+        ({"gen": {"placements": [dict(PLACEMENT, environment=1)]}},
+         "gen.placements[0].environment must be a string, got 1"),
+        ({"gen": {"users": [3]}}, "gen.users[0] must be an object, got 3"),
     ], ids=["radar-count", "radar-float-count", "radar-rate", "user-scale", "instances-null",
             "bool-number", "crop-null", "mti-string", "mti-int", "lr-null", "val-fraction-list",
-            "model-int", "users-object"])
+            "model-int", "users-object", "user-bool-scale", "placement-bool-range",
+            "placement-int-environment", "user-row-number"])
     def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, capsys, doc,
                                                         fragment):
         cfg = tmp_path / "cfg.json"
@@ -190,6 +204,18 @@ class TestGen:
         h1 = {k: v for k, v in tree_hashes(gen_dir).items() if k.startswith("cubes/")}
         h2 = {k: v for k, v in tree_hashes(again).items() if k.startswith("cubes/")}
         assert h1 == h2
+
+
+@pytest.mark.parametrize("name, section", [
+    ("gen/dataset_manifest.json", "spec"),
+    ("pp/rfdm_manifest.json", "preprocess"),
+], ids=["dataset", "rfdm"])
+def test_manifest_layout(smoke, name, section):
+    text = (smoke[0] / name).read_text()
+    doc = json.loads(text)
+    assert set(doc) == {"version", "radar_config", section, "samples"}
+    assert doc["version"] == 1
+    assert text == json.dumps(doc, indent=2, sort_keys=True)
 
 
 class TestPreprocess:
@@ -299,7 +325,7 @@ class TestPreprocess:
     def test_no_mti_flag_preserves_moving_peak(self, tmp_path):
         # a noise-free constant-velocity target keeps its Doppler peak bin
         # whether or not the MTI stage runs (MTI attenuates, DC excepted)
-        from rfdm.io import write_cube, write_dataset_manifest
+        from rfdm.io import write_cube, write_manifest
         from helpers import doppler_resolution, linear_scatterer
         from rfdm.radar import RadarConfig, synthesize_cube
 
@@ -311,7 +337,7 @@ class TestPreprocess:
         rows = [{"index": 0, "path": "cubes/t.rfdc", "class_name": "Push", "class_id": 4,
                  "user_id": 0, "location_id": 0, "environment": "Classroom",
                  "base_range": 0.75, "azimuth_deg": 0.0, "instance": 0, "seed": 0}]
-        write_dataset_manifest(tmp_path / "dataset_manifest.json", radar, {}, rows)
+        write_manifest(tmp_path / "dataset_manifest.json", radar, rows, spec={})
         for flags, name in (([], "on"), (["--no-mti"], "off")):
             assert main([
                 "preprocess", "--seed", "1", "--manifest",

@@ -18,6 +18,13 @@ the constructor does not count, since nothing then reads the value back.
 
 Each name that an import statement of a `src/rfdm` or `perfbench` module
 binds must be loaded as a name elsewhere in that module.
+
+Each default of a top-level function's or a top-level class's method's
+parameter must be needed: some call in `src/rfdm`, `perfbench` or `tests`
+sets the parameter and some call leaves it to the default. A call is
+matched by its bare name (`__init__` by its class's name) and sets a
+parameter by keyword, by position, or through any `*` or `**` argument. A
+default that no call sets is a constant; one that every call sets is unused.
 """
 
 import ast
@@ -29,6 +36,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/rfdm/*.py"))
 USERS = PACKAGE + sorted(ROOT.glob("perfbench/*.py"))
+CALLERS = USERS + sorted(ROOT.glob("tests/*.py"))
 
 # Independent reference implementations that tests check the program
 # against; the program must not call them, so only tests reference them.
@@ -123,6 +131,62 @@ def unused_imports(source: str) -> list:
     return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
 
 
+def defaulted_parameters(tree):
+    """(qualified name, call name, [(parameter, position)]) of each top-level
+    function and each method of a top-level class that has defaulted
+    parameters. A method is called by its bare name, `__init__` by its
+    class's name. The position counts a call's positional arguments, the
+    bound `self` or `cls` excluded; it is None for a keyword-only one."""
+    for node in tree.body:
+        functions = [(node.name, node.name, node, 0)] if isinstance(node, FUNCTIONS) else []
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    call = node.name if item.name == "__init__" else item.name
+                    functions.append((f"{node.name}.{item.name}", call, item, 0 if static else 1))
+        for qualname, call, fn, bound in functions:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            if params:
+                yield qualname, call, params
+
+
+def calls(tree):
+    """(bare name, positional argument count, keyword names, whether it has a
+    `*` or `**` argument) of each call of a name or an attribute."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+            spread = (any(isinstance(a, ast.Starred) for a in n.args)
+                      or any(k.arg is None for k in n.keywords))
+            yield (getattr(n.func, "id", None) or n.func.attr, len(n.args),
+                   {k.arg for k in n.keywords}, spread)
+
+
+def needless_defaults(package: dict, callers: list) -> list:
+    """(module, qualified name, parameter, "never set" or "always set") of
+    each defaulted parameter in `package` (module name -> source) that no
+    call in `callers` sets, or that every call sets."""
+    found = [c for src in callers for c in calls(ast.parse(src))]
+    out = []
+    for module, source in package.items():
+        for qualname, call, params in defaulted_parameters(ast.parse(source)):
+            mine = [c for c in found if c[0] == call]
+            for param, position in params:
+                n_set = sum(spread or param in keywords
+                            or (position is not None and n_args > position)
+                            for _, n_args, keywords, spread in mine)
+                if n_set in (0, len(mine)):
+                    out.append((module, qualname, param,
+                                "never set" if n_set == 0 else "always set"))
+    return sorted(out)
+
+
 def test_modules_found():
     assert len(PACKAGE) > 5 and len(USERS) > len(PACKAGE)
 
@@ -135,6 +199,11 @@ def test_no_unused_definitions():
 def test_every_dataclass_field_is_read():
     package = {p.stem: p.read_text() for p in PACKAGE}
     assert unread_fields(package, [p.read_text() for p in USERS]) == []
+
+
+def test_every_default_is_needed():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert needless_defaults(package, [p.read_text() for p in CALLERS]) == []
 
 
 def test_every_import_is_used():
@@ -181,3 +250,26 @@ DATACLASS = "from dataclasses import dataclass\n@dataclass\nclass D:\n    a: int
 ])
 def test_checker_flags_only_unread_fields(package, users, expected):
     assert unread_fields(package, list(package.values()) + users) == expected
+
+
+FUNCTION = "def f(a, b=1, *, c=2):\n    pass\n"
+METHOD = ("class C:\n    def __init__(self, a, b=1):\n        pass\n"
+          "    def m(self, a, b=1):\n        pass\n")
+
+
+@pytest.mark.parametrize("package, callers, expected", [
+    ({"m": FUNCTION}, [], [("m", "f", "b", "never set"), ("m", "f", "c", "never set")]),
+    ({"m": FUNCTION}, ["f(0)\nf(0, 1)\nf(0, c=3)\n"], []),
+    ({"m": FUNCTION}, ["f(0, b=1, c=2)\nf(0, 1, c=2)\n"],
+     [("m", "f", "b", "always set"), ("m", "f", "c", "always set")]),
+    ({"m": FUNCTION}, ["f(0)\nm.f(*args)\n"], []),
+    ({"m": FUNCTION}, ["f(0)\nf(0, **kw)\n"], []),
+    ({"m": FUNCTION}, ["f(0)\ng(0, 1, c=3)\n"],
+     [("m", "f", "b", "never set"), ("m", "f", "c", "never set")]),
+    ({"m": METHOD}, ["C(0)\nC(0, 1)\nx.m(0)\nx.m(0, b=1)\n"], []),
+    ({"m": METHOD}, ["C(0)\nx.m(0)\nx.m(0, 1)\n"], [("m", "C.__init__", "b", "never set")]),
+    ({"m": METHOD}, ["C(0, 1)\nC.__init__(0)\nx.m(0)\nx.m(0, 1)\n"],
+     [("m", "C.__init__", "b", "always set")]),
+])
+def test_checker_flags_only_needless_defaults(package, callers, expected):
+    assert needless_defaults(package, callers) == expected

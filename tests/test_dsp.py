@@ -204,7 +204,6 @@ class TestCondition:
         out = condition_rfdm(self._seq(np.zeros((2, 32, 32))))
         assert out.frames.shape == (2, 32, 32)
         assert np.all(out.frames == 0)
-        assert out.scale_mode == "linear-maxnorm"
 
     def test_maxnorm_peak_is_one(self):
         rng = np.random.default_rng(3)

@@ -26,7 +26,7 @@ from rfdm.io import (
     write_confusion_csv,
     write_cube,
     write_curve_csv,
-    write_dataset_manifest,
+    write_manifest,
     write_rfdm,
 )
 from rfdm.model import CnnTcn, CnnTcnConfig, predict
@@ -148,14 +148,12 @@ class TestRfdmFormat:
         p = tmp_path / "a.rfdm"
         write_rfdm(p, seq)
         back = read_rfdm(p)
-        assert back.scale_mode == seq.scale_mode
         assert np.array_equal(back.frames, seq.frames.astype(np.float32).astype(np.float64))
 
     @pytest.mark.parametrize("contiguous", [True, False])
     def test_returned_digest_is_of_the_bytes_written(self, tmp_path, contiguous):
         frames = np.random.default_rng(5).random((3, 4, 6))
-        seq = RfdmSequence(frames=frames if contiguous else frames[:, ::2],
-                           scale_mode="linear-maxnorm")
+        seq = RfdmSequence(frames=frames if contiguous else frames[:, ::2])
         p = tmp_path / "d.rfdm"
         digest = write_rfdm(p, seq)
         assert digest == sha256_file(p)
@@ -184,10 +182,13 @@ class TestRfdmFormat:
             read_rfdm(p)
 
     def test_unknown_scale_code(self, tmp_path):
+        # 1 (maps divided by their maximum) is the only scale; 0 was unscaled maps
         p, raw = self._written(tmp_path)
-        p.write_bytes(raw[:20] + bytes([9]) + raw[21:])
-        with pytest.raises(IntegrityError, match="scale code 9"):
-            read_rfdm(p)
+        assert raw[20] == 1
+        for code in (9, 0):
+            p.write_bytes(raw[:20] + bytes([code]) + raw[21:])
+            with pytest.raises(IntegrityError, match=f"scale code {code}"):
+                read_rfdm(p)
 
     def test_log_db_scale_code_is_refused(self, tmp_path):
         # code 2 was log-dB scaling, which the program no longer writes
@@ -205,7 +206,7 @@ class TestRfdmFormat:
     def test_payload_size_past_ssize_t(self, tmp_path):
         # 4 * (2**32 - 1)**3 bytes cannot be passed to a read at all
         p = tmp_path / "d.rfdm"
-        p.write_bytes(RFDM_MAGIC + struct.pack("<4IB", 1, *[0xFFFFFFFF] * 3, 0))
+        p.write_bytes(RFDM_MAGIC + struct.pack("<4IB", 1, *[0xFFFFFFFF] * 3, 1))
         assert p.stat().st_size == 21
         with pytest.raises(IntegrityError, match="truncated rfdm payload"):
             read_rfdm(p)
@@ -223,6 +224,22 @@ class TestCheckpoint:
         after = predict(loaded, x)
         assert before[0] == after[0]
         assert np.array_equal(before[1], after[1])
+
+    def test_bytes_are_the_descriptor_then_the_arrays(self, tmp_path):
+        model = CnnTcn(TINY, init_seed=5)
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, model)
+        descriptor = {
+            "kind": "cnn-tcn",
+            "config": dataclasses.asdict(TINY),
+            "params": [{"name": q.name, "shape": list(q.value.shape)} for q in model.params()],
+            "buffers": [{"name": n, "shape": list(b.shape)} for n, b in model.buffers()],
+        }
+        blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
+        arrays = [q.value for q in model.params()] + [b for _, b in model.buffers()]
+        want = (b"RFNN" + struct.pack("<2I", 1, len(blob)) + blob
+                + b"".join(a.astype("<f8").tobytes() for a in arrays))
+        assert p.read_bytes() == want
 
     def test_bn_running_stats_round_trip(self, tmp_path):
         model = CnnTcn(TINY, init_seed=1)
@@ -411,8 +428,7 @@ def flipped(raw, flips):
 class TestBitFlips:
     def test_every_rfdm_bit_flip(self, tmp_path):
         p = tmp_path / "a.rfdm"
-        write_rfdm(p, RfdmSequence(frames=np.random.default_rng(1).random((2, 3, 4)),
-                                   scale_mode="linear-maxnorm"))
+        write_rfdm(p, RfdmSequence(frames=np.random.default_rng(1).random((2, 3, 4))))
         raw = p.read_bytes()
         loaded = 0
         for data in flipped(raw, [(i, b) for i in range(len(raw)) for b in range(8)]):
@@ -422,7 +438,6 @@ class TestBitFlips:
             except IntegrityError:
                 continue
             loaded += 1
-            assert seq.scale_mode in ("linear", "linear-maxnorm")  # codes 0 and 1
             assert np.all(np.isfinite(seq.frames)) and np.all(seq.frames >= 0)
         assert 0 < loaded < 8 * len(raw)
 
@@ -503,8 +518,7 @@ def valid_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("valid")
     write_cube(d / "a.rfdc", synthesize_cube(MUTATION_RADAR, [linear_scatterer(1.0, 0.5)],
                                              n_frames=2, noise_sigma=0.1, rng_seed=1))
-    write_rfdm(d / "a.rfdm", RfdmSequence(frames=np.random.default_rng(1).random((2, 3, 4)),
-                                          scale_mode="linear-maxnorm"))
+    write_rfdm(d / "a.rfdm", RfdmSequence(frames=np.random.default_rng(1).random((2, 3, 4))))
     save_checkpoint(d / "m.rfnn", CnnTcn(TINY))
     return d
 
@@ -550,8 +564,8 @@ class TestManifests:
         # row's digest on the bytes it parses
         cube = synthesize_cube(CFG, [], n_frames=1)
         digest = write_cube(tmp_path / "s0.rfdc", cube)
-        write_dataset_manifest(tmp_path / "m.json", CFG, {"n": 1},
-                               [{"path": "s0.rfdc", "sha256": digest}])
+        write_manifest(tmp_path / "m.json", CFG, [{"path": "s0.rfdc", "sha256": digest}],
+                       spec={"n": 1})
         man = read_manifest(tmp_path / "m.json")
         verify_manifest_files(man, tmp_path)
         read_cube(tmp_path / "s0.rfdc", CFG, sha256=man["samples"][0]["sha256"])
@@ -565,7 +579,7 @@ class TestManifests:
             read_cube(tmp_path / "s0.rfdc", CFG, sha256=man["samples"][0]["sha256"])
 
     def test_missing_file_and_bad_manifest(self, tmp_path):
-        write_dataset_manifest(tmp_path / "m.json", CFG, {}, [{"path": "gone.rfdc"}])
+        write_manifest(tmp_path / "m.json", CFG, [{"path": "gone.rfdc"}], spec={})
         with pytest.raises(IntegrityError, match="missing"):
             verify_manifest_files(read_manifest(tmp_path / "m.json"), tmp_path)
         with pytest.raises(ManifestError, match="row 0 lacks required field 'index'"):

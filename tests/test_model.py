@@ -357,6 +357,12 @@ class TestPredict:
         want = [predict(m, seq)[0] for seq in x]
         assert predict_classes(m, x, batch_size=2).tolist() == want
 
+    @pytest.mark.parametrize("shape", [(3, 4, 8, 8), (1, 4, 8, 8), (8, 8)],
+                             ids=["batch", "batch-of-one", "one-frame"])
+    def test_anything_but_one_sequence_is_shape_error(self, shape):
+        with pytest.raises(ShapeError, match=r"one \[T, H, W\] sequence"):
+            predict(tiny_model(12), np.random.default_rng(4).random(shape))
+
 
 class TestFrameStack:
     def test_frame_convs_have_no_bias(self):
