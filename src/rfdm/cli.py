@@ -161,23 +161,21 @@ def _load_config(path) -> dict:
 
 
 def _dataset_spec(cfg: dict) -> DatasetSpec:
+    """The gen section as a DatasetSpec; a key that a row of gen.users or
+    gen.placements leaves out takes the UserProfile or ScenePlacement
+    default (_load_config checked the keys and types that are there)."""
     g = cfg["gen"]
-    try:  # a placement row may lack a key; _load_config checked the rest
-        users = tuple(UserProfile(**u) for u in g["users"])
-        placements = tuple(
-            ScenePlacement(p["base_range"], p["azimuth_deg"],
-                           Environment.from_name(p["environment"]))
+    return DatasetSpec(
+        instances=g["instances"],
+        users=tuple(UserProfile(**u) for u in g["users"]),
+        placements=tuple(
+            ScenePlacement(**{k: Environment.from_name(v) if k == "environment" else v
+                              for k, v in p.items()})
             for p in g["placements"]
-        )
-        return DatasetSpec(
-            instances=g["instances"],
-            users=users,
-            placements=placements,
-            n_frames=g["n_frames"],
-            noise_sigma=float(g["noise_sigma"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"gen config field error: {exc}") from exc
+        ),
+        n_frames=g["n_frames"],
+        noise_sigma=float(g["noise_sigma"]),
+    )
 
 
 def _write_run_manifest(out_dir: Path, subcommand: str, cfg: dict, seed: int,

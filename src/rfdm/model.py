@@ -15,11 +15,15 @@ bit for bit, but for a 2x2 window holding two distinct values that one of
 the maps rounds to one double (two conv outputs whose BN outputs tie, or
 two negative BN outputs whose 0.01x ties): there the max-pool gradient goes
 to the larger input, not to the first of the tied activations. The reduced
-maps are flattened into one feature vector per frame. Three dilated causal
-temporal blocks (dilations 1/2/4, kernel 3, LeakyReLU + dropout, residual
-with 1x1 projection on channel change) run over the frame axis; the last
-time step feeds the dense head, Dense and LeakyReLU alternating and ending
-in the 7 class logits.
+maps are flattened into one feature vector per frame. The first block's BN
+is built with conv=conv1: a train step keeps no copy of conv1's output, its
+largest activation (H x W x conv_channels[0] per frame), and that BN's
+backward recomputes it from the frames conv1 caches, one im2col slice at a
+time and bit for bit; conv2's output, whose lowering costs far more, is
+cached. Three dilated causal temporal blocks (dilations 1/2/4, kernel 3,
+LeakyReLU + dropout, residual with 1x1 projection on channel change) run
+over the frame axis; the last time step feeds the dense head, Dense and
+LeakyReLU alternating and ending in the 7 class logits.
 `_forward` runs a list front to back and `_backward` runs it back to front;
 only the residual temporal blocks wire their own passes. The kernels
 (FRAME_KERNEL, TCN_KERNEL), LeakyReLU's slope of 0.01 and the class count
@@ -128,8 +132,9 @@ def _frame_cnn(cfg: CnnTcnConfig, rng) -> list:
     kh, kw = FRAME_KERNEL
     layers, c_in = [], 1
     for i, c in enumerate(cfg.conv_channels, start=1):
-        layers += [Conv2d(c_in, c, kh, kw, rng=rng, name=f"frame.conv{i}"),
-                   BatchNorm2d(c, name=f"frame.bn{i}", pool=i < 3), LeakyReLU()]
+        conv = Conv2d(c_in, c, kh, kw, rng=rng, name=f"frame.conv{i}")
+        layers += [conv, BatchNorm2d(c, name=f"frame.bn{i}", pool=i < 3,
+                                     conv=conv if i == 1 else None), LeakyReLU()]
         c_in = c
     layers.append(ChannelReduce(c_in, cfg.reduced_channels, rng=rng, name="frame.reduce"))
     return layers

@@ -14,7 +14,8 @@ evaluated per chirp (stop-and-go): range is frozen within one chirp.
 
 `synthesize_cube` evaluates each trajectory once on the [frame, chirp]
 slow-time grid. A scatterer that is static within a frame costs one row of
-n_samples exponentials. For a moving one, fast-time sample n = 16*q + m of
+n_samples exponentials, and one static over the whole cube one row for all
+its frames. For a moving one, fast-time sample n = 16*q + m of
 chirp l is the product
 
     hi[l, q] = A * exp(j * 2*pi*(k*t_d[l]*(16*q/f_s) + f_c*t_d[l]))
@@ -189,29 +190,40 @@ def synthesize_cube(
     tone = np.empty((n_c, n_hi, split), dtype=np.complex128)
     tone_rows = tone.reshape(n_c, n_hi * split)[:, :n_s]
 
+    def chirp_row(sc, t_d):
+        """One chirp's n_samples of a scatterer at the fixed delay t_d."""
+        return sc.amplitude * np.exp(1j * two_pi * (config.slope * t_d * t_fast + config.f_c * t_d))
+
+    # per scatterer: the round-trip delay [s] on the [frame, chirp] grid,
+    # whether it is static within each frame, and for one static over the
+    # whole scene, the chirp row that serves every frame
+    delays = [2.0 * r / C_LIGHT for r in ranges]
+    still = [np.ptp(r, axis=1) == 0.0 for r in ranges]
+    fixed = [chirp_row(sc, t_d[0, 0]) if np.ptp(r) == 0.0 else None
+             for sc, r, t_d in zip(scene, ranges, delays)]
+
     cube = np.zeros((n_frames, n_c, n_s, n_rx), dtype=np.complex128)
     if noise_sigma > 0.0:
         noise = np.empty((2, n_c, n_s, n_rx))
         scale = noise_sigma / np.sqrt(2.0)
     for f in range(n_frames):
         frame_sum = np.zeros((n_c, n_s), dtype=np.complex128)
-        for sc, r in zip(scene, ranges):
-            t_d = 2.0 * r[f] / C_LIGHT
-            if np.ptp(r[f]) == 0.0:
+        for sc, t_d, static, row in zip(scene, delays, still, fixed):
+            if row is None and static[f]:
+                row = chirp_row(sc, t_d[f, 0])
+            if row is not None:
                 # static within the frame: one chirp row serves all chirps
-                row = sc.amplitude * np.exp(
-                    1j * two_pi * (config.slope * t_d[0] * t_fast + config.f_c * t_d[0])
-                )
                 frame_sum += row[np.newaxis, :]
-            else:
-                # hi: the tone at n = split*q, by the per-element formula;
-                # lo: m steps of the fast-time phase increment alpha
-                phase_hi = config.slope * np.outer(t_d, t_hi) + config.f_c * t_d[:, np.newaxis]
-                hi = sc.amplitude * np.exp(1j * two_pi * phase_hi)
-                alpha = (two_pi * config.slope / config.f_s) * t_d
-                lo = np.exp(1j * np.multiply.outer(alpha, m_lo))
-                np.multiply(hi[:, :, np.newaxis], lo[:, np.newaxis, :], out=tone)
-                frame_sum += tone_rows
+                continue
+            # hi: the tone at n = split*q, by the per-element formula;
+            # lo: m steps of the fast-time phase increment alpha
+            d = t_d[f]
+            phase_hi = config.slope * np.outer(d, t_hi) + config.f_c * d[:, np.newaxis]
+            hi = sc.amplitude * np.exp(1j * two_pi * phase_hi)
+            alpha = (two_pi * config.slope / config.f_s) * d
+            lo = np.exp(1j * np.multiply.outer(alpha, m_lo))
+            np.multiply(hi[:, :, np.newaxis], lo[:, np.newaxis, :], out=tone)
+            frame_sum += tone_rows
         if noise_sigma > 0.0:
             # Generator fills only contiguous arrays: the real and imaginary
             # draws go to one reused buffer and are added into the cube parts

@@ -6,11 +6,13 @@ exact bytes of a full run. Stream names are hashed with SHA-256, which is
 stable across platforms and Python versions (unlike the builtin `hash`).
 """
 
+import functools
 import hashlib
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=None)
 def _name_key(name: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "little")
 

@@ -1,9 +1,11 @@
 """Shared test utilities: central-difference gradient checking, a layer's
-backward state, a scatterer whose range moves at a constant velocity, the
-radar's bin widths and an older checkpoint layout."""
+backward state, the traced memory peak of a call, a scatterer whose range
+moves at a constant velocity, the radar's bin widths and an older checkpoint
+layout."""
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -73,6 +75,17 @@ def backward_state(layer) -> list:
     own = [a for a in ("_cache", "_mask", "_x") if getattr(layer, a, None) is not None]
     pool = getattr(layer, "pool", None)
     return own + (["pool." + a for a in backward_state(pool)] if pool else [])
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of traced (tracemalloc) allocations while fn() runs; what
+    exists before the call is not counted."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def linear_scatterer(r0: float, v: float, amplitude: float = 1.0, label: str = "") -> Scatterer:

@@ -25,6 +25,7 @@ from rfdm.errors import (
     ShapeError,
     SimulationError,
 )
+from rfdm.gestures import Environment, ScenePlacement, UserProfile
 from rfdm.io import read_manifest, read_rfdm, sha256_file, write_rfdm
 
 SMOKE_CONFIG = {
@@ -180,6 +181,18 @@ class TestGen:
     def test_an_int_is_a_number(self):
         merged = cli._merge({"train": {"lr": 5e-4, "epochs": 30}}, {"train": {"lr": 1}})
         assert merged == {"train": {"lr": 1, "epochs": 30}}
+
+    def test_rows_missing_keys_take_the_dataclass_defaults(self):
+        # as a gen.users row takes the UserProfile defaults, a gen.placements
+        # row takes the ScenePlacement ones, the environment included
+        cfg = cli._merge(cli._default_config(), {"gen": {
+            "users": [{"speed_scale": 1.2}],
+            "placements": [{"base_range": 0.9, "environment": "Office"}, {"azimuth_deg": 10.0}],
+        }})
+        spec = cli._dataset_spec(cfg)
+        assert spec.users == (UserProfile(speed_scale=1.2),)
+        assert spec.placements == (ScenePlacement(0.9, 0.0, Environment.OFFICE),
+                                   ScenePlacement(azimuth_deg=10.0))
 
     def test_manifest_matches_files_and_counts(self, smoke, capsys):
         _, cfg_path, gen_dir, _ = smoke

@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import json
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import linear_scatterer, older_checkpoint_layout
+from helpers import linear_scatterer, older_checkpoint_layout, traced_peak
 from rfdm.dsp import RfdmSequence, cube_to_rfdm
 from rfdm.errors import IntegrityError, ManifestError
 from rfdm.io import (
@@ -355,14 +354,12 @@ class TestCheckpointFailsClosed:
         p = tmp_path / "m.rfnn"
         save_checkpoint(p, CnnTcn(TINY))
         rewrite_descriptor(p, declare_huge_head)
-        tracemalloc.start()
-        try:
+
+        def load():
             with pytest.raises(IntegrityError, match="truncated checkpoint"):
                 load_checkpoint(p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
+
+        assert traced_peak(load) < 1e6
 
     @pytest.mark.parametrize("shape", [[-1, 5], [2.0, 5], [True, 5], "ab"],
                              ids=["negative", "float", "bool", "string"])

@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from helpers import backward_state, grad_rel_err, numeric_grad
+from helpers import backward_state, grad_rel_err, numeric_grad, traced_peak
 from rfdm.errors import ConfigError, DataError, ShapeError
 from rfdm.model import (
     CnnBaseline,
@@ -240,17 +238,19 @@ class TestEndToEndGradcheck:
 
 
 class TestTrainStepMemory:
-    # Measured tracemalloc peaks of this step: 14.4 MB, now inside conv3's
-    # backward, with bn1 and bn2 pooling their raw input and writing dx over
-    # the pool's routed gradient; 14.9 MB with Conv2d padding
-    # each 2 MiB batch slice on its own and lowering its data gradient, and
-    # BatchNorm2d's backward working a slice at a time; 17.3 MB with Conv2d
-    # lowering 2 MiB batch slices of a padded copy of the whole batch and
-    # each layer dropping its cache in backward; 30.5 MB with whole-batch
-    # im2col matrices and caches kept until the next forward; 65.4 MB when
-    # Conv2d cached its im2col matrices, LeakyReLU its input and conv1 formed
-    # an input gradient. The bound is the first figure plus a 16% margin.
-    PEAK_BOUND_MB = 16.6
+    # Measured tracemalloc peaks of this step: 12.1 MB, now inside bn1's
+    # backward, with bn1 recomputing conv1's output instead of caching it;
+    # 14.4 MB, inside conv3's backward, with bn1 and bn2 pooling their raw
+    # input and writing dx over the pool's routed gradient; 14.9 MB with
+    # Conv2d padding each 2 MiB batch slice on its own and lowering its data
+    # gradient, and BatchNorm2d's backward working a slice at a time;
+    # 17.3 MB with Conv2d lowering 2 MiB batch slices of a padded copy of
+    # the whole batch and each layer dropping its cache in backward; 30.5 MB
+    # with whole-batch im2col matrices and caches kept until the next
+    # forward; 65.4 MB when Conv2d cached its im2col matrices, LeakyReLU its
+    # input and conv1 formed an input gradient. The bound is the first
+    # figure plus a 16% margin (it was 16.6 MB, over the 14.4 MB figure).
+    PEAK_BOUND_MB = 14.1
 
     def test_peak_of_one_batch2_step(self):
         m = CnnTcn(CnnTcnConfig(), init_seed=0)
@@ -266,13 +266,16 @@ class TestTrainStepMemory:
             adam.step()
 
         step()  # warm-up: Adam moments and lazily built state exist from here on
-        tracemalloc.start()
-        try:
-            step()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / 1e6 <= self.PEAK_BOUND_MB
+        assert traced_peak(step) / 1e6 <= self.PEAK_BOUND_MB
+
+    def test_only_bn1_recomputes_its_input(self):
+        # bn1 keeps no copy of conv1's output, the step's largest activation;
+        # bn2 and bn3 cache theirs
+        m = tiny_model()
+        m.forward(np.random.default_rng(6).random((2, 4, 8, 8)), train=True)
+        convs, bns = of_type(m.frame, Conv2d), of_type(m.frame, BatchNorm2d)
+        assert [bn.conv for bn in bns] == [convs[0], None, None]
+        assert [bn._cache[0] is None for bn in bns] == [True, False, False]
 
 
 def make_toy_dataset(n_per_class=2, seed=0):

@@ -1,10 +1,15 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import backward_state, check_layer_gradients, grad_rel_err, numeric_grad
+from helpers import (
+    backward_state,
+    check_layer_gradients,
+    grad_rel_err,
+    numeric_grad,
+    traced_peak,
+)
 from rfdm.errors import ShapeError
 from rfdm.nn import (
     IM2COL_CHUNK_BYTES,
@@ -160,6 +165,27 @@ class TestConv2d:
             self.DW_BOUND_EPS * eps * np.max(np.abs(ref_dw))
         assert np.max(np.abs(dx - ref_dx)) <= self.DX_BOUND_EPS * eps * np.max(np.abs(ref_dx))
 
+    @pytest.mark.parametrize("c_out", [4, 1])
+    def test_chunked_single_channel_equals_slice_loop_reference(self, c_out):
+        # conv1's case, one input channel: 2 whole slices and a remainder of
+        # 3, the patch matrix built K-major (a column-major view), except
+        # for a one-column GEMM, which keeps the row-major build
+        rng = rng_for(20 + c_out)
+        conv = Conv2d(1, c_out, 3, 5, rng=rng)
+        b = IM2COL_CHUNK_BYTES // (16 * 16 * 3 * 5 * 8)
+        x = rng.standard_normal((2 * b + 3, 16, 16, 1))
+        _, cols = next(conv._im2col_chunks(x))
+        assert cols.shape == (b * 16 * 16, 15) and cols.flags.f_contiguous == (c_out > 1)
+        out = conv.forward(x, train=True)
+        dy = rng.standard_normal(out.shape)
+        dx = conv.backward(dy)
+        ref_out, ref_dx, ref_dw = slice_loop_conv(conv, x, dy)
+        eps = np.finfo(np.float64).eps
+        assert np.array_equal(out, ref_out)
+        assert np.max(np.abs(conv.w.grad - ref_dw)) <= \
+            self.DW_BOUND_EPS * eps * np.max(np.abs(ref_dw))
+        assert np.max(np.abs(dx - ref_dx)) <= self.DX_BOUND_EPS * eps * np.max(np.abs(ref_dx))
+
     def test_memory_stays_below_a_whole_batch_im2col_matrix(self):
         # 64 frames of the conv2 shape: one whole-batch im2col matrix is
         # 64*16*16 x 240 doubles (31.5 MB). Measured traced peaks: 8.3 MB
@@ -172,16 +198,8 @@ class TestConv2d:
         x = rng.standard_normal((64, 16, 16, 16))
         dy = rng.standard_normal((64, 16, 16, 32))
         whole = 64 * 16 * 16 * 3 * 5 * 16 * 8
-        tracemalloc.start()
-        try:
-            conv.forward(x, train=True)
-            _, fwd_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            conv.backward(dy)
-            _, bwd_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert fwd_peak < whole and bwd_peak < whole
+        assert traced_peak(lambda: conv.forward(x, train=True)) < whole
+        assert traced_peak(lambda: conv.backward(dy)) < whole
 
     def test_no_input_gradient_keeps_parameter_gradients(self):
         rng = rng_for(5)
@@ -309,13 +327,7 @@ class TestBatchNorm:
         dy = rng.standard_normal(x.shape)
         bn = BatchNorm2d(16)
         bn.forward(x, train=True)
-        tracemalloc.start()
-        try:
-            bn.backward(dy)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= x.nbytes + 2 * IM2COL_CHUNK_BYTES
+        assert traced_peak(lambda: bn.backward(dy)) <= x.nbytes + 2 * IM2COL_CHUNK_BYTES
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradcheck(self, seed):
@@ -402,13 +414,7 @@ class TestPooledBatchNorm:
         rng = rng_for(5)
         x = rng.standard_normal((64, 32, 32, 16))
         bn = pooled_bn(rng.uniform(0.5, 1.5, 16))
-        tracemalloc.start()
-        try:
-            bn.forward(x, train=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < x.nbytes
+        assert traced_peak(lambda: bn.forward(x, train=True)) < x.nbytes
 
     def test_backward_peaks_at_one_input_sized_array_and_a_slice(self):
         # Measured traced peak: 10.8 MB, the routed gradient that dx
@@ -420,13 +426,70 @@ class TestPooledBatchNorm:
         dy = rng.standard_normal((64, 16, 16, 16))
         bn = pooled_bn(rng.uniform(0.5, 1.5, 16))
         bn.forward(x, train=True)
-        tracemalloc.start()
-        try:
-            bn.backward(dy)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= x.nbytes + 2 * IM2COL_CHUNK_BYTES
+        assert traced_peak(lambda: bn.backward(dy)) <= x.nbytes + 2 * IM2COL_CHUNK_BYTES
+
+
+class TestConvFedBatchNorm:
+    """BatchNorm2d(pool=True, conv=conv) keeps no copy of the conv output it
+    normalizes; its backward recomputes it from the conv's cached input, one
+    conv slice at a time."""
+
+    GAMMA = (0.8, -1.3, 0.5, -0.2)
+
+    def pair(self, rng):
+        """(conv, BN fed by it) and a twin pair with the same weights whose
+        BN caches its input."""
+        conv = Conv2d(1, 4, 3, 5, rng=rng)
+        twin_conv = Conv2d(1, 4, 3, 5, rng=rng)
+        twin_conv.w.value[...] = conv.w.value
+        beta = rng.standard_normal(4)
+        bn = pooled_bn(self.GAMMA, beta)
+        bn.conv = conv
+        return conv, bn, twin_conv, pooled_bn(self.GAMMA, beta)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_equals_the_cached_input_path(self, ties):
+        # 2 whole conv slices of b images and a remainder of 5, two train
+        # steps (the second from moved running stats) and an eval forward.
+        # With ties, small-integer inputs and weights make the conv outputs
+        # small integers, so many pool windows hold equal maxima
+        rng = rng_for(30 + ties)
+        conv, bn, twin_conv, twin = self.pair(rng)
+        if ties:
+            conv.w.value[...] = twin_conv.w.value[...] = rng.integers(-2, 3, conv.w.value.shape)
+        b = IM2COL_CHUNK_BYTES // (16 * 16 * 3 * 5 * 8)
+
+        def frames(n):
+            if ties:
+                return rng.integers(-1, 2, (n, 16, 16, 1)).astype(float)
+            return rng.standard_normal((n, 16, 16, 1))
+
+        for _ in range(2):
+            x = frames(2 * b + 5)
+            out = bn.forward(conv.forward(x, train=True), train=True)
+            assert np.array_equal(out, twin.forward(twin_conv.forward(x, train=True), train=True))
+            dy = rng.standard_normal(out.shape)
+            dx = bn.backward(dy)
+            assert backward_state(bn) == [] and conv._cache is not None
+            assert np.array_equal(dx, twin.backward(dy))
+            conv.backward(dx, need_dx=False)
+            twin_conv.backward(dx, need_dx=False)
+        for a, b_ in zip(bn.params() + conv.params(), twin.params() + twin_conv.params()):
+            assert np.array_equal(a.grad, b_.grad), a.name
+        for (_, a), (_, b_) in zip(bn.buffers(), twin.buffers()):
+            assert np.array_equal(a, b_)
+        x = frames(3)
+        assert np.array_equal(bn.forward(conv.forward(x)), twin.forward(twin_conv.forward(x)))
+        assert bn._cache is None
+
+    def test_train_forward_keeps_no_input_sized_array(self):
+        rng = rng_for(6)
+        conv, bn, _, _ = self.pair(rng)
+        y = conv.forward(rng.standard_normal((8, 16, 16, 1)), train=True)
+        bn.forward(y, train=True)
+        held = [a for a in (*bn._cache, *bn.pool._cache) if isinstance(a, np.ndarray)]
+        assert bn._cache[0] is None
+        assert max(a.nbytes for a in held) < y.nbytes // 4
 
 
 class TestLeakyReLU:
