@@ -15,13 +15,16 @@ bit for bit, but for a 2x2 window holding two distinct values that one of
 the maps rounds to one double (two conv outputs whose BN outputs tie, or
 two negative BN outputs whose 0.01x ties): there the max-pool gradient goes
 to the larger input, not to the first of the tied activations. The reduced
-maps are flattened into one feature vector per frame. The first block's BN
-is built with conv=conv1: a train step keeps no copy of conv1's output, its
-largest activation (H x W x conv_channels[0] per frame), and that BN's
-backward recomputes it from the frames conv1 caches, one im2col slice at a
-time and bit for bit; conv2's output, whose lowering costs far more, is
-cached. Three dilated causal temporal blocks (dilations 1/2/4, kernel 3,
-LeakyReLU + dropout, residual with 1x1 projection on channel change) run
+maps are flattened into one feature vector per frame. The first block is
+one layer, BatchNorm2d(pool=True, conv=conv1), whose params() are conv1's
+weight, gamma and beta: it runs conv1 one im2col slice at a time and forms
+conv1's weight gradient from the slices' patch moments, so conv1's output,
+the largest activation (H x W x conv_channels[0] per frame), never exists
+at full size. conv1 has one input channel and 15 patch columns; conv2 and
+conv3 have 240 and 480, whose K x K moment matrices take more
+multiply-adds than their GEMMs, so they stay Conv2d layers whose BN caches
+their output. Three dilated causal temporal blocks (dilations 1/2/4, kernel
+3, LeakyReLU + dropout, residual with 1x1 projection on channel change) run
 over the frame axis; the last time step feeds the dense head, Dense and
 LeakyReLU alternating and ending in the 7 class logits.
 `_forward` runs a list front to back and `_backward` runs it back to front;
@@ -133,8 +136,10 @@ def _frame_cnn(cfg: CnnTcnConfig, rng) -> list:
     layers, c_in = [], 1
     for i, c in enumerate(cfg.conv_channels, start=1):
         conv = Conv2d(c_in, c, kh, kw, rng=rng, name=f"frame.conv{i}")
-        layers += [conv, BatchNorm2d(c, name=f"frame.bn{i}", pool=i < 3,
-                                     conv=conv if i == 1 else None), LeakyReLU()]
+        if i == 1:  # block 1 is one layer, which runs conv1 itself
+            layers += [BatchNorm2d(c, name="frame.bn1", pool=True, conv=conv), LeakyReLU()]
+        else:
+            layers += [conv, BatchNorm2d(c, name=f"frame.bn{i}", pool=i < 3), LeakyReLU()]
         c_in = c
     layers.append(ChannelReduce(c_in, cfg.reduced_channels, rng=rng, name="frame.reduce"))
     return layers
@@ -219,10 +224,9 @@ class CnnTcn:
 
     def _frame_backward(self, dfeats):
         """Frame-CNN parameter gradients from feature gradients [B, T, F]. The
-        frames are data, so conv1 forms no input gradient."""
+        frames are data, so block 1 forms no input gradient."""
         c = self.cfg
-        dz = dfeats.reshape(-1, c.height // 4, c.width // 4, c.reduced_channels)
-        self.frame[0].backward(_backward(self.frame[1:], dz), need_dx=False)
+        _backward(self.frame, dfeats.reshape(-1, c.height // 4, c.width // 4, c.reduced_channels))
 
     def forward(self, x, train=False):
         h = self.frame_features(x, train)

@@ -21,9 +21,10 @@ gradients with no temporary of the whole batch's size. A BatchNorm2d built
 with pool=True runs its 2x2 max-pool on its raw input and normalizes only
 the pooled quarter, so it makes no full-size output, and its backward
 writes the input gradient over the pool's routed gradient. One built with
-conv=<the Conv2d feeding it> keeps no copy of its input: its backward
-recomputes the conv output from the conv's cached input a slice at a time,
-bit for bit as forward computed it. See BatchNorm2d.
+conv=<the Conv2d feeding it> is the whole conv -> BN -> pool block: both of
+its passes run the conv's lowering one slice at a time, so neither the conv
+output nor its gradient ever exists at full size, and its backward forms
+the conv's weight gradient from the patches' moments. See BatchNorm2d.
 
 Backward derivations are checked against central finite differences in the
 test suite (h = 1e-5, relative error <= 1e-4).
@@ -87,9 +88,9 @@ class Conv2d(Layer):
     _im2col_chunks: it splits the batch into slices of b images, b =
     max(1, IM2COL_CHUNK_BYTES // im2col bytes per image), copies each slice
     into a buffer zero-padded to "same" geometry and that into one patch
-    matrix, whose GEMM lands in the slice's rows of the result. Forward
-    lowers the input; output_slices lowers the cached train input again to
-    recompute forward's output a slice at a time.
+    matrix, whose GEMM lands in the slice's rows of the result. A
+    BatchNorm2d built with conv=<this layer> runs the lowering itself and
+    never calls this layer's forward or backward; see BatchNorm2d.
     Splitting a GEMM by rows leaves each output's dot product as it was: on
     the frame CNN's shapes the output is that of one whole-batch GEMM bit for
     bit (measured), though a slice small enough for the BLAS to pick a
@@ -97,11 +98,10 @@ class Conv2d(Layer):
     unpadded input, and no padded copy of the whole batch is ever made.
     Backward takes that cache (the layer then holds none) and lowers it again
     to sum the weight gradient over the slices, which rounds differently
-    from one whole-batch GEMM when there is more than one slice. Unless
-    need_dx is False it lowers dy the same way for the data gradient: a
-    "same" correlation of dy with the kernel flipped in (kh, kw) and its
-    channel axes swapped, padded on the opposite sides to forward (the same
-    sides for odd kernels).
+    from one whole-batch GEMM when there is more than one slice. It lowers
+    dy the same way for the data gradient: a "same" correlation of dy with
+    the kernel flipped in (kh, kw) and its channel axes swapped, padded on
+    the opposite sides to forward (the same sides for odd kernels).
     """
 
     def __init__(self, c_in, c_out, kh, kw, rng, name="conv"):
@@ -116,6 +116,12 @@ class Conv2d(Layer):
         """(Ho, Wo, (top, bottom), (left, right) padding) for an h x w input."""
         ph, pw = self.kh - 1, self.kw - 1
         return h, w, (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)
+
+    def _slice_images(self, x):
+        """Images b in each slice that _im2col_chunks(x) lowers: b = max(1,
+        IM2COL_CHUNK_BYTES // im2col bytes per image), at most N."""
+        n, h, w, c = x.shape
+        return max(1, min(n, IM2COL_CHUNK_BYTES // (h * w * self.kh * self.kw * c * x.itemsize)))
 
     def _im2col_chunks(self, x, flip=False):
         """(row slice, patch matrix) per slice of b images of x [N, H, W, C]:
@@ -140,7 +146,7 @@ class Conv2d(Layer):
         k = self.kh * self.kw * c
         rows = h * w
         kmajor = c == 1 and (self.c_in if flip else self.c_out) > 1
-        b = max(1, min(n, IM2COL_CHUNK_BYTES // (rows * k * x.itemsize)))
+        b = self._slice_images(x)
         xp = np.zeros((b, pt + h + pb, pl + w + pr, c), dtype=x.dtype)
         for s in range(0, n, b):
             m = min(b, n - s)
@@ -153,18 +159,6 @@ class Conv2d(Layer):
                    np.ascontiguousarray(win.transpose(4, 5, 3, 0, 1, 2)).reshape(k, -1).T
                    if kmajor else
                    np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, k))
-
-    def output_slices(self):
-        """(row slice, forward output rows [b*H*W, C_out]) per slice of the
-        cached train input, recomputed by the GEMM that forward ran on that
-        slice, so bit for bit forward's values. For a BatchNorm2d built with
-        conv=self, which keeps no copy of this layer's output; call before
-        backward, which drops the cache. Each slice's rows are a new array,
-        the caller's to overwrite."""
-        _, x = self._cache
-        wmat = self.w.value.reshape(-1, self.c_out)
-        for rows, cols in self._im2col_chunks(x):
-            yield rows, cols @ wmat
 
     def _lowered_gemm(self, x, wmat, flip=False):
         """The "same" correlation of x with wmat [kh*kw*C, C'] as [N*H*W, C']."""
@@ -184,15 +178,12 @@ class Conv2d(Layer):
         self._cache = (np.broadcast_to(0.0, (len(out), len(wmat))), x) if train else None
         return out.reshape(n, h, w, self.c_out)
 
-    def backward(self, dy, need_dx=True):
-        """Accumulates w.grad; returns the input gradient, or None when
-        need_dx is False (the input is data, not an activation)."""
+    def backward(self, dy):
+        """Accumulates w.grad; returns the input gradient."""
         _, x = self._cache
         self._cache = None
-        dx = None
-        if need_dx:
-            wflip = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, self.c_in)
-            dx = self._lowered_gemm(dy, wflip, flip=True).reshape(x.shape)
+        wflip = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, self.c_in)
+        dx = self._lowered_gemm(dy, wflip, flip=True).reshape(x.shape)
         dym = dy.reshape(-1, self.c_out)
         gw = self.w.grad.reshape(-1, self.c_out)
         for rows, cols in self._im2col_chunks(x):
@@ -207,36 +198,50 @@ class BatchNorm2d(Layer):
     pool=True the layer also applies the 2x2 max-pool that follows it (a
     MaxPool2d, `self.pool`), run on its raw input: it makes no full-size
     normalized map, and its backward writes dx over the gradient the pool
-    routes. With conv, the Conv2d whose train output it normalizes, it
-    keeps no copy of that output: backward recomputes it from the conv's
-    cached input (Conv2d.output_slices), so the conv's backward must come
-    after this layer's.
+    routes. With conv, the Conv2d that feeds it (and pool=True), the layer
+    is the whole conv -> BN -> pool block: it takes the conv's input, its
+    params() are the conv's weight, gamma and beta, and the conv's output
+    never exists at full size (see the last paragraph).
 
     Train mode normalizes by biased batch statistics, updates running stats
-    with momentum 0.9 and caches its input (none with a conv) and the
-    per-channel mean and 1/std for backward; eval mode applies the running
-    stats and keeps nothing. Either mode maps each channel by z = a*x + b,
-    a = gamma/std.
+    with momentum 0.9 and caches its input and the per-channel mean and
+    1/std for backward; eval mode applies the running stats and keeps
+    nothing. Either mode maps each channel by z = a*x + b, a = gamma/std,
+    which has gamma's sign.
 
     Pooling: z is monotone in x per channel (increasing for a >= 0,
     decreasing for a < 0), and so is its rounding, fl(fl(a*x) + b). So the
     window max of z is fl(fl(|a|*max y) + b) bit for bit, with y = x, or
-    y = -x on channels where a < 0; that sign-flipped copy is made only
-    when some a < 0. The gradient goes to the first max of y in each
-    window, which is the first max of z but where two distinct inputs of a
-    window round to one z: there it goes to the larger y, not to the first
-    of the tied outputs.
+    y = -x on channels where a < 0. Forward negates those channels of its
+    input in place around the pool and then restores them, both exact, so
+    the input must be writable. The gradient goes to the first max of y in
+    each window, which is the first max of z but where two distinct inputs
+    of a window round to one z: there it goes to the larger y, not to the
+    first of the tied outputs.
 
-    Backward writes the input gradient dx = c1*dz - k*x - c0 one slice at
-    a time: slices of at most IM2COL_CHUNK_BYTES of the cached x, or with a
-    conv the slices of its lowering, each recomputed by the GEMM that
-    forward ran on it. A conv's output is recomputed once more, before
-    that, for sum(dz*x) (_sum_dz_x): two re-lowerings of its input, cheap
-    for conv1, whose patch matrix has kh*kw = 15 columns. Each value rounds
-    as in the whole-array form, so beside dz (dy, or the pool's routing of
-    dy into a new full-size array), dx and the cached input if any, it
-    holds only slice-sized temporaries. With a pool, dx overwrites dz,
-    which is this layer's own, so one full-size array serves both."""
+    Backward writes the input gradient dx = c1*dz - k*x - c0 a slice of at
+    most IM2COL_CHUNK_BYTES of x at a time, each value rounded as in the
+    whole-array form, so beside dz (dy, or the pool's routing of dy into a
+    new full-size array), dx and the cached input it holds only slice-sized
+    temporaries. With a pool, dx overwrites dz, which is this layer's own,
+    so one full-size array serves both.
+
+    With a conv (conv1 in the model: one input channel, 15 patch columns),
+    both passes run over the conv's im2col slices, and the layer caches the
+    conv's input. Forward multiplies each slice by the conv weight with the
+    columns of the channels where a < 0 negated, which negates their GEMM
+    outputs exactly, and pools the slice. A train forward also adds the
+    slice's outputs and their squares to running per-channel sums: the
+    running sum goes into the slice's first row and einsum sums axis 0 row
+    by row, so with C >= 2 the statistics are the whole-batch sum and
+    einsum bit for bit (measured), and forward's outputs are those of
+    Conv2d.forward then a pooled BatchNorm2d. Backward routes dy into one
+    slice of dz at a time and sums the patch moments G = cols^T dz,
+    S = cols^T cols and colsum = cols^T 1. Then sum(dz*x) = sum_k w*G, and
+    the conv's weight gradient cols^T dx is c1*G - k*(S w) - colsum c0^T,
+    which cancels as E[x^2] - mean^2 does when the conv output's mean is
+    large against its std. It returns no input gradient: the conv's input
+    is the data."""
 
     momentum, eps = 0.9, 1e-5
 
@@ -252,82 +257,129 @@ class BatchNorm2d(Layer):
         self._cache = None
 
     def params(self):
-        return [self.gamma, self.beta]
+        return ([] if self.conv is None else self.conv.params()) + [self.gamma, self.beta]
 
     def buffers(self):
         return [(self.name + ".running_mean", self.running_mean),
                 (self.name + ".running_var", self.running_var)]
 
     def forward(self, x, train=False):
-        _check_axis(x, 4, 3, self.c, "BatchNorm2d channels")
-        flat = x.reshape(-1, self.c)
+        _check_axis(x, 4, 3, self.c if self.conv is None else self.conv.c_in,
+                    "BatchNorm2d input channels")
+        m_count = x.shape[0] * x.shape[1] * x.shape[2]
+        if train and m_count < 2:
+            raise ShapeError("BatchNorm2d train mode needs N*H*W >= 2")
+        neg = self.gamma.value < 0
+        if self.conv is not None:
+            out, s1, s2 = self._conv_pool(x, neg, train)
+        else:
+            if train:
+                flat = x.reshape(-1, self.c)
+                s1, s2 = flat.sum(axis=0), np.einsum("nc,nc->c", flat, flat)
+            out = None if self.pool is None else self._signed_pool(x, neg, train)
         if train:
-            m_count = flat.shape[0]
-            if m_count < 2:
-                raise ShapeError("BatchNorm2d train mode needs N*H*W >= 2")
-            s1 = flat.sum(axis=0)
-            s2 = np.einsum("nc,nc->c", flat, flat)
             mean = s1 / m_count
             var = np.maximum(s2 / m_count - mean * mean, 0.0)
             inv = 1.0 / np.sqrt(var + self.eps)
             self.running_mean[...] = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
-            self._cache = (x if self.conv is None else None, mean, inv, m_count)
+            self._cache = (x, mean, inv, m_count)
         else:
             mean = self.running_mean
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
             self._cache = None
         a = self.gamma.value * inv
         b = self.beta.value - mean * a
-        if self.pool is not None:
-            neg = a < 0
-            # multiplying by -1.0 is exact, so a*x rounds as |a|*(-x). The
-            # pooled maxima are a new array, scaled in place: scaling into a
-            # second quarter-size array left heap holes that raised a LOOCV
-            # run's peak RSS from 252-260 to 312 MB (measured)
-            out = self.pool.forward(x * np.where(neg, -1.0, 1.0) if neg.any() else x, train)
-            out *= np.abs(a)
-        else:
+        if out is None:
             out = x * a
+        else:
+            # the pooled maxima are a new array, scaled in place: scaling into
+            # a second quarter-size array left heap holes that raised a LOOCV
+            # run's peak RSS from 252-260 to 312 MB (measured)
+            out *= np.abs(a)
         out += b
         return out
 
-    def _input_slices(self, x):
-        """(row slice, [rows, C] input values) over the flattened batch, at
-        most IM2COL_CHUNK_BYTES of input at a time: slices of the cached x,
-        or with a conv, its output recomputed a slice at a time."""
-        if self.conv is not None:
-            yield from self.conv.output_slices()
-            return
-        flat = x.reshape(-1, self.c)
-        b = max(1, IM2COL_CHUNK_BYTES // flat[0].nbytes)
-        for s in range(0, len(flat), b):
-            yield slice(s, s + b), flat[s : s + b]
+    def _signed_pool(self, x, neg, train):
+        """The pool of x with the channels in neg negated: in place, and
+        restored once the pool has run."""
+        flip = [x[..., c] for c in np.flatnonzero(neg)]
+        for v in flip:
+            np.negative(v, out=v)
+        try:
+            return self.pool.forward(x, train)
+        finally:
+            for v in flip:
+                np.negative(v, out=v)
 
-    def _sum_dz_x(self, flat_dz, x):
-        """Per-channel sum of dz * x. With x cached, one einsum; with a conv,
-        a slice of recomputed x at a time, each multiplied in place: the
-        running sum goes into the slice's first row and numpy sums axis 0
-        row by row, so with C >= 2 the result is the whole-batch einsum's
-        bit for bit (measured; with C = 1 einsum takes a contiguous dot,
-        which rounds differently)."""
-        if self.conv is None:
-            return np.einsum("nc,nc->c", flat_dz, x.reshape(-1, self.c))
-        total = np.zeros(self.c)
-        for rows, xs in self.conv.output_slices():
-            xs *= flat_dz[rows]
-            xs[0] += total
-            total = xs.sum(axis=0)
-        return total
+    def _conv_pool(self, x, neg, train):
+        """(pooled conv output of x, negated on the channels in neg, and in
+        train mode the conv output's per-channel sum and sum of squares), a
+        lowering slice at a time into one slice-sized buffer. A train forward
+        leaves the pool's cache as a pool of the whole conv output would."""
+        conv, c = self.conv, self.c
+        n, h, w, _ = x.shape
+        sign = np.where(neg, -1.0, 1.0)
+        wmat = conv.w.value.reshape(-1, c) * sign
+        # the slice buffer is made before the batch's output and its one index
+        # array: made after them, or with an index array per slice kept until
+        # backward, a LOOCV run's peak RSS read up to 5 MB higher (measured
+        # over several checkout paths, between which it moves by heap layout)
+        y_buf = np.empty((conv._slice_images(x) * h * w, c))
+        out = np.empty((n, h // 2, w // 2, c))
+        index = np.empty(out.shape, np.uint8) if train else None
+        s1 = s2 = np.zeros(c)
+        for rows, cols in conv._im2col_chunks(x):
+            imgs = slice(rows.start // (h * w), rows.stop // (h * w))
+            y = np.matmul(cols, wmat, out=y_buf[: len(cols)])
+            self.pool.forward(y.reshape(-1, h, w, c), train, out=out[imgs])
+            if train:
+                index[imgs] = self.pool._cache[0]
+                first = y[0].copy()
+                y[0] += s1
+                s1 = np.einsum("nc->c", y)
+                y[0] = first
+                y *= y
+                y[0] += s2
+                s2 = np.einsum("nc->c", y)
+        self.pool._cache = (index, (n, h, w, c)) if train else None
+        return out, s1 * sign, s2
+
+    def _patch_moments(self, x, dy):
+        """(G = cols^T dz, S = cols^T cols, colsum) over the conv's lowering
+        of x, with dz the pool's routing of dy, one slice at a time into one
+        slice-sized buffer."""
+        conv, c = self.conv, self.c
+        _, h, w, _ = x.shape
+        k = conv.kh * conv.kw * conv.c_in
+        g, s, colsum = np.zeros((k, c)), np.zeros((k, k)), np.zeros(k)
+        index, _ = self.pool._cache
+        dz = np.empty((conv._slice_images(x), h, w, c))
+        for rows, cols in conv._im2col_chunks(x):
+            imgs = slice(rows.start // (h * w), rows.stop // (h * w))
+            # the pool routes one slice at a time
+            self.pool._cache = (index[imgs], (imgs.stop - imgs.start, h, w, c))
+            dzs = self.pool.backward(dy[imgs], out=dz[: imgs.stop - imgs.start]).reshape(-1, c)
+            g += cols.T @ dzs
+            s += cols.T @ cols
+            colsum += cols.sum(axis=0)
+        return g, s, colsum
 
     def backward(self, dy):
         x, mean, inv, m = self._cache
         self._cache = None
-        dz = dy if self.pool is None else self.pool.backward(dy)
-        flat_dz = dz.reshape(-1, self.c)
-        dbeta = flat_dz.sum(axis=0)
+        if self.conv is None:
+            dz = dy if self.pool is None else self.pool.backward(dy)
+            flat_dz = dz.reshape(-1, self.c)
+            dbeta = flat_dz.sum(axis=0)
+            sum_dz_x = np.einsum("nc,nc->c", flat_dz, x.reshape(-1, self.c))
+        else:
+            g, s, colsum = self._patch_moments(x, dy)
+            wmat = self.conv.w.value.reshape(-1, self.c)
+            dbeta = dy.reshape(-1, self.c).sum(axis=0)
+            sum_dz_x = np.einsum("kc,kc->c", wmat, g)
         # sum(dz * xhat) = inv * (sum(dz * x) - mean * sum(dz))
-        dgamma = inv * (self._sum_dz_x(flat_dz, x) - mean * dbeta)
+        dgamma = inv * (sum_dz_x - mean * dbeta)
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
         # dx = (gamma*inv/m) * (m*dz - dbeta - xhat*dgamma) with xhat = (x-mean)*inv,
@@ -335,14 +387,23 @@ class BatchNorm2d(Layer):
         c1 = self.gamma.value * inv
         k = (c1 / m) * dgamma * inv
         c0 = (c1 / m) * dbeta - k * mean
+        if self.conv is not None:
+            # the conv's weight gradient cols^T dx, dx = c1*dz - k*x - c0
+            gw = c1 * g
+            gw -= k * (s @ wmat)
+            gw -= np.outer(colsum, c0)
+            self.conv.w.grad += gw.reshape(self.conv.w.value.shape)
+            return None
         # dx = c1*dz - k*x - c0, a slice at a time: the one temporary, k*x, is
         # a slice, and each value rounds as in the whole-array form. The
         # caller's dy is left as it is; the pool's routed dz is overwritten
         dx = np.empty(dz.shape) if self.pool is None else dz
-        flat_dx = dx.reshape(-1, self.c)
-        for rows, xs in self._input_slices(x):
+        flat_dx, flat_x = dx.reshape(-1, self.c), x.reshape(-1, self.c)
+        step = max(1, IM2COL_CHUNK_BYTES // flat_x[0].nbytes)
+        for start in range(0, len(flat_x), step):
+            rows = slice(start, start + step)
             d = np.multiply(c1, flat_dz[rows], out=flat_dx[rows])
-            d -= k * xs
+            d -= k * flat_x[rows]
             d -= c0
         return dx
 
@@ -379,9 +440,11 @@ class MaxPool2d(Layer):
     A train forward caches the uint8 window index of each maximum, not the
     input; an eval forward keeps nothing. Backward writes each of the four
     window positions of the input gradient once, dy where the maximum sat
-    there and +0.0 elsewhere, with no zero fill of the whole gradient."""
+    there and +0.0 elsewhere, with no zero fill of the whole gradient. Given
+    `out`, forward writes the maxima and backward the input gradient there:
+    a BatchNorm2d built with a conv pools one batch slice at a time."""
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, out=None):
         n, h, w, c = x.shape
         if h % 2 or w % 2:
             raise ShapeError(f"MaxPool2d needs even spatial dims, got {h}x{w}")
@@ -394,12 +457,12 @@ class MaxPool2d(Layer):
             idx = (x01 > x00).view(np.uint8)
             np.copyto(idx, (x11 > x10).view(np.uint8) + np.uint8(2), where=bottom > top)
             self._cache = (idx, (n, h, w, c))
-        return np.maximum(top, bottom)
+        return np.maximum(top, bottom, out=out)
 
-    def backward(self, dy):
+    def backward(self, dy, out=None):
         idx, (n, h, w, c) = self._cache
         self._cache = None
-        dx = np.empty((n, h, w, c))
+        dx = np.empty((n, h, w, c)) if out is None else out
         windows = dx.reshape(n, h // 2, 2, w // 2, 2, c)
         for m, (i, j) in enumerate(_POOL_OFFSETS):
             windows[:, :, i, :, j, :] = np.where(idx == m, dy, 0.0)

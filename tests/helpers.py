@@ -14,6 +14,18 @@ from rfdm.radar import C_LIGHT, Scatterer
 GRADCHECK_STEP = 1e-5
 GRADCHECK_TOL = 1e-4
 
+# A BatchNorm2d built with a conv forms the conv weight, gamma and beta
+# gradients from patch moments; the cached-input path (Conv2d.forward, a
+# pooled BatchNorm2d, Conv2d.backward) forms them from the conv output.
+# Measured over 32 draws of weights, gamma and dy at 16 channels: the two
+# differ by at most 65 eps * max|grad| on benchmark maps and 156 eps on
+# inputs whose conv outputs sit 5.5-6.7 std from zero per channel (the
+# kernel's zero padding keeps larger shifts near 6.7 std). Against an
+# extended-precision reference both paths err alike (1.0e3-5.9e3 eps at
+# those shifts, from the one-pass variance they share). The bound is 3x the
+# largest difference.
+BLOCK1_GRAD_BOUND_EPS = 480.0
+
 
 def numeric_grad(f, arr, h=GRADCHECK_STEP):
     """Central finite differences of scalar-valued f() w.r.t. arr, in place."""
@@ -48,8 +60,8 @@ def check_layer_gradients(layer, x, seed=0, tol=GRADCHECK_TOL):
     """Gradcheck one layer, in train mode, against a fixed random projection
     of its output.
 
-    Verifies the input gradient and every parameter gradient; returns the
-    worst relative error seen."""
+    Verifies the input gradient, when the layer returns one, and every
+    parameter gradient; returns the worst relative error seen."""
     rng = np.random.default_rng(seed)
     out = layer.forward(x, train=True)
     proj = rng.standard_normal(out.shape)
@@ -62,7 +74,7 @@ def check_layer_gradients(layer, x, seed=0, tol=GRADCHECK_TOL):
     layer.forward(x, train=True)
     dx = layer.backward(proj)
 
-    worst = grad_rel_err(dx, numeric_grad(loss, x))
+    worst = 0.0 if dx is None else grad_rel_err(dx, numeric_grad(loss, x))
     for p in layer.params():
         worst = max(worst, grad_rel_err(p.grad, numeric_grad(loss, p.value)))
     assert worst <= tol, f"gradcheck failed: rel err {worst:.3e} > {tol}"
