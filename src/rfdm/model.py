@@ -17,16 +17,18 @@ two negative BN outputs whose 0.01x ties): there the max-pool gradient goes
 to the larger input, not to the first of the tied activations. The reduced
 maps are flattened into one feature vector per frame. The first block is
 one layer, BatchNorm2d(pool=True, conv=conv1), whose params() are conv1's
-weight, gamma and beta: it runs conv1 one im2col slice at a time and forms
-conv1's weight gradient from the slices' patch moments, so conv1's output,
-the largest activation (H x W x conv_channels[0] per frame), never exists
-at full size. conv1 has one input channel and 15 patch columns; conv2 and
-conv3 have 240 and 480, whose K x K moment matrices take more
-multiply-adds than their GEMMs, so they stay Conv2d layers whose BN caches
-their output. Three dilated causal temporal blocks (dilations 1/2/4, kernel
-3, LeakyReLU + dropout, residual with 1x1 projection on channel change) run
-over the frame axis; the last time step feeds the dense head, Dense and
-LeakyReLU alternating and ending in the 7 class logits.
+weight, gamma and beta: it runs conv1 one im2col slice at a time, its rows
+in window-major order so that the pool reads and routes four contiguous
+blocks per slice, and forms conv1's weight gradient from the slices' patch
+moments, so conv1's output, the largest activation (H x W x
+conv_channels[0] per frame), never exists at full size. conv1 has one
+input channel and 15 patch columns; conv2 and conv3 have 240 and 480,
+whose K x K moment matrices take more multiply-adds than their GEMMs, so
+they stay Conv2d layers whose BN caches their output. Three dilated causal
+temporal blocks (dilations 1/2/4, kernel 3, LeakyReLU + dropout, residual
+with 1x1 projection on channel change) run over the frame axis; the last
+time step feeds the dense head, Dense and LeakyReLU alternating and ending
+in the 7 class logits.
 `_forward` runs a list front to back and `_backward` runs it back to front;
 only the residual temporal blocks wire their own passes. The kernels
 (FRAME_KERNEL, TCN_KERNEL), LeakyReLU's slope of 0.01 and the class count

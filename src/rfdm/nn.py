@@ -16,15 +16,17 @@ Conv2d runs its three GEMMs (forward, weight gradient and data gradient)
 through one lowering: im2col patch matrices built one batch slice at a time
 (at most IM2COL_CHUNK_BYTES per slice), each slice zero-padded on its own,
 so its memory grows with neither a patch matrix nor a padded copy of the
-whole batch; see Conv2d. BatchNorm2d and MaxPool2d write their input
-gradients with no temporary of the whole batch's size. A BatchNorm2d built
-with pool=True runs its 2x2 max-pool on its raw input and normalizes only
-the pooled quarter, so it makes no full-size output, and its backward
-writes the input gradient over the pool's routed gradient. One built with
-conv=<the Conv2d feeding it> is the whole conv -> BN -> pool block: both of
-its passes run the conv's lowering one slice at a time, so neither the conv
-output nor its gradient ever exists at full size, and its backward forms
-the conv's weight gradient from the patches' moments. See BatchNorm2d.
+whole batch; see Conv2d. BatchNorm2d writes its input gradient with no
+temporary of the whole batch's size, and MaxPool2d with one mask of a byte
+per value. A BatchNorm2d built with pool=True runs its 2x2 max-pool on its
+raw input and normalizes only the pooled quarter, so it makes no full-size
+output, and its backward writes the input gradient over the pool's routed
+gradient. One built with conv=<the Conv2d feeding it> is the whole
+conv -> BN -> pool block: both of its passes run the conv's lowering one
+slice at a time, in window-major row order, so that the pool reads and
+routes four contiguous blocks per slice; neither the conv output nor its
+gradient ever exists at full size, and its backward forms the conv's
+weight gradient from the patches' moments. See BatchNorm2d.
 
 Backward derivations are checked against central finite differences in the
 test suite (h = 1e-5, relative error <= 1e-4).
@@ -123,48 +125,57 @@ class Conv2d(Layer):
         n, h, w, c = x.shape
         return max(1, min(n, IM2COL_CHUNK_BYTES // (h * w * self.kh * self.kw * c * x.itemsize)))
 
-    def _im2col_chunks(self, x, flip=False):
+    def _im2col_chunks(self, x, flip=False, window_major=False):
         """(row slice, patch matrix) per slice of b images of x [N, H, W, C]:
         the matrix is [b*H*W, kh*kw*C], columns over (kh, kw, C) in weight
-        order, built from the slice zero-padded to "same" geometry (top and
-        bottom, left and right swapped when flip), and the row slice selects
-        its rows of the whole batch's [N*H*W, ...] result. Each slice is
-        copied into the interior of one zero-bordered buffer, which the next
-        slice overwrites: use a matrix before asking for the next.
+        order, rows over (image, i, j), built from the slice zero-padded to
+        "same" geometry (top and bottom, left and right swapped when flip),
+        and the row slice selects its rows of the whole batch's [N*H*W, ...]
+        result. Each slice is copied into the interior of one zero-bordered
+        buffer, which the next slice overwrites, and one sliding-window view
+        of that buffer serves every slice: use a matrix, and drop it, before
+        asking for the next.
 
-        A one-channel input's matrix is built K-major, [kh*kw, b*H*W], and
-        yielded transposed: each of its rows copies along the contiguous
-        width (2.5x faster on a slice of conv1's, measured), and the GEMMs of
-        both layouts agree bit for bit (measured on 1-17408 rows, 2-32
-        columns). A one-column GEMM, which the BLAS runs as a matrix-vector
-        product that rounds differently for the two layouts, keeps the
-        row-major build."""
+        window_major (even H and W) orders each slice's rows by (i % 2,
+        j % 2, image, i // 2, j // 2), so that its GEMM output is the four
+        positions of the 2x2 pool's windows as four contiguous blocks, each
+        in pooled [b, H/2, W/2] order; a BatchNorm2d built with conv=<this
+        layer> lowers so. That matrix is built K-major, [kh*kw*C, b*H*W], and
+        yielded transposed, so that each of its rows copies along the
+        padded buffer's width (1.7x faster than the row-major build on
+        conv1's 512-frame input, measured); its GEMM gives the row-major
+        build's bits row for row (measured on 4-17408 rows, 2-32 columns)."""
         n, h, w, c = x.shape
         _, _, (pt, pb), (pl, pr) = self._geometry(h, w)
         if flip:
             pt, pb, pl, pr = pb, pt, pr, pl
         k = self.kh * self.kw * c
         rows = h * w
-        kmajor = c == 1 and (self.c_in if flip else self.c_out) > 1
         b = self._slice_images(x)
         xp = np.zeros((b, pt + h + pb, pl + w + pr, c), dtype=x.dtype)
+        # [b, H, W, C, kh, kw]
+        win = np.lib.stride_tricks.sliding_window_view(xp, (self.kh, self.kw), axis=(1, 2))
+        if window_major:
+            # [kh, kw, C, 2, 2, b, H/2, W/2]
+            win = win.reshape(b, h // 2, 2, w // 2, 2, c, self.kh, self.kw) \
+                .transpose(6, 7, 5, 2, 4, 0, 1, 3)
+        else:
+            # [b, H, W, kh, kw, C]
+            win = win.transpose(0, 1, 2, 4, 5, 3)
         for s in range(0, n, b):
             m = min(b, n - s)
             xp[:m, pt : pt + h, pl : pl + w] = x[s : s + m]
-            # [m, H, W, C, kh, kw]
-            win = np.lib.stride_tricks.sliding_window_view(xp[:m], (self.kh, self.kw),
-                                                           axis=(1, 2))
             # not kept in a local: only the caller holds a slice's matrix
             yield (slice(s * rows, (s + m) * rows),
-                   np.ascontiguousarray(win.transpose(4, 5, 3, 0, 1, 2)).reshape(k, -1).T
-                   if kmajor else
-                   np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, k))
+                   np.ascontiguousarray(win[..., :m, :, :]).reshape(k, -1).T if window_major
+                   else np.ascontiguousarray(win[:m]).reshape(-1, k))
 
     def _lowered_gemm(self, x, wmat, flip=False):
         """The "same" correlation of x with wmat [kh*kw*C, C'] as [N*H*W, C']."""
         out = np.empty((x.shape[0] * x.shape[1] * x.shape[2], wmat.shape[1]))
         for rows, cols in self._im2col_chunks(x, flip):
             np.matmul(cols, wmat, out=out[rows])
+            del cols
         return out
 
     def forward(self, x, train=False):
@@ -190,6 +201,7 @@ class Conv2d(Layer):
             # measured bit-equal to cols.T @ dym[rows], and faster on the
             # frame CNN's conv2 and conv3 shapes
             gw += (dym[rows].T @ cols).T
+            del cols
         return dx
 
 
@@ -227,21 +239,23 @@ class BatchNorm2d(Layer):
     so one full-size array serves both.
 
     With a conv (conv1 in the model: one input channel, 15 patch columns),
-    both passes run over the conv's im2col slices, and the layer caches the
-    conv's input. Forward multiplies each slice by the conv weight with the
-    columns of the channels where a < 0 negated, which negates their GEMM
-    outputs exactly, and pools the slice. A train forward also adds the
-    slice's outputs and their squares to running per-channel sums: the
-    running sum goes into the slice's first row and einsum sums axis 0 row
-    by row, so with C >= 2 the statistics are the whole-batch sum and
-    einsum bit for bit (measured), and forward's outputs are those of
+    both passes run over the conv's window-major im2col slices (see
+    Conv2d._im2col_chunks), and the layer caches the conv's input. Forward
+    multiplies each slice by the conv weight with the columns of the
+    channels where a < 0 negated, which negates their GEMM outputs exactly,
+    and pools the product's four contiguous window blocks. A train forward
+    also copies the product into spatial row order while it is in cache,
+    and adds that copy's rows and their squares to running per-channel
+    sums: the running sum goes into the slice's first row and einsum sums
+    axis 0 row by row, so with C >= 2 the statistics are the whole-batch sum
+    and einsum bit for bit (measured), and forward's outputs are those of
     Conv2d.forward then a pooled BatchNorm2d. Backward routes dy into one
-    slice of dz at a time and sums the patch moments G = cols^T dz,
-    S = cols^T cols and colsum = cols^T 1. Then sum(dz*x) = sum_k w*G, and
-    the conv's weight gradient cols^T dx is c1*G - k*(S w) - colsum c0^T,
-    which cancels as E[x^2] - mean^2 does when the conv output's mean is
-    large against its std. It returns no input gradient: the conv's input
-    is the data."""
+    slice's four window blocks of dz at a time and sums the patch moments
+    G = cols^T dz, S = cols^T cols and colsum = cols^T 1 over rows in
+    window-major order. Then sum(dz*x) = sum_k w*G, and the conv's weight
+    gradient cols^T dx is c1*G - k*(S w) - colsum c0^T, which cancels as
+    E[x^2] - mean^2 does when the conv output's mean is large against its
+    std. It returns no input gradient: the conv's input is the data."""
 
     momentum, eps = 0.9, 1e-5
 
@@ -315,54 +329,63 @@ class BatchNorm2d(Layer):
     def _conv_pool(self, x, neg, train):
         """(pooled conv output of x, negated on the channels in neg, and in
         train mode the conv output's per-channel sum and sum of squares), a
-        lowering slice at a time into one slice-sized buffer. A train forward
-        leaves the pool's cache as a pool of the whole conv output would."""
+        window-major lowering slice at a time into one slice-sized buffer. A
+        train forward leaves the pool's cache as a pool of the whole
+        window-major conv output would."""
         conv, c = self.conv, self.c
         n, h, w, _ = x.shape
         sign = np.where(neg, -1.0, 1.0)
         wmat = conv.w.value.reshape(-1, c) * sign
-        # the slice buffer is made before the batch's output and its one index
-        # array: made after them, or with an index array per slice kept until
-        # backward, a LOOCV run's peak RSS read up to 5 MB higher (measured
-        # over several checkout paths, between which it moves by heap layout)
+        # the slice buffers are made before the batch's output and its one
+        # index array: made after them, or with an index array per slice kept
+        # until backward, a LOOCV run's peak RSS read up to 5 MB higher
+        # (measured over several checkout paths, between which it moves by
+        # heap layout)
         y_buf = np.empty((conv._slice_images(x) * h * w, c))
+        spatial_buf = np.empty_like(y_buf) if train else None
         out = np.empty((n, h // 2, w // 2, c))
         index = np.empty(out.shape, np.uint8) if train else None
         s1 = s2 = np.zeros(c)
-        for rows, cols in conv._im2col_chunks(x):
+        for rows, cols in conv._im2col_chunks(x, window_major=True):
             imgs = slice(rows.start // (h * w), rows.stop // (h * w))
             y = np.matmul(cols, wmat, out=y_buf[: len(cols)])
-            self.pool.forward(y.reshape(-1, h, w, c), train, out=out[imgs])
+            del cols
+            blocks = y.reshape(2, 2, -1, h // 2, w // 2, c)
+            self.pool.forward(blocks, train, out=out[imgs], window_major=True)
             if train:
                 index[imgs] = self.pool._cache[0]
-                first = y[0].copy()
-                y[0] += s1
-                s1 = np.einsum("nc->c", y)
-                y[0] = first
-                y *= y
-                y[0] += s2
-                s2 = np.einsum("nc->c", y)
-        self.pool._cache = (index, (n, h, w, c)) if train else None
+                # the sums run over the rows in spatial order, as the
+                # whole-batch sums do, from a copy made while y is in cache;
+                # the running sum goes into its first row, which is y's
+                ys = spatial_buf[: len(y)]
+                ys.reshape(-1, h // 2, 2, w // 2, 2, c)[...] = blocks.transpose(2, 3, 0, 4, 1, 5)
+                ys[0] += s1
+                s1 = np.einsum("nc->c", ys)
+                ys[0] = y[0]
+                ys *= ys
+                ys[0] += s2
+                s2 = np.einsum("nc->c", ys)
+        self.pool._cache = (index, True) if train else None
         return out, s1 * sign, s2
 
     def _patch_moments(self, x, dy):
-        """(G = cols^T dz, S = cols^T cols, colsum) over the conv's lowering
-        of x, with dz the pool's routing of dy, one slice at a time into one
-        slice-sized buffer."""
+        """(G = cols^T dz, S = cols^T cols, colsum) over the conv's
+        window-major lowering of x, with dz the pool's routing of dy, one
+        slice at a time."""
         conv, c = self.conv, self.c
         _, h, w, _ = x.shape
         k = conv.kh * conv.kw * conv.c_in
         g, s, colsum = np.zeros((k, c)), np.zeros((k, k)), np.zeros(k)
         index, _ = self.pool._cache
-        dz = np.empty((conv._slice_images(x), h, w, c))
-        for rows, cols in conv._im2col_chunks(x):
+        for rows, cols in conv._im2col_chunks(x, window_major=True):
             imgs = slice(rows.start // (h * w), rows.stop // (h * w))
-            # the pool routes one slice at a time
-            self.pool._cache = (index[imgs], (imgs.stop - imgs.start, h, w, c))
-            dzs = self.pool.backward(dy[imgs], out=dz[: imgs.stop - imgs.start]).reshape(-1, c)
-            g += cols.T @ dzs
+            # the pool routes one slice at a time, into its four blocks
+            self.pool._cache = (index[imgs], True)
+            dz = self.pool.backward(dy[imgs]).reshape(-1, c)
+            g += cols.T @ dz
             s += cols.T @ cols
             colsum += cols.sum(axis=0)
+            del cols, dz
         return g, s, colsum
 
     def backward(self, dy):
@@ -424,49 +447,82 @@ class LeakyReLU(Layer):
         return np.maximum(x, out, out=out)
 
     def backward(self, dy):
-        dx = self.alpha * dy
-        np.copyto(dx, dy, where=self._mask)
+        # the slope per value, looked up by the mask: bit-equal to
+        # where(mask, dy, alpha*dy), and twice as fast as a masked copy
+        dx = np.array([self.alpha, 1.0])[self._mask.view(np.uint8)]
+        dx *= dy
         self._mask = None
         return dx
 
 
-# window positions in first-index (row-major) tie-break order
-_POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# the code of each 2x2 window position (i, j), 2*i + j, in first-index
+# (row-major) tie-break order
+_POOL_CODES = np.arange(4, dtype=np.uint8)
 
 
 class MaxPool2d(Layer):
     """2x2 window, stride 2; gradient routes to the first max per window.
 
-    A train forward caches the uint8 window index of each maximum, not the
-    input; an eval forward keeps nothing. Backward writes each of the four
-    window positions of the input gradient once, dy where the maximum sat
-    there and +0.0 elsewhere, with no zero fill of the whole gradient. Given
-    `out`, forward writes the maxima and backward the input gradient there:
-    a BatchNorm2d built with a conv pools one batch slice at a time."""
+    One kernel pools the window's four positions, each given as an
+    [N, H/2, W/2, C] array: for an input x [N, H, W, C] these are strided
+    views of x, and with window_major=True the caller passes x as
+    [2, 2, N, H/2, W/2, C], its positions as contiguous blocks (a
+    BatchNorm2d built with a conv pools its slices so). Given `out`,
+    forward writes the maxima there.
 
-    def forward(self, x, train=False, out=None):
-        n, h, w, c = x.shape
-        if h % 2 or w % 2:
-            raise ShapeError(f"MaxPool2d needs even spatial dims, got {h}x{w}")
-        x00, x01, x10, x11 = (x[:, i::2, j::2, :] for i, j in _POOL_OFFSETS)
-        top, bottom = np.maximum(x00, x01), np.maximum(x10, x11)
+    A train forward caches the uint8 window index of each maximum, not the
+    input; an eval forward keeps nothing. Backward routes dy in one
+    broadcast pass into the input's layout, bit for bit
+    where(index == code, dy, 0.0): dy where the maximum sat and +0.0
+    elsewhere, as after a zero fill. Its one temporary is the comparison's
+    mask, 1 byte per input value (measured traced peak on a 64x32x32x16
+    input: 9.57 MB, the 8.4 MB gradient, that 1.0 MB mask and the pass's
+    iteration buffers; 10.75 MB when each window position made its own
+    dy-sized float temporary)."""
+
+    def forward(self, x, train=False, out=None, window_major=False):
+        if window_major:
+            blocks = x
+        else:
+            n, h, w, c = x.shape
+            if h % 2 or w % 2:
+                raise ShapeError(f"MaxPool2d needs even spatial dims, got {h}x{w}")
+            blocks = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(2, 4, 0, 1, 3, 5)
+        (x00, x01), (x10, x11) = blocks
+        top = np.maximum(x00, x01)
+        bottom = np.maximum(x10, x11, out=out)
         self._cache = None
         if train:
-            # strict > picks the later cell of a row and the bottom row only
-            # when it beats the top one, so a tie keeps the first index
-            idx = (x01 > x00).view(np.uint8)
-            np.copyto(idx, (x11 > x10).view(np.uint8) + np.uint8(2), where=bottom > top)
-            self._cache = (idx, (n, h, w, c))
-        return np.maximum(top, bottom, out=out)
+            # the code 2*i + j of the window's first max: strict > picks the
+            # bottom row only where it beats the top one, and a row's later
+            # cell only where it beats the earlier, so a tie keeps the first
+            # index. Arithmetic, not a masked copy: masked copies and where()
+            # branch on every value, 2x slower here (measured)
+            right = (x01 > x00).view(np.uint8)
+            lower = (bottom > top).view(np.uint8)
+            idx = right + lower * (np.uint8(2) + (x11 > x10).view(np.uint8) - right)
+            self._cache = (idx, window_major)
+        return np.maximum(top, bottom, out=bottom)
 
-    def backward(self, dy, out=None):
-        idx, (n, h, w, c) = self._cache
+    def backward(self, dy):
+        idx, window_major = self._cache
         self._cache = None
-        dx = np.empty((n, h, w, c)) if out is None else out
-        windows = dx.reshape(n, h // 2, 2, w // 2, 2, c)
-        for m, (i, j) in enumerate(_POOL_OFFSETS):
-            windows[:, :, i, :, j, :] = np.where(idx == m, dy, 0.0)
-        return dx
+        n, h, w, c = dy.shape
+        if window_major:
+            # [2, 2, N, H/2, W/2, C]
+            hit = idx == _POOL_CODES.reshape(2, 2, 1, 1, 1, 1)
+        else:
+            # [N, H/2, 2, W/2, 2, C], the input's [N, H, W, C]
+            split = (slice(None), slice(None), np.newaxis, slice(None), np.newaxis)
+            hit, dy = idx[split] == _POOL_CODES.reshape(2, 1, 2, 1), dy[split]
+        # where(hit, dy, 0.0) with no branch per value: dy's bits and-ed with
+        # -1 (all ones) where hit and 0 elsewhere, written over the bool mask;
+        # 1.6-3.5x faster than where(), which mispredicts a branch on about
+        # one value in four (measured)
+        keep = hit.view(np.int8)
+        np.negative(keep, out=keep)
+        dx = np.bitwise_and(dy.view(np.int64), keep, dtype=np.int64).view(np.float64)
+        return dx if window_major else dx.reshape(n, 2 * h, 2 * w, c)
 
 
 class ChannelReduce(Layer):

@@ -23,7 +23,11 @@ GRADCHECK_TOL = 1e-4
 # kernel's zero padding keeps larger shifts near 6.7 std). Against an
 # extended-precision reference both paths err alike (1.0e3-5.9e3 eps at
 # those shifts, from the one-pass variance they share). The bound is 3x the
-# largest difference.
+# largest difference. The window-major lowering sums the moments' rows in
+# another order; over 32 draws of TestConvFedBatchNorm's "maps" and
+# "shifted" cases it differs by at most 59 and 358 eps (gamma's gradient),
+# where the spatial-order lowering it replaced gave 59 and 361 on the same
+# draws: the "shifted" case's cancellation dominates both.
 BLOCK1_GRAD_BOUND_EPS = 480.0
 
 

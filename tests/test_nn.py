@@ -59,6 +59,13 @@ def slice_loop_conv(conv, x, dy):
     return out, dxp[:, pt : pt + h, pl : pl + w, :], dw
 
 
+def window_view(x):
+    """[2, 2, N, H/2, W/2, C] view of x [N, H, W, C]: its 2x2 pool windows'
+    four positions, (0, 0), (0, 1), (1, 0) and (1, 1)."""
+    n, h, w, c = x.shape
+    return x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(2, 4, 0, 1, 3, 5)
+
+
 def scan_pool(x):
     """2x2 max-pool by a strict > scan in window order: (output, first-max index)."""
     best = x[:, ::2, ::2, :].copy()
@@ -171,14 +178,14 @@ class TestConv2d:
     @pytest.mark.parametrize("c_out", [4, 1])
     def test_chunked_single_channel_equals_slice_loop_reference(self, c_out):
         # conv1's case, one input channel: 2 whole slices and a remainder of
-        # 3, the patch matrix built K-major (a column-major view), except
-        # for a one-column GEMM, which keeps the row-major build
+        # 3, the patch matrix built row-major as for any input (block 1's
+        # K-major build is tested in TestConvFedBatchNorm)
         rng = rng_for(20 + c_out)
         conv = Conv2d(1, c_out, 3, 5, rng=rng)
         b = IM2COL_CHUNK_BYTES // (16 * 16 * 3 * 5 * 8)
         x = rng.standard_normal((2 * b + 3, 16, 16, 1))
         _, cols = next(conv._im2col_chunks(x))
-        assert cols.shape == (b * 16 * 16, 15) and cols.flags.f_contiguous == (c_out > 1)
+        assert cols.shape == (b * 16 * 16, 15) and cols.flags.c_contiguous
         out = conv.forward(x, train=True)
         dy = rng.standard_normal(out.shape)
         dx = conv.backward(dy)
@@ -398,10 +405,12 @@ class TestPooledBatchNorm:
     # per pooled one; x and dy exist before tracing starts.
 
     def test_train_forward_makes_no_input_sized_array(self):
-        # Measured traced peak: 6.6 MB (the pool's quarter-size maxima and its
-        # index) with every gamma >= 0, and with one in three < 0, whose
-        # channels of x are negated in place around the pool; the unfused
-        # BN -> MaxPool2d peaks at 14.9 MB, as did a sign-flipped copy of x.
+        # Measured traced peak: 5.2 MB (the pool's quarter-size maxima, one
+        # quarter-size row maximum and the index) with every gamma >= 0, and
+        # with one in three < 0, whose channels of x are negated in place
+        # around the pool; 6.6 MB when the pool made both row maxima as
+        # temporaries; the unfused BN -> MaxPool2d peaks at 14.9 MB, as did a
+        # sign-flipped copy of x.
         rng = rng_for(5)
         x = rng.standard_normal((64, 32, 32, 16))
         kept = x.copy()
@@ -414,10 +423,11 @@ class TestPooledBatchNorm:
             assert np.array_equal(out[0], pool.forward(twin.forward(x, train=True)))
 
     def test_backward_peaks_at_one_input_sized_array_and_a_slice(self):
-        # Measured traced peak: 10.8 MB, the routed gradient that dx
-        # overwrites and the pool's dy-sized where() temporary (2.1 MB, the
-        # size of one slice here); the unfused composition, which routes dy
-        # into one array and writes dx into another, peaks at 18.9 MB.
+        # Measured traced peak: 10.6 MB, the routed gradient that dx
+        # overwrites and one slice of k*x (2.1 MB); 10.8 MB when the pool
+        # made a dy-sized where() temporary per window position; the unfused
+        # composition, which routes dy into one array and writes dx into
+        # another, peaks at 18.9 MB.
         rng = rng_for(5)
         x = rng.standard_normal((64, 32, 32, 16))
         dy = rng.standard_normal((64, 16, 16, 16))
@@ -502,6 +512,27 @@ class TestConvFedBatchNorm:
         assert np.array_equal(bn.forward(x), ref.forward(ref_conv.forward(x)))
         assert bn._cache is None
 
+    def test_window_major_slices_equal_the_conv_output(self):
+        # 2 whole slices and a remainder of 3: each slice's patch matrix is
+        # built K-major (a column-major view), and its GEMM output, viewed as
+        # [2, 2, m, H/2, W/2, C], is the window view of Conv2d.forward's
+        # output bit for bit
+        rng = rng_for(8)
+        conv = Conv2d(1, 16, 3, 5, rng=rng)
+        b = IM2COL_CHUNK_BYTES // (16 * 16 * 3 * 5 * 8)
+        x = rng.standard_normal((2 * b + 3, 16, 16, 1))
+        want = conv.forward(x)
+        wmat = conv.w.value.reshape(-1, 16)
+        sizes = []
+        for rows, cols in conv._im2col_chunks(x, window_major=True):
+            imgs = slice(rows.start // 256, rows.stop // 256)
+            m = imgs.stop - imgs.start
+            assert cols.shape == (m * 256, 15) and cols.flags.f_contiguous
+            got = (cols @ wmat).reshape(2, 2, m, 8, 8, 16)
+            assert np.array_equal(got, window_view(want[imgs]))
+            sizes.append(m)
+        assert sizes == [b, b, 3]
+
     @pytest.mark.parametrize("seed", range(3))
     def test_gradcheck(self, seed):
         rng = rng_for(seed)
@@ -511,8 +542,11 @@ class TestConvFedBatchNorm:
     # 128 frames of conv1's shape, whose output would take 16.8 MB
 
     def test_train_forward_keeps_no_input_sized_array(self):
-        # Measured traced peak: 11.4 MB, the pooled 4.2 MB output, the pool
-        # indices, and a slice's patch matrix, GEMM output and pool temporaries
+        # Measured traced peak: 11.5 MB, the pooled 4.2 MB output, the pool
+        # indices, and a slice's patch matrix, its window-major GEMM output
+        # and that output's spatial-order copy; 13.6 MB when the loop held a
+        # slice's patch matrix while the next was built, and 11.4 MB with
+        # that and the spatial-order lowering, which needed no copy
         rng = rng_for(6)
         bn, _, _ = self.block(rng)
         x = rng.random((128, 32, 32, 1))
@@ -522,7 +556,9 @@ class TestConvFedBatchNorm:
         assert max(a.nbytes for a in held) <= conv_output_bytes // 8
 
     def test_backward_makes_no_conv_output_sized_array(self):
-        # Measured traced peak: 6.6 MB, a slice's patch matrix and routed dz
+        # Measured traced peak: 4.8 MB, a slice's patch matrix and routed dz;
+        # 7.0 MB when the loop held them while the next slice was built, and
+        # 6.6 MB with that and a dz buffer reused across slices
         rng = rng_for(6)
         bn, _, _ = self.block(rng)
         bn.forward(rng.random((128, 32, 32, 1)), train=True)
@@ -541,6 +577,20 @@ class TestLeakyReLU:
         act.forward(np.array([[0.0, -0.0, 1.0, -1.0]]), train=True)
         dx = act.backward(np.array([[2.0, 3.0, 4.0, 5.0]]))
         assert np.array_equal(dx, [[2.0, 3.0, 4.0, 0.01 * 5.0]])
+
+    def test_backward_equals_where_form(self):
+        # the slope lookup times dy against where(mask, dy, alpha*dy), bit for
+        # bit: x = +-0.0 takes slope 1, and dy = -0.0 keeps its sign
+        rng = rng_for(4)
+        x = rng.integers(-2, 3, (6, 40)).astype(float)
+        x[0, ::2] = -0.0
+        dy = rng.standard_normal(x.shape)
+        dy[:, ::3] = -0.0
+        act = LeakyReLU()
+        act.forward(x, train=True)
+        want = np.where(x >= 0, dy, act.alpha * dy)
+        dx = act.backward(dy)
+        assert np.array_equal(dx, want) and np.array_equal(np.signbit(dx), np.signbit(want))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradcheck_away_from_kink(self, seed):
@@ -603,6 +653,37 @@ class TestMaxPool:
         dx = pool.backward(dy)
         assert np.array_equal(dx, want)
         assert np.array_equal(np.signbit(dx), np.signbit(want))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_window_blocks_equal_spatial_images(self, seed):
+        # the same tie-rich images as [N, H, W, C] and as contiguous window
+        # blocks [2, 2, N, H/2, W/2, C]: equal maxima and index, and each
+        # routes dy (-0.0 and negatives included) into its own layout
+        rng = rng_for(seed)
+        x = rng.integers(-2, 2, (5, 6, 8, 3)).astype(float)
+        blocks = np.ascontiguousarray(window_view(x))
+        spatial, windowed = MaxPool2d(), MaxPool2d()
+        out = spatial.forward(x, train=True)
+        assert np.array_equal(windowed.forward(blocks, train=True, window_major=True), out)
+        assert np.array_equal(windowed._cache[0], spatial._cache[0])
+        dy = rng.standard_normal(out.shape)
+        dy[::2, 1] = -0.0
+        dx, dblocks = spatial.backward(dy), windowed.backward(dy)
+        assert dblocks.shape == blocks.shape and dx.shape == x.shape
+        assert np.array_equal(dblocks, window_view(dx))
+        assert np.array_equal(np.signbit(dblocks), np.signbit(window_view(dx)))
+
+    def test_backward_peaks_at_the_gradient_and_a_byte_per_value(self):
+        # 64 images of conv1's output shape, 8.4 MB per input-sized array; dy
+        # exists before tracing starts. Measured traced peak: 9.57 MB, dx,
+        # the window-position mask (1.0 MB) and 0.13 MB of the routing pass's
+        # iteration buffers; 10.75 MB when each window position made a
+        # dy-sized float temporary
+        rng = rng_for(7)
+        x = rng.standard_normal((64, 32, 32, 16))
+        pool = MaxPool2d()
+        dy = rng.standard_normal(pool.forward(x, train=True).shape)
+        assert traced_peak(lambda: pool.backward(dy)) <= x.nbytes + x.size + (256 << 10)
 
     def test_eval_forward_keeps_no_index(self):
         pool = MaxPool2d()
