@@ -26,7 +26,8 @@ conv -> BN -> pool block: both of its passes run the conv's lowering one
 slice at a time, in window-major row order, so that the pool reads and
 routes four contiguous blocks per slice; neither the conv output nor its
 gradient ever exists at full size, and its backward forms the conv's
-weight gradient from the patches' moments. See BatchNorm2d.
+weight gradient from the patches' moments. See BatchNorm2d. Every slice
+loop here takes its images per slice from slice_len.
 
 Backward derivations are checked against central finite differences in the
 test suite (h = 1e-5, relative error <= 1e-4).
@@ -38,14 +39,27 @@ import numpy as np
 
 from .errors import ShapeError
 
-# Bytes of im2col matrix that Conv2d builds at a time. Swept over 1-16 MiB on
-# the frame CNN's conv1-conv3 shapes at 512 frames (2-core Xeon, 2 MiB L2 per
-# core, 1 BLAS thread), forward plus weight gradient of the three convs, two
-# sweeps: 561-600 ms at 1 MiB, 576-580 ms at 2 MiB, 653-654 ms at 4 MiB,
-# 691-712 ms at 8 MiB, 711-718 ms at 16 MiB, 968-975 ms as one whole-batch
-# matrix. 1 and 2 MiB tie within noise; 2 MiB takes fewer chunks.
-# BatchNorm2d.backward slices its batch by the same size.
-IM2COL_CHUNK_BYTES = 2 << 20
+# Bytes of the one array per slice that sizes a slice loop: the im2col patch
+# matrix, or in BatchNorm2d's backward the k*x temporary (see slice_len). A
+# slice holds a few arrays of about this size (block 1's four), which fit in
+# a core's 2 MiB L2 at 0.5 MiB. Swept on whole batch-32 train steps of the
+# default CnnTcnConfig and on 16-frame predicts (2-core Xeon, 1 BLAS thread),
+# median step of each of 5 processes and median predict over them:
+#   0.25 MiB  694 706 723 754 789 ms   predict 5.64 ms
+#   0.5 MiB   649 683 687 722 723 ms           5.41 ms
+#   1 MiB     644 686 703 712 812 ms           5.69 ms
+#   2 MiB     700 722 771 788 808 ms           6.14 ms
+# (0.375, 0.75 and 1.5 MiB in 2-4 processes: 698, 718-740 and 709-924 ms.)
+# Sizing each loop by all the buffers it holds, not by this one array, ran
+# no faster at its best budget (1 MiB) on rfdm eval --protocol loocv.
+IM2COL_CHUNK_BYTES = 512 << 10
+
+
+def slice_len(n, item_bytes):
+    """Images per slice of a loop over n images that makes item_bytes of
+    its sizing array (patch matrix or k*x) per image: as many as fit in
+    IM2COL_CHUNK_BYTES, at least 1 and at most n."""
+    return max(1, min(n, IM2COL_CHUNK_BYTES // item_bytes))
 
 
 class Param:
@@ -88,7 +102,7 @@ class Conv2d(Layer):
 
     weights: [kh, kw, C_in, C_out]. All three GEMMs go through one lowering,
     _im2col_chunks: it splits the batch into slices of b images, b =
-    max(1, IM2COL_CHUNK_BYTES // im2col bytes per image), copies each slice
+    slice_len of the patch matrix's bytes per image, copies each slice
     into a buffer zero-padded to "same" geometry and that into one patch
     matrix, whose GEMM lands in the slice's rows of the result. A
     BatchNorm2d built with conv=<this layer> runs the lowering itself and
@@ -102,11 +116,15 @@ class Conv2d(Layer):
     to sum the weight gradient over the slices, which rounds differently
     from one whole-batch GEMM when there is more than one slice. It lowers
     dy the same way for the data gradient: a "same" correlation of dy with
-    the kernel flipped in (kh, kw) and its channel axes swapped, padded on
-    the opposite sides to forward (the same sides for odd kernels).
+    the kernel flipped in (kh, kw) and its channel axes swapped. That needs
+    dy padded on the opposite sides to forward, which for an odd kernel are
+    the same sides, so the kernel must be odd (an even one raises
+    ShapeError).
     """
 
     def __init__(self, c_in, c_out, kh, kw, rng, name="conv"):
+        if kh % 2 == 0 or kw % 2 == 0:
+            raise ShapeError(f"Conv2d needs an odd kernel, got {kh}x{kw}")
         self.c_in, self.c_out, self.kh, self.kw = c_in, c_out, kh, kw
         self.w = Param(name + ".w", he_uniform(rng, (kh, kw, c_in, c_out), kh * kw * c_in))
         self._cache = None
@@ -120,21 +138,20 @@ class Conv2d(Layer):
         return h, w, (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)
 
     def _slice_images(self, x):
-        """Images b in each slice that _im2col_chunks(x) lowers: b = max(1,
-        IM2COL_CHUNK_BYTES // im2col bytes per image), at most N."""
+        """Images b in each slice that _im2col_chunks(x) lowers: slice_len
+        of the patch matrix's bytes per image."""
         n, h, w, c = x.shape
-        return max(1, min(n, IM2COL_CHUNK_BYTES // (h * w * self.kh * self.kw * c * x.itemsize)))
+        return slice_len(n, h * w * self.kh * self.kw * c * x.itemsize)
 
-    def _im2col_chunks(self, x, flip=False, window_major=False):
+    def _im2col_chunks(self, x, window_major=False):
         """(row slice, patch matrix) per slice of b images of x [N, H, W, C]:
         the matrix is [b*H*W, kh*kw*C], columns over (kh, kw, C) in weight
         order, rows over (image, i, j), built from the slice zero-padded to
-        "same" geometry (top and bottom, left and right swapped when flip),
-        and the row slice selects its rows of the whole batch's [N*H*W, ...]
-        result. Each slice is copied into the interior of one zero-bordered
-        buffer, which the next slice overwrites, and one sliding-window view
-        of that buffer serves every slice: use a matrix, and drop it, before
-        asking for the next.
+        "same" geometry, and the row slice selects its rows of the whole
+        batch's [N*H*W, ...] result. Each slice is copied into the interior
+        of one zero-bordered buffer, which the next slice overwrites, and one
+        sliding-window view of that buffer serves every slice: use a matrix,
+        and drop it, before asking for the next.
 
         window_major (even H and W) orders each slice's rows by (i % 2,
         j % 2, image, i // 2, j // 2), so that its GEMM output is the four
@@ -147,8 +164,6 @@ class Conv2d(Layer):
         build's bits row for row (measured on 4-17408 rows, 2-32 columns)."""
         n, h, w, c = x.shape
         _, _, (pt, pb), (pl, pr) = self._geometry(h, w)
-        if flip:
-            pt, pb, pl, pr = pb, pt, pr, pl
         k = self.kh * self.kw * c
         rows = h * w
         b = self._slice_images(x)
@@ -170,10 +185,10 @@ class Conv2d(Layer):
                    np.ascontiguousarray(win[..., :m, :, :]).reshape(k, -1).T if window_major
                    else np.ascontiguousarray(win[:m]).reshape(-1, k))
 
-    def _lowered_gemm(self, x, wmat, flip=False):
+    def _lowered_gemm(self, x, wmat):
         """The "same" correlation of x with wmat [kh*kw*C, C'] as [N*H*W, C']."""
         out = np.empty((x.shape[0] * x.shape[1] * x.shape[2], wmat.shape[1]))
-        for rows, cols in self._im2col_chunks(x, flip):
+        for rows, cols in self._im2col_chunks(x):
             np.matmul(cols, wmat, out=out[rows])
             del cols
         return out
@@ -194,7 +209,7 @@ class Conv2d(Layer):
         _, x = self._cache
         self._cache = None
         wflip = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, self.c_in)
-        dx = self._lowered_gemm(dy, wflip, flip=True).reshape(x.shape)
+        dx = self._lowered_gemm(dy, wflip).reshape(x.shape)
         dym = dy.reshape(-1, self.c_out)
         gw = self.w.grad.reshape(-1, self.c_out)
         for rows, cols in self._im2col_chunks(x):
@@ -231,8 +246,8 @@ class BatchNorm2d(Layer):
     of a window round to one z: there it goes to the larger y, not to the
     first of the tied outputs.
 
-    Backward writes the input gradient dx = c1*dz - k*x - c0 a slice of at
-    most IM2COL_CHUNK_BYTES of x at a time, each value rounded as in the
+    Backward writes the input gradient dx = c1*dz - k*x - c0 a slice of
+    images at a time (see _slice_images), each value rounded as in the
     whole-array form, so beside dz (dy, or the pool's routing of dy into a
     new full-size array), dx and the cached input it holds only slice-sized
     temporaries. With a pool, dx overwrites dz, which is this layer's own,
@@ -313,6 +328,12 @@ class BatchNorm2d(Layer):
             out *= np.abs(a)
         out += b
         return out
+
+    def _slice_images(self, x):
+        """Images per slice of backward's dx loop over x: slice_len of its
+        k*x temporary's bytes per image. (With a conv, the layer's passes
+        slice as the conv's lowering does: Conv2d._slice_images.)"""
+        return slice_len(len(x), x[0].nbytes)
 
     def _signed_pool(self, x, neg, train):
         """The pool of x with the channels in neg negated: in place, and
@@ -422,7 +443,7 @@ class BatchNorm2d(Layer):
         # caller's dy is left as it is; the pool's routed dz is overwritten
         dx = np.empty(dz.shape) if self.pool is None else dz
         flat_dx, flat_x = dx.reshape(-1, self.c), x.reshape(-1, self.c)
-        step = max(1, IM2COL_CHUNK_BYTES // flat_x[0].nbytes)
+        step = self._slice_images(x) * x.shape[1] * x.shape[2]
         for start in range(0, len(flat_x), step):
             rows = slice(start, start + step)
             d = np.multiply(c1, flat_dz[rows], out=flat_dx[rows])

@@ -17,17 +17,18 @@ GRADCHECK_TOL = 1e-4
 # A BatchNorm2d built with a conv forms the conv weight, gamma and beta
 # gradients from patch moments; the cached-input path (Conv2d.forward, a
 # pooled BatchNorm2d, Conv2d.backward) forms them from the conv output.
-# Measured over 32 draws of weights, gamma and dy at 16 channels: the two
-# differ by at most 65 eps * max|grad| on benchmark maps and 156 eps on
-# inputs whose conv outputs sit 5.5-6.7 std from zero per channel (the
-# kernel's zero padding keeps larger shifts near 6.7 std). Against an
-# extended-precision reference both paths err alike (1.0e3-5.9e3 eps at
-# those shifts, from the one-pass variance they share). The bound is 3x the
-# largest difference. The window-major lowering sums the moments' rows in
-# another order; over 32 draws of TestConvFedBatchNorm's "maps" and
-# "shifted" cases it differs by at most 59 and 358 eps (gamma's gradient),
-# where the spatial-order lowering it replaced gave 59 and 361 on the same
-# draws: the "shifted" case's cancellation dominates both.
+# Measured over 32 draws of weights, gamma and dy (and of the inputs of the
+# "shifted" case) in TestConvFedBatchNorm's "maps" and "shifted" cases, 47
+# and 39 frames a batch, 4 frames a slice: the two differ by at most 43 eps
+# * max|grad| on benchmark maps and 349 eps (gamma's gradient) on inputs
+# whose conv outputs sit at least 3 std from zero per channel; 43 and 342
+# with 17 frames a slice, on the same draws. The test's own draws give 18
+# and 60. Against an extended-precision reference both paths err alike
+# (1.0e3-5.9e3 eps at shifts of 5.5-6.7 std, from the one-pass variance they
+# share): the "shifted" case's cancellation sets the largest difference.
+# The bound was set at 3x an earlier largest difference, 156 eps; it is now
+# 1.4x the largest, and ROADMAP item 13's shifted statistics would shrink
+# the cancellation behind it.
 BLOCK1_GRAD_BOUND_EPS = 480.0
 
 
