@@ -24,7 +24,8 @@ import numpy as np
 
 from .dsp import RfdmSequence
 from .errors import IntegrityError, ManifestError, ShapeError
-from .model import CnnTcnConfig, build_model
+from .gestures import N_CLASSES
+from .model import CnnTcnConfig, build_model, layout
 from .radar import DataCube, RadarConfig
 
 CUBE_MAGIC = b"RFDC"
@@ -174,27 +175,26 @@ def load_checkpoint(path):
     try:
         descriptor = json.loads(data[12:offset].decode("utf-8"))
         kind, config = descriptor["kind"], descriptor["config"]
-        layout = [(d["name"], list(d["shape"]))
-                  for d in descriptor["params"] + descriptor["buffers"]]
-        if not all(type(n) is int and n >= 0 for _, shape in layout for n in shape):
+        declared = [(d["name"], tuple(d["shape"]))
+                    for d in descriptor["params"] + descriptor["buffers"]]
+        if not all(type(n) is int and n >= 0 for _, shape in declared for n in shape):
             raise ValueError("array dimensions must be non-negative integers")
         # an unknown field raises TypeError
         cfg = CnnTcnConfig(**{k: tuple(v) if isinstance(v, list) else v
                               for k, v in config.items()})
-        # the file holds exactly the arrays the descriptor declares, checked
-        # before any model is built: a small file cannot make a huge model
-        _expect_size(data, path, offset + 8 * sum(math.prod(shape) for _, shape in layout),
-                     "checkpoint")
-        # an invalid architecture raises ConfigError (a ValueError); a
+        # the file holds exactly the arrays the descriptor declares, and they
+        # are the arrays the config builds, both checked before any model is
+        # built: neither a small file nor a small descriptor can make a huge
+        # model. An invalid architecture raises ConfigError (a ValueError); a
         # mistyped field, TypeError
+        _expect_size(data, path, offset + 8 * sum(math.prod(shape) for _, shape in declared),
+                     "checkpoint")
+        if declared != layout(kind, cfg):
+            raise IntegrityError(f"{path}: parameter layout does not match architecture")
         model = build_model(kind, cfg, init_seed=0)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise IntegrityError(f"{path}: unreadable checkpoint descriptor ({exc!r})") from exc
-    named = [(p.name, p.value) for p in model.params()] + model.buffers()
-    if layout != [(n, list(a.shape)) for n, a in named]:
-        raise IntegrityError(f"{path}: parameter layout does not match architecture")
-
-    for name, a in named:
+    for name, a in [(p.name, p.value) for p in model.params()] + model.buffers():
         a[...] = np.frombuffer(data, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
         offset += 8 * a.size
         if not np.all(np.isfinite(a)):
@@ -228,19 +228,34 @@ def read_manifest(path) -> dict:
     return doc
 
 
+# what a row's value of each typed field must be, and its test (a JSON bool
+# is no integer)
+_ROW_TYPES = {
+    "path": ("a string", lambda v: type(v) is str),
+    "index": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "class_id": (f"an integer in [0, {N_CLASSES})",
+                 lambda v: type(v) is int and 0 <= v < N_CLASSES),
+}
+
+
 def require_field(rows, key) -> list:
     """The `key` of every manifest row; ManifestError naming the first row
-    that lacks it."""
+    that lacks it or, for a field of _ROW_TYPES, holds another type."""
+    want, valid = _ROW_TYPES.get(key, (None, None))
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or key not in row:
             raise ManifestError(f"manifest row {i} lacks required field {key!r}")
+        if valid and not valid(row[key]):
+            raise ManifestError(f"manifest row {i}: {key} must be {want}, "
+                                f"got {json.dumps(row[key])}")
     return [row[key] for row in rows]
 
 
 def verify_manifest_files(manifest: dict, base_dir, fields=()) -> None:
-    """Check that every row has a `path` and each of `fields`, and that the
-    file it names exists. File bytes are not read here: each reader checks
-    the row's digest on the bytes it parses."""
+    """Check that every row has a `path` and each of `fields`, each of a
+    type require_field accepts, and that the file it names exists. File
+    bytes are not read here: each reader checks the row's digest on the
+    bytes it parses."""
     base = Path(base_dir)
     for key in fields:
         require_field(manifest["samples"], key)

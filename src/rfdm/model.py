@@ -6,18 +6,20 @@ block's BN without the pool, then a pointwise map reducing the 64 channels to
 ceil(64/12) = 6) is applied with shared weights to every frame of the RFDM
 sequence; its convs have no bias, since each feeds a train-mode BN whose
 batch mean would cancel one. BatchNorm2d(pool=True) pools the conv output
-(negated on channels whose BN scale is negative) before its per-channel
-affine map, and the pool comes before the activation, so BN's affine map
-and LeakyReLU run on a quarter of the cells and no full-size BN output
-exists. Both maps are monotone, and so is their rounding, so this gives the
-outputs and gradients of the usual conv -> BN -> LeakyReLU -> pool order
-bit for bit, but for a 2x2 window holding two distinct values that one of
-the maps rounds to one double (two conv outputs whose BN outputs tie, or
-two negative BN outputs whose 0.01x ties): there the max-pool gradient goes
-to the larger input, not to the first of the tied activations. The reduced
-maps are flattened into one feature vector per frame. The first block is
-one layer, BatchNorm2d(pool=True, conv=conv1), whose params() are conv1's
-weight, gamma and beta: it runs conv1 one im2col slice at a time, its rows
+(negated on channels whose BN scale is negative) with the MaxPool2d
+kernel, which holds no state (BN keeps the window index in its own cache),
+before its per-channel affine map, and the pool comes before the
+activation, so BN's affine map and LeakyReLU run on a quarter of the cells
+and no full-size BN output exists. Both maps are monotone, and so is their
+rounding, so this gives the outputs and gradients of the usual
+conv -> BN -> LeakyReLU -> pool order bit for bit, but for a 2x2 window
+holding two distinct values that one of the maps rounds to one double (two
+conv outputs whose BN outputs tie, or two negative BN outputs whose 0.01x
+ties): there the max-pool gradient goes to the larger input, not to the
+first of the tied activations. The reduced maps are flattened into one
+feature vector per frame. The first block is one layer,
+BatchNorm2d(pool=True, conv=conv1), whose params() are conv1's weight,
+gamma and beta: it runs conv1 one im2col slice at a time, its rows
 in window-major order so that the pool reads and routes four contiguous
 blocks per slice, and forms conv1's weight gradient from the slices' patch
 moments, so conv1's output, the largest activation (H x W x
@@ -33,7 +35,9 @@ in the 7 class logits.
 only the residual temporal blocks wire their own passes. The kernels
 (FRAME_KERNEL, TCN_KERNEL), LeakyReLU's slope of 0.01 and the class count
 (gestures.N_CLASSES) are fixed; CnnTcnConfig holds the sizes that vary. A
-checkpoint records a model's `kind` and `cfg` (see io.save_checkpoint).
+checkpoint records a model's `kind` and `cfg` (see io.save_checkpoint);
+`layout` gives the names and shapes of the arrays they build without
+building them.
 
 A plain-CNN baseline shares the frame CNN, replaces the temporal stack
 with a mean over frames, and uses a smaller dense head.
@@ -85,12 +89,10 @@ class CnnTcnConfig:
         return max(1, -(-self.conv_channels[-1] // self.reduce_divisor))
 
     @property
-    def spatial_positions(self) -> int:
-        return (self.height // 4) * (self.width // 4)
-
-    @property
     def frame_feature_len(self) -> int:
-        return self.spatial_positions * self.reduced_channels
+        """Features per frame: the reduced channels at each of the
+        (height/4) x (width/4) positions left after two pools."""
+        return (self.height // 4) * (self.width // 4) * self.reduced_channels
 
     def validate(self) -> None:
         if self.height % 4 or self.width % 4:
@@ -134,10 +136,9 @@ def _backward(layers, dy):
 
 def _frame_cnn(cfg: CnnTcnConfig, rng) -> list:
     """[N, H, W, 1] frames -> [N, H/4, W/4, reduced_channels] maps."""
-    kh, kw = FRAME_KERNEL
     layers, c_in = [], 1
     for i, c in enumerate(cfg.conv_channels, start=1):
-        conv = Conv2d(c_in, c, kh, kw, rng=rng, name=f"frame.conv{i}")
+        conv = Conv2d(c_in, c, *FRAME_KERNEL, rng=rng, name=f"frame.conv{i}")
         if i == 1:  # block 1 is one layer, which runs conv1 itself
             layers += [BatchNorm2d(c, name="frame.bn1", pool=True, conv=conv), LeakyReLU()]
         else:
@@ -267,12 +268,43 @@ class CnnBaseline(CnnTcn):
         self._frame_backward(np.repeat(dmean[:, np.newaxis, :], self._t, axis=1) / self._t)
 
 
-def build_model(kind: str, cfg: CnnTcnConfig, init_seed: int = 0):
-    if kind == "cnn-tcn":
-        return CnnTcn(cfg, init_seed)
-    if kind == "cnn":
-        return CnnBaseline(cfg, init_seed)
+def _model_class(kind: str):
+    for cls in (CnnTcn, CnnBaseline):
+        if cls.kind == kind:
+            return cls
     raise ConfigError(f"unknown model kind {kind!r} (expected 'cnn-tcn' or 'cnn')")
+
+
+def build_model(kind: str, cfg: CnnTcnConfig, init_seed: int = 0):
+    return _model_class(kind)(cfg, init_seed)
+
+
+def layout(kind: str, cfg: CnnTcnConfig) -> list:
+    """(name, shape) of each parameter, then each buffer, of
+    build_model(kind, cfg), in that order, found without allocating any of
+    them: io checks a checkpoint's declared arrays against it before it
+    builds the model. ConfigError as build_model."""
+    cfg.validate()
+    chans, r = (1,) + cfg.conv_channels, cfg.reduced_channels
+    params, buffers = [], []
+    for i, (c_in, c) in enumerate(zip(chans, chans[1:]), start=1):
+        params += [(f"frame.conv{i}.w", (*FRAME_KERNEL, c_in, c)),
+                   (f"frame.bn{i}.gamma", (c,)), (f"frame.bn{i}.beta", (c,))]
+        buffers += [(f"frame.bn{i}.running_mean", (c,)), (f"frame.bn{i}.running_var", (c,))]
+    # every later layer holds a weight and a bias over the weight's last axis
+    weighted = [("frame.reduce", (chans[-1], r))]
+    c_in, hidden = cfg.frame_feature_len, cfg.baseline_head_hidden
+    if _model_class(kind) is CnnTcn:
+        for b in range(len(cfg.dilations)):
+            weighted.append((f"tcn.block{b}.conv", (TCN_KERNEL, c_in, r)))
+            if c_in != r:  # a residual projection
+                weighted.append((f"tcn.block{b}.proj", (c_in, r)))
+            c_in = r
+        hidden = cfg.head_hidden
+    dims = (c_in,) + hidden + (N_CLASSES,)
+    weighted += [(f"head.fc{i}", dims[i - 1 : i + 1]) for i in range(1, len(dims))]
+    return params + [(name + part, shape if part == ".w" else shape[-1:])
+                     for name, shape in weighted for part in (".w", ".b")] + buffers
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +320,9 @@ class TrainResult:
     final_train_loss: float
 
 
-def _snapshot(model):
-    return ([p.value.copy() for p in model.params()],
-            [b.copy() for _, b in model.buffers()])
-
-
-def _restore(model, snap):
-    values, buffers = snap
-    for p, v in zip(model.params(), values):
-        p.value[...] = v
-    for (_, b), v in zip(model.buffers(), buffers):
-        b[...] = v
+def _state(model) -> list:
+    """Every parameter's value, then every buffer: what a checkpoint stores."""
+    return [p.value for p in model.params()] + [b for _, b in model.buffers()]
 
 
 def predict_classes(model, x, batch_size: int = 64) -> np.ndarray:
@@ -358,10 +382,11 @@ def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig, *,
                  val_acc)
         if len(val_idx) and val_acc > best[0]:
             best = (val_acc, epoch)
-            best_snap = _snapshot(model)
+            best_snap = [a.copy() for a in _state(model)]
 
     if best_snap is not None:
-        _restore(model, best_snap)
+        for a, v in zip(_state(model), best_snap):
+            a[...] = v
     return TrainResult(curve=curve, best_epoch=best[1], best_val_acc=best[0],
                        final_train_loss=train_loss)
 

@@ -17,13 +17,17 @@ through one lowering: im2col patch matrices built one batch slice at a time
 (at most IM2COL_CHUNK_BYTES per slice), each slice zero-padded on its own,
 so its memory grows with neither a patch matrix nor a padded copy of the
 whole batch; see Conv2d. BatchNorm2d writes its input gradient with no
-temporary of the whole batch's size, and MaxPool2d with one mask of a byte
-per value. A BatchNorm2d built with pool=True runs its 2x2 max-pool on its
-raw input and normalizes only the pooled quarter, so it makes no full-size
-output, and its backward writes the input gradient over the pool's routed
-gradient. One built with conv=<the Conv2d feeding it> is the whole
-conv -> BN -> pool block: both of its passes run the conv's lowering one
-slice at a time, in window-major row order, so that the pool reads and
+temporary of the whole batch's size. MaxPool2d is no layer of a chain but
+a kernel with no state over one layout, a 2x2 window's four positions as
+blocks (window_view of images, the one place that splits them into
+windows): its caller keeps the index, and its backward routes into the
+caller's buffer with one mask of a byte per value. A BatchNorm2d built
+with pool=True runs its 2x2 max-pool on its raw input, keeps the index in
+its own cache and normalizes only the pooled quarter, so it makes no
+full-size output, and its backward writes the input gradient over the
+pool's routed gradient. One built with conv=<the Conv2d feeding it> is the
+whole conv -> BN -> pool block: both of its passes run the conv's lowering
+one slice at a time, in window-major row order, so that the pool reads and
 routes four contiguous blocks per slice; neither the conv output nor its
 gradient ever exists at full size, and its backward forms the conv's
 weight gradient from the patches' moments. See BatchNorm2d. Every slice
@@ -140,24 +144,23 @@ class Conv2d(Layer):
     def _slice_images(self, x):
         """Images b in each slice that _im2col_chunks(x) lowers: slice_len
         of the patch matrix's bytes per image."""
-        n, h, w, c = x.shape
-        return slice_len(n, h * w * self.kh * self.kw * c * x.itemsize)
+        return slice_len(len(x), math.prod(x.shape[1:]) * x.itemsize * self.kh * self.kw)
 
     def _im2col_chunks(self, x, window_major=False):
-        """(row slice, patch matrix) per slice of b images of x [N, H, W, C]:
-        the matrix is [b*H*W, kh*kw*C], columns over (kh, kw, C) in weight
-        order, rows over (image, i, j), built from the slice zero-padded to
-        "same" geometry, and the row slice selects its rows of the whole
-        batch's [N*H*W, ...] result. Each slice is copied into the interior
-        of one zero-bordered buffer, which the next slice overwrites, and one
-        sliding-window view of that buffer serves every slice: use a matrix,
-        and drop it, before asking for the next.
+        """(image slice, patch matrix) per slice of b images of x
+        [N, H, W, C]: the matrix is [b*H*W, kh*kw*C], columns over
+        (kh, kw, C) in weight order, rows over (image, i, j), built from the
+        slice zero-padded to "same" geometry. Each slice is copied into the
+        interior of one zero-bordered buffer, which the next slice
+        overwrites, and one sliding-window view of that buffer serves every
+        slice: use a matrix, and drop it, before asking for the next.
 
-        window_major (even H and W) orders each slice's rows by (i % 2,
-        j % 2, image, i // 2, j // 2), so that its GEMM output is the four
-        positions of the 2x2 pool's windows as four contiguous blocks, each
-        in pooled [b, H/2, W/2] order; a BatchNorm2d built with conv=<this
-        layer> lowers so. That matrix is built K-major, [kh*kw*C, b*H*W], and
+        window_major orders each slice's rows by (i % 2, j % 2, image,
+        i // 2, j // 2), the window_view of the slice, so that its GEMM
+        output is the four positions of the 2x2 pool's windows as four
+        contiguous blocks, each in pooled [b, H/2, W/2] order (odd H or W
+        raise ShapeError); a BatchNorm2d built with conv=<this layer> lowers
+        so. That matrix is built K-major, [kh*kw*C, b*H*W], and
         yielded transposed, so that each of its rows copies along the
         padded buffer's width (1.7x faster than the row-major build on
         conv1's 512-frame input, measured); its GEMM gives the row-major
@@ -165,15 +168,13 @@ class Conv2d(Layer):
         n, h, w, c = x.shape
         _, _, (pt, pb), (pl, pr) = self._geometry(h, w)
         k = self.kh * self.kw * c
-        rows = h * w
         b = self._slice_images(x)
         xp = np.zeros((b, pt + h + pb, pl + w + pr, c), dtype=x.dtype)
         # [b, H, W, C, kh, kw]
         win = np.lib.stride_tricks.sliding_window_view(xp, (self.kh, self.kw), axis=(1, 2))
         if window_major:
             # [kh, kw, C, 2, 2, b, H/2, W/2]
-            win = win.reshape(b, h // 2, 2, w // 2, 2, c, self.kh, self.kw) \
-                .transpose(6, 7, 5, 2, 4, 0, 1, 3)
+            win = window_view(win).transpose(6, 7, 5, 0, 1, 2, 3, 4)
         else:
             # [b, H, W, kh, kw, C]
             win = win.transpose(0, 1, 2, 4, 5, 3)
@@ -181,60 +182,60 @@ class Conv2d(Layer):
             m = min(b, n - s)
             xp[:m, pt : pt + h, pl : pl + w] = x[s : s + m]
             # not kept in a local: only the caller holds a slice's matrix
-            yield (slice(s * rows, (s + m) * rows),
+            yield (slice(s, s + m),
                    np.ascontiguousarray(win[..., :m, :, :]).reshape(k, -1).T if window_major
                    else np.ascontiguousarray(win[:m]).reshape(-1, k))
 
     def _lowered_gemm(self, x, wmat):
-        """The "same" correlation of x with wmat [kh*kw*C, C'] as [N*H*W, C']."""
-        out = np.empty((x.shape[0] * x.shape[1] * x.shape[2], wmat.shape[1]))
-        for rows, cols in self._im2col_chunks(x):
-            np.matmul(cols, wmat, out=out[rows])
+        """The "same" correlation of x with wmat [kh*kw*C, C'] as [N, H, W, C']."""
+        out = np.empty(x.shape[:3] + wmat.shape[1:])
+        for imgs, cols in self._im2col_chunks(x):
+            np.matmul(cols, wmat, out=out[imgs].reshape(len(cols), -1))
             del cols
         return out
 
     def forward(self, x, train=False):
         _check_axis(x, 4, 3, self.c_in, "Conv2d input channels")
-        n, h, w, _ = x.shape
         wmat = self.w.value.reshape(-1, self.c_out)
-        out = self._lowered_gemm(x, wmat)
         # _cache[0] has the whole-batch im2col matrix's shape but holds no
         # data (a zero-stride view): perfbench's tracer counts backward FLOPs
         # from it
-        self._cache = (np.broadcast_to(0.0, (len(out), len(wmat))), x) if train else None
-        return out.reshape(n, h, w, self.c_out)
+        rows = x.size // self.c_in
+        self._cache = (np.broadcast_to(0.0, (rows, len(wmat))), x) if train else None
+        return self._lowered_gemm(x, wmat)
 
     def backward(self, dy):
         """Accumulates w.grad; returns the input gradient."""
         _, x = self._cache
         self._cache = None
         wflip = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, self.c_in)
-        dx = self._lowered_gemm(dy, wflip).reshape(x.shape)
-        dym = dy.reshape(-1, self.c_out)
+        dx = self._lowered_gemm(dy, wflip)
         gw = self.w.grad.reshape(-1, self.c_out)
-        for rows, cols in self._im2col_chunks(x):
-            # measured bit-equal to cols.T @ dym[rows], and faster on the
+        for imgs, cols in self._im2col_chunks(x):
+            # measured bit-equal to cols.T @ dy's rows, and faster on the
             # frame CNN's conv2 and conv3 shapes
-            gw += (dym[rows].T @ cols).T
+            gw += (dy[imgs].reshape(len(cols), -1).T @ cols).T
             del cols
         return dx
 
 
 class BatchNorm2d(Layer):
     """Per-channel batch normalization over (N, H, W); eps = 1e-5. With
-    pool=True the layer also applies the 2x2 max-pool that follows it (a
-    MaxPool2d, `self.pool`), run on its raw input: it makes no full-size
-    normalized map, and its backward writes dx over the gradient the pool
-    routes. With conv, the Conv2d that feeds it (and pool=True), the layer
-    is the whole conv -> BN -> pool block: it takes the conv's input, its
-    params() are the conv's weight, gamma and beta, and the conv's output
-    never exists at full size (see the last paragraph).
+    pool=True the layer also applies the 2x2 max-pool that follows it (the
+    MaxPool2d kernel, `self.pool`), run on the window_view of its raw input:
+    it makes no full-size normalized map, and its backward routes dy into a
+    new input-sized dz through the window view and writes dx over it. With
+    conv, the Conv2d that feeds it (and pool=True), the layer is the whole
+    conv -> BN -> pool block: it takes the conv's input, its params() are
+    the conv's weight, gamma and beta, and the conv's output never exists
+    at full size (see the last paragraph).
 
     Train mode normalizes by biased batch statistics, updates running stats
-    with momentum 0.9 and caches its input and the per-channel mean and
-    1/std for backward; eval mode applies the running stats and keeps
-    nothing. Either mode maps each channel by z = a*x + b, a = gamma/std,
-    which has gamma's sign.
+    with momentum 0.9 and caches, for backward, its input, the per-channel
+    mean and 1/std, the count N*H*W and last the pool's uint8 index (None
+    without a pool); eval mode applies the running stats and keeps nothing.
+    Either mode maps each channel by z = a*x + b, a = gamma/std, which has
+    gamma's sign.
 
     Pooling: z is monotone in x per channel (increasing for a >= 0,
     decreasing for a < 0), and so is its rounding, fl(fl(a*x) + b). So the
@@ -248,29 +249,31 @@ class BatchNorm2d(Layer):
 
     Backward writes the input gradient dx = c1*dz - k*x - c0 a slice of
     images at a time (see _slice_images), each value rounded as in the
-    whole-array form, so beside dz (dy, or the pool's routing of dy into a
-    new full-size array), dx and the cached input it holds only slice-sized
-    temporaries. With a pool, dx overwrites dz, which is this layer's own,
-    so one full-size array serves both.
+    whole-array form, so beside dz (dy, or the pool's routing of dy), dx and
+    the cached input it holds only slice-sized temporaries. With a pool, dx
+    overwrites dz, which is this layer's own, so one full-size array serves
+    both.
 
     With a conv (conv1 in the model: one input channel, 15 patch columns),
     both passes run over the conv's window-major im2col slices (see
     Conv2d._im2col_chunks), and the layer caches the conv's input. Forward
     multiplies each slice by the conv weight with the columns of the
     channels where a < 0 negated, which negates their GEMM outputs exactly,
-    and pools the product's four contiguous window blocks. A train forward
+    and pools the product's four contiguous window blocks, writing each
+    slice's maxima and index into its rows of the batch's. A train forward
     also copies the product into spatial row order while it is in cache,
     and adds that copy's rows and their squares to running per-channel
     sums: the running sum goes into the slice's first row and einsum sums
     axis 0 row by row, so with C >= 2 the statistics are the whole-batch sum
     and einsum bit for bit (measured), and forward's outputs are those of
-    Conv2d.forward then a pooled BatchNorm2d. Backward routes dy into one
-    slice's four window blocks of dz at a time and sums the patch moments
-    G = cols^T dz, S = cols^T cols and colsum = cols^T 1 over rows in
-    window-major order. Then sum(dz*x) = sum_k w*G, and the conv's weight
-    gradient cols^T dx is c1*G - k*(S w) - colsum c0^T, which cancels as
-    E[x^2] - mean^2 does when the conv output's mean is large against its
-    std. It returns no input gradient: the conv's input is the data."""
+    Conv2d.forward then a pooled BatchNorm2d. Backward routes dy into the
+    four window blocks of one slice-sized dz buffer, a slice at a time, and
+    sums the patch moments G = cols^T dz, S = cols^T cols and
+    colsum = cols^T 1 over rows in window-major order. Then
+    sum(dz*x) = sum_k w*G, and the conv's weight gradient cols^T dx is
+    c1*G - k*(S w) - colsum c0^T, which cancels as E[x^2] - mean^2 does
+    when the conv output's mean is large against its std. It returns no
+    input gradient: the conv's input is the data."""
 
     momentum, eps = 0.9, 1e-5
 
@@ -300,19 +303,19 @@ class BatchNorm2d(Layer):
             raise ShapeError("BatchNorm2d train mode needs N*H*W >= 2")
         neg = self.gamma.value < 0
         if self.conv is not None:
-            out, s1, s2 = self._conv_pool(x, neg, train)
+            out, index, s1, s2 = self._conv_pool(x, neg, train)
         else:
             if train:
                 flat = x.reshape(-1, self.c)
                 s1, s2 = flat.sum(axis=0), np.einsum("nc,nc->c", flat, flat)
-            out = None if self.pool is None else self._signed_pool(x, neg, train)
+            out, index = (None, None) if self.pool is None else self._signed_pool(x, neg, train)
         if train:
             mean = s1 / m_count
             var = np.maximum(s2 / m_count - mean * mean, 0.0)
             inv = 1.0 / np.sqrt(var + self.eps)
             self.running_mean[...] = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
-            self._cache = (x, mean, inv, m_count)
+            self._cache = (x, mean, inv, m_count, index)
         else:
             mean = self.running_mean
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
@@ -336,23 +339,26 @@ class BatchNorm2d(Layer):
         return slice_len(len(x), x[0].nbytes)
 
     def _signed_pool(self, x, neg, train):
-        """The pool of x with the channels in neg negated: in place, and
-        restored once the pool has run."""
-        flip = [x[..., c] for c in np.flatnonzero(neg)]
+        """(the pool of x's window_view with the channels in neg negated, in
+        place and restored once the pool has run, and in train mode the
+        pool's index)."""
+        blocks = window_view(x)
+        index = np.empty(blocks.shape[2:], np.uint8) if train else None
+        flip = [blocks[..., c] for c in np.flatnonzero(neg)]
         for v in flip:
             np.negative(v, out=v)
         try:
-            return self.pool.forward(x, train)
+            return self.pool.forward(blocks, index), index
         finally:
             for v in flip:
                 np.negative(v, out=v)
 
     def _conv_pool(self, x, neg, train):
         """(pooled conv output of x, negated on the channels in neg, and in
-        train mode the conv output's per-channel sum and sum of squares), a
-        window-major lowering slice at a time into one slice-sized buffer. A
-        train forward leaves the pool's cache as a pool of the whole
-        window-major conv output would."""
+        train mode the pool's index and the conv output's per-channel sum
+        and sum of squares), a window-major lowering slice at a time into one
+        slice-sized buffer; each slice's maxima and index go straight into
+        their rows of the batch's arrays."""
         conv, c = self.conv, self.c
         n, h, w, _ = x.shape
         sign = np.where(neg, -1.0, 1.0)
@@ -367,58 +373,57 @@ class BatchNorm2d(Layer):
         out = np.empty((n, h // 2, w // 2, c))
         index = np.empty(out.shape, np.uint8) if train else None
         s1 = s2 = np.zeros(c)
-        for rows, cols in conv._im2col_chunks(x, window_major=True):
-            imgs = slice(rows.start // (h * w), rows.stop // (h * w))
+        for imgs, cols in conv._im2col_chunks(x, window_major=True):
             y = np.matmul(cols, wmat, out=y_buf[: len(cols)])
             del cols
             blocks = y.reshape(2, 2, -1, h // 2, w // 2, c)
-            self.pool.forward(blocks, train, out=out[imgs], window_major=True)
+            self.pool.forward(blocks, None if index is None else index[imgs], out[imgs])
             if train:
-                index[imgs] = self.pool._cache[0]
                 # the sums run over the rows in spatial order, as the
                 # whole-batch sums do, from a copy made while y is in cache;
                 # the running sum goes into its first row, which is y's
                 ys = spatial_buf[: len(y)]
-                ys.reshape(-1, h // 2, 2, w // 2, 2, c)[...] = blocks.transpose(2, 3, 0, 4, 1, 5)
+                window_view(ys.reshape(-1, h, w, c))[...] = blocks
                 ys[0] += s1
                 s1 = np.einsum("nc->c", ys)
                 ys[0] = y[0]
                 ys *= ys
                 ys[0] += s2
                 s2 = np.einsum("nc->c", ys)
-        self.pool._cache = (index, True) if train else None
-        return out, s1 * sign, s2
+        return out, index, s1 * sign, s2
 
-    def _patch_moments(self, x, dy):
+    def _patch_moments(self, x, index, dy):
         """(G = cols^T dz, S = cols^T cols, colsum) over the conv's
-        window-major lowering of x, with dz the pool's routing of dy, one
-        slice at a time."""
+        window-major lowering of x, with dz the pool's routing of dy by
+        index, one slice at a time into one slice-sized buffer."""
         conv, c = self.conv, self.c
         _, h, w, _ = x.shape
         k = conv.kh * conv.kw * conv.c_in
         g, s, colsum = np.zeros((k, c)), np.zeros((k, k)), np.zeros(k)
-        index, _ = self.pool._cache
-        for rows, cols in conv._im2col_chunks(x, window_major=True):
-            imgs = slice(rows.start // (h * w), rows.stop // (h * w))
-            # the pool routes one slice at a time, into its four blocks
-            self.pool._cache = (index[imgs], True)
-            dz = self.pool.backward(dy[imgs]).reshape(-1, c)
+        dz_buf = np.empty((conv._slice_images(x) * h * w, c))
+        for imgs, cols in conv._im2col_chunks(x, window_major=True):
+            dz = dz_buf[: len(cols)]
+            self.pool.backward(index[imgs], dy[imgs], dz.reshape(2, 2, -1, h // 2, w // 2, c))
             g += cols.T @ dz
             s += cols.T @ cols
             colsum += cols.sum(axis=0)
-            del cols, dz
+            del cols
         return g, s, colsum
 
     def backward(self, dy):
-        x, mean, inv, m = self._cache
+        x, mean, inv, m, index = self._cache
         self._cache = None
         if self.conv is None:
-            dz = dy if self.pool is None else self.pool.backward(dy)
+            # a pool routes dy into dx, which dx's loop below then overwrites
+            dx = np.empty(x.shape)
+            dz = dy if self.pool is None else dx
+            if self.pool is not None:
+                self.pool.backward(index, dy, window_view(dx))
             flat_dz = dz.reshape(-1, self.c)
             dbeta = flat_dz.sum(axis=0)
             sum_dz_x = np.einsum("nc,nc->c", flat_dz, x.reshape(-1, self.c))
         else:
-            g, s, colsum = self._patch_moments(x, dy)
+            g, s, colsum = self._patch_moments(x, index, dy)
             wmat = self.conv.w.value.reshape(-1, self.c)
             dbeta = dy.reshape(-1, self.c).sum(axis=0)
             sum_dz_x = np.einsum("kc,kc->c", wmat, g)
@@ -441,7 +446,6 @@ class BatchNorm2d(Layer):
         # dx = c1*dz - k*x - c0, a slice at a time: the one temporary, k*x, is
         # a slice, and each value rounds as in the whole-array form. The
         # caller's dy is left as it is; the pool's routed dz is overwritten
-        dx = np.empty(dz.shape) if self.pool is None else dz
         flat_dx, flat_x = dx.reshape(-1, self.c), x.reshape(-1, self.c)
         step = self._slice_images(x) * x.shape[1] * x.shape[2]
         for start in range(0, len(flat_x), step):
@@ -476,44 +480,49 @@ class LeakyReLU(Layer):
         return dx
 
 
+def window_view(x):
+    """[2, 2, N, H/2, W/2, ...] view of x [N, H, W, ...]: its 2x2 windows'
+    four positions (i, j), (0, 0), (0, 1), (1, 0) and (1, 1), on the first
+    two axes. The one place that splits images into windows: odd H or W
+    raise ShapeError."""
+    n, h, w = x.shape[:3]
+    if h % 2 or w % 2:
+        raise ShapeError(f"2x2 windows need even spatial dims, got {h}x{w}")
+    return np.moveaxis(x.reshape(n, h // 2, 2, w // 2, 2, *x.shape[3:]), (2, 4), (0, 1))
+
+
 # the code of each 2x2 window position (i, j), 2*i + j, in first-index
-# (row-major) tie-break order
-_POOL_CODES = np.arange(4, dtype=np.uint8)
+# (row-major) tie-break order, on the window axes of [2, 2, N, H/2, W/2, C]
+_POOL_CODES = np.arange(4, dtype=np.uint8).reshape(2, 2, 1, 1, 1, 1)
 
 
-class MaxPool2d(Layer):
+class MaxPool2d:
     """2x2 window, stride 2; gradient routes to the first max per window.
 
-    One kernel pools the window's four positions, each given as an
-    [N, H/2, W/2, C] array: for an input x [N, H, W, C] these are strided
-    views of x, and with window_major=True the caller passes x as
-    [2, 2, N, H/2, W/2, C], its positions as contiguous blocks (a
-    BatchNorm2d built with a conv pools its slices so). Given `out`,
-    forward writes the maxima there.
+    A kernel with no state, over one layout: the windows' four positions as
+    blocks [2, 2, N, H/2, W/2, C], with any strides. These are window_view(x)
+    of images x [N, H, W, C], or the four contiguous blocks of a
+    window-major GEMM output (a BatchNorm2d built with a conv pools its
+    slices so). The caller keeps what backward needs: a BatchNorm2d built
+    with pool=True holds a MaxPool2d as `self.pool` and keeps the index in
+    its own cache.
 
-    A train forward caches the uint8 window index of each maximum, not the
-    input; an eval forward keeps nothing. Backward routes dy in one
-    broadcast pass into the input's layout, bit for bit
-    where(index == code, dy, 0.0): dy where the maximum sat and +0.0
-    elsewhere, as after a zero fill. Its one temporary is the comparison's
-    mask, 1 byte per input value (measured traced peak on a 64x32x32x16
-    input: 9.57 MB, the 8.4 MB gradient, that 1.0 MB mask and the pass's
-    iteration buffers; 10.75 MB when each window position made its own
-    dy-sized float temporary)."""
+    forward returns the maxima [N, H/2, W/2, C], written into `out` when
+    given, and writes the uint8 code 2*i + j of each window's first max into
+    `index` when given. backward routes dy into `out`, blocks of the input's
+    layout, bit for bit where(index == code, dy, 0.0): dy where the maximum
+    sat and +0.0 elsewhere, as after a zero fill. Its one temporary is the
+    comparison's mask, 1 byte per routed value (measured traced peak on a
+    64x32x32x16 input: 1.12-1.18 MB, that 1.05 MB mask and the pass's
+    iteration buffers), made in out's memory order: routing conv2's batch-32
+    output into the window view of an image-sized buffer took 12.0 ms so,
+    and 18.1 ms with the mask in the blocks' order (measured)."""
 
-    def forward(self, x, train=False, out=None, window_major=False):
-        if window_major:
-            blocks = x
-        else:
-            n, h, w, c = x.shape
-            if h % 2 or w % 2:
-                raise ShapeError(f"MaxPool2d needs even spatial dims, got {h}x{w}")
-            blocks = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(2, 4, 0, 1, 3, 5)
+    def forward(self, blocks, index=None, out=None):
         (x00, x01), (x10, x11) = blocks
         top = np.maximum(x00, x01)
         bottom = np.maximum(x10, x11, out=out)
-        self._cache = None
-        if train:
+        if index is not None:
             # the code 2*i + j of the window's first max: strict > picks the
             # bottom row only where it beats the top one, and a row's later
             # cell only where it beats the earlier, so a tie keeps the first
@@ -521,29 +530,18 @@ class MaxPool2d(Layer):
             # branch on every value, 2x slower here (measured)
             right = (x01 > x00).view(np.uint8)
             lower = (bottom > top).view(np.uint8)
-            idx = right + lower * (np.uint8(2) + (x11 > x10).view(np.uint8) - right)
-            self._cache = (idx, window_major)
+            np.add(right, lower * (np.uint8(2) + (x11 > x10).view(np.uint8) - right), out=index)
         return np.maximum(top, bottom, out=bottom)
 
-    def backward(self, dy):
-        idx, window_major = self._cache
-        self._cache = None
-        n, h, w, c = dy.shape
-        if window_major:
-            # [2, 2, N, H/2, W/2, C]
-            hit = idx == _POOL_CODES.reshape(2, 2, 1, 1, 1, 1)
-        else:
-            # [N, H/2, 2, W/2, 2, C], the input's [N, H, W, C]
-            split = (slice(None), slice(None), np.newaxis, slice(None), np.newaxis)
-            hit, dy = idx[split] == _POOL_CODES.reshape(2, 1, 2, 1), dy[split]
+    def backward(self, index, dy, out):
         # where(hit, dy, 0.0) with no branch per value: dy's bits and-ed with
         # -1 (all ones) where hit and 0 elsewhere, written over the bool mask;
         # 1.6-3.5x faster than where(), which mispredicts a branch on about
         # one value in four (measured)
-        keep = hit.view(np.int8)
+        keep = np.empty_like(out, dtype=np.int8)
+        np.equal(index, _POOL_CODES, out=keep.view(bool))
         np.negative(keep, out=keep)
-        dx = np.bitwise_and(dy.view(np.int64), keep, dtype=np.int64).view(np.float64)
-        return dx if window_major else dx.reshape(n, 2 * h, 2 * w, c)
+        np.bitwise_and(dy.view(np.int64), keep, out=out.view(np.int64))
 
 
 class ChannelReduce(Layer):

@@ -1,7 +1,7 @@
 """Shared test utilities: central-difference gradient checking, a layer's
-backward state, the traced memory peak of a call, a scatterer whose range
-moves at a constant velocity, the radar's bin widths and an older checkpoint
-layout."""
+backward state, the max-pool as a layer over images, the traced memory peak
+of a call, a scatterer whose range moves at a constant velocity, the radar's
+bin widths, and rewritten checkpoint descriptors."""
 
 import json
 import struct
@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 
+from rfdm.nn import Layer, MaxPool2d, window_view
 from rfdm.radar import C_LIGHT, Scatterer
 
 GRADCHECK_STEP = 1e-5
@@ -88,10 +89,28 @@ def check_layer_gradients(layer, x, seed=0, tol=GRADCHECK_TOL):
 
 def backward_state(layer) -> list:
     """Names of the layer's backward caches (inputs, masks, indices) that
-    are set, with those of a BatchNorm2d's pool as "pool._cache"."""
-    own = [a for a in ("_cache", "_mask", "_x") if getattr(layer, a, None) is not None]
-    pool = getattr(layer, "pool", None)
-    return own + (["pool." + a for a in backward_state(pool)] if pool else [])
+    are set."""
+    return [a for a in ("_cache", "_mask", "_x") if getattr(layer, a, None) is not None]
+
+
+class ImagePool(Layer):
+    """nn.MaxPool2d as a layer of a chain over images [N, H, W, C]: a train
+    forward keeps the index in `index`, and backward routes dy into a new
+    image-sized gradient, as a pooled BatchNorm2d does with its pool."""
+
+    index = None
+
+    def forward(self, x, train=False):
+        blocks = window_view(x)
+        self.index = np.empty(blocks.shape[2:], np.uint8) if train else None
+        return MaxPool2d().forward(blocks, self.index)
+
+    def backward(self, dy):
+        n, h, w, c = dy.shape
+        dx = np.empty((n, 2 * h, 2 * w, c))
+        MaxPool2d().backward(self.index, dy, window_view(dx))
+        self.index = None
+        return dx
 
 
 def traced_peak(fn) -> int:
@@ -122,6 +141,16 @@ def range_resolution(config) -> float:
 def doppler_resolution(config) -> float:
     """Velocity bin width of an unpadded full-frame Doppler FFT [m/s]."""
     return config.wavelength / (2.0 * config.n_chirps * config.t_pri)
+
+
+def rewrite_descriptor(path, edit):
+    """Rewrite the checkpoint at `path` with `edit` applied to its descriptor."""
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", raw[8:12])
+    descriptor = json.loads(raw[12 : 12 + blob_len])
+    edit(descriptor)
+    blob = json.dumps(descriptor, sort_keys=True).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :])
 
 
 def older_checkpoint_layout(raw: bytes) -> bytes:

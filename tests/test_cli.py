@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import older_checkpoint_layout
+from helpers import older_checkpoint_layout, rewrite_descriptor
 from rfdm import cli
 from rfdm.cli import main
 from rfdm.errors import (
@@ -335,6 +335,24 @@ class TestPreprocess:
         assert rc == 4
         assert f"row 0 lacks required field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("path", 5), ("path", None), ("path", ["a"]),
+        ("index", None), ("index", [1]), ("index", 1.5), ("index", "a"), ("index", True),
+        ("index", -1),
+    ])
+    def test_row_field_of_another_type_is_manifest_error(self, tmp_path, capsys, field, value):
+        # a path must be a string and an index a non-negative integer (a
+        # JSON bool is none), checked before any output exists
+        row = {"index": 0, "path": "cubes/x.rfdc", field: value}
+        man = tmp_path / "dataset_manifest.json"
+        man.write_text(json.dumps({"samples": [row]}))
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--manifest", str(man), "--out", str(out)]) == 4
+        want = "a string" if field == "path" else "a non-negative integer"
+        assert (f"manifest row 0: {field} must be {want}, got {json.dumps(value)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_no_mti_flag_preserves_moving_peak(self, tmp_path):
         # a noise-free constant-velocity target keeps its Doppler peak bin
         # whether or not the MTI stage runs (MTI attenuates, DC excepted)
@@ -422,6 +440,17 @@ class TestTrainEvalInfer:
         old.write_bytes(older_checkpoint_layout((trained / "model.rfnn").read_bytes()))
         assert main(["infer", "--checkpoint", str(old), "x.rfdm"]) == 5
         assert "unreadable checkpoint descriptor" in capsys.readouterr().err
+
+    def test_infer_checkpoint_config_larger_than_its_arrays_is_integrity_error(
+            self, trained, tmp_path, capsys):
+        # the config widens conv3 to 10**9 channels, the declared arrays
+        # stay the trained model's: rejected before any array is allocated
+        big = tmp_path / "big.rfnn"
+        big.write_bytes((trained / "model.rfnn").read_bytes())
+        rewrite_descriptor(big, lambda descriptor: descriptor["config"].update(
+            conv_channels=[16, 32, 10**9]))
+        assert main(["infer", "--checkpoint", str(big), "x.rfdm"]) == 5
+        assert "parameter layout does not match architecture" in capsys.readouterr().err
 
     def test_infer_missing_checkpoint_usage_error(self, capsys):
         rc = main(["infer", "--checkpoint", "/nonexistent/m.rfnn", "x.rfdm"])
@@ -529,6 +558,24 @@ class TestTrainEvalInfer:
                      "--manifest", str(bad), "--out", str(out)]) == 4
         assert (f"manifest row 3: class_id must be an integer in [0, 7), "
                 f"got {json.dumps(class_id)}") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("path", [5, None, ["a"]])
+    def test_path_that_is_not_a_string_is_manifest_error(self, smoke, tmp_path, capsys,
+                                                         command, path):
+        _, cfg_path, _, pp_dir = smoke
+        man = json.loads((pp_dir / "rfdm_manifest.json").read_text())
+        for row in man["samples"]:
+            row["path"] = str(pp_dir / row["path"])
+        man["samples"][3]["path"] = path
+        bad = tmp_path / "rfdm_manifest.json"
+        bad.write_text(json.dumps(man))
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--epochs", "1",
+                     "--manifest", str(bad), "--out", str(out)]) == 4
+        assert (f"manifest row 3: path must be a string, got {json.dumps(path)}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_train_val_fraction_zero_carves_no_validation(self, smoke, tmp_path, capsys):

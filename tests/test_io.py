@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import linear_scatterer, older_checkpoint_layout, traced_peak
+from helpers import linear_scatterer, older_checkpoint_layout, rewrite_descriptor, traced_peak
 from rfdm.dsp import RfdmSequence, cube_to_rfdm
 from rfdm.errors import IntegrityError, ManifestError
 from rfdm.io import (
@@ -251,16 +252,6 @@ class TestCheckpoint:
             assert na == nb and np.array_equal(a, b)
 
 
-def rewrite_descriptor(path, edit):
-    """Rewrite the checkpoint at `path` with `edit` applied to its descriptor."""
-    raw = path.read_bytes()
-    (blob_len,) = struct.unpack("<I", raw[8:12])
-    descriptor = json.loads(raw[12 : 12 + blob_len])
-    edit(descriptor)
-    blob = json.dumps(descriptor, sort_keys=True).encode()
-    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :])
-
-
 class TestCheckpointFailsClosed:
     def test_short_header(self, tmp_path):
         p = tmp_path / "m.rfnn"
@@ -357,6 +348,25 @@ class TestCheckpointFailsClosed:
 
         def load():
             with pytest.raises(IntegrityError, match="truncated checkpoint"):
+                load_checkpoint(p)
+
+        assert traced_peak(load) < 1e6
+
+    @pytest.mark.parametrize("width", [10**9, 1000], ids=["unallocatable", "fits"])
+    def test_config_larger_than_the_declared_arrays_builds_nothing(self, tmp_path, width):
+        # the descriptor declares TINY's arrays, and the file holds them, but
+        # its config widens conv3: a model of 10**9 channels cannot be
+        # allocated (MemoryError if it were built), and one of 1000 channels
+        # (about 5 MB of parameters and gradients) would be allocated in full
+        # before the layout check. Both are rejected before any parameter is
+        # allocated.
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, CnnTcn(TINY))
+        rewrite_descriptor(p, lambda descriptor: descriptor["config"].update(
+            conv_channels=[2, 3, width]))
+
+        def load():
+            with pytest.raises(IntegrityError, match="layout does not match"):
                 load_checkpoint(p)
 
         assert traced_peak(load) < 1e6
@@ -587,6 +597,21 @@ class TestManifests:
             (tmp_path / "bad.json").write_text(doc)
             with pytest.raises(ManifestError, match="lacks a 'samples' list"):
                 read_manifest(tmp_path / "bad.json")
+
+
+    @pytest.mark.parametrize("field, value, want", [
+        ("path", 5, "a string"), ("path", None, "a string"), ("path", ["a"], "a string"),
+        ("index", None, "a non-negative integer"), ("index", [1], "a non-negative integer"),
+        ("index", 1.5, "a non-negative integer"), ("index", "a", "a non-negative integer"),
+        ("index", True, "a non-negative integer"), ("index", -1, "a non-negative integer"),
+        ("class_id", 7, "an integer in [0, 7)"), ("class_id", False, "an integer in [0, 7)"),
+    ])
+    def test_row_field_of_another_type(self, tmp_path, field, value, want):
+        # checked before any file is looked for
+        row = {"path": "gone.rfdc", "index": 0, "class_id": 0, field: value}
+        with pytest.raises(ManifestError, match=re.escape(
+                f"manifest row 0: {field} must be {want}, got {json.dumps(value)}")):
+            verify_manifest_files({"samples": [row]}, tmp_path, ("index", "class_id"))
 
 
 class TestExports:

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     BLOCK1_GRAD_BOUND_EPS,
+    ImagePool,
     backward_state,
     grad_rel_err,
     numeric_grad,
@@ -16,6 +17,7 @@ from rfdm.model import (
     TrainConfig,
     build_model,
     evaluate_accuracy,
+    layout,
     predict,
     predict_classes,
     train_model,
@@ -172,13 +174,14 @@ class TestEvalKeepsNoBackwardCache:
         x = np.random.default_rng(3).random((2, 4, 8, 8))
         m.forward(x, train=True)
         acts = of_type(m.frame + m.head, LeakyReLU) + [b.act for b in m.blocks]
-        pools = [bn.pool for bn in of_type(m.frame, BatchNorm2d) if bn.pool]
-        assert len(acts) == 8 and len(pools) == 2
+        pooled = [bn for bn in of_type(m.frame, BatchNorm2d) if bn.pool]
+        assert len(acts) == 8 and len(pooled) == 2
         assert all(a._mask is not None for a in acts)
-        assert all(p._cache is not None for p in pools)
+        # a pooled BatchNorm2d keeps its pool's index last in its cache
+        assert all(bn._cache[-1] is not None for bn in pooled)
         m.forward(x, train=False)
         assert all(a._mask is None for a in acts)
-        assert all(p._cache is None for p in pools)
+        assert all(bn._cache is None for bn in pooled)
 
     def test_eval_forward_drops_conv_and_bn_inputs(self):
         m = tiny_model()
@@ -395,15 +398,15 @@ class TestFrameStack:
 def activation_before_pool(frame):
     """The frame list in conv -> BN -> LeakyReLU -> pool order: each pooled
     BN is replaced by an unpooled BN sharing its parameters and running
-    stats, followed by its LeakyReLU and a MaxPool2d, and preceded by its
-    conv if it runs one."""
+    stats, followed by its LeakyReLU and the max-pool as a layer over images
+    (ImagePool), and preceded by its conv if it runs one."""
     old = list(frame)
     for i in reversed([i for i, layer in enumerate(frame)
                        if isinstance(layer, BatchNorm2d) and layer.pool]):
         bn = old[i] = BatchNorm2d(frame[i].c, name=frame[i].name)
         bn.gamma, bn.beta = frame[i].gamma, frame[i].beta
         bn.running_mean, bn.running_var = frame[i].running_mean, frame[i].running_var
-        old.insert(i + 2, MaxPool2d())
+        old.insert(i + 2, ImagePool())
         if frame[i].conv is not None:
             old.insert(i, frame[i].conv)
     return old
@@ -481,6 +484,25 @@ class TestRfnnLayout:
         m = cls(TINY)
         assert [(p.name, p.value.shape) for p in m.params()] == FRAME_LAYOUT + tail
         assert [(name, b.shape) for name, b in m.buffers()] == BUFFER_LAYOUT
+
+    @pytest.mark.parametrize("kind", ["cnn-tcn", "cnn"])
+    @pytest.mark.parametrize("cfg", [
+        TINY, CnnTcnConfig(),
+        # one pooled position, so the first temporal block needs no projection
+        CnnTcnConfig(t_frames=2, height=4, width=4, conv_channels=(3, 2, 5), reduce_divisor=1,
+                     dilations=(1, 3), head_hidden=(4,), baseline_head_hidden=(3, 2, 2)),
+    ], ids=["tiny", "default", "no-projection"])
+    def test_layout_is_the_built_models(self, kind, cfg):
+        # io checks a checkpoint's arrays against layout() before it builds
+        m = build_model(kind, cfg)
+        assert layout(kind, cfg) == [(p.name, p.value.shape) for p in m.params()] \
+            + [(name, b.shape) for name, b in m.buffers()]
+
+    def test_layout_rejects_what_build_model_rejects(self):
+        with pytest.raises(ConfigError, match="unknown model kind"):
+            layout("rnn", TINY)
+        with pytest.raises(ConfigError, match="divisible by 4"):
+            layout("cnn", CnnTcnConfig(height=6))
 
 
 class TestBaseline:

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     BLOCK1_GRAD_BOUND_EPS,
+    ImagePool,
     backward_state,
     check_layer_gradients,
     grad_rel_err,
@@ -28,6 +29,7 @@ from rfdm.nn import (
     MaxPool2d,
     Param,
     softmax_xent,
+    window_view,
 )
 
 
@@ -64,13 +66,6 @@ def probe(*shape):
     """A zero-stride array of `shape`: all that a layer's slice sizing reads
     of its input is the shape and the item size."""
     return np.broadcast_to(0.0, shape)
-
-
-def window_view(x):
-    """[2, 2, N, H/2, W/2, C] view of x [N, H, W, C]: its 2x2 pool windows'
-    four positions, (0, 0), (0, 1), (1, 0) and (1, 1)."""
-    n, h, w, c = x.shape
-    return x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(2, 4, 0, 1, 3, 5)
 
 
 def scan_pool(x):
@@ -320,7 +315,7 @@ class TestBatchNorm:
         dy = rng.standard_normal(x.shape)
         bn.gamma.value[...] = rng.uniform(0.5, 1.5, 16)
         bn.forward(x, train=True)
-        mean, inv, m = bn._cache[1:]
+        _, mean, inv, m, _ = bn._cache
         dx = bn.backward(dy)
         flat_x, flat_dy = x.reshape(-1, 16), dy.reshape(-1, 16)
         dbeta = flat_dy.sum(axis=0)
@@ -362,12 +357,12 @@ def pooled_bn(gamma, beta=0.0):
 
 
 def unfused(bn):
-    """An unpooled BatchNorm2d with bn's gamma and beta, and a MaxPool2d: the
-    composition that bn computes."""
+    """An unpooled BatchNorm2d with bn's gamma and beta, and the max-pool as
+    a layer over images: the composition that bn computes."""
     twin = BatchNorm2d(bn.c)
     twin.gamma.value[...] = bn.gamma.value
     twin.beta.value[...] = bn.beta.value
-    return twin, MaxPool2d()
+    return twin, ImagePool()
 
 
 def spaced_values(rng, shape, step=0.37):
@@ -413,7 +408,7 @@ class TestPooledBatchNorm:
         z = twin.forward(x, train=True)
         assert z[0, 0, 0, 0] == z[0, 0, 1, 0]
         assert np.array_equal(bn.forward(x, train=True), pool.forward(z, train=True))
-        assert bn.pool._cache[0][0, 0, 0, 0] == 1 and pool._cache[0][0, 0, 0, 0] == 0
+        assert bn._cache[-1][0, 0, 0, 0] == 1 and pool.index[0, 0, 0, 0] == 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradcheck(self, seed):
@@ -425,10 +420,12 @@ class TestPooledBatchNorm:
     # per pooled one; x and dy exist before tracing starts.
 
     def test_train_forward_makes_no_input_sized_array(self):
-        # Measured traced peak: 5.2 MB (the pool's quarter-size maxima, one
-        # quarter-size row maximum and the index) with every gamma >= 0, and
-        # with one in three < 0, whose channels of x are negated in place
-        # around the pool; 6.6 MB when the pool made both row maxima as
+        # Measured traced peak: 5.5 MB (the pool's quarter-size maxima, one
+        # quarter-size row maximum, the index, made before the pool runs, and
+        # the pool's uint8 temporaries) with every gamma >= 0, and with one
+        # in three < 0, whose channels of x are negated in place around the
+        # pool; 5.2 MB when the pool made the index last, from its
+        # temporaries; 6.6 MB when the pool made both row maxima as
         # temporaries; the unfused BN -> MaxPool2d peaks at 14.9 MB, as did a
         # sign-flipped copy of x.
         rng = rng_for(5)
@@ -534,7 +531,7 @@ class TestConvFedBatchNorm:
                 assert np.min(np.abs(y.mean(axis=(0, 1, 2))) / y.std(axis=(0, 1, 2))) >= 3
             want = ref.forward(y, train=True)
             assert np.array_equal(bn.forward(x, train=True), want)
-            assert np.array_equal(bn.pool._cache[0], ref.pool._cache[0])
+            assert np.array_equal(bn._cache[-1], ref._cache[-1])
             dy = rng.standard_normal(want.shape)
             assert bn.backward(dy) is None and backward_state(bn) == []
             ref_conv.backward(ref.backward(dy))
@@ -561,8 +558,7 @@ class TestConvFedBatchNorm:
         want = conv.forward(x)
         wmat = conv.w.value.reshape(-1, 16)
         sizes = []
-        for rows, cols in conv._im2col_chunks(x, window_major=True):
-            imgs = slice(rows.start // 256, rows.stop // 256)
+        for imgs, cols in conv._im2col_chunks(x, window_major=True):
             m = imgs.stop - imgs.start
             assert cols.shape == (m * 256, 15) and cols.flags.f_contiguous
             got = (cols @ wmat).reshape(2, 2, m, 8, 8, 16)
@@ -590,7 +586,7 @@ class TestConvFedBatchNorm:
         x = rng.random((128, 32, 32, 1))
         conv_output_bytes = 128 * 32 * 32 * 16 * 8
         assert traced_peak(lambda: bn.forward(x, train=True)) < conv_output_bytes
-        held = [a for a in (*bn._cache, *bn.pool._cache) if isinstance(a, np.ndarray)]
+        held = [a for a in bn._cache if isinstance(a, np.ndarray)]
         assert max(a.nbytes for a in held) <= conv_output_bytes // 8
 
     def test_backward_makes_no_conv_output_sized_array(self):
@@ -649,7 +645,7 @@ class TestSliceBudget:
         x = rng_for(13).random((15, 32, 32, 1))
         assert 2 <= bn.conv._slice_images(x) < len(x) // 2
         peak, out = self.peak_and_result(lambda: bn.forward(x, train=True))
-        assert peak <= self.bound(self.BLOCK1_BUDGETS, out, bn.pool._cache[0])
+        assert peak <= self.bound(self.BLOCK1_BUDGETS, out, bn._cache[-1])
         dy = rng_for(14).standard_normal(out.shape)
         assert traced_peak(lambda: bn.backward(dy)) <= self.bound(self.BLOCK1_BUDGETS)
         peak, out = self.peak_and_result(lambda: bn.forward(x))
@@ -699,16 +695,19 @@ class TestLeakyReLU:
 
 
 class TestMaxPool:
+    """MaxPool2d pools window blocks [2, 2, N, H/2, W/2, C]: ImagePool runs it
+    over images through window_view, keeping the index as a pooled
+    BatchNorm2d does."""
+
     def test_single_window(self):
-        pool = MaxPool2d()
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
-        assert pool.forward(x)[0, 0, 0, 0] == 4.0
+        assert MaxPool2d().forward(window_view(x))[0, 0, 0, 0] == 4.0
 
     def test_tie_break_routes_to_first_index(self):
-        pool = MaxPool2d()
+        pool = ImagePool()
         x = np.full((1, 2, 2, 1), 3.0)
         out = pool.forward(x, train=True)
-        assert out[0, 0, 0, 0] == 3.0
+        assert out[0, 0, 0, 0] == 3.0 and pool.index[0, 0, 0, 0] == 0
         dx = pool.backward(np.ones_like(out))
         # all of the gradient goes to window position (0, 0)
         assert dx[0, 0, 0, 0] == 1.0 and dx.sum() == 1.0
@@ -717,10 +716,10 @@ class TestMaxPool:
     def test_ties_match_scan_reference(self, seed):
         rng = rng_for(seed)
         x = rng.integers(-2, 2, (3, 6, 8, 4)).astype(float)  # most windows tie
-        pool = MaxPool2d()
+        pool = ImagePool()
         out = pool.forward(x, train=True)
         best, idx = scan_pool(x)
-        assert np.array_equal(out, best)
+        assert np.array_equal(out, best) and np.array_equal(pool.index, idx)
         dy = rng.standard_normal(out.shape)
         want = np.zeros_like(x)
         for m, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
@@ -732,9 +731,9 @@ class TestMaxPool:
         # come from stay +0.0, as after a zero fill
         rng = rng_for(6)
         x = rng.integers(-2, 2, (9, 8, 10, 5)).astype(float)
-        pool = MaxPool2d()
+        pool = ImagePool()
         out = pool.forward(x, train=True)
-        idx = pool._cache[0]
+        idx = pool.index
         dy = rng.standard_normal(out.shape)
         dy[::3] = -0.0
         want = np.zeros(x.shape)
@@ -746,53 +745,71 @@ class TestMaxPool:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_window_blocks_equal_spatial_images(self, seed):
-        # the same tie-rich images as [N, H, W, C] and as contiguous window
-        # blocks [2, 2, N, H/2, W/2, C]: equal maxima and index, and each
-        # routes dy (-0.0 and negatives included) into its own layout
+        # the same tie-rich images as the window view of [N, H, W, C] and as
+        # contiguous window blocks: equal maxima and index, and one index
+        # routes dy (-0.0 and negatives included) into contiguous blocks and
+        # into the window view of an image-sized buffer with equal bits
         rng = rng_for(seed)
         x = rng.integers(-2, 2, (5, 6, 8, 3)).astype(float)
         blocks = np.ascontiguousarray(window_view(x))
-        spatial, windowed = MaxPool2d(), MaxPool2d()
-        out = spatial.forward(x, train=True)
-        assert np.array_equal(windowed.forward(blocks, train=True, window_major=True), out)
-        assert np.array_equal(windowed._cache[0], spatial._cache[0])
+        pool = MaxPool2d()
+        index, block_index = np.empty((2, 5, 3, 4, 3), np.uint8)
+        out = pool.forward(window_view(x), index)
+        assert np.array_equal(pool.forward(blocks, block_index), out)
+        assert np.array_equal(block_index, index)
         dy = rng.standard_normal(out.shape)
         dy[::2, 1] = -0.0
-        dx, dblocks = spatial.backward(dy), windowed.backward(dy)
-        assert dblocks.shape == blocks.shape and dx.shape == x.shape
-        assert np.array_equal(dblocks, window_view(dx))
-        assert np.array_equal(np.signbit(dblocks), np.signbit(window_view(dx)))
+        dblocks, dx = np.empty(blocks.shape), np.empty(x.shape)
+        pool.backward(index, dy, dblocks)
+        pool.backward(index, dy, window_view(dx))
+        assert np.ascontiguousarray(window_view(dx)).tobytes() == dblocks.tobytes()
 
-    def test_backward_peaks_at_the_gradient_and_a_byte_per_value(self):
-        # 64 images of conv1's output shape, 8.4 MB per input-sized array; dy
-        # exists before tracing starts. Measured traced peak: 9.57 MB, dx,
-        # the window-position mask (1.0 MB) and 0.13 MB of the routing pass's
-        # iteration buffers; 10.75 MB when each window position made a
-        # dy-sized float temporary
+    def test_backward_peaks_at_a_byte_per_value(self):
+        # 64 images of conv1's output shape, 8.4 MB per input-sized array;
+        # dy, the index and the gradient's buffer exist before tracing
+        # starts. Measured traced peak: 1.12 MB into contiguous blocks and
+        # 1.18 MB into the window view of an image-sized buffer, the
+        # window-position mask (1.05 MB) and the routing pass's iteration
+        # buffers
         rng = rng_for(7)
         x = rng.standard_normal((64, 32, 32, 16))
         pool = MaxPool2d()
-        dy = rng.standard_normal(pool.forward(x, train=True).shape)
-        assert traced_peak(lambda: pool.backward(dy)) <= x.nbytes + x.size + (256 << 10)
+        index = np.empty((64, 16, 16, 16), np.uint8)
+        pool.forward(window_view(x), index)
+        dy = rng.standard_normal(index.shape)
+        for out in (np.empty((2, 2) + index.shape), window_view(np.empty(x.shape))):
+            assert traced_peak(lambda: pool.backward(index, dy, out)) <= x.size + (256 << 10)
 
     def test_eval_forward_keeps_no_index(self):
+        # without an index, forward gives the maxima of one that writes it
+        x = window_view(rng_for(1).integers(-2, 2, (2, 4, 6, 3)).astype(float))
+        index = np.empty((2, 2, 3, 3), np.uint8)
+        assert np.array_equal(MaxPool2d().forward(x), MaxPool2d().forward(x, index))
+
+    def test_holds_no_instance_state(self):
+        # the caller keeps the index between the passes
+        rng = rng_for(2)
+        x = rng.integers(-2, 2, (2, 4, 6, 3)).astype(float)
         pool = MaxPool2d()
-        x = rng_for(1).integers(-2, 2, (2, 4, 6, 3)).astype(float)
-        y_train = pool.forward(x, train=True)
-        assert pool._cache is not None
-        assert np.array_equal(pool.forward(x, train=False), y_train)
-        assert pool._cache is None
+        index = np.empty((2, 2, 3, 3), np.uint8)
+        y = pool.forward(window_view(x), index)
+        pool.backward(index, rng.standard_normal(y.shape), window_view(np.empty(x.shape)))
+        assert vars(pool) == {}
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError, match="even"):
-            MaxPool2d().forward(np.zeros((1, 3, 4, 1)))
+            window_view(np.zeros((1, 3, 4, 1)))
+        with pytest.raises(ShapeError, match="even"):
+            pooled_bn((1.0,)).forward(np.zeros((2, 4, 5, 1)), train=True)
+        bn, _, _ = TestConvFedBatchNorm().block(rng_for(0), c=2)
+        with pytest.raises(ShapeError, match="even"):
+            bn.forward(np.zeros((2, 3, 4, 1)), train=True)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradcheck_distinct_values(self, seed):
-        pool = MaxPool2d()
         rng = rng_for(seed)
         x = rng.permutation(np.arange(2 * 4 * 6 * 3, dtype=float)).reshape(2, 4, 6, 3)
-        check_layer_gradients(pool, x, seed=seed)
+        check_layer_gradients(ImagePool(), x, seed=seed)
 
 
 class TestChannelReduce:
@@ -915,12 +932,11 @@ class TestBackwardConsumesState:
         (lambda: BatchNorm2d(3), (2, 4, 6, 3)),
         (lambda: pooled_bn((0.8, -1.2, 0.6)), (2, 4, 6, 3)),
         (lambda: LeakyReLU(), (2, 4, 6, 3)),
-        (lambda: MaxPool2d(), (2, 4, 6, 3)),
         (lambda: ChannelReduce(3, 2, rng=rng_for(0)), (2, 4, 6, 3)),
         (lambda: CausalConv1d(3, 2, kt=3, dilation=2, rng=rng_for(0)), (2, 7, 3)),
         (lambda: Dropout(0.5), (4, 5)),
         (lambda: Dense(5, 3, rng=rng_for(0)), (4, 5)),
-    ], ids=["Conv2d", "BatchNorm2d", "BatchNorm2d-pool", "LeakyReLU", "MaxPool2d", "ChannelReduce",
+    ], ids=["Conv2d", "BatchNorm2d", "BatchNorm2d-pool", "LeakyReLU", "ChannelReduce",
             "CausalConv1d", "Dropout", "Dense"])
     def test_backward_leaves_no_state(self, make, shape):
         layer = make()
