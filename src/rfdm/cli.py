@@ -5,8 +5,8 @@ override defaults. All randomness flows from --seed through named
 sub-streams, and every subcommand emits a run manifest (the only artifact
 carrying a timestamp) so runs can be reproduced bit-for-bit.
 
-Exit codes: 0 ok, 1 internal/IO, 2 usage, 3 configuration, 4 data/manifest,
-5 integrity, 6 simulation.
+Exit codes: 0 ok, 1 internal/IO/out of memory, 2 usage, 3 configuration,
+4 data/manifest, 5 integrity, 6 simulation.
 """
 
 import argparse
@@ -71,6 +71,7 @@ EXIT_CODES = (
     (ShapeError, 3),
     (ValueError, 3),
     (OSError, 1),
+    (MemoryError, 1),
 )
 
 

@@ -1,9 +1,12 @@
 """Preprocessing chain: range FFT, 4th-order MTI, Doppler FFT, RFDM conditioning.
 
-One chain, fixed: both transforms apply a Hann window, the range crop
-starts at bin 0 (the near-field gesture zone), Doppler is centre-cropped
-around zero velocity, and conditioning divides by the sequence maximum.
-The MTI stage is the only optional step.
+One chain, fixed: its input is the complex128 [frame, chirp, sample, rx]
+cube array, both transforms apply a Hann window, the range crop starts at
+bin 0 (the near-field gesture zone), MTI differences along chirp axis 1,
+Doppler is centre-cropped around zero velocity, and conditioning divides by
+the sequence maximum. The MTI stage is the only optional step; whether it
+runs and the two crop sizes are the caller's (the `preprocess` config
+section).
 
 The DFT is a pruned one (FFT pruning, Markel 1971): zero-padding, the
 fftshift and the crop are linear, so each transform multiplies the windowed
@@ -22,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeError
-from .radar import DataCube
 
 # ---------------------------------------------------------------------------
 # Discrete Fourier transforms
@@ -82,39 +84,34 @@ def next_pow2(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def range_compress(cube: DataCube, start: int = 0, count: int | None = None) -> np.ndarray:
+def range_compress(cube: np.ndarray, count: int) -> np.ndarray:
     """Fast-time FFT per chirp: [frame][chirp][sample][rx] -> [frame][chirp][range_bin][rx].
 
     The fast-time axis is Hann-windowed then zero-padded to the next power
     of two (112 -> 128 with the default config), so range bin b maps to
-    beat frequency b * f_s / n_padded. Only range bins start .. start + count - 1
-    are computed (default: all of them). The cube is not checked again here:
-    `io.read_cube` has checked the shape and values of every cube that
-    `rfdm preprocess` transforms.
+    beat frequency b * f_s / n_padded. Only range bins 0 .. count - 1 are
+    computed. The cube is not checked again here: `io.read_cube` has checked
+    the shape and values of every cube that `rfdm preprocess` transforms.
     """
-    x = cube.samples
-    n_s = x.shape[2]
-    xw = x * np.hanning(n_s)[np.newaxis, np.newaxis, :, np.newaxis]
+    n_s = cube.shape[2]
+    xw = cube * np.hanning(n_s)[np.newaxis, np.newaxis, :, np.newaxis]
     # transform along fast time: move axis to the end and back
-    y = fft(np.moveaxis(xw, 2, -1), next_pow2(n_s), start, count)
+    y = fft(np.moveaxis(xw, 2, -1), next_pow2(n_s), count=count)
     return np.moveaxis(y, -1, 2)
 
 
-def mti_filter(rc: np.ndarray, axis: int = 1) -> np.ndarray:
-    """4th-order moving-target-indication difference along the chirp axis.
+def mti_filter(rc: np.ndarray) -> np.ndarray:
+    """4th-order moving-target-indication difference along chirp axis 1.
 
     y(l) = x(l) - 4 x(l-1) + 6 x(l-2) - 4 x(l-3) + x(l-4) for l = 4..L-1,
     so the output is 4 shorter than the input. Annihilates slow-time
     polynomials up to cubic, in particular all static (DC) returns.
     """
-    rc = np.asarray(rc)
-    n = rc.shape[axis]
+    n = rc.shape[1]
     if n < 5:
         raise ShapeError(f"MTI needs slow-time length >= 5, got {n}")
-    x = np.moveaxis(rc, axis, 0)
     # symmetric grouping cancels constant input exactly in floating point
-    y = (x[4:] + x[:-4]) - 4.0 * (x[3:-1] + x[1:-3]) + 6.0 * x[2:-2]
-    return np.moveaxis(y, 0, axis)
+    return (rc[:, 4:] + rc[:, :-4]) - 4.0 * (rc[:, 3:-1] + rc[:, 1:-3]) + 6.0 * rc[:, 2:-2]
 
 
 @dataclass
@@ -171,9 +168,10 @@ def condition_rfdm(seq: RfdmSequence) -> RfdmSequence:
     return RfdmSequence(frames=out)
 
 
-def cube_to_rfdm(cube: DataCube, mti: bool = True, n_range_crop: int = 32,
-                 n_doppler_crop: int = 32) -> RfdmSequence:
-    """Full chain: range FFT -> (optional) 4th-order MTI -> Doppler FFT -> conditioning.
+def cube_to_rfdm(cube: np.ndarray, mti: bool, n_range_crop: int,
+                 n_doppler_crop: int) -> RfdmSequence:
+    """Full chain on a [frame, chirp, sample, rx] cube: range FFT ->
+    (optional) 4th-order MTI -> Doppler FFT -> conditioning.
 
     The crop window is placed here, once, on the full padded map: range
     bins 0 .. n_range_crop - 1 (the near-field gesture zone) and Doppler
@@ -181,15 +179,16 @@ def cube_to_rfdm(cube: DataCube, mti: bool = True, n_range_crop: int = 32,
     inside the window, so the maps arrive cropped and conditioning only
     scales them.
     """
-    n_slow = cube.config.n_chirps - 4 if mti else cube.config.n_chirps  # MTI drops 4 chirps
-    n_r, n_d = next_pow2(cube.config.n_samples), next_pow2(n_slow)
+    _, n_chirps, n_samples, _ = cube.shape
+    n_slow = n_chirps - 4 if mti else n_chirps  # MTI drops 4 chirps
+    n_r, n_d = next_pow2(n_samples), next_pow2(n_slow)
     if n_range_crop > n_r or n_doppler_crop > n_d:
         raise ShapeError(
             f"crop ({n_range_crop}, {n_doppler_crop}) exceeds map size ({n_r}, {n_d})"
         )
     d0 = n_d // 2 - n_doppler_crop // 2
-    rc = range_compress(cube, count=n_range_crop)
+    rc = range_compress(cube, n_range_crop)
     if mti:
-        rc = mti_filter(rc, axis=1)
+        rc = mti_filter(rc)
     seq = doppler_process(rc, start=d0, count=n_doppler_crop)
     return condition_rfdm(seq)

@@ -12,7 +12,10 @@ which the scene check samples and the synthesized chirp phase carries.
 
 A hand is modeled as 3..5 point scatterers with small static range offsets
 and low-frequency positional jitter; environments contribute preset counts
-of static clutter scatterers.
+of static clutter scatterers. A scene is a plain list of scatterers:
+`make_gesture_scene` returns the hand's, `room_clutter` the room's, and
+`synthesize_sample` synthesizes the two, hand first, into the complex128
+[frame, chirp, sample, rx] cube array.
 """
 
 import enum
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PlacementError
-from .radar import DataCube, RadarConfig, Scatterer, static_scatterer, synthesize_cube
-from .seeding import child_seed, substream
+from .errors import ConfigError, PlacementError, SimulationError
+from .radar import RadarConfig, Scatterer, static_scatterer, synthesize_cube
+from .seeding import child_seed, name_key, substream
 
 
 class GestureClass(enum.Enum):
@@ -145,16 +148,6 @@ def template_trace(
     return amp * unit(p)
 
 
-@dataclass
-class GestureScene:
-    hand: list     # moving Scatterers
-    clutter: list  # static Scatterers
-
-    @property
-    def scatterers(self) -> list:
-        return list(self.hand) + list(self.clutter)
-
-
 def _jitter_components(rng: np.random.Generator, sigma: float):
     """Three seeded sinusoids with total std == sigma (deterministic jitter)."""
     freqs = rng.uniform(2.0, 8.0, size=3)
@@ -171,17 +164,17 @@ def make_gesture_scene(
     placement: ScenePlacement,
     user: UserProfile,
     rng_seed: int,
+    config: RadarConfig,
     duration: float = 1.6,
-    config: RadarConfig | None = None,
-) -> GestureScene:
-    """Build a deterministic scene for one gesture instance.
+) -> list:
+    """The hand's scatterers for one gesture instance, deterministic in
+    `rng_seed`.
 
     Raises PlacementError if the realized hand motion would leave
     [0.3 m, max_range), or if its speed, the slope of its range between
     probe times, reaches the unambiguous Doppler velocity."""
     placement.validate()
     user.validate()
-    cfg = config or RadarConfig()
     rng = substream(rng_seed, "scene")
     cos_az = math.cos(math.radians(placement.azimuth_deg))
 
@@ -207,18 +200,18 @@ def make_gesture_scene(
     probe = np.linspace(0.0, duration, 512)
     for sc in hand:
         r = sc.trajectory(probe)
-        if r.min() < 0.3 or r.max() >= cfg.max_range:
+        if r.min() < 0.3 or r.max() >= config.max_range:
             raise PlacementError(
                 "%s at base %.2f m drives range to [%.3f, %.3f] m, outside [0.3, %.1f) m"
-                % (gesture.value, placement.base_range, r.min(), r.max(), cfg.max_range)
+                % (gesture.value, placement.base_range, r.min(), r.max(), config.max_range)
             )
-        if np.max(np.abs(np.diff(r) / np.diff(probe))) >= cfg.max_doppler_velocity:
+        if np.max(np.abs(np.diff(r) / np.diff(probe))) >= config.max_doppler_velocity:
             raise PlacementError(
                 "%s exceeds the unambiguous velocity %.2f m/s"
-                % (gesture.value, cfg.max_doppler_velocity)
+                % (gesture.value, config.max_doppler_velocity)
             )
 
-    return GestureScene(hand, room_clutter(placement))
+    return hand
 
 
 def room_clutter(placement: ScenePlacement) -> list:
@@ -228,19 +221,13 @@ def room_clutter(placement: ScenePlacement) -> list:
     layout changes only across environments and positions."""
     n_clutter, base_amp = ENVIRONMENT_CLUTTER[placement.environment]
     room_key = f"{placement.environment.value}@{placement.base_range:.3f}/{placement.azimuth_deg:.2f}"
-    rng = substream(_room_seed(room_key), "clutter")
+    rng = substream(name_key(room_key) >> 1, "clutter")
     clutter = []
     for i in range(n_clutter):
         r = float(rng.uniform(0.4, 15.0))
         a = base_amp * float(rng.uniform(0.5, 1.5))
         clutter.append(static_scatterer(r, a, label=f"clutter{i}"))
     return clutter
-
-
-def _room_seed(room_key: str) -> int:
-    import hashlib
-
-    return int.from_bytes(hashlib.sha256(room_key.encode()).digest()[:8], "little") >> 1
 
 
 @dataclass
@@ -287,20 +274,18 @@ def dataset_plan(spec: DatasetSpec, rng_seed: int) -> list:
     return rows
 
 
-def synthesize_sample(spec: DatasetSpec, row: dict, config: RadarConfig | None = None) -> DataCube:
-    """Synthesize the cube for one `dataset_plan` row."""
-    cfg = config or RadarConfig()
+def synthesize_sample(spec: DatasetSpec, row: dict, config: RadarConfig) -> np.ndarray:
+    """The complex128 [frame, chirp, sample, rx] cube of one `dataset_plan` row."""
     gesture = GestureClass.from_name(row["class_name"])
     placement = spec.placements[row["location_id"]]
     user = spec.users[row["user_id"]]
-    duration = spec.n_frames * cfg.t_frame
-    scene = make_gesture_scene(gesture, placement, user, row["seed"], duration, cfg)
+    duration = spec.n_frames * config.t_frame
+    hand = make_gesture_scene(gesture, placement, user, row["seed"], config, duration)
     try:
-        return synthesize_cube(
-            cfg, scene.scatterers, spec.n_frames, spec.noise_sigma, row["seed"]
-        )
-    except Exception as exc:
-        raise type(exc)(
+        return synthesize_cube(config, hand + room_clutter(placement), spec.n_frames,
+                               spec.noise_sigma, row["seed"])
+    except SimulationError as exc:
+        raise SimulationError(
             f"{exc} (class={row['class_name']}, user={row['user_id']}, "
             f"location={row['location_id']}, instance={row['instance']})"
         ) from exc

@@ -10,7 +10,11 @@ file once and verifies those bytes alone: the magic, the version, the
 scale byte, the exact size the header implies and, for cubes and map
 sequences, the manifest row's digest (`sha256=`). Readers fail closed: a
 mismatch, or a payload its type rejects (a non-finite value, a negative
-map magnitude or running variance), raises IntegrityError.
+map magnitude or running variance), raises IntegrityError. A cube is
+written from, and read back as, the plain complex128 [frame, chirp, sample,
+rx] array; a map sequence as an RfdmSequence. The manifest check fails a
+row that lacks a required field or holds another type, and a repeated
+`index`, with ManifestError.
 """
 
 import hashlib
@@ -23,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import RfdmSequence
-from .errors import IntegrityError, ManifestError, ShapeError
+from .errors import ConfigError, IntegrityError, ManifestError, ShapeError
 from .gestures import N_CLASSES
 from .model import CnnTcnConfig, build_model, layout
-from .radar import DataCube, RadarConfig
+from .radar import RadarConfig
 
 CUBE_MAGIC = b"RFDC"
 RFDM_MAGIC = b"RFDM"
@@ -86,20 +90,25 @@ def sha256_file(path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def write_cube(path, cube: DataCube) -> str:
-    """Write `cube` as RFDC; returns the SHA-256 hex digest of the bytes written."""
-    cube.validate()
+def write_cube(path, cube: np.ndarray) -> str:
+    """Write a [frame, chirp, sample, rx] cube as RFDC; returns the SHA-256
+    hex digest of the bytes written. A cube that is not 4-d or holds a
+    non-finite sample raises ConfigError."""
+    if cube.ndim != 4:
+        raise ConfigError(f"cube shape {cube.shape} is not [frame, chirp, sample, rx]")
+    if not np.all(np.isfinite(cube)):
+        raise ConfigError("cube contains non-finite samples")
     # complex128 is stored as interleaved (re, im) float64 pairs; on a
-    # little-endian host this is the samples' own buffer, not a copy
-    x = np.ascontiguousarray(cube.samples, dtype="<c16")
+    # little-endian host this is the cube's own buffer, not a copy
+    x = np.ascontiguousarray(cube, dtype="<c16")
     return _write(path, (CUBE_MAGIC, struct.pack("<5I", FORMAT_VERSION, *x.shape), x,
                          struct.pack("<Q", x.size)))
 
 
-def read_cube(path, config: RadarConfig, *, sha256=None) -> DataCube:
-    """An RFDC file's cube under `config`; its samples are a read-only view of
-    the bytes read. A cube whose chirp, sample or receiver count differs from
-    `config` raises IntegrityError."""
+def read_cube(path, config: RadarConfig, *, sha256=None) -> np.ndarray:
+    """An RFDC file's complex128 [frame, chirp, sample, rx] cube, a read-only
+    view of the bytes read. A cube whose chirp, sample or receiver count
+    differs from `config` raises IntegrityError."""
     data = _read_file(path, CUBE_MAGIC, "cube", 24, sha256)
     n_frames, n_chirps, n_samples, n_rx = struct.unpack_from("<4I", data, 8)
     count = n_frames * n_chirps * n_samples * n_rx
@@ -114,8 +123,7 @@ def read_cube(path, config: RadarConfig, *, sha256=None) -> DataCube:
     samples = np.frombuffer(data, dtype="<c16", count=count, offset=24)
     if not np.all(np.isfinite(samples)):
         raise IntegrityError(f"{path}: non-finite cube samples")
-    samples = samples.reshape(n_frames, n_chirps, n_samples, n_rx)
-    return DataCube(config=config, samples=samples)
+    return samples.reshape(n_frames, n_chirps, n_samples, n_rx)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +248,9 @@ _ROW_TYPES = {
 
 def require_field(rows, key) -> list:
     """The `key` of every manifest row; ManifestError naming the first row
-    that lacks it or, for a field of _ROW_TYPES, holds another type."""
+    that lacks it or, for a field of _ROW_TYPES, holds another type, and
+    for `index`, which names a row's output file, the first two rows that
+    share one."""
     want, valid = _ROW_TYPES.get(key, (None, None))
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or key not in row:
@@ -248,7 +258,13 @@ def require_field(rows, key) -> list:
         if valid and not valid(row[key]):
             raise ManifestError(f"manifest row {i}: {key} must be {want}, "
                                 f"got {json.dumps(row[key])}")
-    return [row[key] for row in rows]
+    values = [row[key] for row in rows]
+    if key == "index":
+        first = {}
+        for i, v in enumerate(values):
+            if first.setdefault(v, i) != i:
+                raise ManifestError(f"manifest rows {first[v]} and {i} share index {v}")
+    return values
 
 
 def verify_manifest_files(manifest: dict, base_dir, fields=()) -> None:

@@ -12,11 +12,13 @@ so the beat frequency k*t_d encodes range and the chirp-to-chirp phase
 -pi*k*t_d^2 is negligible at short range and is dropped. Scatterers are
 evaluated per chirp (stop-and-go): range is frozen within one chirp.
 
-`synthesize_cube` evaluates each trajectory once on the [frame, chirp]
-slow-time grid. A scatterer that is static within a frame costs one row of
-n_samples exponentials, and one static over the whole cube one row for all
-its frames. For a moving one, fast-time sample n = 16*q + m of
-chirp l is the product
+`synthesize_cube` returns the raw cube as a plain complex128
+[frame, chirp, sample, rx] array, whose shape carries the frame, chirp,
+sample and receiver counts. It evaluates each trajectory once on the
+[frame, chirp] slow-time grid. A scatterer that is static within a frame
+costs one row of n_samples exponentials, and one static over the whole cube
+one row for all its frames. For a moving one, fast-time sample n = 16*q + m
+of chirp l is the product
 
     hi[l, q] = A * exp(j * 2*pi*(k*t_d[l]*(16*q/f_s) + f_c*t_d[l]))
     lo[l, m] = exp(j * alpha_l * m),   alpha_l = 2*pi*k*t_d[l]/f_s,
@@ -141,31 +143,16 @@ def if_signal_sample(config: RadarConfig, scatterer: Scatterer, t_fast, t_slow) 
     return out
 
 
-@dataclass
-class DataCube:
-    """Raw complex IF samples indexed [frame][chirp][sample][rx]."""
-
-    config: RadarConfig
-    samples: np.ndarray  # complex128 [n_frames, n_chirps, n_samples, n_rx]
-
-    def validate(self) -> None:
-        c = self.config
-        if self.samples.ndim != 4 or self.samples.shape[1:] != (c.n_chirps, c.n_samples, c.n_rx):
-            raise ConfigError(f"cube shape {self.samples.shape} does not match config "
-                              f"(n_frames, {c.n_chirps}, {c.n_samples}, {c.n_rx})")
-        if not np.all(np.isfinite(self.samples)):
-            raise ConfigError("cube contains non-finite samples")
-
-
 def synthesize_cube(
     config: RadarConfig,
     scene,
     n_frames: int,
     noise_sigma: float = 0.0,
     rng_seed: int = 0,
-) -> DataCube:
+) -> np.ndarray:
     """Sum the IF returns of every scatterer in `scene` over an n_frames cube,
-    plus circular complex Gaussian noise of total std `noise_sigma`.
+    plus circular complex Gaussian noise of total std `noise_sigma`; returns
+    the complex128 [frame, chirp, sample, rx] array.
 
     Chirp l of frame f is evaluated at t_slow = f*t_frame + l*t_pri; the
     remainder of each frame period is idle. Noise is drawn from a per-frame
@@ -237,7 +224,7 @@ def synthesize_cube(
         else:
             cube[f] = frame_sum[:, :, np.newaxis]
 
-    return DataCube(config=config, samples=cube)
+    return cube
 
 
 def _check_ranges(scene, ranges, t_slow: np.ndarray, max_range: float) -> None:

@@ -1,8 +1,9 @@
 """Shared test utilities: central-difference gradient checking, a layer's
 backward state, the max-pool as a layer over images, the traced memory peak
 of a call, a scatterer whose range moves at a constant velocity, the radar's
-bin widths, and rewritten checkpoint descriptors."""
+bin widths, rewritten checkpoint descriptors, and the unused-import check."""
 
+import ast
 import json
 import struct
 import tracemalloc
@@ -163,3 +164,26 @@ def older_checkpoint_layout(raw: bytes) -> bytes:
                                 leaky_slope=0.01)
     blob = json.dumps(descriptor, sort_keys=True).encode()
     return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :] + b"\x00"
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each name that the module's `import` and `from ...
+    import` statements bind and the module never loads as a name, nor lists
+    in its `__all__`; `from __future__` imports bind no name. A stdlib-`ast`
+    stand-in for a linter's unused-import check."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)

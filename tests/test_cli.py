@@ -178,6 +178,18 @@ class TestGen:
         assert "exceeds the unambiguous velocity 1.39 m/s" in capsys.readouterr().err
         assert not (tmp_path / "gen" / "dataset_manifest.json").exists()
 
+    def test_cube_too_large_to_allocate_is_one_line_exit_1(self, tmp_path, capsys):
+        # the slow-time grid of 10**17 frames (711 PiB) exceeds the 128 PiB
+        # of a 57-bit address space, so its allocation is refused at once,
+        # before any cube
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gen": {"n_frames": 10**17}}))
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rfdm gen: Unable to allocate") and err.count("\n") == 1
+        assert not list((tmp_path / "gen" / "cubes").iterdir())
+
     def test_an_int_is_a_number(self):
         merged = cli._merge({"train": {"lr": 5e-4, "epochs": 30}}, {"train": {"lr": 1}})
         assert merged == {"train": {"lr": 1, "epochs": 30}}
@@ -325,6 +337,23 @@ class TestPreprocess:
         cubes = sorted((gen_dir / "cubes").glob("*.rfdc"))
         assert len(cubes) == 28
         assert {str(c): opens[os.path.realpath(c)] for c in cubes} == {str(c): 1 for c in cubes}
+
+    def test_repeated_index_is_manifest_error_before_any_output(self, smoke, tmp_path,
+                                                                capsys):
+        # each row's .rfdm file is named by its index: two rows with one
+        # index would write one file twice
+        _, cfg_path, gen_dir, _ = smoke
+        man = json.loads((gen_dir / "dataset_manifest.json").read_text())
+        man["samples"][5]["index"] = man["samples"][2]["index"]
+        for row in man["samples"]:
+            row["path"] = str(gen_dir / row["path"])
+        bad = tmp_path / "dataset_manifest.json"
+        bad.write_text(json.dumps(man))
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--config", str(cfg_path), "--manifest", str(bad),
+                     "--out", str(out)]) == 4
+        assert "manifest rows 2 and 5 share index 2" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("row, field", [({"index": 0}, "path"),
                                             ({"path": "cubes/x.rfdc"}, "index")])
@@ -768,6 +797,7 @@ class TestExitCodes:
         (ValueError, 3),
         (OSError, 1),
         (FileNotFoundError, 1),
+        (MemoryError, 1),
     ])
     def test_exception_maps_to_exit_code(self, monkeypatch, capsys, exc, code):
         def raise_it(args):

@@ -101,7 +101,7 @@ class TestRangeCompress:
         # a target at 5 range-resolution cells lands at bin round(5 * 128/112)
         r = 5.0 * range_resolution(CFG)
         cube = synthesize_cube(CFG, [static_scatterer(r)], n_frames=1)
-        rc = range_compress(cube)
+        rc = range_compress(cube, 128)
         assert rc.shape == (1, 128, 128, 1)
         profile = np.abs(rc[0, 0, :, 0])
         assert int(np.argmax(profile)) == round(5 * 128 / 112)
@@ -109,22 +109,22 @@ class TestRangeCompress:
     def test_pruned_equals_slice_of_full(self):
         cube = synthesize_cube(CFG, [linear_scatterer(2.0, 1.5)], n_frames=2,
                                noise_sigma=0.2, rng_seed=4)
-        full = range_compress(cube)
-        for start, count in [(0, 32), (40, 17), (120, 8)]:
-            pruned = range_compress(cube, start=start, count=count)
+        full = range_compress(cube, 128)
+        for count in (32, 17, 8):
+            pruned = range_compress(cube, count)
             assert pruned.shape == (2, 128, count, 1)
-            assert max_rel(pruned, full[:, :, start : start + count]) < 1e-12
+            assert max_rel(pruned, full[:, :, :count]) < 1e-12
 
     def test_zero_cube_stays_zero(self):
         cube = synthesize_cube(CFG, [], n_frames=1)
-        assert np.all(range_compress(cube) == 0)
+        assert np.all(range_compress(cube, 128) == 0)
 
     def test_two_separated_targets_two_peaks(self):
         r1, r2 = 8 * range_resolution(CFG), 40 * range_resolution(CFG)
         cube = synthesize_cube(
             CFG, [static_scatterer(r1), static_scatterer(r2)], n_frames=1
         )
-        profile = np.abs(range_compress(cube)[0, 0, :, 0])
+        profile = np.abs(range_compress(cube, 128)[0, 0, :, 0])
         b1, b2 = round(8 * 128 / 112), round(40 * 128 / 112)
         # each predicted bin is a local max over a +/-3 bin neighborhood
         for b in (b1, b2):
@@ -164,7 +164,7 @@ class TestMti:
 class TestDoppler:
     def test_static_target_at_center_bin(self):
         cube = synthesize_cube(CFG, [static_scatterer(5.0)], n_frames=1)
-        seq = doppler_process(range_compress(cube))
+        seq = doppler_process(range_compress(cube, 128))
         t, n_r, n_d = seq.frames.shape
         assert (t, n_d) == (1, 128)
         r_bin, d_bin = np.unravel_index(np.argmax(seq.frames[0]), seq.frames[0].shape)
@@ -173,7 +173,7 @@ class TestDoppler:
     def test_moving_target_three_bins_positive(self):
         v = 3.0 * doppler_resolution(CFG)
         cube = synthesize_cube(CFG, [linear_scatterer(5.0, v)], n_frames=1)
-        seq = doppler_process(range_compress(cube))
+        seq = doppler_process(range_compress(cube, 128))
         m = seq.frames[0]
         _, d_bin = np.unravel_index(np.argmax(m), m.shape)
         assert d_bin == m.shape[1] // 2 + 3
@@ -190,7 +190,7 @@ class TestDoppler:
     def test_mti_suppresses_static_clutter(self):
         clutter = [static_scatterer(r, a) for r, a in [(2.0, 1.0), (6.5, 0.5), (11.0, 0.8)]]
         cube = synthesize_cube(CFG, clutter, n_frames=1)
-        rc = range_compress(cube)
+        rc = range_compress(cube, 128)
         without = doppler_process(rc).frames
         with_mti = doppler_process(mti_filter(rc)).frames
         assert with_mti.max() <= 1e-9 * without.max()
@@ -221,7 +221,7 @@ class TestEndToEnd:
         for r in [3.0, 41.0, 95.0]:
             for v in [-8.0, 0.0, 11.0]:
                 cube = synthesize_cube(CFG, [linear_scatterer(r, v)], n_frames=1)
-                seq = doppler_process(range_compress(cube))
+                seq = doppler_process(range_compress(cube, 128))
                 m = seq.frames[0]
                 rb, db = np.unravel_index(np.argmax(m), m.shape)
                 assert abs(rb - round(r / range_bin_m)) <= 1
@@ -230,8 +230,8 @@ class TestEndToEnd:
     def test_pipeline_determinism(self):
         cube = synthesize_cube(CFG, [linear_scatterer(4.0, 2.0)], n_frames=2,
                                noise_sigma=0.3, rng_seed=9)
-        a = cube_to_rfdm(cube)
-        b = cube_to_rfdm(cube)
+        a = cube_to_rfdm(cube, True, 32, 32)
+        b = cube_to_rfdm(cube, True, 32, 32)
         assert a.frames.tobytes() == b.frames.tobytes()
         assert a.frames.shape == (2, 32, 32)
 
@@ -239,9 +239,8 @@ class TestEndToEnd:
 def reference_rfdm(cube, mti, n_range_crop, n_doppler_crop):
     """The whole chain with numpy.fft on the full maps: Hann window, zero-pad,
     range FFT, MTI, Doppler FFT, fftshift, rx mean, crop and maxnorm."""
-    x = cube.samples
-    n_s = x.shape[2]
-    rc = np.fft.fft(x * np.hanning(n_s)[:, None], n=next_pow2(n_s), axis=2)
+    n_s = cube.shape[2]
+    rc = np.fft.fft(cube * np.hanning(n_s)[:, None], n=next_pow2(n_s), axis=2)
     if mti:
         n_c = rc.shape[1]
         rc = sum(c * rc[:, 4 - i : n_c - i] for i, c in enumerate([1, -4, 6, -4, 1]))
@@ -284,4 +283,4 @@ class TestPrunedChain:
     @pytest.mark.parametrize("crops", [(129, 32), (32, 129)])
     def test_oversized_crop_rejected(self, crops):
         with pytest.raises(ShapeError, match="crop"):
-            cube_to_rfdm(self.CUBE, n_range_crop=crops[0], n_doppler_crop=crops[1])
+            cube_to_rfdm(self.CUBE, True, crops[0], crops[1])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rfdm.dsp import cube_to_rfdm
 from rfdm.errors import ConfigError, PlacementError
 from rfdm.gestures import (
     GESTURE_CLASSES,
@@ -11,13 +12,15 @@ from rfdm.gestures import (
     UserProfile,
     dataset_plan,
     make_gesture_scene,
+    room_clutter,
     standard_benchmark_spec,
     synthesize_sample,
     template_trace,
 )
-from rfdm.io import write_cube
-from rfdm.radar import RadarConfig
+from rfdm.io import write_cube, write_rfdm
+from rfdm.radar import RadarConfig, synthesize_cube
 
+CFG = RadarConfig()
 DUR = 1.6
 T = np.linspace(0.0, DUR, 401)
 
@@ -66,47 +69,41 @@ class TestSceneConstruction:
     def test_determinism(self):
         place = ScenePlacement(0.8, 10.0, Environment.OFFICE)
         user = UserProfile()
-        a = make_gesture_scene(GestureClass.CIRCLE, place, user, rng_seed=11)
-        b = make_gesture_scene(GestureClass.CIRCLE, place, user, rng_seed=11)
-        assert len(a.hand) == len(b.hand)
+        a = make_gesture_scene(GestureClass.CIRCLE, place, user, 11, CFG) + room_clutter(place)
+        b = make_gesture_scene(GestureClass.CIRCLE, place, user, 11, CFG) + room_clutter(place)
+        assert len(a) == len(b)
         t = np.linspace(0, 1.6, 37)
-        for sa, sb in zip(a.scatterers, b.scatterers):
+        for sa, sb in zip(a, b):
             assert np.array_equal(sa.trajectory(t), sb.trajectory(t))
             assert sa.amplitude == sb.amplitude
 
     def test_hand_cluster_size_and_static_clutter(self):
-        scene = make_gesture_scene(
-            GestureClass.PUSH, ScenePlacement(), UserProfile(), rng_seed=3
-        )
-        assert 3 <= len(scene.hand) <= 5
-        assert len(scene.clutter) == 8  # Classroom preset
+        hand = make_gesture_scene(GestureClass.PUSH, ScenePlacement(), UserProfile(), 3, CFG)
+        clutter = room_clutter(ScenePlacement())
+        assert 3 <= len(hand) <= 5
+        assert len(clutter) == 8  # Classroom preset
         t = np.linspace(0, 1.6, 11)
-        for sc in scene.clutter:
+        for sc in clutter:
             assert np.ptp(sc.trajectory(t)) == 0.0
 
     def test_trajectory_keeps_the_shape_of_its_time(self):
         from rfdm.radar import if_signal_sample
 
-        scene = make_gesture_scene(
-            GestureClass.PUSH, ScenePlacement(), UserProfile(), rng_seed=3
-        )
+        hand = make_gesture_scene(GestureClass.PUSH, ScenePlacement(), UserProfile(), 3, CFG)
         t = np.array([0.0, 0.8, 1.3])
-        for sc in scene.hand:
+        for sc in hand:
             ranges = sc.trajectory(t)
             assert ranges.shape == (3,)
             assert np.array_equal(sc.trajectory(t.reshape(3, 1)), ranges.reshape(3, 1))
             for k in range(3):
                 r = sc.trajectory(t[k])
                 assert np.shape(r) == () and r == ranges[k]
-            assert isinstance(if_signal_sample(RadarConfig(), sc, 0.0, 0.8), complex)
+            assert isinstance(if_signal_sample(CFG, sc, 0.0, 0.8), complex)
 
     def test_environment_clutter_presets(self):
         for env, count in [(Environment.CLASSROOM, 8), (Environment.OFFICE, 12),
                            (Environment.CONFERENCE_HALL, 4)]:
-            scene = make_gesture_scene(
-                GestureClass.PULL, ScenePlacement(environment=env), UserProfile(), 5
-            )
-            assert len(scene.clutter) == count
+            assert len(room_clutter(ScenePlacement(environment=env))) == count
 
     def test_placement_error_when_template_exits_zone(self):
         # push from 0.3 m with large extent crosses the 0.3 m floor
@@ -116,6 +113,7 @@ class TestSceneConstruction:
                 ScenePlacement(base_range=0.3),
                 UserProfile(extent_scale=1.5),
                 rng_seed=1,
+                config=CFG,
             )
 
     def test_placement_error_when_hand_exceeds_the_unambiguous_velocity(self):
@@ -147,13 +145,8 @@ class TestSceneConstruction:
             UserProfile(speed_scale=2.0).validate()
 
     def test_clutter_only_scene_has_zero_slow_time_variance(self):
-        from rfdm.radar import synthesize_cube
-
-        scene = make_gesture_scene(
-            GestureClass.PUSH, ScenePlacement(), UserProfile(), rng_seed=3
-        )
-        cube = synthesize_cube(RadarConfig(), scene.clutter, n_frames=1)
-        chirps = cube.samples[0, :, :, 0]
+        cube = synthesize_cube(CFG, room_clutter(ScenePlacement()), n_frames=1)
+        chirps = cube[0, :, :, 0]
         # zero slow-time variance == every chirp is bit-identical
         assert np.array_equal(chirps, np.broadcast_to(chirps[0], chirps.shape))
         assert np.all(np.ptp(chirps.real, axis=0) == 0.0)
@@ -169,7 +162,7 @@ class TestDatasetGeneration:
             g.value for g in GESTURE_CLASSES
         )
         for row in plan:
-            assert synthesize_sample(spec, row).samples.shape[0] == 2
+            assert synthesize_sample(spec, row, CFG).shape[0] == 2
 
     def test_plan_arithmetic(self):
         spec = DatasetSpec(
@@ -202,9 +195,9 @@ class TestDatasetGeneration:
     def test_synthesized_sample_is_valid(self):
         spec = DatasetSpec(instances=1, n_frames=4, noise_sigma=0.5)
         row = dataset_plan(spec, rng_seed=2)[0]
-        cube = synthesize_sample(spec, row)
-        cube.validate()
-        assert cube.samples.shape == (4, 128, 112, 1)
+        cube = synthesize_sample(spec, row, CFG)
+        assert cube.shape == (4, 128, 112, 1) and cube.dtype == np.complex128
+        assert np.all(np.isfinite(cube))
 
 
 # sha256 of each class's `write_cube` bytes for GOLDEN_SPEC at seed 3,
@@ -232,5 +225,38 @@ GOLDEN_CUBE_SHA256 = {
 @pytest.mark.parametrize("row", dataset_plan(GOLDEN_SPEC, rng_seed=3),
                          ids=lambda row: row["class_name"])
 def test_cube_bytes_match_the_golden_digest(tmp_path, row):
-    cube = synthesize_sample(GOLDEN_SPEC, row)
+    cube = synthesize_sample(GOLDEN_SPEC, row, CFG)
     assert write_cube(tmp_path / "c.rfdc", cube) == GOLDEN_CUBE_SHA256[row["class_name"]]
+
+
+# sha256 of each class's `write_rfdm` bytes for the GOLDEN_SPEC cubes above,
+# at 32 x 32 bins, under the MTI chain and the chain without MTI
+GOLDEN_RFDM_SHA256 = {
+    True: {
+        "SwipeLeft": "cd6305fe9301a4f43b16f7266cbf2094435a92312b6958f84d063a6cdc4d34a2",
+        "SwipeRight": "17c48d86105372d73c5c9b01ee0320eab19ac3ada07553347c6d31d7e7fa3e58",
+        "SwipeUp": "80ce474a5a772945b1635cb45ff653117f930f06e795c877b4eeae814488b483",
+        "SwipeDown": "0e5cdfe7cca62150b0c1188699030865a8dfaf267bfbddae1aeab465365c1b2e",
+        "Push": "601711bd96078ee3b1b28fb788adf755f47eeb4a8b60303baff9842bdb8dd27a",
+        "Pull": "cd93be196c69cb9673fc2013eef576dd7d3ff8e44a3cca62492b00a736176a1e",
+        "Circle": "1ab3ff9e9fe11444b8b7aa22059336e543b35af19a3c60f276045c37179a85f8",
+    },
+    False: {
+        "SwipeLeft": "0ea7542afa0f0e3dca6b639ae8f37c32263ba182726173e87a1e20e99805f25e",
+        "SwipeRight": "6fdf6a3c4805d3d3dc1946beeb0f929f2f621f4553b52295b3b5f31680d14c4f",
+        "SwipeUp": "4b8019a828be635101ecc08ea332aebb2e6d4def647858b3008c16f9befc06b5",
+        "SwipeDown": "191c86adf71f0b003b17731c6ce0b6bdfa147afb34ae2b0948c21470ab8335ba",
+        "Push": "18782a2883fbdf511afa51fa8694a0e31244463db012458fb6bafa4d44afbeec",
+        "Pull": "92673410a1422f74fd1a95d97af8a4d0abba8e6f9a69a5eb3260b6e4cbb26833",
+        "Circle": "f8bf421f9344eb117dfed13b0f0d37dc2fdb4474827342f66ceb02b94a9b8f92",
+    },
+}
+
+
+@pytest.mark.parametrize("mti", [True, False], ids=["mti", "no-mti"])
+@pytest.mark.parametrize("row", dataset_plan(GOLDEN_SPEC, rng_seed=3),
+                         ids=lambda row: row["class_name"])
+def test_rfdm_bytes_match_the_golden_digest(tmp_path, row, mti):
+    cube = synthesize_sample(GOLDEN_SPEC, row, CFG)
+    seq = cube_to_rfdm(cube, mti, 32, 32)
+    assert write_rfdm(tmp_path / "m.rfdm", seq) == GOLDEN_RFDM_SHA256[mti][row["class_name"]]

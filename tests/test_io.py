@@ -30,7 +30,7 @@ from rfdm.io import (
     write_rfdm,
 )
 from rfdm.model import CnnTcn, CnnTcnConfig, predict
-from rfdm.radar import DataCube, RadarConfig, synthesize_cube
+from rfdm.radar import RadarConfig, synthesize_cube
 
 CFG = RadarConfig()
 TINY = CnnTcnConfig(
@@ -46,8 +46,8 @@ class TestCubeFormat:
         p = tmp_path / "a.rfdc"
         write_cube(p, cube)
         back = read_cube(p, CFG)
-        assert np.array_equal(back.samples, cube.samples)
-        assert back.samples.shape[0] == 2
+        assert np.array_equal(back, cube)
+        assert back.shape[0] == 2
 
     def test_truncation_detected(self, tmp_path):
         cube = synthesize_cube(CFG, [], n_frames=1)
@@ -96,7 +96,7 @@ class TestCubeFormat:
     def test_samples_are_a_view_of_the_bytes_read(self, tmp_path):
         p = tmp_path / "v.rfdc"
         write_cube(p, synthesize_cube(CFG, [], n_frames=1, noise_sigma=0.1))
-        samples = read_cube(p, CFG).samples
+        samples = read_cube(p, CFG)
         assert samples.dtype == np.complex128
         assert not samples.flags.owndata and not samples.flags.writeable
 
@@ -112,39 +112,37 @@ class TestCubeFormat:
     def test_returned_digest_is_of_the_bytes_written(self, tmp_path, contiguous):
         cube = synthesize_cube(RadarConfig(n_rx=2), [linear_scatterer(2.0, 0.5)], n_frames=4,
                                noise_sigma=0.3, rng_seed=2)
-        cube.samples = cube.samples[::2] if not contiguous else cube.samples[:2]
+        cube = cube[::2] if not contiguous else cube[:2]
         p = tmp_path / "g.rfdc"
         digest = write_cube(p, cube)
         assert digest == sha256_file(p)
         want = (b"RFDC" + struct.pack("<5I", 1, 2, 128, 112, 2)
-                + np.ascontiguousarray(cube.samples).astype("<c16").tobytes()
+                + np.ascontiguousarray(cube).astype("<c16").tobytes()
                 + struct.pack("<Q", 2 * 128 * 112 * 2))
         assert p.read_bytes() == want
 
     def test_cube_counts_its_frames_from_its_samples(self, tmp_path):
-        samples = synthesize_cube(CFG, [linear_scatterer(2.0, 0.5)], n_frames=8,
-                                  noise_sigma=0.3, rng_seed=5).samples
-        cube = DataCube(config=CFG, samples=samples)
-        cube.validate()
+        cube = synthesize_cube(CFG, [linear_scatterer(2.0, 0.5)], n_frames=8,
+                               noise_sigma=0.3, rng_seed=5)
         p = tmp_path / "eight.rfdc"
         write_cube(p, cube)
-        assert np.array_equal(read_cube(p, CFG).samples, samples)
+        assert np.array_equal(read_cube(p, CFG), cube)
 
     def test_fortran_order_cube_round_trips(self, tmp_path):
         # the samples' last axis is strided, so no float64 view of them exists
-        cube = synthesize_cube(RadarConfig(n_rx=2), [linear_scatterer(2.0, 0.5)], n_frames=1,
-                               noise_sigma=0.3, rng_seed=4)
-        cube.samples = np.asfortranarray(cube.samples)
+        cfg = RadarConfig(n_rx=2)
+        cube = np.asfortranarray(synthesize_cube(cfg, [linear_scatterer(2.0, 0.5)], n_frames=1,
+                                                 noise_sigma=0.3, rng_seed=4))
         p = tmp_path / "h.rfdc"
         write_cube(p, cube)
-        assert np.array_equal(read_cube(p, cube.config).samples, cube.samples)
+        assert np.array_equal(read_cube(p, cfg), cube)
 
 
 class TestRfdmFormat:
     def test_round_trip_f32_exact(self, tmp_path):
         cube = synthesize_cube(CFG, [linear_scatterer(2.0, 2.0)], n_frames=2,
                                noise_sigma=0.1, rng_seed=3)
-        seq = cube_to_rfdm(cube)
+        seq = cube_to_rfdm(cube, True, 32, 32)
         p = tmp_path / "a.rfdm"
         write_rfdm(p, seq)
         back = read_rfdm(p)
@@ -511,10 +509,17 @@ def valid_checkpoint(loaded):
         assert not (name.endswith(".running_var") and np.any(a < 0)), name
 
 
+def valid_cube(cube):
+    """A cube of MUTATION_RADAR's chirp, sample and receiver counts, every
+    sample finite."""
+    r = MUTATION_RADAR
+    assert cube.ndim == 4 and cube.shape[1:] == (r.n_chirps, r.n_samples, r.n_rx)
+    assert np.all(np.isfinite(cube))
+
+
 # file name -> (reader, check that what it returned is valid, payload value format)
 READERS = {
-    "a.rfdc": (functools.partial(read_cube, config=MUTATION_RADAR), lambda cube: cube.validate(),
-               "<d"),
+    "a.rfdc": (functools.partial(read_cube, config=MUTATION_RADAR), valid_cube, "<d"),
     "a.rfdm": (read_rfdm, lambda seq: seq.validate(), "<f"),
     "m.rfnn": (load_checkpoint, valid_checkpoint, "<d"),
 }

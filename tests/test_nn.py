@@ -31,6 +31,7 @@ from rfdm.nn import (
     softmax_xent,
     window_view,
 )
+from rfdm.radar import RadarConfig
 
 
 def rng_for(seed):
@@ -461,7 +462,8 @@ def benchmark_frames(n_scenes):
     """[16 * n_scenes, 32, 32, 1] RFDM frames of the benchmark's chain: the
     first scenes of the standard spec, preprocessed without MTI."""
     spec = standard_benchmark_spec(instances=1)
-    return np.concatenate([cube_to_rfdm(synthesize_sample(spec, row), mti=False).frames
+    radar = RadarConfig()
+    return np.concatenate([cube_to_rfdm(synthesize_sample(spec, row, radar), False, 32, 32).frames
                            for row in dataset_plan(spec, 1)[:n_scenes]])[..., np.newaxis]
 
 

@@ -12,9 +12,9 @@ from rfdm.gestures import (
     make_gesture_scene,
     room_clutter,
 )
+from rfdm.io import write_cube
 from rfdm.radar import (
     C_LIGHT,
-    DataCube,
     RadarConfig,
     if_signal_sample,
     static_scatterer,
@@ -95,12 +95,12 @@ class TestIfSignal:
 class TestSynthesis:
     def test_empty_scene_is_zero(self):
         cube = synthesize_cube(CFG, [], n_frames=2, noise_sigma=0.0, rng_seed=1)
-        assert cube.samples.shape == (2, 128, 112, 1)
-        assert np.all(cube.samples == 0)
+        assert cube.shape == (2, 128, 112, 1)
+        assert np.all(cube == 0)
 
     def test_static_scene_has_no_slow_time_variation(self):
         cube = synthesize_cube(CFG, [static_scatterer(3.0)], n_frames=1)
-        chirps = cube.samples[0, :, :, 0]
+        chirps = cube[0, :, :, 0]
         assert np.array_equal(chirps, np.broadcast_to(chirps[0], chirps.shape))
 
     def test_superposition_is_bit_exact(self):
@@ -108,15 +108,15 @@ class TestSynthesis:
         both = synthesize_cube(CFG, [a, b], n_frames=2, rng_seed=7)
         only_a = synthesize_cube(CFG, [a], n_frames=2, rng_seed=7)
         only_b = synthesize_cube(CFG, [b], n_frames=2, rng_seed=7)
-        assert np.array_equal(both.samples, only_a.samples + only_b.samples)
+        assert np.array_equal(both, only_a + only_b)
 
     def test_determinism_same_seed_same_bytes(self):
         scene = [linear_scatterer(4.0, -2.0)]
         c1 = synthesize_cube(CFG, scene, n_frames=2, noise_sigma=0.5, rng_seed=42)
         c2 = synthesize_cube(CFG, scene, n_frames=2, noise_sigma=0.5, rng_seed=42)
-        assert c1.samples.tobytes() == c2.samples.tobytes()
+        assert c1.tobytes() == c2.tobytes()
         c3 = synthesize_cube(CFG, scene, n_frames=2, noise_sigma=0.5, rng_seed=43)
-        assert c1.samples.tobytes() != c3.samples.tobytes()
+        assert c1.tobytes() != c3.tobytes()
 
     def test_out_of_range_scatterer_is_reported(self):
         sc = linear_scatterer(1.0, -15.0, label="runaway")
@@ -125,16 +125,19 @@ class TestSynthesis:
 
     def test_noise_statistics(self):
         cube = synthesize_cube(CFG, [], n_frames=4, noise_sigma=2.0, rng_seed=5)
-        z = cube.samples.ravel()
+        z = cube.ravel()
         # total complex std == noise_sigma
         assert abs(np.sqrt(np.mean(np.abs(z) ** 2)) - 2.0) < 0.02
 
-    def test_cube_validation(self):
+    def test_cube_validation(self, tmp_path):
+        # write_cube refuses a cube that is not 4-d or not finite
         cube = synthesize_cube(CFG, [], n_frames=1)
-        cube.validate()
-        for samples in (cube.samples[:, :10], cube.samples[0]):
-            with pytest.raises(ConfigError, match="shape"):
-                DataCube(config=CFG, samples=samples).validate()
+        write_cube(tmp_path / "c.rfdc", cube)
+        with pytest.raises(ConfigError, match=r"cube shape \(128, 112, 1\) is not"):
+            write_cube(tmp_path / "c.rfdc", cube[0])
+        cube[0, 3, 5, 0] = np.nan
+        with pytest.raises(ConfigError, match="non-finite"):
+            write_cube(tmp_path / "c.rfdc", cube)
 
 
 class TestSignalLaws:
@@ -218,8 +221,9 @@ def rounding_bound(config, moving, max_range):
 
 def _hand_scene(seed=3):
     placement = ScenePlacement(1.2, 20.0, Environment.OFFICE)
-    scene = make_gesture_scene(GestureClass.CIRCLE, placement, UserProfile(), seed, duration=0.4)
-    return scene.hand, scene.clutter
+    hand = make_gesture_scene(GestureClass.CIRCLE, placement, UserProfile(), seed, CFG,
+                              duration=0.4)
+    return hand, room_clutter(placement)
 
 
 class TestSynthesisMatchesReference:
@@ -240,7 +244,7 @@ class TestSynthesisMatchesReference:
     def test_moving_within_rounding_bound(self, moving, max_range, noise_sigma):
         got = synthesize_cube(CFG, moving, n_frames=3, noise_sigma=noise_sigma, rng_seed=11)
         want = reference_cube(CFG, moving, 3, noise_sigma, 11)
-        assert np.abs(got.samples - want).max() <= rounding_bound(CFG, moving, max_range)
+        assert np.abs(got - want).max() <= rounding_bound(CFG, moving, max_range)
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 1.0])
     def test_mixed_scene_within_rounding_bound(self, noise_sigma):
@@ -248,12 +252,12 @@ class TestSynthesisMatchesReference:
         scene = clutter[:2] + hand + clutter[2:]
         got = synthesize_cube(CFG, scene, n_frames=4, noise_sigma=noise_sigma, rng_seed=5)
         want = reference_cube(CFG, scene, 4, noise_sigma, 5)
-        assert np.abs(got.samples - want).max() <= rounding_bound(CFG, hand, 1.3)
+        assert np.abs(got - want).max() <= rounding_bound(CFG, hand, 1.3)
 
     def test_every_sixteenth_sample_is_exact(self):
         # hi[l, q] is the per-element formula at n = 16*q, and lo[l, 0] == 1
         sc = [linear_scatterer(2.0, 0.8, 0.6)]
-        got = synthesize_cube(CFG, sc, n_frames=2).samples
+        got = synthesize_cube(CFG, sc, n_frames=2)
         want = reference_cube(CFG, sc, 2)
         assert np.array_equal(got[:, :, ::16], want[:, :, ::16])
 
@@ -261,13 +265,13 @@ class TestSynthesisMatchesReference:
     def test_noise_only_cube_is_bit_exact(self, n_rx):
         cfg = RadarConfig(n_rx=n_rx)
         got = synthesize_cube(cfg, [], n_frames=3, noise_sigma=1.7, rng_seed=9)
-        assert np.array_equal(got.samples, reference_cube(cfg, [], 3, 1.7, 9))
+        assert np.array_equal(got, reference_cube(cfg, [], 3, 1.7, 9))
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
     def test_static_only_cube_is_bit_exact(self, noise_sigma):
         scene = room_clutter(ScenePlacement(0.75, 0.0, Environment.CLASSROOM))
         got = synthesize_cube(CFG, scene, n_frames=3, noise_sigma=noise_sigma, rng_seed=4)
-        assert np.array_equal(got.samples, reference_cube(CFG, scene, 3, noise_sigma, 4))
+        assert np.array_equal(got, reference_cube(CFG, scene, 3, noise_sigma, 4))
 
     def test_out_of_range_names_first_bad_chirp(self):
         # "late" leaves the range in frame 3, "early" at the first chirp of
