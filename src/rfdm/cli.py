@@ -158,7 +158,20 @@ def _load_config(path) -> dict:
         if not isinstance(user, dict):
             raise ConfigError(f"config {path}: top level must be a JSON object")
         cfg = _merge(cfg, user)
+    _check_domains(cfg)
     return cfg
+
+
+def _check_domains(cfg: dict) -> None:
+    """ConfigError naming a preprocess crop below 1 or a train.val_fraction
+    outside [0, 1), which no dataclass owns; the gen section's ranges are
+    DatasetSpec.validate's."""
+    for key in ("n_range_crop", "n_doppler_crop"):
+        if cfg["preprocess"][key] < 1:
+            raise ConfigError(f"preprocess.{key} must be >= 1, got {cfg['preprocess'][key]}")
+    if not 0 <= cfg["train"]["val_fraction"] < 1:
+        raise ConfigError(f"train.val_fraction must be in [0, 1), "
+                          f"got {cfg['train']['val_fraction']}")
 
 
 def _dataset_spec(cfg: dict) -> DatasetSpec:

@@ -243,6 +243,10 @@ class DatasetSpec:
     def validate(self) -> None:
         if self.instances < 1 or not self.users or not self.placements:
             raise ConfigError("dataset spec needs >= 1 instance, user and placement")
+        if self.n_frames < 1:
+            raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
+        if not self.noise_sigma >= 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         for u in self.users:
             u.validate()
         for p in self.placements:

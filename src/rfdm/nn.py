@@ -31,7 +31,8 @@ one slice at a time, in window-major row order, so that the pool reads and
 routes four contiguous blocks per slice; neither the conv output nor its
 gradient ever exists at full size, and its backward forms the conv's
 weight gradient from the patches' moments. See BatchNorm2d. Every slice
-loop here takes its images per slice from slice_len.
+loop here takes its images per slice from slice_len, and every BatchNorm2d
+sums its batch statistics over such slices of rows, adding the slice sums.
 
 Backward derivations are checked against central finite differences in the
 test suite (h = 1e-5, relative error <= 1e-4).
@@ -235,7 +236,10 @@ class BatchNorm2d(Layer):
     mean and 1/std, the count N*H*W and last the pool's uint8 index (None
     without a pool); eval mode applies the running stats and keeps nothing.
     Either mode maps each channel by z = a*x + b, a = gamma/std, which has
-    gamma's sign.
+    gamma's sign. The statistics come from the per-channel sum and sum of
+    squares, formed a slice of rows at a time (_add_moments): the slices of
+    backward's dx loop (_row_slices), or with a conv the slices of its
+    lowering, in window-major row order.
 
     Pooling: z is monotone in x per channel (increasing for a >= 0,
     decreasing for a < 0), and so is its rounding, fl(fl(a*x) + b). So the
@@ -261,12 +265,11 @@ class BatchNorm2d(Layer):
     channels where a < 0 negated, which negates their GEMM outputs exactly,
     and pools the product's four contiguous window blocks, writing each
     slice's maxima and index into its rows of the batch's. A train forward
-    also copies the product into spatial row order while it is in cache,
-    and adds that copy's rows and their squares to running per-channel
-    sums: the running sum goes into the slice's first row and einsum sums
-    axis 0 row by row, so with C >= 2 the statistics are the whole-batch sum
-    and einsum bit for bit (measured), and forward's outputs are those of
-    Conv2d.forward then a pooled BatchNorm2d. Backward routes dy into the
+    also sums the product's rows and their squares while it is in cache.
+    So the pool index and an eval forward's outputs are those of
+    Conv2d.forward then a pooled BatchNorm2d bit for bit; a train forward's
+    outputs differ from them at rounding level, as the slices and row order
+    of the statistics' sums differ. Backward routes dy into the
     four window blocks of one slice-sized dz buffer, a slice at a time, and
     sums the patch moments G = cols^T dz, S = cols^T cols and
     colsum = cols^T 1 over rows in window-major order. Then
@@ -303,15 +306,16 @@ class BatchNorm2d(Layer):
             raise ShapeError("BatchNorm2d train mode needs N*H*W >= 2")
         neg = self.gamma.value < 0
         if self.conv is not None:
-            out, index, s1, s2 = self._conv_pool(x, neg, train)
+            out, index, sums = self._conv_pool(x, neg, train)
         else:
             if train:
-                flat = x.reshape(-1, self.c)
-                s1, s2 = flat.sum(axis=0), np.einsum("nc,nc->c", flat, flat)
+                sums, flat = np.zeros((2, self.c)), x.reshape(-1, self.c)
+                for rows in self._row_slices(x):
+                    _add_moments(sums, flat[rows])
             out, index = (None, None) if self.pool is None else self._signed_pool(x, neg, train)
         if train:
-            mean = s1 / m_count
-            var = np.maximum(s2 / m_count - mean * mean, 0.0)
+            mean = sums[0] / m_count
+            var = np.maximum(sums[1] / m_count - mean * mean, 0.0)
             inv = 1.0 / np.sqrt(var + self.eps)
             self.running_mean[...] = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
@@ -338,6 +342,13 @@ class BatchNorm2d(Layer):
         slice as the conv's lowering does: Conv2d._slice_images.)"""
         return slice_len(len(x), x[0].nbytes)
 
+    def _row_slices(self, x):
+        """Slices of x's rows [N*H*W, C], _slice_images(x) images each: the
+        rows that a train forward sums at a time and backward's dx loop
+        writes at a time."""
+        step = self._slice_images(x) * x.shape[1] * x.shape[2]
+        return (slice(s, s + step) for s in range(0, x.size // x.shape[3], step))
+
     def _signed_pool(self, x, neg, train):
         """(the pool of x's window_view with the channels in neg negated, in
         place and restored once the pool has run, and in train mode the
@@ -356,41 +367,32 @@ class BatchNorm2d(Layer):
     def _conv_pool(self, x, neg, train):
         """(pooled conv output of x, negated on the channels in neg, and in
         train mode the pool's index and the conv output's per-channel sum
-        and sum of squares), a window-major lowering slice at a time into one
-        slice-sized buffer; each slice's maxima and index go straight into
-        their rows of the batch's arrays."""
+        and sum of squares as the rows of one array), a window-major
+        lowering slice at a time into one slice-sized buffer; each slice's
+        maxima and index go straight into their rows of the batch's arrays,
+        and its moments into the sums while it is in cache."""
         conv, c = self.conv, self.c
         n, h, w, _ = x.shape
         sign = np.where(neg, -1.0, 1.0)
         wmat = conv.w.value.reshape(-1, c) * sign
-        # the slice buffers are made before the batch's output and its one
+        # the slice buffer is made before the batch's output and its one
         # index array: made after them, or with an index array per slice kept
         # until backward, a LOOCV run's peak RSS read up to 5 MB higher
-        # (measured over several checkout paths, between which it moves by
-        # heap layout)
+        # (measured beside a second slice buffer, over several checkout
+        # paths, between which it moves by heap layout)
         y_buf = np.empty((conv._slice_images(x) * h * w, c))
-        spatial_buf = np.empty_like(y_buf) if train else None
         out = np.empty((n, h // 2, w // 2, c))
         index = np.empty(out.shape, np.uint8) if train else None
-        s1 = s2 = np.zeros(c)
+        sums = np.zeros((2, c))
         for imgs, cols in conv._im2col_chunks(x, window_major=True):
             y = np.matmul(cols, wmat, out=y_buf[: len(cols)])
             del cols
-            blocks = y.reshape(2, 2, -1, h // 2, w // 2, c)
-            self.pool.forward(blocks, None if index is None else index[imgs], out[imgs])
+            self.pool.forward(y.reshape(2, 2, -1, h // 2, w // 2, c),
+                              None if index is None else index[imgs], out[imgs])
             if train:
-                # the sums run over the rows in spatial order, as the
-                # whole-batch sums do, from a copy made while y is in cache;
-                # the running sum goes into its first row, which is y's
-                ys = spatial_buf[: len(y)]
-                window_view(ys.reshape(-1, h, w, c))[...] = blocks
-                ys[0] += s1
-                s1 = np.einsum("nc->c", ys)
-                ys[0] = y[0]
-                ys *= ys
-                ys[0] += s2
-                s2 = np.einsum("nc->c", ys)
-        return out, index, s1 * sign, s2
+                _add_moments(sums, y)
+        sums[0] *= sign
+        return out, index, sums
 
     def _patch_moments(self, x, index, dy):
         """(G = cols^T dz, S = cols^T cols, colsum) over the conv's
@@ -447,13 +449,21 @@ class BatchNorm2d(Layer):
         # a slice, and each value rounds as in the whole-array form. The
         # caller's dy is left as it is; the pool's routed dz is overwritten
         flat_dx, flat_x = dx.reshape(-1, self.c), x.reshape(-1, self.c)
-        step = self._slice_images(x) * x.shape[1] * x.shape[2]
-        for start in range(0, len(flat_x), step):
-            rows = slice(start, start + step)
+        for rows in self._row_slices(x):
             d = np.multiply(c1, flat_dz[rows], out=flat_dx[rows])
             d -= k * flat_x[rows]
             d -= c0
         return dx
+
+
+def _add_moments(sums, y):
+    """Adds the per-channel sum and sum of squares of y's rows [rows, C] to
+    sums[0] and sums[1]. Every BatchNorm2d forms its batch statistics so, a
+    slice of rows at a time: a slice's rows are summed by einsum, and then
+    the slice sums are added, so a sum's rounding error grows with the
+    slice's rows, not with the batch's."""
+    sums[0] += np.einsum("nc->c", y)
+    sums[1] += np.einsum("nc,nc->c", y, y)
 
 
 class LeakyReLU(Layer):
@@ -587,7 +597,7 @@ class CausalConv1d(Layer):
         _check_axis(x, 3, 2, self.c_in, "CausalConv1d input channels")
         n, t, _ = x.shape
         pad = (self.kt - 1) * self.dilation
-        xp = np.pad(x, ((0, 0), (pad, 0), (0, 0))) if pad else x
+        xp = np.pad(x, ((0, 0), (pad, 0), (0, 0)))
         out = np.broadcast_to(self.b.value, (n, t, self.c_out)).copy()
         for i in range(self.kt):
             out += xp[:, i * self.dilation : i * self.dilation + t, :] @ self.w.value[i]
@@ -605,7 +615,7 @@ class CausalConv1d(Layer):
             self.w.grad[i] += xp[:, sl, :].reshape(-1, self.c_in).T @ dym
             dxp[:, sl, :] += dy @ self.w.value[i].T
         self.b.grad += dym.sum(axis=0)
-        return dxp[:, pad:, :] if pad else dxp
+        return dxp[:, pad:, :]
 
 
 class Dropout(Layer):

@@ -16,8 +16,8 @@ evaluated per chirp (stop-and-go): range is frozen within one chirp.
 [frame, chirp, sample, rx] array, whose shape carries the frame, chirp,
 sample and receiver counts. It evaluates each trajectory once on the
 [frame, chirp] slow-time grid. A scatterer that is static within a frame
-costs one row of n_samples exponentials, and one static over the whole cube
-one row for all its frames. For a moving one, fast-time sample n = 16*q + m
+costs one row of n_samples exponentials for that frame. For a moving one,
+fast-time sample n = 16*q + m
 of chirp l is the product
 
     hi[l, q] = A * exp(j * 2*pi*(k*t_d[l]*(16*q/f_s) + f_c*t_d[l]))
@@ -181,13 +181,10 @@ def synthesize_cube(
         """One chirp's n_samples of a scatterer at the fixed delay t_d."""
         return sc.amplitude * np.exp(1j * two_pi * (config.slope * t_d * t_fast + config.f_c * t_d))
 
-    # per scatterer: the round-trip delay [s] on the [frame, chirp] grid,
-    # whether it is static within each frame, and for one static over the
-    # whole scene, the chirp row that serves every frame
+    # per scatterer: the round-trip delay [s] on the [frame, chirp] grid and
+    # whether it is static within each frame
     delays = [2.0 * r / C_LIGHT for r in ranges]
     still = [np.ptp(r, axis=1) == 0.0 for r in ranges]
-    fixed = [chirp_row(sc, t_d[0, 0]) if np.ptp(r) == 0.0 else None
-             for sc, r, t_d in zip(scene, ranges, delays)]
 
     cube = np.zeros((n_frames, n_c, n_s, n_rx), dtype=np.complex128)
     if noise_sigma > 0.0:
@@ -195,12 +192,10 @@ def synthesize_cube(
         scale = noise_sigma / np.sqrt(2.0)
     for f in range(n_frames):
         frame_sum = np.zeros((n_c, n_s), dtype=np.complex128)
-        for sc, t_d, static, row in zip(scene, delays, still, fixed):
-            if row is None and static[f]:
-                row = chirp_row(sc, t_d[f, 0])
-            if row is not None:
+        for sc, t_d, static in zip(scene, delays, still):
+            if static[f]:
                 # static within the frame: one chirp row serves all chirps
-                frame_sum += row[np.newaxis, :]
+                frame_sum += chirp_row(sc, t_d[f, 0])[np.newaxis, :]
                 continue
             # hi: the tone at n = split*q, by the per-element formula;
             # lo: m steps of the fast-time phase increment alpha

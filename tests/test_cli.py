@@ -169,6 +169,33 @@ class TestGen:
         assert "config value of the wrong type" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, doc, fragment", [
+        ("gen", {"gen": {"n_frames": 0}}, "n_frames must be >= 1, got 0"),
+        ("gen", {"gen": {"n_frames": -3}}, "n_frames must be >= 1, got -3"),
+        ("gen", {"gen": {"noise_sigma": -1.0}}, "noise_sigma must be >= 0, got -1.0"),
+        ("preprocess", {"preprocess": {"n_range_crop": 0}},
+         "preprocess.n_range_crop must be >= 1, got 0"),
+        ("preprocess", {"preprocess": {"n_doppler_crop": -5}},
+         "preprocess.n_doppler_crop must be >= 1, got -5"),
+        ("train", {"train": {"val_fraction": -0.5}},
+         "train.val_fraction must be in [0, 1), got -0.5"),
+        ("train", {"train": {"val_fraction": 1}}, "train.val_fraction must be in [0, 1), got 1"),
+        ("eval", {"train": {"val_fraction": 1.5}},
+         "train.val_fraction must be in [0, 1), got 1.5"),
+    ], ids=["frames-zero", "frames-negative", "noise-negative", "range-crop-zero",
+            "doppler-crop-negative", "val-fraction-negative", "val-fraction-one",
+            "val-fraction-above-one"])
+    def test_values_outside_their_domain_stop_before_output(self, tmp_path, capsys, command,
+                                                           doc, fragment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command != "gen":
+            args += ["--manifest", str(tmp_path / "none.json")]
+        assert main(args) == 3
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_hand_faster_than_the_doppler_span_is_placement_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"radar": {"t_pri": 700e-6},

@@ -420,6 +420,14 @@ class TestPoolBeforeActivation:
         assert [type(bn.pool) for bn in of_type(frame, BatchNorm2d)] == [MaxPool2d] * 2 \
             + [type(None)]
 
+    # Block 1 sums its batch statistics in window-major row order, the
+    # reference's BN in spatial order, so train-mode logits and the
+    # gradients of every later layer differ at rounding level. Measured over
+    # init seeds 0-31, in eps * max|value|: logits at most 43, later
+    # gradients 170 (tcn.block0.proj.b, seed 15); seeds 0-2 read at most 9.7
+    # and 18.
+    TRAIN_BOUND_EPS = 340.0
+
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_activation_before_pool(self, seed):
         # BN's affine map and LeakyReLU are monotone, so they commute with
@@ -441,13 +449,16 @@ class TestPoolBeforeActivation:
 
         new_frame, old_frame = m.frame, activation_before_pool(m.frame)
         eps = np.finfo(np.float64).eps
+
+        def close(a, b, bound):
+            return np.max(np.abs(a - b)) <= bound * eps * np.max(np.abs(b))
+
         # eval runs first: a train forward moves the BN running stats
-        for train in (False, True):
-            new, old = run(new_frame, train), run(old_frame, train)
-            assert np.array_equal(new[0], old[0])
-            assert all(np.max(np.abs(a - b)) <= BLOCK1_GRAD_BOUND_EPS * eps * np.max(np.abs(b))
-                       for a, b in zip(new[1][:3], old[1][:3]))
-            assert all(np.array_equal(a, b) for a, b in zip(new[1][3:], old[1][3:]))
+        assert np.array_equal(run(new_frame, False)[0], run(old_frame, False)[0])
+        new, old = run(new_frame, True), run(old_frame, True)
+        assert close(new[0], old[0], self.TRAIN_BOUND_EPS)
+        assert all(close(a, b, BLOCK1_GRAD_BOUND_EPS) for a, b in zip(new[1][:3], old[1][:3]))
+        assert all(close(a, b, self.TRAIN_BOUND_EPS) for a, b in zip(new[1][3:], old[1][3:]))
 
 
 FRAME_LAYOUT = [
