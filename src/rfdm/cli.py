@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dsp import cube_to_rfdm
+from .dsp import check_crop, cube_to_rfdm
 from .errors import (
     ConfigError,
     DataError,
@@ -270,8 +270,12 @@ def cmd_preprocess(args) -> int:
         raise ManifestError(f"{args.manifest}: no radar_config field")
     try:
         radar = RadarConfig(**manifest["radar_config"])
-    except TypeError as exc:  # an unknown key, or not an object
+        radar.validate()
+    except (TypeError, ConfigError) as exc:  # an unknown key, not an object, a bad value
         raise ManifestError(f"{args.manifest}: radar_config field error: {exc}") from exc
+    # the crops against the maps of these cubes, before any output exists
+    check_crop(radar.n_chirps, radar.n_samples, pp["mti"], pp["n_range_crop"],
+               pp["n_doppler_crop"])
     out = Path(args.out)
     (out / "rfdm").mkdir(parents=True, exist_ok=True)
     rows = []

@@ -168,6 +168,20 @@ def condition_rfdm(seq: RfdmSequence) -> RfdmSequence:
     return RfdmSequence(frames=out)
 
 
+def check_crop(n_chirps: int, n_samples: int, mti: bool, n_range_crop: int,
+               n_doppler_crop: int) -> tuple:
+    """(range bins, Doppler bins) of the full padded map of a cube with
+    n_chirps chirps of n_samples samples: the padded samples, and the padded
+    chirps less the 4 that MTI drops. ShapeError if a crop exceeds it."""
+    n_slow = n_chirps - 4 if mti else n_chirps
+    n_r, n_d = next_pow2(n_samples), next_pow2(n_slow)
+    if n_range_crop > n_r or n_doppler_crop > n_d:
+        raise ShapeError(
+            f"crop ({n_range_crop}, {n_doppler_crop}) exceeds map size ({n_r}, {n_d})"
+        )
+    return n_r, n_d
+
+
 def cube_to_rfdm(cube: np.ndarray, mti: bool, n_range_crop: int,
                  n_doppler_crop: int) -> RfdmSequence:
     """Full chain on a [frame, chirp, sample, rx] cube: range FFT ->
@@ -179,13 +193,7 @@ def cube_to_rfdm(cube: np.ndarray, mti: bool, n_range_crop: int,
     inside the window, so the maps arrive cropped and conditioning only
     scales them.
     """
-    _, n_chirps, n_samples, _ = cube.shape
-    n_slow = n_chirps - 4 if mti else n_chirps  # MTI drops 4 chirps
-    n_r, n_d = next_pow2(n_samples), next_pow2(n_slow)
-    if n_range_crop > n_r or n_doppler_crop > n_d:
-        raise ShapeError(
-            f"crop ({n_range_crop}, {n_doppler_crop}) exceeds map size ({n_r}, {n_d})"
-        )
+    _, n_d = check_crop(cube.shape[1], cube.shape[2], mti, n_range_crop, n_doppler_crop)
     d0 = n_d // 2 - n_doppler_crop // 2
     rc = range_compress(cube, n_range_crop)
     if mti:

@@ -30,7 +30,9 @@ they stay Conv2d layers whose BN caches their output. Three dilated causal
 temporal blocks (dilations 1/2/4, kernel 3, LeakyReLU + dropout, residual
 with 1x1 projection on channel change) run over the frame axis; the last
 time step feeds the dense head, Dense and LeakyReLU alternating and ending
-in the 7 class logits.
+in the 7 class logits. That step sees 1 + 2 * (1 + 2 + 4) = 15 frames back,
+so frame 0 of a 16-frame sequence never reaches the logits: it reaches the
+loss only through the frame CNN's batch statistics in training.
 `_forward` runs a list front to back and `_backward` runs it back to front;
 only the residual temporal blocks wire their own passes. The kernels
 (FRAME_KERNEL, TCN_KERNEL), LeakyReLU's slope of 0.01 and the class count

@@ -16,27 +16,6 @@ from rfdm.radar import C_LIGHT, Scatterer
 GRADCHECK_STEP = 1e-5
 GRADCHECK_TOL = 1e-4
 
-# A BatchNorm2d built with a conv forms the conv weight, gamma and beta
-# gradients from patch moments; the cached-input path (Conv2d.forward, a
-# pooled BatchNorm2d, Conv2d.backward) forms them from the conv output.
-# Measured over 32 draws of weights, gamma and dy (and of the inputs of the
-# "shifted" case) in TestConvFedBatchNorm's "maps" and "shifted" cases, 47
-# and 39 frames a batch, 4 frames a slice: the two differ by 11.5-44 eps *
-# max|grad| on benchmark maps and 162-648 eps on inputs whose conv outputs
-# sit at least 3 std from zero per channel; the test's own draw gives 19 and
-# 163. So the bound holds with a margin of 2.9x on the test's draw, and of
-# 0.74x over the 32: 4 "shifted" draws (500, 498, 648 and 537 eps) exceed
-# it. Each path's batch statistics now carry their own rounding error, from
-# their own slices and row order, where both paths once shared one set of
-# statistics and differed by at most 43 and 349 eps on the same draws.
-# Against an extended-precision (np.longdouble) gradient both are closer
-# than before: on the "shifted" draws the block's conv weight gradient errs
-# by 113-535 eps and the cached-input path's by up to 613, against
-# 964-5510 and up to 5402 with the shared statistics. The one-pass
-# variance's cancellation sets these figures; ROADMAP item 13's shifted
-# statistics would shrink it.
-BLOCK1_GRAD_BOUND_EPS = 480.0
-
 
 def numeric_grad(f, arr, h=GRADCHECK_STEP):
     """Central finite differences of scalar-valued f() w.r.t. arr, in place."""

@@ -8,6 +8,7 @@ import os
 import re
 import shutil
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from rfdm.errors import (
 )
 from rfdm.gestures import Environment, ScenePlacement, UserProfile
 from rfdm.io import read_manifest, read_rfdm, sha256_file, write_rfdm
+from rfdm.radar import RadarConfig
 
 SMOKE_CONFIG = {
     "gen": {
@@ -305,6 +307,28 @@ class TestPreprocess:
         assert f"{bad}: no radar_config field" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mti", [False, True], ids=["no-mti", "mti"])
+    @pytest.mark.parametrize("key", ["n_range_crop", "n_doppler_crop"])
+    def test_crop_beyond_the_map_stops_before_output(self, tmp_path, capsys, key, mti):
+        # 112 samples pad to 128 range bins; 66 chirps pad to 128 Doppler
+        # bins, or to 64 after MTI drops 4. A crop of the map's own size is
+        # accepted, one bin more is a ConfigError before <out> exists
+        radar = {**asdict(RadarConfig()), "n_chirps": 66}
+        man = tmp_path / "dataset_manifest.json"
+        man.write_text(json.dumps({"radar_config": radar, "samples": []}))
+        size = {"n_range_crop": 128, "n_doppler_crop": 64 if mti else 128}
+
+        def run(crop, out):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"preprocess": {"mti": mti, key: crop}}))
+            return main(["preprocess", "--config", str(cfg), "--manifest", str(man),
+                         "--out", str(out)])
+
+        assert run(size[key], tmp_path / "fits") == 0
+        assert run(size[key] + 1, tmp_path / "out") == 3
+        assert f"exceeds map size (128, {64 if mti else 128})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_hash_mismatch_detected(self, smoke, tmp_path):
         root, cfg_path, gen_dir, _ = smoke
         # copy the dataset and corrupt one cube
@@ -414,7 +438,7 @@ class TestPreprocess:
         # whether or not the MTI stage runs (MTI attenuates, DC excepted)
         from rfdm.io import write_cube, write_manifest
         from helpers import doppler_resolution, linear_scatterer
-        from rfdm.radar import RadarConfig, synthesize_cube
+        from rfdm.radar import synthesize_cube
 
         radar = RadarConfig()
         v = 3.0 * doppler_resolution(radar)

@@ -1,3 +1,8 @@
+import functools
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -212,13 +217,13 @@ GOLDEN_SPEC = DatasetSpec(
     noise_sigma=1.0,
 )
 GOLDEN_CUBE_SHA256 = {
-    "SwipeLeft": "50b8507e09d5df10b419c8886f0ad3c1e510f60fe4f962774cdc07957cdf61f0",
-    "SwipeRight": "c8e64e44e2ccb9e2c6433ab826aac07e9960ffbfd4d881ab306bc0da0f5a66ca",
-    "SwipeUp": "ffebda9a83f23cec66a0b8bb5aaf6734a8134e0078a0a798501733884cf4b84d",
-    "SwipeDown": "75da7335c89f0ed02f6b65f0625e5253d37eda9e1bbf087eefaf4fd7903e569c",
-    "Push": "47ebf7368fbc89ef78347d7a467d8ccd5544390f0996bffa663ca76fdd8f156c",
-    "Pull": "dd84ca688d2f02cf4dda980560a35d27839c3cb0fd63dfec735c0e3dc80a0f0a",
-    "Circle": "881c306c8a366c16177f1df74288f80c8c4ac5354bbbef28d86f14f83cf20015",
+    "SwipeLeft": "d179ccab425c21a6b8f341967b0f7e97d4b7fcf7264f7d120d0c812a155ef835",
+    "SwipeRight": "0142188efc1cdf1371f4333b8beb7b4cc61c3370ddb4e633b1f7143e44707e4b",
+    "SwipeUp": "e546526374456137054381629ee815025c7b5b5ecc82e103a5847913882adc7b",
+    "SwipeDown": "7aa2d14d8dd8cb38d8eae42b0f69cea362c327d7c35cf66760b96ad4ed2bcb60",
+    "Push": "ebdbe946fc11c52a9b19fd9667b847a19e5bd1aed9cbeaf8faa0df7a7eee1361",
+    "Pull": "df9b9b18e02b15866d33912deac5104721fd80f55ecbc72489434b5fda4907d3",
+    "Circle": "ca1c5feaa7b7772eb4560d30421ac42779cbca0d9bfc847b0be45a4e284a0abb",
 }
 
 
@@ -226,7 +231,8 @@ GOLDEN_CUBE_SHA256 = {
                          ids=lambda row: row["class_name"])
 def test_cube_bytes_match_the_golden_digest(tmp_path, row):
     cube = synthesize_sample(GOLDEN_SPEC, row, CFG)
-    assert write_cube(tmp_path / "c.rfdc", cube) == GOLDEN_CUBE_SHA256[row["class_name"]]
+    assert write_cube(tmp_path / "c.rfdc", cube) == GOLDEN_CUBE_SHA256[row["class_name"]], \
+        repin_message("GOLDEN_CUBE_SHA256")
 
 
 # sha256 of each class's `write_rfdm` bytes for the GOLDEN_SPEC cubes above,
@@ -235,7 +241,7 @@ GOLDEN_RFDM_SHA256 = {
     True: {
         "SwipeLeft": "cd6305fe9301a4f43b16f7266cbf2094435a92312b6958f84d063a6cdc4d34a2",
         "SwipeRight": "17c48d86105372d73c5c9b01ee0320eab19ac3ada07553347c6d31d7e7fa3e58",
-        "SwipeUp": "80ce474a5a772945b1635cb45ff653117f930f06e795c877b4eeae814488b483",
+        "SwipeUp": "63494d2117cd89a5f623680df0d81e0f0fe7b8c2d65e02276aca0090b9f66bb0",
         "SwipeDown": "0e5cdfe7cca62150b0c1188699030865a8dfaf267bfbddae1aeab465365c1b2e",
         "Push": "601711bd96078ee3b1b28fb788adf755f47eeb4a8b60303baff9842bdb8dd27a",
         "Pull": "cd93be196c69cb9673fc2013eef576dd7d3ff8e44a3cca62492b00a736176a1e",
@@ -259,4 +265,37 @@ GOLDEN_RFDM_SHA256 = {
 def test_rfdm_bytes_match_the_golden_digest(tmp_path, row, mti):
     cube = synthesize_sample(GOLDEN_SPEC, row, CFG)
     seq = cube_to_rfdm(cube, mti, 32, 32)
-    assert write_rfdm(tmp_path / "m.rfdm", seq) == GOLDEN_RFDM_SHA256[mti][row["class_name"]]
+    assert write_rfdm(tmp_path / "m.rfdm", seq) == GOLDEN_RFDM_SHA256[mti][row["class_name"]], \
+        repin_message("GOLDEN_RFDM_SHA256")
+
+
+@functools.cache
+def current_tables() -> dict:
+    """Both golden tables as the program writes them now, keyed by name."""
+    tables = {"GOLDEN_CUBE_SHA256": {}, "GOLDEN_RFDM_SHA256": {True: {}, False: {}}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for row in dataset_plan(GOLDEN_SPEC, rng_seed=3):
+            name = row["class_name"]
+            cube = synthesize_sample(GOLDEN_SPEC, row, CFG)
+            tables["GOLDEN_CUBE_SHA256"][name] = write_cube(Path(tmp) / "c.rfdc", cube)
+            for mti, table in tables["GOLDEN_RFDM_SHA256"].items():
+                table[name] = write_rfdm(Path(tmp) / "m.rfdm", cube_to_rfdm(cube, mti, 32, 32))
+    return tables
+
+
+def repin_message(name: str) -> str:
+    """The whole current table `name` as source to paste over the pinned one,
+    so that an intended re-pin is one reviewed copy."""
+
+    def lines(table, pad):
+        out = []
+        for key, value in table.items():
+            key = json.dumps(key) if isinstance(key, str) else repr(key)
+            if isinstance(value, dict):
+                out += [f"{pad}{key}: {{", *lines(value, pad + "    "), f"{pad}}},"]
+            else:
+                out.append(f"{pad}{key}: {json.dumps(value)},")
+        return out
+
+    body = "\n".join(lines(current_tables()[name], "    "))
+    return f"{name} differs from what the program writes now, which is\n{name} = {{\n{body}\n}}"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from helpers import (
-    BLOCK1_GRAD_BOUND_EPS,
     ImagePool,
     backward_state,
     check_layer_gradients,
@@ -467,6 +466,39 @@ def benchmark_frames(n_scenes):
                            for row in dataset_plan(spec, 1)[:n_scenes]])[..., np.newaxis]
 
 
+def block1_longdouble_grads(batches, dys, w, gamma, beta):
+    """np.longdouble gradients (w, gamma, beta) of block 1, a "same" conv
+    with weight w [kh, kw, 1, C], train-mode BatchNorm2d (biased batch
+    statistics, eps 1e-5) and the 2x2 max-pool, routing each window's
+    gradient to its first max, summed over the (batch, dy) pairs."""
+    ld = np.longdouble
+    kh, kw, _, c = w.shape
+    wmat, gamma, beta = w.reshape(kh * kw, c).astype(ld), gamma.astype(ld), beta.astype(ld)
+    grads = [np.zeros((kh * kw, c), ld), np.zeros(c, ld), np.zeros(c, ld)]
+    for x, dy in zip(batches, dys):
+        n, h, wd, _ = x.shape
+        xp = np.pad(x[..., 0].astype(ld), ((0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
+        cols = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+        cols = cols.reshape(-1, kh * kw)
+        y = cols @ wmat
+        mean = y.mean(axis=0)
+        inv_std = 1 / np.sqrt(np.square(y - mean).mean(axis=0) + ld(BatchNorm2d.eps))
+        xhat = (y - mean) * inv_std
+        # [n, h/2, w/2, C, 4] windows in window order (0, 0), (0, 1), (1, 0), (1, 1)
+        windows = (gamma * xhat + beta).reshape(n, h // 2, 2, wd // 2, 2, c) \
+            .transpose(0, 1, 3, 5, 2, 4).reshape(n, h // 2, wd // 2, c, 4)
+        first = windows.argmax(axis=-1)[..., np.newaxis] == np.arange(4)
+        dz = (first * dy[..., np.newaxis]).reshape(n, h // 2, wd // 2, c, 2, 2) \
+            .transpose(0, 1, 4, 2, 5, 3).reshape(-1, c)
+        dxhat = dz * gamma
+        dy_conv = inv_std * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
+        grads[0] += cols.T @ dy_conv
+        grads[1] += (dz * xhat).sum(axis=0)
+        grads[2] += dz.sum(axis=0)
+    grads[0] = grads[0].reshape(w.shape)
+    return grads
+
+
 class TestConvFedBatchNorm:
     """BatchNorm2d(pool=True, conv=conv) is the whole conv -> BN -> pool
     block, and no pass makes the conv output at full size. Its reference is
@@ -530,17 +562,32 @@ class TestConvFedBatchNorm:
     # the test's own draw reads 4.8 and 3.2, 0, 2.3 and 0.1, 216 and 235.
     TRAIN_BOUND_EPS = {"distinct": 16.0, "ties": 0.0, "maps": 16.0, "shifted": 1200.0}
 
+    # Each path's conv weight, gamma and beta gradients against
+    # block1_longdouble_grads, in eps * max|reference|, the largest over the
+    # three and both paths. Measured over the same 32 draws: 24.6
+    # ("distinct"), 21.7 ("ties"), 46.0 ("maps") and 612 ("shifted"), the
+    # cached-input path's the larger in each (the block's: 6.4, 6.1, 17.3
+    # and 535); the test's own draw reads 10.0, 8.0, 22.6 and 166. The
+    # bounds are about twice the largest. The "shifted" figures come from
+    # the one-pass variance's cancellation (ROADMAP item 13); there the two
+    # paths differ from each other by 162-648, as each path's statistics
+    # round on their own.
+    GRAD_BOUND_EPS = {"distinct": 50.0, "ties": 50.0, "maps": 100.0, "shifted": 1250.0}
+
     @pytest.mark.parametrize("kind", ["distinct", "ties", "maps", "shifted"])
     def test_equals_the_cached_input_path(self, kind):
         # pool indices bit-equal over two train steps (the second from moved
         # running stats), and an eval forward bit-equal from equal running
         # stats; train-mode values and running stats within TRAIN_BOUND_EPS,
-        # and the closed-form gradients within BLOCK1_GRAD_BOUND_EPS
+        # and each path's gradients within GRAD_BOUND_EPS of an
+        # extended-precision reference
         rng = rng_for(30)
         batches, weights = self.batches(kind, rng)
         bn, ref_conv, ref = self.block(rng, weights=weights)
+        start = [p.value.copy() for p in bn.params()]
         eps = np.finfo(np.float64).eps
         bound = self.TRAIN_BOUND_EPS[kind] * eps
+        dys = []
         for x in batches:
             y = ref_conv.forward(x, train=True)
             if kind == "shifted":
@@ -548,12 +595,16 @@ class TestConvFedBatchNorm:
             want = ref.forward(y, train=True)
             assert np.max(np.abs(bn.forward(x, train=True) - want)) <= bound * np.max(np.abs(want))
             assert np.array_equal(bn._cache[-1], ref._cache[-1])
-            dy = rng.standard_normal(want.shape)
-            assert bn.backward(dy) is None and backward_state(bn) == []
-            ref_conv.backward(ref.backward(dy))
-        for a, b in zip(bn.params(), ref_conv.params() + ref.params()):
-            assert np.max(np.abs(a.grad - b.grad)) <= \
-                BLOCK1_GRAD_BOUND_EPS * eps * np.max(np.abs(b.grad)), a.name
+            dys.append(rng.standard_normal(want.shape))
+            assert bn.backward(dys[-1]) is None and backward_state(bn) == []
+            ref_conv.backward(ref.backward(dys[-1]))
+        # the reference needs a wider mantissa than float64 (64 bits on x86-64)
+        if np.finfo(np.longdouble).nmant >= 63:
+            grads = block1_longdouble_grads(batches, dys, *start)
+            for path in (bn.params(), ref_conv.params() + ref.params()):
+                for p, g in zip(path, grads):
+                    assert np.max(np.abs(p.grad - g)) <= \
+                        self.GRAD_BOUND_EPS[kind] * eps * np.max(np.abs(g)), p.name
         (_, mean), (_, var) = bn.buffers()
         (_, want_mean), (_, want_var) = ref.buffers()
         assert np.max(np.abs(mean - want_mean)) <= bound * np.max(np.sqrt(want_var))

@@ -9,8 +9,11 @@ from rfdm.gestures import (
     GestureClass,
     ScenePlacement,
     UserProfile,
+    dataset_plan,
     make_gesture_scene,
     room_clutter,
+    standard_benchmark_spec,
+    synthesize_sample,
 )
 from rfdm.io import write_cube
 from rfdm.radar import (
@@ -252,6 +255,40 @@ class TestSynthesisMatchesReference:
         scene = clutter[:2] + hand + clutter[2:]
         got = synthesize_cube(CFG, scene, n_frames=4, noise_sigma=noise_sigma, rng_seed=5)
         want = reference_cube(CFG, scene, 4, noise_sigma, 5)
+        assert np.abs(got - want).max() <= rounding_bound(CFG, hand, 1.3)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 1.0])
+    def test_hand_static_in_some_frames_within_rounding_bound(self, noise_sigma):
+        # a jitter-free hand holds still outside the gesture's active window,
+        # at one range before it and another after, so its frames take the
+        # static rows (summed with the room's) or the moving tones
+        placement = ScenePlacement(0.75, 0.0, Environment.CLASSROOM)
+        hand = make_gesture_scene(GestureClass.PUSH, placement, UserProfile(jitter_sigma=0.0),
+                                  5, CFG, duration=16 * CFG.t_frame)
+        t_slow = np.arange(16)[:, np.newaxis] * CFG.t_frame + np.arange(CFG.n_chirps) * CFG.t_pri
+        ranges = np.stack([sc.trajectory(t_slow) for sc in hand])
+        still = np.ptp(ranges, axis=2) == 0.0
+        assert still.all(axis=0).sum() >= 4 and (~still).all(axis=0).sum() >= 4
+        assert np.unique(ranges[:, still.all(axis=0), 0], axis=1).shape[1] == 2
+        scene = hand + room_clutter(placement)
+        got = synthesize_cube(CFG, scene, n_frames=16, noise_sigma=noise_sigma, rng_seed=8)
+        want = reference_cube(CFG, scene, 16, noise_sigma, 8)
+        assert np.abs(got - want).max() <= rounding_bound(CFG, hand, ranges.max())
+
+    def test_standard_benchmark_scene_within_rounding_bound(self):
+        # one 16-frame scene of the benchmark's spec: a jittered hand (every
+        # frame moving) and the 12 clutter scatterers of the office, sigma 1
+        spec = standard_benchmark_spec(instances=1)
+        row = next(r for r in dataset_plan(spec, rng_seed=17)
+                   if r["user_id"] == 2 and r["location_id"] == 1)
+        placement = spec.placements[1]
+        hand = make_gesture_scene(GestureClass.from_name(row["class_name"]), placement,
+                                  spec.users[2], row["seed"], CFG,
+                                  duration=spec.n_frames * CFG.t_frame)
+        scene = hand + room_clutter(placement)
+        got = synthesize_sample(spec, row, CFG)
+        assert np.array_equal(got, synthesize_cube(CFG, scene, spec.n_frames, 1.0, row["seed"]))
+        want = reference_cube(CFG, scene, spec.n_frames, 1.0, row["seed"])
         assert np.abs(got - want).max() <= rounding_bound(CFG, hand, 1.3)
 
     def test_every_sixteenth_sample_is_exact(self):
