@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     SimulationError,
 )
-from .evaluate import carve_validation, make_splits, run_protocol
+from .evaluate import PROTOCOLS, carve_validation, make_splits, run_protocol
 from .gestures import (
     GESTURE_CLASSES,
     DatasetSpec,
@@ -55,7 +55,7 @@ from .io import (
     write_manifest,
     write_rfdm,
 )
-from .model import CnnTcnConfig, TrainConfig, build_model, predict, train_model
+from .model import MODEL_KINDS, CnnTcnConfig, TrainConfig, build_model, predict, train_model
 from .radar import RadarConfig
 from .seeding import child_seed, substream
 
@@ -163,15 +163,21 @@ def _load_config(path) -> dict:
 
 
 def _check_domains(cfg: dict) -> None:
-    """ConfigError naming a preprocess crop below 1 or a train.val_fraction
-    outside [0, 1), which no dataclass owns; the gen section's ranges are
-    DatasetSpec.validate's."""
+    """ConfigError naming a preprocess crop below 1, a train.val_fraction
+    outside [0, 1), or a train.model or eval.protocol that is not one of its
+    kinds, which no dataclass owns; the gen section's ranges are
+    DatasetSpec.validate's, the train section's numbers
+    TrainConfig.validate's (_train_config)."""
     for key in ("n_range_crop", "n_doppler_crop"):
         if cfg["preprocess"][key] < 1:
             raise ConfigError(f"preprocess.{key} must be >= 1, got {cfg['preprocess'][key]}")
     if not 0 <= cfg["train"]["val_fraction"] < 1:
         raise ConfigError(f"train.val_fraction must be in [0, 1), "
                           f"got {cfg['train']['val_fraction']}")
+    for section, key, kinds in (("train", "model", MODEL_KINDS), ("eval", "protocol", PROTOCOLS)):
+        if cfg[section][key] not in kinds:
+            raise ConfigError(f"{section}.{key} must be one of {', '.join(kinds)}, "
+                              f"got {cfg[section][key]!r}")
 
 
 def _dataset_spec(cfg: dict) -> DatasetSpec:
@@ -324,13 +330,16 @@ def _model_config_for(x: np.ndarray) -> CnnTcnConfig:
 
 
 def _train_config(cfg: dict, epochs, seed: int) -> TrainConfig:
-    """TrainConfig from the config's train section; an --epochs value
-    overrides it there, so the run manifest records it."""
+    """TrainConfig from the config's train section, validated before any
+    input is read; an --epochs value overrides it there, so the run
+    manifest records it."""
     tr = cfg["train"]
     if epochs is not None:
         tr["epochs"] = epochs
-    return TrainConfig(lr=float(tr["lr"]), batch_size=tr["batch_size"], epochs=tr["epochs"],
+    tcfg = TrainConfig(lr=float(tr["lr"]), batch_size=tr["batch_size"], epochs=tr["epochs"],
                        seed=seed)
+    tcfg.validate()
+    return tcfg
 
 
 def cmd_train(args) -> int:
@@ -439,15 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a classifier on an RFDM manifest")
     common(p, manifest=True)
-    p.add_argument("--model", choices=["cnn-tcn", "cnn"], help="model kind")
+    p.add_argument("--model", choices=MODEL_KINDS, help="model kind")
     p.add_argument("--epochs", type=int, help="override the configured epoch count")
     p.add_argument("--verbose", action="store_true", help="log each epoch to stderr")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="run an evaluation protocol")
     common(p, manifest=True)
-    p.add_argument("--protocol", choices=["loocv", "location", "environment", "random"])
-    p.add_argument("--model", choices=["cnn-tcn", "cnn"])
+    p.add_argument("--protocol", choices=PROTOCOLS)
+    p.add_argument("--model", choices=MODEL_KINDS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--verbose", action="store_true",
                    help="log each fold's epochs and test accuracy to stderr")

@@ -72,8 +72,10 @@ def make_splits(meta: list, kind: str, *, val_fraction: float = 0.15, seed: int 
 
     loocv: one fold per user (test = that user). location: train at
     TRAIN_LOCATION, one test fold per other location. environment: train in
-    the Classroom analog, one test fold per other environment. random: a
-    single shuffled 70/15/15-style split."""
+    the Classroom analog, one test fold per other environment. random: one
+    fold whose test set is round(0.2 * n) samples (at least 1) drawn at
+    random; the rest are train, less val_fraction of each class carved off
+    for validation."""
     if kind not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {kind!r}; expected one of {PROTOCOLS}")
     n = len(meta)

@@ -6,11 +6,12 @@ block's BN without the pool, then a pointwise map reducing the 64 channels to
 ceil(64/12) = 6) is applied with shared weights to every frame of the RFDM
 sequence; its convs have no bias, since each feeds a train-mode BN whose
 batch mean would cancel one. BatchNorm2d(pool=True) pools the conv output
-(negated on channels whose BN scale is negative) with the MaxPool2d
-kernel, which holds no state (BN keeps the window index in its own cache),
-before its per-channel affine map, and the pool comes before the
-activation, so BN's affine map and LeakyReLU run on a quarter of the cells
-and no full-size BN output exists. Both maps are monotone, and so is their
+(negated on channels whose BN scale is negative, in a slice-sized copy:
+no layer writes its input) with the MaxPool2d kernel, which holds no state
+(BN keeps the window index in its own cache), before its per-channel
+affine map, and the pool comes before the activation, so BN's affine map
+and LeakyReLU run on a quarter of the cells and no full-size BN output
+exists. Both maps are monotone, and so is their
 rounding, so this gives the outputs and gradients of the usual
 conv -> BN -> LeakyReLU -> pool order bit for bit, but for a 2x2 window
 holding two distinct values that one of the maps rounds to one double (two
@@ -120,8 +121,11 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lr < 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("lr >= 0, batch_size >= 1, epochs >= 1 required")
+        """ConfigError naming the first setting below its least value, by
+        its key in a config's train section, and the value."""
+        for key, least in (("lr", 0), ("batch_size", 1), ("epochs", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"train.{key} must be >= {least}, got {getattr(self, key)}")
 
 
 def _forward(layers, x, train):
@@ -268,6 +272,9 @@ class CnnBaseline(CnnTcn):
         """As CnnTcn.backward: parameter gradients only."""
         dmean = _backward(self.head, dlogits)
         self._frame_backward(np.repeat(dmean[:, np.newaxis, :], self._t, axis=1) / self._t)
+
+
+MODEL_KINDS = (CnnTcn.kind, CnnBaseline.kind)
 
 
 def _model_class(kind: str):

@@ -22,17 +22,19 @@ a kernel with no state over one layout, a 2x2 window's four positions as
 blocks (window_view of images, the one place that splits them into
 windows): its caller keeps the index, and its backward routes into the
 caller's buffer with one mask of a byte per value. A BatchNorm2d built
-with pool=True runs its 2x2 max-pool on its raw input, keeps the index in
-its own cache and normalizes only the pooled quarter, so it makes no
-full-size output, and its backward writes the input gradient over the
-pool's routed gradient. One built with conv=<the Conv2d feeding it> is the
-whole conv -> BN -> pool block: both of its passes run the conv's lowering
-one slice at a time, in window-major row order, so that the pool reads and
-routes four contiguous blocks per slice; neither the conv output nor its
-gradient ever exists at full size, and its backward forms the conv's
-weight gradient from the patches' moments. See BatchNorm2d. Every slice
-loop here takes its images per slice from slice_len, and every BatchNorm2d
-sums its batch statistics over such slices of rows, adding the slice sums.
+with pool=True runs its 2x2 max-pool before it normalizes, one slice of
+images at a time: each slice's four window positions, signed per channel,
+fill one slice-sized buffer as four contiguous blocks, which the pool
+reads. It keeps the index in its own cache and normalizes only the pooled
+quarter, so it makes no full-size output and never writes its input, and
+its backward writes the input gradient over the pool's routed gradient.
+One built with conv=<the Conv2d feeding it> is the whole conv -> BN ->
+pool block: its slices are the conv's lowering in window-major row order,
+in both passes, so neither the conv output nor its gradient ever exists at
+full size, and its backward forms the conv's weight gradient from the
+patches' moments. See BatchNorm2d. Every slice loop here takes its images
+per slice from slice_len, and every BatchNorm2d sums its batch statistics
+over such slices of rows, adding the slice sums.
 
 Backward derivations are checked against central finite differences in the
 test suite (h = 1e-5, relative error <= 1e-4).
@@ -223,13 +225,13 @@ class Conv2d(Layer):
 class BatchNorm2d(Layer):
     """Per-channel batch normalization over (N, H, W); eps = 1e-5. With
     pool=True the layer also applies the 2x2 max-pool that follows it (the
-    MaxPool2d kernel, `self.pool`), run on the window_view of its raw input:
-    it makes no full-size normalized map, and its backward routes dy into a
-    new input-sized dz through the window view and writes dx over it. With
-    conv, the Conv2d that feeds it (and pool=True), the layer is the whole
-    conv -> BN -> pool block: it takes the conv's input, its params() are
-    the conv's weight, gamma and beta, and the conv's output never exists
-    at full size (see the last paragraph).
+    MaxPool2d kernel, `self.pool`), run before it normalizes on the signed
+    input, a slice at a time (_pooled): it makes no full-size normalized map,
+    and its backward routes dy into a new input-sized dz through the window
+    view and writes dx over it. With conv, the Conv2d that feeds it (and
+    pool=True), the layer is the whole conv -> BN -> pool block: it takes the
+    conv's input, its params() are the conv's weight, gamma and beta, and the
+    conv's output never exists at full size (see the last paragraph).
 
     Train mode normalizes by biased batch statistics, updates running stats
     with momentum 0.9 and caches, for backward, its input, the per-channel
@@ -244,12 +246,14 @@ class BatchNorm2d(Layer):
     Pooling: z is monotone in x per channel (increasing for a >= 0,
     decreasing for a < 0), and so is its rounding, fl(fl(a*x) + b). So the
     window max of z is fl(fl(|a|*max y) + b) bit for bit, with y = x, or
-    y = -x on channels where a < 0. Forward negates those channels of its
-    input in place around the pool and then restores them, both exact, so
-    the input must be writable. The gradient goes to the first max of y in
-    each window, which is the first max of z but where two distinct inputs
-    of a window round to one z: there it goes to the larger y, not to the
-    first of the tied outputs.
+    y = -x on channels where a < 0. Forward pools y a slice of images at a
+    time: it copies each slice's window_view, times each channel's sign
+    (exact), into one slice-sized buffer as four contiguous blocks and
+    pools those, so the input is only read and the slice's copy is all it
+    makes beside the pooled output and index. The gradient goes to the
+    first max of y in each window, which is the first max of z but where
+    two distinct inputs of a window round to one z: there it goes to the
+    larger y, not to the first of the tied outputs.
 
     Backward writes the input gradient dx = c1*dz - k*x - c0 a slice of
     images at a time (see _slice_images), each value rounded as in the
@@ -261,11 +265,10 @@ class BatchNorm2d(Layer):
     With a conv (conv1 in the model: one input channel, 15 patch columns),
     both passes run over the conv's window-major im2col slices (see
     Conv2d._im2col_chunks), and the layer caches the conv's input. Forward
-    multiplies each slice by the conv weight with the columns of the
-    channels where a < 0 negated, which negates their GEMM outputs exactly,
-    and pools the product's four contiguous window blocks, writing each
-    slice's maxima and index into its rows of the batch's. A train forward
-    also sums the product's rows and their squares while it is in cache.
+    fills the slice buffer with the slice's GEMM by the conv weight with
+    the columns of the channels where a < 0 negated, which negates their
+    GEMM outputs exactly, and pools it as above. A train forward sums that
+    product's rows and their squares while it is in cache.
     So the pool index and an eval forward's outputs are those of
     Conv2d.forward then a pooled BatchNorm2d bit for bit; a train forward's
     outputs differ from them at rounding level, as the slices and row order
@@ -304,15 +307,14 @@ class BatchNorm2d(Layer):
         m_count = x.shape[0] * x.shape[1] * x.shape[2]
         if train and m_count < 2:
             raise ShapeError("BatchNorm2d train mode needs N*H*W >= 2")
-        neg = self.gamma.value < 0
-        if self.conv is not None:
-            out, index, sums = self._conv_pool(x, neg, train)
+        if self.pool is not None:
+            out, index, sums = self._pooled(x, train)
         else:
+            out = index = None
             if train:
                 sums, flat = np.zeros((2, self.c)), x.reshape(-1, self.c)
                 for rows in self._row_slices(x):
                     _add_moments(sums, flat[rows])
-            out, index = (None, None) if self.pool is None else self._signed_pool(x, neg, train)
         if train:
             mean = sums[0] / m_count
             var = np.maximum(sums[1] / m_count - mean * mean, 0.0)
@@ -337,9 +339,10 @@ class BatchNorm2d(Layer):
         return out
 
     def _slice_images(self, x):
-        """Images per slice of backward's dx loop over x: slice_len of its
-        k*x temporary's bytes per image. (With a conv, the layer's passes
-        slice as the conv's lowering does: Conv2d._slice_images.)"""
+        """Images per slice of backward's dx loop over x, and of a pooled
+        forward's: slice_len of its k*x temporary's (or the slice buffer's)
+        bytes per image. (With a conv, the layer's passes slice as the
+        conv's lowering does: Conv2d._slice_images.)"""
         return slice_len(len(x), x[0].nbytes)
 
     def _row_slices(self, x):
@@ -349,49 +352,50 @@ class BatchNorm2d(Layer):
         step = self._slice_images(x) * x.shape[1] * x.shape[2]
         return (slice(s, s + step) for s in range(0, x.size // x.shape[3], step))
 
-    def _signed_pool(self, x, neg, train):
-        """(the pool of x's window_view with the channels in neg negated, in
-        place and restored once the pool has run, and in train mode the
-        pool's index)."""
-        blocks = window_view(x)
-        index = np.empty(blocks.shape[2:], np.uint8) if train else None
-        flip = [blocks[..., c] for c in np.flatnonzero(neg)]
-        for v in flip:
-            np.negative(v, out=v)
-        try:
-            return self.pool.forward(blocks, index), index
-        finally:
-            for v in flip:
-                np.negative(v, out=v)
-
-    def _conv_pool(self, x, neg, train):
-        """(pooled conv output of x, negated on the channels in neg, and in
-        train mode the pool's index and the conv output's per-channel sum
-        and sum of squares as the rows of one array), a window-major
-        lowering slice at a time into one slice-sized buffer; each slice's
-        maxima and index go straight into their rows of the batch's arrays,
-        and its moments into the sums while it is in cache."""
+    def _pooled(self, x, train):
+        """(the pool of the signed input, and in train mode the pool's index
+        and the per-channel sum and sum of squares of what the layer
+        normalizes, as the rows of one array), one slice of images at a time
+        into one slice-sized buffer. Each slice's four window positions fill
+        the buffer as four contiguous blocks, each channel multiplied by the
+        sign of its a: with a conv, by the window-major GEMM of the slice's
+        patches with the weight columns so signed; without, by a signed
+        copy of the slice's window_view. The pool writes each slice's maxima
+        and index straight into their rows of the batch's, and a train
+        forward adds the slice's moments while it is in cache: the signed
+        GEMM output's (sums[0] then unsigned), or the slice's rows of x,
+        those of _row_slices."""
         conv, c = self.conv, self.c
         n, h, w, _ = x.shape
-        sign = np.where(neg, -1.0, 1.0)
-        wmat = conv.w.value.reshape(-1, c) * sign
+        sign = np.where(self.gamma.value < 0, -1.0, 1.0)
+        if conv is None:
+            xw, b = window_view(x), self._slice_images(x)
+            slices = ((slice(s, min(n, s + b)), None) for s in range(0, n, b))
+        else:
+            wmat, b = conv.w.value.reshape(-1, c) * sign, conv._slice_images(x)
+            slices = conv._im2col_chunks(x, window_major=True)
         # the slice buffer is made before the batch's output and its one
         # index array: made after them, or with an index array per slice kept
         # until backward, a LOOCV run's peak RSS read up to 5 MB higher
         # (measured beside a second slice buffer, over several checkout
         # paths, between which it moves by heap layout)
-        y_buf = np.empty((conv._slice_images(x) * h * w, c))
+        buf = np.empty((b * h * w, c))
         out = np.empty((n, h // 2, w // 2, c))
         index = np.empty(out.shape, np.uint8) if train else None
         sums = np.zeros((2, c))
-        for imgs, cols in conv._im2col_chunks(x, window_major=True):
-            y = np.matmul(cols, wmat, out=y_buf[: len(cols)])
-            del cols
-            self.pool.forward(y.reshape(2, 2, -1, h // 2, w // 2, c),
-                              None if index is None else index[imgs], out[imgs])
+        for imgs, cols in slices:
+            y = buf[: (imgs.stop - imgs.start) * h * w]
+            blocks = y.reshape(2, 2, -1, h // 2, w // 2, c)
+            if cols is None:
+                np.multiply(xw[:, :, imgs], sign, out=blocks)
+            else:
+                np.matmul(cols, wmat, out=y)
+                del cols
+            self.pool.forward(blocks, None if index is None else index[imgs], out[imgs])
             if train:
-                _add_moments(sums, y)
-        sums[0] *= sign
+                _add_moments(sums, x[imgs].reshape(-1, c) if conv is None else y)
+        if conv is not None:
+            sums[0] *= sign
         return out, index, sums
 
     def _patch_moments(self, x, index, dy):
@@ -509,13 +513,12 @@ _POOL_CODES = np.arange(4, dtype=np.uint8).reshape(2, 2, 1, 1, 1, 1)
 class MaxPool2d:
     """2x2 window, stride 2; gradient routes to the first max per window.
 
-    A kernel with no state, over one layout: the windows' four positions as
-    blocks [2, 2, N, H/2, W/2, C], with any strides. These are window_view(x)
-    of images x [N, H, W, C], or the four contiguous blocks of a
-    window-major GEMM output (a BatchNorm2d built with a conv pools its
-    slices so). The caller keeps what backward needs: a BatchNorm2d built
-    with pool=True holds a MaxPool2d as `self.pool` and keeps the index in
-    its own cache.
+    A kernel with no state, over one layout: the windows' four positions as blocks
+    [2, 2, N, H/2, W/2, C], with any strides. These are window_view(x) of
+    images x [N, H, W, C], or the four contiguous blocks of a pooled
+    BatchNorm2d's slice buffer, which forward reads. The caller keeps what
+    backward needs: a BatchNorm2d built with pool=True holds a MaxPool2d as
+    `self.pool` and keeps the index in its own cache.
 
     forward returns the maxima [N, H/2, W/2, C], written into `out` when
     given, and writes the uint8 code 2*i + j of each window's first max into

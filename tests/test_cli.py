@@ -678,6 +678,33 @@ class TestTrainEvalInfer:
         assert len(files) == 28
         assert {str(f): opens[os.path.realpath(f)] for f in files} == {str(f): 1 for f in files}
 
+    @pytest.mark.parametrize("command, doc, extra, fragment", [
+        ("train", {"train": {"batch_size": 0}}, [], "train.batch_size must be >= 1, got 0"),
+        ("train", {"train": {"lr": -1}}, [], "train.lr must be >= 0, got -1.0"),
+        ("eval", {"train": {"epochs": 0}}, [], "train.epochs must be >= 1, got 0"),
+        ("train", {}, ["--epochs", "0"], "train.epochs must be >= 1, got 0"),
+        ("train", {"train": {"model": "bogus"}}, [],
+         "train.model must be one of cnn-tcn, cnn, got 'bogus'"),
+        ("eval", {"eval": {"protocol": "bogus"}}, [],
+         "eval.protocol must be one of loocv, location, environment, random, got 'bogus'"),
+    ], ids=["batch-size-zero", "lr-negative", "epochs-zero", "epochs-flag-zero",
+            "unknown-model", "unknown-protocol"])
+    def test_train_settings_fail_before_any_input_is_read(self, smoke, tmp_path, capsys,
+                                                          command, doc, extra, fragment):
+        # the manifest's .rfdm files are missing, so a run that reads its
+        # input exits 5 naming the first of them
+        _, _, _, pp_dir = smoke
+        manifest = shutil.copy(pp_dir / "rfdm_manifest.json", tmp_path)
+        out = tmp_path / "out"
+        args = [command, "--manifest", str(manifest), "--out", str(out)]
+        assert main(args + ["--epochs", "1"]) == 5
+        assert "missing file" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(args + ["--config", str(cfg), *extra]) == 3
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rfdm_row_missing_class_id_is_manifest_error(self, smoke, tmp_path, capsys):
         _, _, _, pp_dir = smoke
         man = json.loads((pp_dir / "rfdm_manifest.json").read_text())

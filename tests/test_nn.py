@@ -420,14 +420,17 @@ class TestPooledBatchNorm:
     # per pooled one; x and dy exist before tracing starts.
 
     def test_train_forward_makes_no_input_sized_array(self):
-        # Measured traced peak: 5.5 MB (the pool's quarter-size maxima, one
-        # quarter-size row maximum, the index, made before the pool runs, and
-        # the pool's uint8 temporaries) with every gamma >= 0, and with one
-        # in three < 0, whose channels of x are negated in place around the
-        # pool; 5.2 MB when the pool made the index last, from its
-        # temporaries; 6.6 MB when the pool made both row maxima as
-        # temporaries; the unfused BN -> MaxPool2d peaks at 14.9 MB, as did a
-        # sign-flipped copy of x.
+        # Measured traced peak: 3.1 MB (the pool's quarter-size maxima, the
+        # index, one 0.5 MiB slice buffer holding a slice's signed windows,
+        # and the pool's temporaries over that slice) with every gamma >= 0,
+        # and the same with one in three < 0; 5.5 MB when the pool ran once
+        # over the window_view of the whole of x, whose channels with a
+        # negative gamma were negated in place around the pool, as its
+        # quarter-size row maximum and uint8 temporaries spanned the batch;
+        # 5.2 MB with that and the index made last, from its temporaries;
+        # 6.6 MB when the pool made both row maxima as temporaries; the
+        # unfused BN -> MaxPool2d peaks at 14.9 MB, as did a sign-flipped
+        # copy of x.
         rng = rng_for(5)
         x = rng.standard_normal((64, 32, 32, 16))
         kept = x.copy()
@@ -670,6 +673,87 @@ class TestConvFedBatchNorm:
         assert traced_peak(lambda: bn.backward(dy)) < 128 * 32 * 32 * 16 * 8
 
 
+class TestPooledSliceLoop:
+    """Both pooled BatchNorm2d modes run one slice loop: each slice's four
+    window positions, signed per channel, fill one slice buffer, which the
+    pool reads. Each case runs 2 or more whole slices and a short last one,
+    with gamma of mixed signs."""
+
+    def test_pooled_bn_equals_the_unfused_twin(self):
+        # bn2's input shape at 16x16 maps, 8 images a slice; inputs 0.37
+        # apart, so no two BN outputs of a window round to one double:
+        # outputs, pool indices, gradients and running stats are bit-equal
+        # over two train steps (the second from moved running stats), and
+        # an eval forward after them
+        rng = rng_for(40)
+        bn = pooled_bn(rng.uniform(0.5, 1.5, 32) * np.resize((1.0, -1.0, 1.0), 32),
+                       rng.standard_normal(32))
+        twin, pool = unfused(bn)
+        per_slice = bn._slice_images(probe(19, 16, 16, 32))
+        assert 19 // per_slice == 2 and 19 % per_slice
+        for _ in range(2):
+            x = spaced_values(rng, (19, 16, 16, 32))
+            dy = rng.standard_normal((19, 8, 8, 32))
+            assert np.array_equal(bn.forward(x, train=True),
+                                  pool.forward(twin.forward(x, train=True), train=True))
+            assert np.array_equal(bn._cache[-1], pool.index)
+            assert np.array_equal(bn.backward(dy), twin.backward(pool.backward(dy)))
+        for a, b in zip(bn.params(), twin.params()):
+            assert np.array_equal(a.grad, b.grad)
+        for (_, a), (_, b) in zip(bn.buffers(), twin.buffers()):
+            assert np.array_equal(a, b)
+        x = spaced_values(rng, (11, 16, 16, 32))
+        assert np.array_equal(bn.forward(x), pool.forward(twin.forward(x)))
+
+    def test_block1_equals_its_sign_folded_twin(self):
+        # A block whose conv weight columns and gamma are negated on the
+        # channels where gamma < 0 has every sign +1, the same signed GEMM
+        # outputs and so the same pool: its outputs and pool indices are the
+        # block's bit for bit, and its running mean and its gradients of
+        # those weight columns and gammas are the block's negated, exactly
+        rng = rng_for(41)
+        bn, _, _ = TestConvFedBatchNorm().block(rng)
+        flip = np.sign(bn.gamma.value)
+        assert set(flip) == {-1.0, 1.0}
+        twin = BatchNorm2d(16, pool=True, conv=Conv2d(1, 16, 3, 5, rng=rng))
+        twin.conv.w.value[...] = bn.conv.w.value * flip
+        twin.gamma.value[...] = bn.gamma.value * flip
+        twin.beta.value[...] = bn.beta.value
+        per_slice = bn.conv._slice_images(probe(1, 32, 32, 1))
+        n = 2 * per_slice + per_slice // 2
+        for _ in range(2):
+            x = rng.standard_normal((n, 32, 32, 1))
+            dy = rng.standard_normal((n, 16, 16, 16))
+            assert np.array_equal(bn.forward(x, train=True), twin.forward(x, train=True))
+            assert np.array_equal(bn._cache[-1], twin._cache[-1])
+            bn.backward(dy)
+            twin.backward(dy)
+        signs = (flip, flip, np.ones(16))  # conv weight, gamma, beta
+        for mine, its, sign in zip(bn.params(), twin.params(), signs):
+            assert np.array_equal(mine.grad, its.grad * sign), mine.name
+        assert np.array_equal(bn.running_mean, twin.running_mean * flip)
+        assert np.array_equal(bn.running_var, twin.running_var)
+        assert np.array_equal(bn.forward(x), twin.forward(x))
+
+    @pytest.mark.parametrize("mode", ["pooled", "conv-fed"])
+    def test_forward_only_reads_its_input(self, mode):
+        # a read-only input and one gamma negative: a train and an eval
+        # forward run and leave the input's bytes as they were
+        rng = rng_for(42)
+        gamma = (0.8, -1.3, 0.5)
+        if mode == "pooled":
+            bn, x = pooled_bn(gamma, rng.standard_normal(3)), rng.standard_normal((5, 8, 8, 3))
+        else:
+            bn, _, _ = TestConvFedBatchNorm().block(rng, c=3)
+            bn.gamma.value[...] = gamma
+            x = rng.standard_normal((5, 8, 8, 1))
+        kept = x.tobytes()
+        x.flags.writeable = False
+        for train in (True, False):
+            bn.forward(x, train=train)
+            assert x.tobytes() == kept
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
                     reason="np.longdouble is no wider than float64 on this platform")
 class TestBatchStatisticsAccuracy:
@@ -764,6 +848,33 @@ class TestSliceBudget:
         assert traced_peak(lambda: bn.backward(dy)) <= self.bound(self.BLOCK1_BUDGETS)
         peak, out = self.peak_and_result(lambda: bn.forward(x))
         assert peak <= self.bound(self.BLOCK1_BUDGETS, out)
+
+    # a pooled BatchNorm2d's forward slice holds its slice buffer of signed
+    # windows (one budget) and the pool's temporaries over it; its backward
+    # routes dy into dx through one byte-per-value mask of the whole input
+    # (see TestPooledBatchNorm), then writes dx a slice of k*x at a time.
+    # Measured on bn2's input shape at 16x16 maps (19, 37 and 45 images) and
+    # on 512 channels at 8x8: 1.38-1.41 budgets beside the output and the
+    # pool index in a train forward, 1.26-1.28 in an eval forward and
+    # 0.37-0.84 beside dx and the mask in backward. The one whole-batch
+    # pool that it replaced held 2.19 and 1.66 budgets in the forwards on
+    # this test's input, growing with the batch
+    POOLED_BN_BUDGETS = 1.75
+
+    def test_pooled_bn_passes(self):
+        # bn2's input shape at 16x16 maps, 8 images a slice, one gamma in
+        # three negative
+        rng = rng_for(15)
+        bn = pooled_bn(rng.uniform(0.5, 1.5, 32) * np.resize((1.0, -1.0, 1.0), 32))
+        x = rng.standard_normal((45, 16, 16, 32))
+        assert 2 <= bn._slice_images(x) < len(x) // 4
+        peak, out = self.peak_and_result(lambda: bn.forward(x, train=True))
+        assert peak <= self.bound(self.POOLED_BN_BUDGETS, out, bn._cache[-1])
+        dy = rng_for(16).standard_normal(out.shape)
+        peak, dx = self.peak_and_result(lambda: bn.backward(dy))
+        assert peak <= self.bound(self.POOLED_BN_BUDGETS, dx) + x.size
+        peak, out = self.peak_and_result(lambda: bn.forward(x))
+        assert peak <= self.bound(self.POOLED_BN_BUDGETS, out)
 
 
 class TestLeakyReLU:

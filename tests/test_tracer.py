@@ -7,6 +7,7 @@ is."""
 
 import importlib.util
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -60,3 +61,27 @@ def test_traced_train_step_reports_every_frame_layer():
                        for i in (1, 2) for method in ("forward", "backward")}
     # installed() restores the original methods on exit
     assert not hasattr(nn.BatchNorm2d.forward, "__wrapped__")
+
+
+def test_pool_spans_nest_once_per_slice():
+    # 20 frames of 32x32 maps with bn2 at 32 channels: bn2's forward pools
+    # 8 frames a slice, so it runs 3 slices, and bn1's passes 5
+    tracer = load_tracer()
+    cfg = model.CnnTcnConfig(t_frames=10, height=32, width=32, conv_channels=(2, 32, 4))
+    m = model.CnnTcn(cfg, init_seed=0)
+    bn1, bn2 = (layer for layer in m.frame if getattr(layer, "pool", None) is not None)
+    rng = np.random.default_rng(1)
+    x, y = rng.random((2, 10, 32, 32)), np.array([0, 4])
+    t = tracer.Tracer(PACKAGE)
+    with t.installed():
+        _, _, dlogits = nn.softmax_xent(m.forward(x, train=True), y)
+        m.backward(dlogits)
+    slices = {"bn1": math.ceil(20 / bn1.conv._slice_images(np.empty((20, 32, 32, 1)))),
+              "bn2": math.ceil(20 / bn2._slice_images(np.empty((20, 16, 16, 32))))}
+    assert slices == {"bn1": 5, "bn2": 3}
+    names = [s[0] for s in t.spans]
+    parents = Counter(names[s[3]] for s in t.spans if s[0].startswith("nn.MaxPool2d."))
+    assert parents == {"nn.BatchNorm2d.frame.bn1.forward": slices["bn1"],
+                       "nn.BatchNorm2d.frame.bn1.backward": slices["bn1"],
+                       "nn.BatchNorm2d.frame.bn2.forward": slices["bn2"],
+                       "nn.BatchNorm2d.frame.bn2.backward": 1}
