@@ -76,7 +76,7 @@ EXIT_CODES = (
 
 
 def _default_config() -> dict:
-    bench = standard_benchmark_spec(instances=2)
+    bench, train = standard_benchmark_spec(instances=2), TrainConfig()
     return {
         "radar": asdict(RadarConfig()),
         "gen": {
@@ -92,9 +92,9 @@ def _default_config() -> dict:
         },
         "preprocess": {"mti": True, "n_range_crop": 32, "n_doppler_crop": 32},
         "train": {
-            "lr": 5e-4,
-            "batch_size": 32,
-            "epochs": 30,
+            "lr": train.lr,
+            "batch_size": train.batch_size,
+            "epochs": train.epochs,
             "model": "cnn-tcn",
             "val_fraction": 0.15,
         },
@@ -287,7 +287,7 @@ def cmd_preprocess(args) -> int:
     rows = []
     for row in manifest["samples"]:
         # a corrupt cube stops the job here, before rfdm_manifest.json is written
-        cube = read_cube(base / row["path"], radar, sha256=row.get("sha256"))
+        cube = read_cube(base / row["path"], radar, sha256=row["sha256"])
         seq = cube_to_rfdm(cube, mti=pp["mti"], n_range_crop=pp["n_range_crop"],
                            n_doppler_crop=pp["n_doppler_crop"])
         rel = f"rfdm/sample_{row['index']:05d}.rfdm"
@@ -314,7 +314,7 @@ def _load_rfdm_dataset(manifest_path):
         raise DataError(f"{manifest_path}: no samples")
     x = None
     for k, row in enumerate(rows):
-        frames = read_rfdm(base / row["path"], sha256=row.get("sha256")).frames
+        frames = read_rfdm(base / row["path"], sha256=row["sha256"]).frames
         if x is None:
             x = np.empty((len(rows),) + frames.shape)
         elif frames.shape != x.shape[1:]:

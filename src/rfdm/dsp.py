@@ -1,6 +1,6 @@
 """Preprocessing chain: range FFT, 4th-order MTI, Doppler FFT, RFDM conditioning.
 
-One chain, fixed: its input is the complex128 [frame, chirp, sample, rx]
+One chain, fixed: its input is the complex128 [frame, chirp, sample]
 cube array, both transforms apply a Hann window, the range crop starts at
 bin 0 (the near-field gesture zone), MTI differences along chirp axis 1,
 Doppler is centre-cropped around zero velocity, and conditioning divides by
@@ -85,7 +85,7 @@ def next_pow2(n: int) -> int:
 
 
 def range_compress(cube: np.ndarray, count: int) -> np.ndarray:
-    """Fast-time FFT per chirp: [frame][chirp][sample][rx] -> [frame][chirp][range_bin][rx].
+    """Fast-time FFT per chirp: [frame][chirp][sample] -> [frame][chirp][range_bin].
 
     The fast-time axis is Hann-windowed then zero-padded to the next power
     of two (112 -> 128 with the default config), so range bin b maps to
@@ -94,10 +94,7 @@ def range_compress(cube: np.ndarray, count: int) -> np.ndarray:
     the shape and values of every cube that `rfdm preprocess` transforms.
     """
     n_s = cube.shape[2]
-    xw = cube * np.hanning(n_s)[np.newaxis, np.newaxis, :, np.newaxis]
-    # transform along fast time: move axis to the end and back
-    y = fft(np.moveaxis(xw, 2, -1), next_pow2(n_s), count=count)
-    return np.moveaxis(y, -1, 2)
+    return fft(cube * np.hanning(n_s), next_pow2(n_s), count=count)
 
 
 def mti_filter(rc: np.ndarray) -> np.ndarray:
@@ -136,26 +133,25 @@ class RfdmSequence:
 
 
 def doppler_process(rc: np.ndarray, start: int = 0, count: int | None = None) -> RfdmSequence:
-    """Slow-time FFT per range bin: [frame][chirp][range][rx] -> RFDM sequence.
+    """Slow-time FFT per range bin: [frame][chirp][range] -> RFDM sequence.
 
     Chirp axis is Hann-windowed, zero-padded to the next power of two,
-    transformed, fftshifted and magnitude-detected; rx channels are averaged.
-    Only bins start .. start + count - 1 of the fftshifted axis are computed
-    (default: all of them).
+    transformed, fftshifted and magnitude-detected. Only bins start ..
+    start + count - 1 of the fftshifted axis are computed (default: all of
+    them).
     """
     rc = np.asarray(rc, dtype=np.complex128)
-    if rc.ndim != 4:
-        raise ShapeError(f"expected [frame][chirp][range][rx], got shape {rc.shape}")
+    if rc.ndim != 3:
+        raise ShapeError(f"expected [frame][chirp][range], got shape {rc.shape}")
     n_chirps = rc.shape[1]
     if n_chirps < 2:
         raise ShapeError("Doppler processing needs slow-time length >= 2")
-    xw = rc * np.hanning(n_chirps)[np.newaxis, :, np.newaxis, np.newaxis]
+    xw = rc * np.hanning(n_chirps)[:, np.newaxis]
     n_pad = next_pow2(n_chirps)
-    # the fftshift moves DFT bin k to n_pad // 2 + k: start there, wrapping
-    spec = fft(np.moveaxis(xw, 1, -1), n_pad, start - n_pad // 2,
-               count)                           # [frame, range, rx, doppler]
-    mag = np.abs(spec).mean(axis=2)             # average rx -> [frame, range, doppler]
-    return RfdmSequence(frames=mag)
+    # the fftshift moves DFT bin k to n_pad // 2 + k: start there, wrapping;
+    # the spectrum is [frame, range, doppler]
+    spec = fft(np.moveaxis(xw, 1, -1), n_pad, start - n_pad // 2, count)
+    return RfdmSequence(frames=np.abs(spec))
 
 
 def condition_rfdm(seq: RfdmSequence) -> RfdmSequence:
@@ -184,7 +180,7 @@ def check_crop(n_chirps: int, n_samples: int, mti: bool, n_range_crop: int,
 
 def cube_to_rfdm(cube: np.ndarray, mti: bool, n_range_crop: int,
                  n_doppler_crop: int) -> RfdmSequence:
-    """Full chain on a [frame, chirp, sample, rx] cube: range FFT ->
+    """Full chain on a [frame, chirp, sample] cube: range FFT ->
     (optional) 4th-order MTI -> Doppler FFT -> conditioning.
 
     The crop window is placed here, once, on the full padded map: range

@@ -15,7 +15,7 @@ and low-frequency positional jitter; environments contribute preset counts
 of static clutter scatterers. A scene is a plain list of scatterers:
 `make_gesture_scene` returns the hand's, `room_clutter` the room's, and
 `synthesize_sample` synthesizes the two, hand first, into the complex128
-[frame, chirp, sample, rx] cube array.
+[frame, chirp, sample] cube array.
 """
 
 import enum
@@ -279,7 +279,7 @@ def dataset_plan(spec: DatasetSpec, rng_seed: int) -> list:
 
 
 def synthesize_sample(spec: DatasetSpec, row: dict, config: RadarConfig) -> np.ndarray:
-    """The complex128 [frame, chirp, sample, rx] cube of one `dataset_plan` row."""
+    """The complex128 [frame, chirp, sample] cube of one `dataset_plan` row."""
     gesture = GestureClass.from_name(row["class_name"])
     placement = spec.placements[row["location_id"]]
     user = spec.users[row["user_id"]]

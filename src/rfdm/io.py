@@ -11,15 +11,18 @@ scale byte, the exact size the header implies and, for cubes and map
 sequences, the manifest row's digest (`sha256=`). Readers fail closed: a
 mismatch, or a payload its type rejects (a non-finite value, a negative
 map magnitude or running variance), raises IntegrityError. A cube is
-written from, and read back as, the plain complex128 [frame, chirp, sample,
-rx] array; a map sequence as an RfdmSequence. The manifest check fails a
-row that lacks a required field or holds another type, and a repeated
-`index`, with ManifestError.
+written from, and read back as, the plain complex128 [frame, chirp, sample]
+array; a map sequence as an RfdmSequence. The RFDC header keeps a fourth
+dim, the receive channel count, after the sample count: this module alone
+knows it, writes it as 1 and refuses any other value. The manifest check
+fails a row that lacks a required field (`sha256` among them) or holds
+another type, and a repeated `index`, with ManifestError.
 """
 
 import hashlib
 import json
 import math
+import re
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -91,24 +94,24 @@ def sha256_file(path) -> str:
 
 
 def write_cube(path, cube: np.ndarray) -> str:
-    """Write a [frame, chirp, sample, rx] cube as RFDC; returns the SHA-256
-    hex digest of the bytes written. A cube that is not 4-d or holds a
-    non-finite sample raises ConfigError."""
-    if cube.ndim != 4:
-        raise ConfigError(f"cube shape {cube.shape} is not [frame, chirp, sample, rx]")
+    """Write a [frame, chirp, sample] cube as RFDC, with one rx channel;
+    returns the SHA-256 hex digest of the bytes written. A cube that is not
+    3-d or holds a non-finite sample raises ConfigError."""
+    if cube.ndim != 3:
+        raise ConfigError(f"cube shape {cube.shape} is not [frame, chirp, sample]")
     if not np.all(np.isfinite(cube)):
         raise ConfigError("cube contains non-finite samples")
     # complex128 is stored as interleaved (re, im) float64 pairs; on a
     # little-endian host this is the cube's own buffer, not a copy
     x = np.ascontiguousarray(cube, dtype="<c16")
-    return _write(path, (CUBE_MAGIC, struct.pack("<5I", FORMAT_VERSION, *x.shape), x,
+    return _write(path, (CUBE_MAGIC, struct.pack("<5I", FORMAT_VERSION, *x.shape, 1), x,
                          struct.pack("<Q", x.size)))
 
 
 def read_cube(path, config: RadarConfig, *, sha256=None) -> np.ndarray:
-    """An RFDC file's complex128 [frame, chirp, sample, rx] cube, a read-only
-    view of the bytes read. A cube whose chirp, sample or receiver count
-    differs from `config` raises IntegrityError."""
+    """An RFDC file's complex128 [frame, chirp, sample] cube, a read-only
+    view of the bytes read. A cube whose chirp or sample count differs from
+    `config`, or whose rx count is not 1, raises IntegrityError."""
     data = _read_file(path, CUBE_MAGIC, "cube", 24, sha256)
     n_frames, n_chirps, n_samples, n_rx = struct.unpack_from("<4I", data, 8)
     count = n_frames * n_chirps * n_samples * n_rx
@@ -116,14 +119,14 @@ def read_cube(path, config: RadarConfig, *, sha256=None) -> np.ndarray:
     (stored,) = struct.unpack_from("<Q", data, len(data) - 8)
     if stored != count:
         raise IntegrityError(f"{path}: trailer count {stored} != header count {count}")
-    expect = (config.n_chirps, config.n_samples, config.n_rx)
+    expect = (config.n_chirps, config.n_samples, 1)
     if (n_chirps, n_samples, n_rx) != expect:
         raise IntegrityError(f"{path}: (chirps, samples, rx) {(n_chirps, n_samples, n_rx)} "
-                             f"differ from the radar config's {expect}")
+                             f"differ from the radar config's {expect} with one rx")
     samples = np.frombuffer(data, dtype="<c16", count=count, offset=24)
     if not np.all(np.isfinite(samples)):
         raise IntegrityError(f"{path}: non-finite cube samples")
-    return samples.reshape(n_frames, n_chirps, n_samples, n_rx)
+    return samples.reshape(n_frames, n_chirps, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +246,8 @@ _ROW_TYPES = {
     "index": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
     "class_id": (f"an integer in [0, {N_CLASSES})",
                  lambda v: type(v) is int and 0 <= v < N_CLASSES),
+    "sha256": ("64 lowercase hex characters",
+               lambda v: type(v) is str and re.fullmatch("[0-9a-f]{64}", v) is not None),
 }
 
 
@@ -268,15 +273,15 @@ def require_field(rows, key) -> list:
 
 
 def verify_manifest_files(manifest: dict, base_dir, fields=()) -> None:
-    """Check that every row has a `path` and each of `fields`, each of a
-    type require_field accepts, and that the file it names exists. File
-    bytes are not read here: each reader checks the row's digest on the
-    bytes it parses."""
-    base = Path(base_dir)
-    for key in fields:
-        require_field(manifest["samples"], key)
-    for rel in require_field(manifest["samples"], "path"):
-        p = base / rel
+    """Check that every row has each of `fields`, a `path` and a `sha256`,
+    each of a type require_field accepts, and that the file it names
+    exists. File bytes are not read here: each reader checks the row's
+    digest on the bytes it parses."""
+    rows = manifest["samples"]
+    for key in (*fields, "path", "sha256"):
+        require_field(rows, key)
+    for row in rows:
+        p = Path(base_dir) / row["path"]
         if not p.exists():
             raise IntegrityError(f"missing file {p}")
 

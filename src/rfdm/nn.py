@@ -228,10 +228,11 @@ class BatchNorm2d(Layer):
     MaxPool2d kernel, `self.pool`), run before it normalizes on the signed
     input, a slice at a time (_pooled): it makes no full-size normalized map,
     and its backward routes dy into a new input-sized dz through the window
-    view and writes dx over it. With conv, the Conv2d that feeds it (and
-    pool=True), the layer is the whole conv -> BN -> pool block: it takes the
-    conv's input, its params() are the conv's weight, gamma and beta, and the
-    conv's output never exists at full size (see the last paragraph).
+    view, a slice of images at a time, and writes dx over it. With conv, the
+    Conv2d that feeds it (and pool=True), the layer is the whole conv -> BN
+    -> pool block: it takes the conv's input, its params() are the conv's
+    weight, gamma and beta, and the conv's output never exists at full size
+    (see the last paragraph).
 
     Train mode normalizes by biased batch statistics, updates running stats
     with momentum 0.9 and caches, for backward, its input, the per-channel
@@ -347,8 +348,8 @@ class BatchNorm2d(Layer):
 
     def _row_slices(self, x):
         """Slices of x's rows [N*H*W, C], _slice_images(x) images each: the
-        rows that a train forward sums at a time and backward's dx loop
-        writes at a time."""
+        rows that a train forward sums at a time, and backward's pool routes
+        and dx loop writes at a time."""
         step = self._slice_images(x) * x.shape[1] * x.shape[2]
         return (slice(s, s + step) for s in range(0, x.size // x.shape[3], step))
 
@@ -420,11 +421,15 @@ class BatchNorm2d(Layer):
         x, mean, inv, m, index = self._cache
         self._cache = None
         if self.conv is None:
-            # a pool routes dy into dx, which dx's loop below then overwrites
+            # a pool routes dy into dx, which dx's loop below then overwrites;
+            # it routes one slice of images at a time, so its mask is a slice's
             dx = np.empty(x.shape)
             dz = dy if self.pool is None else dx
             if self.pool is not None:
-                self.pool.backward(index, dy, window_view(dx))
+                dxw, hw = window_view(dx), x.shape[1] * x.shape[2]
+                for rows in self._row_slices(x):
+                    imgs = slice(rows.start // hw, rows.stop // hw)
+                    self.pool.backward(index[imgs], dy[imgs], dxw[:, :, imgs])
             flat_dz = dz.reshape(-1, self.c)
             dbeta = flat_dz.sum(axis=0)
             sum_dz_x = np.einsum("nc,nc->c", flat_dz, x.reshape(-1, self.c))

@@ -12,9 +12,9 @@ so the beat frequency k*t_d encodes range and the chirp-to-chirp phase
 -pi*k*t_d^2 is negligible at short range and is dropped. Scatterers are
 evaluated per chirp (stop-and-go): range is frozen within one chirp.
 
-`synthesize_cube` returns the raw cube as a plain complex128
-[frame, chirp, sample, rx] array, whose shape carries the frame, chirp,
-sample and receiver counts. It evaluates each trajectory once on the
+`synthesize_cube` returns the raw cube of the one receive channel as a
+plain complex128 [frame, chirp, sample] array, whose shape carries the
+frame, chirp and sample counts. It evaluates each trajectory once on the
 [frame, chirp] slow-time grid. Before the frame loop, every return that is
 static within a frame is summed, in scene order, into one chirp row for
 that frame: each distinct (scatterer, delay) row of n_samples exponentials
@@ -38,12 +38,13 @@ bound it by 8 * eps * |phase| in tests/test_radar.py. Adding the static rows
 after the moving tones, not in scene order among them, moves a cube's
 samples at rounding level only: by at most 2.7e-15 over one 63-scene
 benchmark job at noise sigma 1. Noise is the same pair of standard-normal draws
-a, b per frame, drawn by one call into one buffer and scaled in place;
-scaling each part by the real sigma/sqrt(2) rounds as the complex product
-sigma/sqrt(2) * (a + j*b) does, so noise samples are bit-exact.
+a, b [chirp, sample] per frame, drawn by one call into one (2, chirp,
+sample) buffer and scaled in place; scaling each part by the real
+sigma/sqrt(2) rounds as the complex product sigma/sqrt(2) * (a + j*b) does,
+so noise samples are bit-exact.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -60,7 +61,8 @@ Trajectory = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class RadarConfig:
-    """Chirp/frame parameters of the simulated FMCW front end."""
+    """Chirp/frame parameters of the simulated FMCW front end, which has one
+    receive channel."""
 
     f_c: float = 77.144e9      # carrier frequency [Hz]
     B: float = 161.28e6        # bandwidth swept during the sampling window [Hz]
@@ -69,7 +71,6 @@ class RadarConfig:
     n_chirps: int = 128        # chirps per frame
     t_pri: float = 32.92e-6    # pulse repetition interval [s]
     t_frame: float = 100e-3    # frame period [s]
-    n_rx: int = 1              # receive channels (1..4 supported by the cube format)
 
     @property
     def t_sample(self) -> float:
@@ -96,15 +97,18 @@ class RadarConfig:
         return self.wavelength / (4.0 * self.t_pri)
 
     def validate(self) -> None:
+        for field in fields(self):  # a JSON bool would pass as 1 or 0
+            if isinstance(getattr(self, field.name), bool):
+                raise ConfigError(f"{field.name} must be a number, got a boolean")
         if not (self.f_c > 0 and self.B > 0 and self.f_s > 0):
             raise ConfigError("frequencies must be positive (f_c, B, f_s > 0)")
         if not (self.t_pri > 0 and self.t_frame > 0):
             raise ConfigError("times must be positive (t_pri, t_frame > 0)")
-        counts = (self.n_samples, self.n_chirps, self.n_rx)
+        counts = (self.n_samples, self.n_chirps)
         if not all(isinstance(v, (int, np.integer)) for v in counts):
-            raise ConfigError("counts must be integers (n_samples, n_chirps, n_rx)")
+            raise ConfigError("counts must be integers (n_samples, n_chirps)")
         if min(counts) < 1:
-            raise ConfigError("counts must be >= 1 (n_samples, n_chirps, n_rx)")
+            raise ConfigError("counts must be >= 1 (n_samples, n_chirps)")
         if self.t_sample > self.t_pri:
             raise ConfigError(
                 "sampling window exceeds PRI: n_samples/f_s = %.4g s > t_pri = %.4g s"
@@ -161,7 +165,7 @@ def synthesize_cube(
 ) -> np.ndarray:
     """Sum the IF returns of every scatterer in `scene` over an n_frames cube,
     plus circular complex Gaussian noise of total std `noise_sigma`; returns
-    the complex128 [frame, chirp, sample, rx] array.
+    the complex128 [frame, chirp, sample] array.
 
     Chirp l of frame f is evaluated at t_slow = f*t_frame + l*t_pri; the
     remainder of each frame period is idle. A frame sums its moving tones
@@ -171,7 +175,7 @@ def synthesize_cube(
     synthesis would produce identical output.
     """
     config.validate()
-    n_c, n_s, n_rx = config.n_chirps, config.n_samples, config.n_rx
+    n_c, n_s = config.n_chirps, config.n_samples
     t_fast = np.arange(n_s) / config.f_s
     two_pi = 2.0 * np.pi
     t_slow = np.arange(n_frames)[:, np.newaxis] * config.t_frame + np.arange(n_c) * config.t_pri
@@ -215,12 +219,12 @@ def synthesize_cube(
             sums[key] = total
         static_sum.append(sums[key])
 
-    cube = np.zeros((n_frames, n_c, n_s, n_rx), dtype=np.complex128)
+    cube = np.zeros((n_frames, n_c, n_s), dtype=np.complex128)
     if noise_sigma > 0.0:
-        noise = np.empty((2, n_c, n_s, n_rx))
+        noise = np.empty((2, n_c, n_s))
         scale = noise_sigma / np.sqrt(2.0)
     for f in range(n_frames):
-        frame_sum = np.zeros((n_c, n_s), dtype=np.complex128)
+        frame_sum = cube[f]  # the frame is summed where it is stored
         for sc, t_d, static in zip(scene, delays, still):
             if static[f]:
                 continue
@@ -242,15 +246,12 @@ def synthesize_cube(
             frame_sum += static_sum[f]
         if noise_sigma > 0.0:
             # Generator fills only contiguous arrays: the real and imaginary
-            # draws fill one reused buffer, in that order, and are added into
-            # the cube parts
+            # draws fill one reused buffer, in that order, and are added to
+            # the frame's parts
             substream(rng_seed, "noise", f).standard_normal(out=noise)
             noise *= scale
-            parts = cube[f].view(np.float64).reshape(n_c, n_s, n_rx, 2)
-            np.add(noise[0], frame_sum.real[:, :, np.newaxis], out=parts[..., 0])
-            np.add(noise[1], frame_sum.imag[:, :, np.newaxis], out=parts[..., 1])
-        else:
-            cube[f] = frame_sum[:, :, np.newaxis]
+            frame_sum.real += noise[0]
+            frame_sum.imag += noise[1]
 
     return cube
 

@@ -7,6 +7,7 @@ import logging
 import os
 import re
 import shutil
+import struct
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -115,8 +116,9 @@ class TestGen:
          "unknown config key 'gen.placements[0].colour'"),
         ({"gen": {"users": [{"speed_scale": 1.0}, {"height": 1.8}]}},
          "unknown config key 'gen.users[1].height'"),
+        ({"radar": {"n_rx": 1}}, "unknown config key 'radar.n_rx'"),
     ], ids=["train-key", "section", "gen-key", "non-object-section", "preprocess-window",
-            "preprocess-scale_mode", "placement-key", "user-key"])
+            "preprocess-scale_mode", "placement-key", "user-key", "radar-n_rx"])
     def test_config_keys_outside_the_defaults_are_config_errors(self, tmp_path, capsys,
                                                                 doc, fragment):
         cfg = tmp_path / "cfg.json"
@@ -380,6 +382,92 @@ class TestPreprocess:
         assert "(64, 100, 1)" in err
         assert not (out / "rfdm_manifest.json").exists()
 
+    def test_radar_config_naming_n_rx_is_manifest_error(self, smoke, tmp_path, capsys):
+        _, cfg_path, gen_dir, _ = smoke
+        man = json.loads((gen_dir / "dataset_manifest.json").read_text())
+        man["radar_config"]["n_rx"] = 1
+        for row in man["samples"]:
+            row["path"] = str(gen_dir / row["path"])
+        bad = tmp_path / "dataset_manifest.json"
+        bad.write_text(json.dumps(man))
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--config", str(cfg_path), "--manifest", str(bad),
+                     "--out", str(out)]) == 4
+        assert "radar_config field error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("f_c", True), ("n_chirps", True),
+                                              ("t_frame", False)])
+    def test_radar_config_boolean_is_manifest_error(self, smoke, tmp_path, capsys,
+                                                    field, value):
+        # a JSON bool is no number, though Python counts it as 1 or 0
+        _, cfg_path, gen_dir, _ = smoke
+        man = json.loads((gen_dir / "dataset_manifest.json").read_text())
+        man["radar_config"][field] = value
+        for row in man["samples"]:
+            row["path"] = str(gen_dir / row["path"])
+        bad = tmp_path / "dataset_manifest.json"
+        bad.write_text(json.dumps(man))
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--config", str(cfg_path), "--manifest", str(bad),
+                     "--out", str(out)]) == 4
+        assert f"{field} must be a number, got a boolean" in capsys.readouterr().err
+        assert not (out / "rfdm").exists()
+
+    def test_cube_of_two_rx_channels_is_integrity_error(self, smoke, tmp_path, capsys):
+        # a well-formed RFDC file whose header names 2 rx channels
+        _, cfg_path, gen_dir, _ = smoke
+        man = json.loads((gen_dir / "dataset_manifest.json").read_text())
+        for row in man["samples"]:
+            row["path"] = str(gen_dir / row["path"])
+        raw = Path(man["samples"][0]["path"]).read_bytes()
+        n_frames, n_chirps, n_samples, _ = struct.unpack_from("<4I", raw, 8)
+        samples = np.frombuffer(raw[24:-8], "<c16").reshape(n_frames, n_chirps, n_samples)
+        two = np.stack([samples, samples], axis=-1)
+        data = (b"RFDC" + struct.pack("<5I", 1, *two.shape) + two.tobytes()
+                + struct.pack("<Q", two.size))
+        (tmp_path / "two.rfdc").write_bytes(data)
+        man["samples"][0].update(path=str(tmp_path / "two.rfdc"),
+                                 sha256=hashlib.sha256(data).hexdigest())
+        bad = tmp_path / "dataset_manifest.json"
+        bad.write_text(json.dumps(man))
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--config", str(cfg_path), "--manifest", str(bad),
+                     "--out", str(out)]) == 5
+        assert f"two.rfdc: (chirps, samples, rx) ({n_chirps}, {n_samples}, 2)" \
+            in capsys.readouterr().err
+        assert not (out / "rfdm_manifest.json").exists()
+
+    @pytest.mark.parametrize("digest", [None, 5, "X" * 64], ids=["missing", "int", "not-hex"])
+    def test_row_without_its_digest_is_manifest_error_before_any_output(
+            self, smoke, tmp_path, capsys, digest):
+        # row 0 loses its digest and its cube a payload bit: unchecked, the
+        # corrupted cube would be read as it is
+        _, cfg_path, gen_dir, _ = smoke
+        broken = tmp_path / "broken"
+        shutil.copytree(gen_dir, broken)
+        man = json.loads((broken / "dataset_manifest.json").read_text())
+        if digest is None:
+            del man["samples"][0]["sha256"]
+        else:
+            man["samples"][0]["sha256"] = digest
+        (broken / "dataset_manifest.json").write_text(json.dumps(man))
+        victim = broken / man["samples"][0]["path"]
+        data = bytearray(victim.read_bytes())
+        data[100] ^= 0x1
+        victim.write_bytes(bytes(data))
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--config", str(cfg_path), "--seed", "7",
+                     "--manifest", str(broken / "dataset_manifest.json"),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        if digest is None:
+            assert "manifest row 0 lacks required field 'sha256'" in err
+        else:
+            assert (f"manifest row 0: sha256 must be 64 lowercase hex characters, "
+                    f"got {json.dumps(digest)}") in err
+        assert not out.exists()
+
     def test_each_cube_is_opened_once(self, smoke, tmp_path, opens):
         _, cfg_path, gen_dir, _ = smoke
         assert main(["preprocess", "--config", str(cfg_path), "--seed", "7",
@@ -444,8 +532,9 @@ class TestPreprocess:
         v = 3.0 * doppler_resolution(radar)
         cube = synthesize_cube(radar, [linear_scatterer(5.0, v)], n_frames=2)
         (tmp_path / "cubes").mkdir()
-        write_cube(tmp_path / "cubes" / "t.rfdc", cube)
-        rows = [{"index": 0, "path": "cubes/t.rfdc", "class_name": "Push", "class_id": 4,
+        digest = write_cube(tmp_path / "cubes" / "t.rfdc", cube)
+        rows = [{"index": 0, "path": "cubes/t.rfdc", "sha256": digest, "class_name": "Push",
+                 "class_id": 4,
                  "user_id": 0, "location_id": 0, "environment": "Classroom",
                  "base_range": 0.75, "azimuth_deg": 0.0, "instance": 0, "seed": 0}]
         write_manifest(tmp_path / "dataset_manifest.json", radar, rows, spec={})
@@ -703,6 +792,22 @@ class TestTrainEvalInfer:
         cfg.write_text(json.dumps(doc))
         assert main(args + ["--config", str(cfg), *extra]) == 3
         assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_rfdm_row_without_its_digest_is_manifest_error(self, smoke, tmp_path, capsys,
+                                                           command):
+        _, cfg_path, _, pp_dir = smoke
+        man = json.loads((pp_dir / "rfdm_manifest.json").read_text())
+        for row in man["samples"]:
+            row["path"] = str(pp_dir / row["path"])
+        del man["samples"][3]["sha256"]
+        bad = tmp_path / "rfdm_manifest.json"
+        bad.write_text(json.dumps(man))
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--epochs", "1",
+                     "--manifest", str(bad), "--out", str(out)]) == 4
+        assert "manifest row 3 lacks required field 'sha256'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rfdm_row_missing_class_id_is_manifest_error(self, smoke, tmp_path, capsys):

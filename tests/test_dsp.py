@@ -102,8 +102,8 @@ class TestRangeCompress:
         r = 5.0 * range_resolution(CFG)
         cube = synthesize_cube(CFG, [static_scatterer(r)], n_frames=1)
         rc = range_compress(cube, 128)
-        assert rc.shape == (1, 128, 128, 1)
-        profile = np.abs(rc[0, 0, :, 0])
+        assert rc.shape == (1, 128, 128)
+        profile = np.abs(rc[0, 0])
         assert int(np.argmax(profile)) == round(5 * 128 / 112)
 
     def test_pruned_equals_slice_of_full(self):
@@ -112,7 +112,7 @@ class TestRangeCompress:
         full = range_compress(cube, 128)
         for count in (32, 17, 8):
             pruned = range_compress(cube, count)
-            assert pruned.shape == (2, 128, count, 1)
+            assert pruned.shape == (2, 128, count)
             assert max_rel(pruned, full[:, :, :count]) < 1e-12
 
     def test_zero_cube_stays_zero(self):
@@ -124,7 +124,7 @@ class TestRangeCompress:
         cube = synthesize_cube(
             CFG, [static_scatterer(r1), static_scatterer(r2)], n_frames=1
         )
-        profile = np.abs(range_compress(cube, 128)[0, 0, :, 0])
+        profile = np.abs(range_compress(cube, 128)[0, 0])
         b1, b2 = round(8 * 128 / 112), round(40 * 128 / 112)
         # each predicted bin is a local max over a +/-3 bin neighborhood
         for b in (b1, b2):
@@ -134,13 +134,13 @@ class TestRangeCompress:
 
 class TestMti:
     def test_constant_input_annihilated(self):
-        x = np.full((1, 16, 4, 1), 3.7 + 1j)
+        x = np.full((1, 16, 4), 3.7 + 1j)
         assert np.all(mti_filter(x) == 0)
 
     def test_impulse_response_coefficients(self):
-        x = np.zeros((1, 16, 1, 1))
-        x[0, 4, 0, 0] = 1.0
-        y = mti_filter(x)[0, :, 0, 0]
+        x = np.zeros((1, 16, 1))
+        x[0, 4, 0] = 1.0
+        y = mti_filter(x)[0, :, 0]
         assert np.array_equal(y[:5], [1.0, -4.0, 6.0, -4.0, 1.0])
         assert np.all(y[5:] == 0)
 
@@ -148,17 +148,17 @@ class TestMti:
     def test_annihilates_polynomials_up_to_cubic(self, degree):
         l = np.arange(32, dtype=float)
         x = (0.3 * l) ** degree
-        y = mti_filter(x[np.newaxis, :, np.newaxis, np.newaxis])
+        y = mti_filter(x[np.newaxis, :, np.newaxis])
         assert np.max(np.abs(y)) <= 1e-9 * max(np.max(np.abs(x)), 1.0)
 
     def test_quartic_gives_constant_24(self):
         l = np.arange(32, dtype=float)
-        y = mti_filter((l ** 4)[np.newaxis, :, np.newaxis, np.newaxis])
+        y = mti_filter((l ** 4)[np.newaxis, :, np.newaxis])
         assert np.allclose(y, 24.0, rtol=1e-12)
 
     def test_short_slow_time_rejected(self):
         with pytest.raises(ShapeError, match=">= 5"):
-            mti_filter(np.zeros((1, 4, 2, 1)))
+            mti_filter(np.zeros((1, 4, 2)))
 
 
 class TestDoppler:
@@ -180,12 +180,17 @@ class TestDoppler:
 
     def test_pruned_equals_slice_of_full(self):
         rng = np.random.default_rng(6)
-        rc = rng.standard_normal((2, 124, 5, 2)) + 1j * rng.standard_normal((2, 124, 5, 2))
+        rc = rng.standard_normal((2, 124, 5)) + 1j * rng.standard_normal((2, 124, 5))
         full = doppler_process(rc).frames
         assert full.shape == (2, 5, 128)
         for start, count in [(48, 32), (0, 16), (100, 28)]:
             pruned = doppler_process(rc, start=start, count=count).frames
             assert max_rel(pruned, full[:, :, start : start + count]) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 8), (2, 8, 3, 1)])
+    def test_input_other_than_frame_chirp_range_rejected(self, shape):
+        with pytest.raises(ShapeError, match=r"expected \[frame\]\[chirp\]\[range\]"):
+            doppler_process(np.zeros(shape, dtype=complex))
 
     def test_mti_suppresses_static_clutter(self):
         clutter = [static_scatterer(r, a) for r, a in [(2.0, 1.0), (6.5, 0.5), (11.0, 0.8)]]
@@ -238,28 +243,27 @@ class TestEndToEnd:
 
 def reference_rfdm(cube, mti, n_range_crop, n_doppler_crop):
     """The whole chain with numpy.fft on the full maps: Hann window, zero-pad,
-    range FFT, MTI, Doppler FFT, fftshift, rx mean, crop and maxnorm."""
+    range FFT, MTI, Doppler FFT, fftshift, crop and maxnorm."""
     n_s = cube.shape[2]
-    rc = np.fft.fft(cube * np.hanning(n_s)[:, None], n=next_pow2(n_s), axis=2)
+    rc = np.fft.fft(cube * np.hanning(n_s), n=next_pow2(n_s), axis=2)
     if mti:
         n_c = rc.shape[1]
         rc = sum(c * rc[:, 4 - i : n_c - i] for i, c in enumerate([1, -4, 6, -4, 1]))
     n_c = rc.shape[1]
-    spec = np.fft.fft(rc * np.hanning(n_c)[:, None, None], n=next_pow2(n_c), axis=1)
-    mag = np.abs(np.fft.fftshift(spec, axes=1)).mean(axis=3).transpose(0, 2, 1)
+    spec = np.fft.fft(rc * np.hanning(n_c)[:, None], n=next_pow2(n_c), axis=1)
+    mag = np.abs(np.fft.fftshift(spec, axes=1)).transpose(0, 2, 1)
     d0 = mag.shape[2] // 2 - n_doppler_crop // 2
     crop = mag[:, :n_range_crop, d0 : d0 + n_doppler_crop]
     return crop / crop.max()
 
 
 def chain_cube(far_bin=None):
-    """Two near targets on two receivers and, with `far_bin`, a static third
-    one at that range bin, which the range crop (from bin 0) leaves out."""
-    cfg = RadarConfig(n_rx=2)
+    """Two near targets and, with `far_bin`, a static third one at that
+    range bin, which the range crop (from bin 0) leaves out."""
     targets = [linear_scatterer(1.0, 2.0), static_scatterer(3.0)]
     if far_bin is not None:
-        targets.append(static_scatterer(far_bin * cfg.max_range / next_pow2(cfg.n_samples)))
-    return synthesize_cube(cfg, targets, n_frames=2, noise_sigma=0.3, rng_seed=11)
+        targets.append(static_scatterer(far_bin * CFG.max_range / next_pow2(CFG.n_samples)))
+    return synthesize_cube(CFG, targets, n_frames=2, noise_sigma=0.3, rng_seed=11)
 
 
 class TestPrunedChain:

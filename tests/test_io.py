@@ -77,13 +77,26 @@ class TestCubeFormat:
         with pytest.raises(IntegrityError, match="trailing bytes after the cube"):
             read_cube(p, CFG)
 
-    @pytest.mark.parametrize("field", ["n_chirps", "n_samples", "n_rx"])
+    @pytest.mark.parametrize("field", ["n_chirps", "n_samples"])
     def test_dims_differing_from_the_config(self, tmp_path, field):
         p = tmp_path / "x.rfdc"
         write_cube(p, synthesize_cube(CFG, [], n_frames=1))
-        other = dataclasses.replace(CFG, **{field: getattr(CFG, field) // 2 or 2})
+        other = dataclasses.replace(CFG, **{field: getattr(CFG, field) // 2})
         with pytest.raises(IntegrityError, match=r"x\.rfdc: \(chirps, samples, rx\)"):
             read_cube(p, other)
+
+    @pytest.mark.parametrize("n_rx", [0, 2])
+    def test_rx_other_than_one_is_refused(self, tmp_path, n_rx):
+        # a well-formed file of n_rx channels: its header, samples and
+        # trailer agree, and the reader refuses it for its rx dim alone
+        x = np.ones((1, 128, 112, n_rx), dtype="<c16")
+        p = tmp_path / "rx.rfdc"
+        p.write_bytes(b"RFDC" + struct.pack("<5I", 1, *x.shape) + x.tobytes()
+                      + struct.pack("<Q", x.size))
+        with pytest.raises(IntegrityError, match=re.escape(
+                f"rx.rfdc: (chirps, samples, rx) (128, 112, {n_rx}) differ from the "
+                f"radar config's (128, 112, 1) with one rx")):
+            read_cube(p, CFG)
 
     def test_non_finite_sample(self, tmp_path):
         p = tmp_path / "n.rfdc"
@@ -110,15 +123,16 @@ class TestCubeFormat:
 
     @pytest.mark.parametrize("contiguous", [True, False])
     def test_returned_digest_is_of_the_bytes_written(self, tmp_path, contiguous):
-        cube = synthesize_cube(RadarConfig(n_rx=2), [linear_scatterer(2.0, 0.5)], n_frames=4,
+        # the header's dims are the cube's, then one rx channel
+        cube = synthesize_cube(CFG, [linear_scatterer(2.0, 0.5)], n_frames=4,
                                noise_sigma=0.3, rng_seed=2)
         cube = cube[::2] if not contiguous else cube[:2]
         p = tmp_path / "g.rfdc"
         digest = write_cube(p, cube)
         assert digest == sha256_file(p)
-        want = (b"RFDC" + struct.pack("<5I", 1, 2, 128, 112, 2)
+        want = (b"RFDC" + struct.pack("<5I", 1, 2, 128, 112, 1)
                 + np.ascontiguousarray(cube).astype("<c16").tobytes()
-                + struct.pack("<Q", 2 * 128 * 112 * 2))
+                + struct.pack("<Q", 2 * 128 * 112))
         assert p.read_bytes() == want
 
     def test_cube_counts_its_frames_from_its_samples(self, tmp_path):
@@ -130,12 +144,11 @@ class TestCubeFormat:
 
     def test_fortran_order_cube_round_trips(self, tmp_path):
         # the samples' last axis is strided, so no float64 view of them exists
-        cfg = RadarConfig(n_rx=2)
-        cube = np.asfortranarray(synthesize_cube(cfg, [linear_scatterer(2.0, 0.5)], n_frames=1,
+        cube = np.asfortranarray(synthesize_cube(CFG, [linear_scatterer(2.0, 0.5)], n_frames=1,
                                                  noise_sigma=0.3, rng_seed=4))
         p = tmp_path / "h.rfdc"
         write_cube(p, cube)
-        assert np.array_equal(read_cube(p, cfg), cube)
+        assert np.array_equal(read_cube(p, CFG), cube)
 
 
 class TestRfdmFormat:
@@ -409,7 +422,7 @@ class TestTruncationSweep:
         assert_prefixes_fail_closed(p, read_rfdm, range(p.stat().st_size))
 
     def test_strided_rfdc_prefixes(self, tmp_path):
-        cfg = RadarConfig(n_samples=16, n_chirps=8, n_rx=2)
+        cfg = RadarConfig(n_samples=16, n_chirps=8)
         p = tmp_path / "a.rfdc"
         write_cube(p, synthesize_cube(cfg, [linear_scatterer(1.0, 0.5)], n_frames=2,
                                       noise_sigma=0.1, rng_seed=1))
@@ -496,7 +509,7 @@ def mutations(raw, offset, fmt):
     )
 
 
-MUTATION_RADAR = RadarConfig(n_samples=16, n_chirps=8, n_rx=2)
+MUTATION_RADAR = RadarConfig(n_samples=16, n_chirps=8)
 
 
 def valid_checkpoint(loaded):
@@ -510,10 +523,10 @@ def valid_checkpoint(loaded):
 
 
 def valid_cube(cube):
-    """A cube of MUTATION_RADAR's chirp, sample and receiver counts, every
-    sample finite."""
+    """A cube of MUTATION_RADAR's chirp and sample counts, every sample
+    finite."""
     r = MUTATION_RADAR
-    assert cube.ndim == 4 and cube.shape[1:] == (r.n_chirps, r.n_samples, r.n_rx)
+    assert cube.ndim == 3 and cube.shape[1:] == (r.n_chirps, r.n_samples)
     assert np.all(np.isfinite(cube))
 
 
@@ -591,13 +604,17 @@ class TestManifests:
             read_cube(tmp_path / "s0.rfdc", CFG, sha256=man["samples"][0]["sha256"])
 
     def test_missing_file_and_bad_manifest(self, tmp_path):
-        write_manifest(tmp_path / "m.json", CFG, [{"path": "gone.rfdc"}], spec={})
+        write_manifest(tmp_path / "m.json", CFG, [{"path": "gone.rfdc", "sha256": "0" * 64}],
+                       spec={})
         with pytest.raises(IntegrityError, match="missing"):
             verify_manifest_files(read_manifest(tmp_path / "m.json"), tmp_path)
         with pytest.raises(ManifestError, match="row 0 lacks required field 'index'"):
             verify_manifest_files(read_manifest(tmp_path / "m.json"), tmp_path, ("index",))
         with pytest.raises(ManifestError, match="row 1 lacks required field 'path'"):
             verify_manifest_files({"samples": [{"path": "m.json"}, 3]}, tmp_path)
+        # every row names the digest its reader checks
+        with pytest.raises(ManifestError, match="row 0 lacks required field 'sha256'"):
+            verify_manifest_files({"samples": [{"path": "m.json"}]}, tmp_path)
         for doc in ("{}", '{"samples": 3}', "3"):
             (tmp_path / "bad.json").write_text(doc)
             with pytest.raises(ManifestError, match="lacks a 'samples' list"):
@@ -610,10 +627,15 @@ class TestManifests:
         ("index", 1.5, "a non-negative integer"), ("index", "a", "a non-negative integer"),
         ("index", True, "a non-negative integer"), ("index", -1, "a non-negative integer"),
         ("class_id", 7, "an integer in [0, 7)"), ("class_id", False, "an integer in [0, 7)"),
+        ("sha256", 5, "64 lowercase hex characters"),
+        ("sha256", None, "64 lowercase hex characters"),
+        ("sha256", "A" * 64, "64 lowercase hex characters"),
+        ("sha256", "0" * 63, "64 lowercase hex characters"),
+        ("sha256", "0" * 64 + "\n", "64 lowercase hex characters"),
     ])
     def test_row_field_of_another_type(self, tmp_path, field, value, want):
         # checked before any file is looked for
-        row = {"path": "gone.rfdc", "index": 0, "class_id": 0, field: value}
+        row = {"path": "gone.rfdc", "index": 0, "class_id": 0, "sha256": "0" * 64, field: value}
         with pytest.raises(ManifestError, match=re.escape(
                 f"manifest row 0: {field} must be {want}, got {json.dumps(value)}")):
             verify_manifest_files({"samples": [row]}, tmp_path, ("index", "class_id"))

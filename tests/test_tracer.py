@@ -64,8 +64,8 @@ def test_traced_train_step_reports_every_frame_layer():
 
 
 def test_pool_spans_nest_once_per_slice():
-    # 20 frames of 32x32 maps with bn2 at 32 channels: bn2's forward pools
-    # 8 frames a slice, so it runs 3 slices, and bn1's passes 5
+    # 20 frames of 32x32 maps with bn2 at 32 channels: bn2's passes pool and
+    # route 8 frames a slice, so they run 3 slices, and bn1's passes 5
     tracer = load_tracer()
     cfg = model.CnnTcnConfig(t_frames=10, height=32, width=32, conv_channels=(2, 32, 4))
     m = model.CnnTcn(cfg, init_seed=0)
@@ -84,4 +84,4 @@ def test_pool_spans_nest_once_per_slice():
     assert parents == {"nn.BatchNorm2d.frame.bn1.forward": slices["bn1"],
                        "nn.BatchNorm2d.frame.bn1.backward": slices["bn1"],
                        "nn.BatchNorm2d.frame.bn2.forward": slices["bn2"],
-                       "nn.BatchNorm2d.frame.bn2.backward": 1}
+                       "nn.BatchNorm2d.frame.bn2.backward": slices["bn2"]}
