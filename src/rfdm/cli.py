@@ -13,6 +13,7 @@ import argparse
 import datetime
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -30,7 +31,7 @@ from .errors import (
     ShapeError,
     SimulationError,
 )
-from .evaluate import PROTOCOLS, carve_validation, make_splits, run_protocol
+from .evaluate import PROTOCOLS, VAL_FRACTION, carve_validation, make_splits, run_protocol
 from .gestures import (
     GESTURE_CLASSES,
     DatasetSpec,
@@ -58,8 +59,6 @@ from .io import (
 from .model import MODEL_KINDS, CnnTcnConfig, TrainConfig, build_model, predict, train_model
 from .radar import RadarConfig
 from .seeding import child_seed, substream
-
-CLASS_NAMES = tuple(g.value for g in GESTURE_CLASSES)
 
 # exception classes -> exit code, in the order main tries them
 EXIT_CODES = (
@@ -96,7 +95,7 @@ def _default_config() -> dict:
             "batch_size": train.batch_size,
             "epochs": train.epochs,
             "model": "cnn-tcn",
-            "val_fraction": 0.15,
+            "val_fraction": VAL_FRACTION,
         },
         "eval": {"protocol": "loocv"},
     }
@@ -116,12 +115,15 @@ def _has_type_of(value, default) -> bool:
 
 
 def _check_value(name: str, value, default) -> None:
-    """ConfigError unless `value` has the JSON type of `default`. An
-    object's keys must be keys of the default, each value checked the same
-    way; each row of an array is checked against the default's first row."""
+    """ConfigError unless `value` has the JSON type of `default` and, if a
+    number, is finite (json reads NaN and Infinity). An object's keys must
+    be keys of the default, each value checked the same way; each row of an
+    array is checked against the default's first row."""
     if not _has_type_of(value, default):
         raise ConfigError(f"config value of the wrong type: {name} must be "
                           f"{_JSON_TYPES[type(default)]}, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {json.dumps(value)}")
     if isinstance(value, dict):
         for key, v in value.items():
             if key not in default:
@@ -258,7 +260,7 @@ def cmd_gen(args) -> int:
     counts = {}
     for r in rows:
         counts[r["class_name"]] = counts.get(r["class_name"], 0) + 1
-    for name in CLASS_NAMES:
+    for name in GESTURE_CLASSES:
         print(f"{name}: {counts.get(name, 0)}")
     print(f"wrote {len(rows)} cubes to {out}")
     return 0
@@ -353,7 +355,7 @@ def cmd_train(args) -> int:
                                           substream(args.seed, "train-split"),
                                           float(tr["val_fraction"]))
     model = build_model(tr["model"], _model_config_for(x), init_seed=child_seed(args.seed, "init"))
-    res = train_model(model, x, labels, train_idx, val_idx, tcfg, class_names=CLASS_NAMES)
+    res = train_model(model, x, labels, train_idx, val_idx, tcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "model.rfnn", model)
@@ -380,8 +382,7 @@ def cmd_eval(args) -> int:
     plans = make_splits(meta, protocol, val_fraction=float(tr["val_fraction"]),
                         seed=child_seed(args.seed, "splits"))
     report = run_protocol(x, labels, plans, model_kind, _model_config_for(x), tcfg,
-                          master_seed=child_seed(args.seed, "protocol"),
-                          class_names=CLASS_NAMES, workers=workers)
+                          master_seed=child_seed(args.seed, "protocol"), workers=workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
@@ -407,7 +408,7 @@ def cmd_infer(args) -> int:
         rec = {
             "path": str(path),
             "class_id": idx,
-            "class_name": CLASS_NAMES[idx],
+            "class_name": GESTURE_CLASSES[idx],
             "probs": [float(p) for p in probs],
         }
         lines.append(json.dumps(rec, sort_keys=True))

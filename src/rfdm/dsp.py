@@ -168,8 +168,12 @@ def check_crop(n_chirps: int, n_samples: int, mti: bool, n_range_crop: int,
                n_doppler_crop: int) -> tuple:
     """(range bins, Doppler bins) of the full padded map of a cube with
     n_chirps chirps of n_samples samples: the padded samples, and the padded
-    chirps less the 4 that MTI drops. ShapeError if a crop exceeds it."""
+    chirps less the 4 that MTI drops. ShapeError if fewer than 2 chirps are
+    left for the Doppler transform or a crop exceeds the map."""
     n_slow = n_chirps - 4 if mti else n_chirps
+    if n_slow < 2:
+        raise ShapeError(f"Doppler processing needs slow-time length >= 2, got {n_slow} "
+                         f"from {n_chirps} chirps (mti={'on' if mti else 'off'})")
     n_r, n_d = next_pow2(n_samples), next_pow2(n_slow)
     if n_range_crop > n_r or n_doppler_crop > n_d:
         raise ShapeError(

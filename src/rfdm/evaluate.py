@@ -3,10 +3,10 @@
 Splits are built from sample provenance metadata (user_id, location_id,
 environment). Every fold trains a fresh seeded model, selects the best
 epoch on a validation slice carved from its training samples, and counts a
-confusion matrix on the held-out samples. `run_protocol` returns the
-`report.json` document: the folds' records and their unweighted mean
-accuracy. Each line a fold logs, its training epochs included, starts with
-the fold id.
+confusion matrix on the held-out samples over the seven gesture classes of
+`gestures.GESTURE_CLASSES`. `run_protocol` returns the `report.json`
+document: the folds' records and their unweighted mean accuracy. Each line
+a fold logs, its training epochs included, starts with the fold id.
 """
 
 import logging
@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ManifestError
+from .gestures import GESTURE_CLASSES
 from .io import require_field
 from .model import CnnTcnConfig, TrainConfig, build_model, predict_classes, train_model
 from .seeding import child_seed, substream
@@ -23,6 +24,10 @@ PROTOCOLS = ("loocv", "location", "environment", "random")
 
 # the designated training position for the location-holdout protocol
 TRAIN_LOCATION = (0.75, 0.0)
+
+# the share of each class's training samples carved off for validation,
+# unless the caller (the config's train.val_fraction) sets another
+VAL_FRACTION = 0.15
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +72,8 @@ def _require(meta, key):
     return np.array(require_field(meta, key))
 
 
-def make_splits(meta: list, kind: str, *, val_fraction: float = 0.15, seed: int = 0) -> list:
+def make_splits(meta: list, kind: str, *, val_fraction: float = VAL_FRACTION,
+                seed: int = 0) -> list:
     """Build SplitPlans from per-sample metadata dicts; labels are their class_id.
 
     loocv: one fold per user (test = that user). location: train at
@@ -123,16 +129,17 @@ def make_splits(meta: list, kind: str, *, val_fraction: float = 0.15, seed: int 
     return plans
 
 
-def confusion(y_true, y_pred, class_names) -> dict:
-    """Confusion counts (rows = true class, columns = predicted), accuracy
-    and per-class recall, null for a class with no test samples."""
-    k = len(class_names)
+def confusion(y_true, y_pred) -> dict:
+    """Confusion counts over GESTURE_CLASSES (rows = true class id, columns
+    = predicted), the class names, accuracy and per-class recall, null for
+    a class with no test samples."""
+    k = len(GESTURE_CLASSES)
     flat = k * np.asarray(y_true, np.intp) + np.asarray(y_pred, np.intp)
     counts = np.bincount(flat, minlength=k * k).reshape(k, k)
     hits, row = np.diag(counts), counts.sum(axis=1)
     total = int(row.sum())
     return {
-        "class_names": list(class_names),
+        "class_names": list(GESTURE_CLASSES),
         "counts": counts.tolist(),
         "accuracy": float(hits.sum()) / total if total else float("nan"),
         "per_class_recall": [float(h / n) if n else None for h, n in zip(hits, row)],
@@ -141,8 +148,9 @@ def confusion(y_true, y_pred, class_names) -> dict:
 
 def run_protocol(x: np.ndarray, labels: np.ndarray, plans: list, model_kind: str,
                  model_cfg: CnnTcnConfig, train_cfg: TrainConfig, *, master_seed: int,
-                 class_names, workers: int = 1) -> dict:
-    """Train one fresh model per fold and return the report document.
+                 workers: int = 1) -> dict:
+    """Train one fresh model per fold and return the report document, each
+    fold's confusion over GESTURE_CLASSES.
 
     Folds are independent (fresh model, derived seed), so `workers` > 1 runs
     them on a thread pool without changing any result."""
@@ -151,9 +159,8 @@ def run_protocol(x: np.ndarray, labels: np.ndarray, plans: list, model_kind: str
         fold_seed = child_seed(master_seed, "fold", fi)
         model = build_model(model_kind, model_cfg, init_seed=fold_seed)
         res = train_model(model, x, labels, plan.train, plan.val,
-                          replace(train_cfg, seed=fold_seed), class_names=class_names,
-                          log_prefix=f"[{plan.fold_id}] ")
-        conf = confusion(labels[plan.test], predict_classes(model, x[plan.test]), class_names)
+                          replace(train_cfg, seed=fold_seed), log_prefix=f"[{plan.fold_id}] ")
+        conf = confusion(labels[plan.test], predict_classes(model, x[plan.test]))
         log.info("[%s] test accuracy %.4f", plan.fold_id, conf["accuracy"])
         return {"id": plan.fold_id, "accuracy": conf["accuracy"], "best_epoch": res.best_epoch,
                 "best_val_acc": res.best_val_acc, "train_seed": fold_seed, "confusion": conf}

@@ -1,8 +1,10 @@
 """Parametric hand-gesture scenes: labeled trajectories plus static clutter.
 
 Seven gesture classes are realized as radial range templates, since a
-range-Doppler pipeline only observes radial motion. Each template is one row
-of `_TEMPLATES`: an extent times a unit offset curve of the gesture's
+range-Doppler pipeline only observes radial motion. A class is its name:
+`GESTURE_CLASSES` holds the seven names in class-id order, the one class
+list of the package, and a name keys its template, one row of
+`_TEMPLATES`: an extent times a unit offset curve of the gesture's
 progress, added to the placement's base range and active over a centered
 sub-window of the gesture, so swipe pairs are exact time reversals of each
 other and push/pull are exact range mirrors. Tangential motions (the four
@@ -27,27 +29,6 @@ import numpy as np
 from .errors import ConfigError, PlacementError, SimulationError
 from .radar import RadarConfig, Scatterer, static_scatterer, synthesize_cube
 from .seeding import child_seed, name_key, substream
-
-
-class GestureClass(enum.Enum):
-    SWIPE_LEFT = "SwipeLeft"
-    SWIPE_RIGHT = "SwipeRight"
-    SWIPE_UP = "SwipeUp"
-    SWIPE_DOWN = "SwipeDown"
-    PUSH = "Push"
-    PULL = "Pull"
-    CIRCLE = "Circle"
-
-    @classmethod
-    def from_name(cls, name: str) -> "GestureClass":
-        try:
-            return cls(name)
-        except ValueError:
-            raise ConfigError(f"unknown gesture class {name!r}") from None
-
-
-GESTURE_CLASSES = tuple(GestureClass)
-N_CLASSES = len(GESTURE_CLASSES)
 
 
 class Environment(enum.Enum):
@@ -110,24 +91,28 @@ def _two_bursts(p):
                   + _smoothstep(np.clip(2.0 * p - 1.0, 0.0, 1.0)))
 
 
-# gesture: (extent [m], active fraction of the gesture window, tangential?,
-# unit offset curve of the progress p in [0, 1]). The offset is extent times
-# the curve; short active windows keep peak radial speeds in the 0.5..1.2 m/s
-# band, a few Doppler bins at the reference chirp timing.
+# gesture name: (extent [m], active fraction of the gesture window,
+# tangential?, unit offset curve of the progress p in [0, 1]); the row order
+# is the class-id order. The offset is extent times the curve; short active windows keep peak
+# radial speeds in the 0.5..1.2 m/s band, a few Doppler bins at the reference
+# chirp timing.
 _TEMPLATES = {
-    GestureClass.SWIPE_LEFT: (0.10, 0.35, True, lambda p: np.sin(2 * np.pi * p)),
-    GestureClass.SWIPE_RIGHT: (0.10, 0.35, True, lambda p: -np.sin(2 * np.pi * p)),
+    "SwipeLeft": (0.10, 0.35, True, lambda p: np.sin(2 * np.pi * p)),
+    "SwipeRight": (0.10, 0.35, True, lambda p: -np.sin(2 * np.pi * p)),
     # one slow smooth drift toward the radar; the same drift away in two bursts
-    GestureClass.SWIPE_UP: (0.05, 0.5, True, lambda p: -_smoothstep(p)),
-    GestureClass.SWIPE_DOWN: (0.05, 0.5, True, _two_bursts),
-    GestureClass.PUSH: (0.15, 0.3, False, lambda p: 1.0 - 2.0 * p),
-    GestureClass.PULL: (0.15, 0.3, False, lambda p: -(1.0 - 2.0 * p)),
-    GestureClass.CIRCLE: (0.08, 0.5, False, lambda p: -(1.0 - np.cos(2 * np.pi * p))),
+    "SwipeUp": (0.05, 0.5, True, lambda p: -_smoothstep(p)),
+    "SwipeDown": (0.05, 0.5, True, _two_bursts),
+    "Push": (0.15, 0.3, False, lambda p: 1.0 - 2.0 * p),
+    "Pull": (0.15, 0.3, False, lambda p: -(1.0 - 2.0 * p)),
+    "Circle": (0.08, 0.5, False, lambda p: -(1.0 - np.cos(2 * np.pi * p))),
 }
+# the class names, indexed by class id
+GESTURE_CLASSES = tuple(_TEMPLATES)
+N_CLASSES = len(GESTURE_CLASSES)
 
 
 def template_trace(
-    gesture: GestureClass,
+    gesture: str,
     t,
     duration: float,
     extent_scale: float = 1.0,
@@ -160,7 +145,7 @@ def _jitter_components(rng: np.random.Generator, sigma: float):
 
 
 def make_gesture_scene(
-    gesture: GestureClass,
+    gesture: str,
     placement: ScenePlacement,
     user: UserProfile,
     rng_seed: int,
@@ -203,12 +188,12 @@ def make_gesture_scene(
         if r.min() < 0.3 or r.max() >= config.max_range:
             raise PlacementError(
                 "%s at base %.2f m drives range to [%.3f, %.3f] m, outside [0.3, %.1f) m"
-                % (gesture.value, placement.base_range, r.min(), r.max(), config.max_range)
+                % (gesture, placement.base_range, r.min(), r.max(), config.max_range)
             )
         if np.max(np.abs(np.diff(r) / np.diff(probe))) >= config.max_doppler_velocity:
             raise PlacementError(
                 "%s exceeds the unambiguous velocity %.2f m/s"
-                % (gesture.value, config.max_doppler_velocity)
+                % (gesture, config.max_doppler_velocity)
             )
 
     return hand
@@ -264,7 +249,7 @@ def dataset_plan(spec: DatasetSpec, rng_seed: int) -> list:
                     rows.append(
                         {
                             "index": len(rows),
-                            "class_name": gesture.value,
+                            "class_name": gesture,
                             "class_id": ci,
                             "user_id": ui,
                             "location_id": pi,
@@ -280,11 +265,10 @@ def dataset_plan(spec: DatasetSpec, rng_seed: int) -> list:
 
 def synthesize_sample(spec: DatasetSpec, row: dict, config: RadarConfig) -> np.ndarray:
     """The complex128 [frame, chirp, sample] cube of one `dataset_plan` row."""
-    gesture = GestureClass.from_name(row["class_name"])
     placement = spec.placements[row["location_id"]]
     user = spec.users[row["user_id"]]
     duration = spec.n_frames * config.t_frame
-    hand = make_gesture_scene(gesture, placement, user, row["seed"], config, duration)
+    hand = make_gesture_scene(row["class_name"], placement, user, row["seed"], config, duration)
     try:
         return synthesize_cube(config, hand + room_clutter(placement), spec.n_frames,
                                spec.noise_sigma, row["seed"])

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .gestures import N_CLASSES
+from .gestures import GESTURE_CLASSES, N_CLASSES
 from .nn import (
     Adam,
     BatchNorm2d,
@@ -347,21 +347,22 @@ def evaluate_accuracy(model, x, y) -> float:
 
 
 def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig, *,
-                class_names=None, log_prefix: str = "") -> TrainResult:
+                log_prefix: str = "") -> TrainResult:
     """Mini-batch Adam training with best-val-accuracy checkpointing.
 
     Deterministic for a fixed cfg.seed: shuffles, dropout masks and
     parameter updates all derive from it. The model is left holding the
     best-validation parameters (ties resolve to the earliest epoch). With an
     empty validation set the final parameters are kept. Each epoch logs one
-    INFO line that starts with `log_prefix` (a fold passes its id)."""
+    INFO line that starts with `log_prefix` (a fold passes its id). A
+    class id of GESTURE_CLASSES with no training sample raises DataError
+    naming the gesture."""
     cfg.validate()
     train_idx = np.asarray(train_idx, dtype=np.intp)
     val_idx = np.asarray(val_idx, dtype=np.intp)
     present = set(np.unique(y[train_idx]).tolist())
-    for k in range(N_CLASSES):
+    for k, name in enumerate(GESTURE_CLASSES):
         if k not in present:
-            name = class_names[k] if class_names else str(k)
             raise DataError(f"class {name} has no samples in the training split")
 
     adam = Adam(model.params(), lr=cfg.lr)

@@ -27,7 +27,7 @@ from rfdm.errors import (
     ShapeError,
     SimulationError,
 )
-from rfdm.gestures import Environment, ScenePlacement, UserProfile
+from rfdm.gestures import GESTURE_CLASSES, Environment, ScenePlacement, UserProfile
 from rfdm.io import read_manifest, read_rfdm, sha256_file, write_rfdm
 from rfdm.radar import RadarConfig
 
@@ -186,9 +186,18 @@ class TestGen:
         ("train", {"train": {"val_fraction": 1}}, "train.val_fraction must be in [0, 1), got 1"),
         ("eval", {"train": {"val_fraction": 1.5}},
          "train.val_fraction must be in [0, 1), got 1.5"),
+        # json reads NaN and Infinity; no config number may be either
+        ("train", {"train": {"lr": float("nan")}}, "train.lr must be a finite number, got NaN"),
+        ("gen", {"gen": {"noise_sigma": float("inf")}},
+         "gen.noise_sigma must be a finite number, got Infinity"),
+        ("gen", {"gen": {"users": [{"speed_scale": -float("inf")}]}},
+         "gen.users[0].speed_scale must be a finite number, got -Infinity"),
+        ("preprocess", {"radar": {"f_s": float("nan")}},
+         "radar.f_s must be a finite number, got NaN"),
     ], ids=["frames-zero", "frames-negative", "noise-negative", "range-crop-zero",
             "doppler-crop-negative", "val-fraction-negative", "val-fraction-one",
-            "val-fraction-above-one"])
+            "val-fraction-above-one", "lr-nan", "noise-infinite", "user-scale-minus-infinite",
+            "radar-nan"])
     def test_values_outside_their_domain_stop_before_output(self, tmp_path, capsys, command,
                                                            doc, fragment):
         cfg = tmp_path / "cfg.json"
@@ -246,6 +255,12 @@ class TestGen:
         for row in man["samples"]:
             counts[row["class_name"]] = counts.get(row["class_name"], 0) + 1
         assert set(counts.values()) == {4}
+
+    def test_each_row_names_the_gesture_of_its_class_id(self, smoke):
+        rows = read_manifest(smoke[2] / "dataset_manifest.json")["samples"]
+        assert {row["class_id"] for row in rows} == set(range(len(GESTURE_CLASSES)))
+        for row in rows:
+            assert row["class_name"] == GESTURE_CLASSES[row["class_id"]]
 
     def test_rows_record_the_placement_once(self, smoke):
         _, _, gen_dir, _ = smoke
@@ -329,6 +344,28 @@ class TestPreprocess:
         assert run(size[key], tmp_path / "fits") == 0
         assert run(size[key] + 1, tmp_path / "out") == 3
         assert f"exceeds map size (128, {64 if mti else 128})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_chirps, mti", [(5, True), (4, True), (1, False)],
+                             ids=["mti-leaves-1", "mti-leaves-0", "no-mti-1"])
+    def test_slow_time_below_two_stops_before_output(self, tmp_path, capsys, n_chirps, mti):
+        # MTI drops 4 chirps and the Doppler transform needs 2 of those left;
+        # a Doppler crop of 1 fits any map, so only the slow-time length is
+        # refused. 6 chirps with MTI, 2 without, are accepted
+        man = tmp_path / "dataset_manifest.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preprocess": {"mti": mti, "n_doppler_crop": 1}}))
+
+        def run(chirps, out):
+            radar = {**asdict(RadarConfig()), "n_chirps": chirps}
+            man.write_text(json.dumps({"radar_config": radar, "samples": []}))
+            return main(["preprocess", "--config", str(cfg), "--manifest", str(man),
+                         "--out", str(out)])
+
+        assert run(6 if mti else 2, tmp_path / "fits") == 0
+        assert run(n_chirps, tmp_path / "out") == 3
+        assert ("Doppler processing needs slow-time length >= 2, got "
+                f"{n_chirps - 4 if mti else n_chirps}") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_hash_mismatch_detected(self, smoke, tmp_path):
@@ -657,7 +694,7 @@ class TestTrainEvalInfer:
                                  "confusion"}
             assert set(fold["confusion"]) == {"class_names", "counts", "accuracy",
                                               "per_class_recall"}
-            assert fold["confusion"]["class_names"] == list(cli.CLASS_NAMES)
+            assert fold["confusion"]["class_names"] == list(GESTURE_CLASSES)
             assert fold["accuracy"] == fold["confusion"]["accuracy"]
         assert report["mean_accuracy"] == float(np.mean([f["accuracy"] for f in report["folds"]]))
 

@@ -7,9 +7,8 @@ import pytest
 
 from rfdm.errors import ConfigError, ManifestError
 from rfdm.evaluate import confusion, make_splits, run_protocol
+from rfdm.gestures import GESTURE_CLASSES
 from rfdm.model import CnnTcnConfig, TrainConfig
-
-CLASS_NAMES = tuple("ABCDEFG")
 
 
 def make_meta(n_users=5, n_locations=3, n_instances=2, envs=("Classroom", "Office")):
@@ -121,7 +120,7 @@ class TestConfusion:
         rng = np.random.default_rng(0)
         y_true = rng.integers(0, 7, 200)
         y_pred = rng.integers(0, 7, 200)
-        cm = confusion(y_true, y_pred, CLASS_NAMES)
+        cm = confusion(y_true, y_pred)
         counts = np.array(cm["counts"])
         assert counts.sum() == 200
         assert cm["accuracy"] == np.trace(counts) / 200.0
@@ -132,15 +131,19 @@ class TestConfusion:
                 assert counts[c, d] == int(((y_true == c) & (y_pred == d)).sum())
 
     def test_recall_diagonal(self):
-        cm = confusion([0, 0, 1], [0, 1, 1], ("x", "y"))
-        assert cm["counts"] == [[1, 1], [0, 1]]
-        assert cm["per_class_recall"] == [0.5, 1.0]
+        cm = confusion([0, 0, 1], [0, 1, 1])
+        counts = np.zeros((7, 7), dtype=int)
+        counts[0, 0] = counts[0, 1] = counts[1, 1] = 1
+        assert cm["counts"] == counts.tolist()
+        assert cm["per_class_recall"] == [0.5, 1.0] + [None] * 5
 
     def test_dict_writes_recall_with_null_for_an_untested_class(self):
-        cm = confusion([0, 0, 2], [0, 1, 1], ("x", "y", "z"))
+        cm = confusion([0, 0, 2], [0, 1, 1])
         doc = json.loads(json.dumps(cm))
-        assert doc == {"class_names": ["x", "y", "z"], "counts": [[1, 1, 0], [0, 0, 0], [0, 1, 0]],
-                       "accuracy": 1 / 3, "per_class_recall": [0.5, None, 0.0]}
+        counts = np.zeros((7, 7), dtype=int)
+        counts[0, 0] = counts[0, 1] = counts[2, 1] = 1
+        assert doc == {"class_names": list(GESTURE_CLASSES), "counts": counts.tolist(),
+                       "accuracy": 1 / 3, "per_class_recall": [0.5, None, 0.0] + [None] * 4}
 
 
 SMALL_CFG = CnnTcnConfig(
@@ -174,7 +177,7 @@ class TestRunProtocol:
         result = run_protocol(
             x, y, plans, "cnn-tcn", SMALL_CFG,
             TrainConfig(lr=1e-2, batch_size=7, epochs=100, seed=0),
-            master_seed=5, class_names=CLASS_NAMES,
+            master_seed=5,
         )
         assert len(result["folds"]) == 2
         for f in result["folds"]:
@@ -190,7 +193,7 @@ class TestRunProtocol:
             return run_protocol(
                 x, y, plans, "cnn-tcn", SMALL_CFG,
                 TrainConfig(lr=5e-3, batch_size=7, epochs=5, seed=0),
-                master_seed=11, class_names=CLASS_NAMES,
+                master_seed=11,
             )
 
         r1, r2 = run(), run()
@@ -208,7 +211,7 @@ class TestRunProtocol:
             return run_protocol(
                 x, y, plans, "cnn-tcn", SMALL_CFG,
                 TrainConfig(lr=5e-3, batch_size=7, epochs=2, seed=0),
-                master_seed=3, class_names=CLASS_NAMES, workers=workers,
+                master_seed=3, workers=workers,
             )
 
         assert run(2) == run(1)
@@ -225,7 +228,7 @@ class TestRunProtocol:
             with caplog.at_level(logging.INFO, logger="rfdm"):
                 run_protocol(x, y, plans, "cnn-tcn", SMALL_CFG,
                              TrainConfig(lr=5e-3, batch_size=7, epochs=4, seed=0),
-                             master_seed=3, class_names=CLASS_NAMES, workers=len(plans))
+                             master_seed=3, workers=len(plans))
         finally:
             sys.setswitchinterval(interval)
         lines = [r.getMessage() for r in caplog.records if r.name == "rfdm.model"]

@@ -8,7 +8,6 @@ from rfdm.dsp import dft_oracle
 from rfdm.errors import ConfigError, SimulationError
 from rfdm.gestures import (
     Environment,
-    GestureClass,
     ScenePlacement,
     UserProfile,
     dataset_plan,
@@ -232,7 +231,7 @@ def rounding_bound(config, moving, max_range):
 
 def _hand_scene(seed=3):
     placement = ScenePlacement(1.2, 20.0, Environment.OFFICE)
-    hand = make_gesture_scene(GestureClass.CIRCLE, placement, UserProfile(), seed, CFG,
+    hand = make_gesture_scene("Circle", placement, UserProfile(), seed, CFG,
                               duration=0.4)
     return hand, room_clutter(placement)
 
@@ -271,7 +270,7 @@ class TestSynthesisMatchesReference:
         # at one range before it and another after, so its frames take the
         # static rows (summed with the room's) or the moving tones
         placement = ScenePlacement(0.75, 0.0, Environment.CLASSROOM)
-        hand = make_gesture_scene(GestureClass.PUSH, placement, UserProfile(jitter_sigma=0.0),
+        hand = make_gesture_scene("Push", placement, UserProfile(jitter_sigma=0.0),
                                   5, CFG, duration=16 * CFG.t_frame)
         t_slow = np.arange(16)[:, np.newaxis] * CFG.t_frame + np.arange(CFG.n_chirps) * CFG.t_pri
         ranges = np.stack([sc.trajectory(t_slow) for sc in hand])
@@ -290,7 +289,7 @@ class TestSynthesisMatchesReference:
         row = next(r for r in dataset_plan(spec, rng_seed=17)
                    if r["user_id"] == 2 and r["location_id"] == 1)
         placement = spec.placements[1]
-        hand = make_gesture_scene(GestureClass.from_name(row["class_name"]), placement,
+        hand = make_gesture_scene(row["class_name"], placement,
                                   spec.users[2], row["seed"], CFG,
                                   duration=spec.n_frames * CFG.t_frame)
         scene = hand + room_clutter(placement)
