@@ -118,48 +118,38 @@ def _check_value(name: str, value, default) -> None:
     """ConfigError unless `value` has the JSON type of `default` and, if a
     number, is finite (json reads NaN and Infinity). An object's keys must
     be keys of the default, each value checked the same way; each row of an
-    array is checked against the default's first row."""
+    array is checked against the default's first row. The CLI runs this
+    once on each input it reads, before any output: a config file against
+    _default_config() (name "", so its keys name the sections) and a
+    dataset manifest's radar_config against RadarConfig's fields. The
+    dataclasses and the loops past it take those values as checked."""
     if not _has_type_of(value, default):
-        raise ConfigError(f"config value of the wrong type: {name} must be "
+        raise ConfigError(f"config value of the wrong type: {name or 'the top level'} must be "
                           f"{_JSON_TYPES[type(default)]}, got {json.dumps(value)}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {json.dumps(value)}")
     if isinstance(value, dict):
         for key, v in value.items():
+            key_name = f"{name}.{key}" if name else key
             if key not in default:
-                raise ConfigError(f"unknown config key {name + '.' + key!r}")
-            _check_value(name + "." + key, v, default[key])
+                raise ConfigError(f"unknown config key {key_name!r}")
+            _check_value(key_name, v, default[key])
     elif isinstance(value, list) and default:
         for i, row in enumerate(value):
             _check_value(f"{name}[{i}]", row, default[0])
 
 
-def _merge(base: dict, override: dict) -> dict:
-    """`base` (sections of keys) with `override`'s values; a section or key
-    that `base` lacks (in a row of gen.users or gen.placements too), a
-    section that is not an object, or a value of another JSON type than its
-    default raises ConfigError naming it."""
-    out = dict(base)
-    for section, values in override.items():
-        if section not in base:
-            raise ConfigError(f"unknown config key {section!r}")
-        if not isinstance(values, dict):
-            raise ConfigError(f"config section {section!r} must be a JSON object")
-        _check_value(section, values, base[section])
-        out[section] = {**base[section], **values}
-    return out
-
-
 def _load_config(path) -> dict:
+    """The defaults, each section updated by the keys of the config file at
+    `path` (if any), which _check_value has checked."""
     cfg = _default_config()
     if path:
         try:
             user = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError(f"config {path}: top level must be a JSON object")
-        cfg = _merge(cfg, user)
+        _check_value("", user, cfg)
+        cfg = {section: {**values, **user.get(section, {})} for section, values in cfg.items()}
     _check_domains(cfg)
     return cfg
 
@@ -277,9 +267,10 @@ def cmd_preprocess(args) -> int:
     if "radar_config" not in manifest:  # the cubes' parameters, which only gen knows
         raise ManifestError(f"{args.manifest}: no radar_config field")
     try:
+        _check_value("radar_config", manifest["radar_config"], asdict(RadarConfig()))
         radar = RadarConfig(**manifest["radar_config"])
         radar.validate()
-    except (TypeError, ConfigError) as exc:  # an unknown key, not an object, a bad value
+    except ConfigError as exc:
         raise ManifestError(f"{args.manifest}: radar_config field error: {exc}") from exc
     # the crops against the maps of these cubes, before any output exists
     check_crop(radar.n_chirps, radar.n_samples, pp["mti"], pp["n_range_crop"],

@@ -157,7 +157,6 @@ def doppler_process(rc: np.ndarray, start: int = 0, count: int | None = None) ->
 def condition_rfdm(seq: RfdmSequence) -> RfdmSequence:
     """Divide a map sequence that already holds only the kept bins by its
     maximum; an all-zero sequence passes unchanged."""
-    seq.validate()
     frames = seq.frames
     peak = float(frames.max(initial=0.0))
     out = frames / peak if peak > 0.0 else frames.copy()

@@ -81,26 +81,29 @@ def make_splits(meta: list, kind: str, *, val_fraction: float = VAL_FRACTION,
     the Classroom analog, one test fold per other environment. random: one
     fold whose test set is round(0.2 * n) samples (at least 1) drawn at
     random; the rest are train, less val_fraction of each class carved off
-    for validation."""
+    for validation. Each field a protocol reads (user_id, location_id,
+    base_range, azimuth_deg, environment) comes through io.require_field,
+    which refuses a mistyped value by row and name: the CLI checks these
+    fields here, once, before any output."""
     if kind not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {kind!r}; expected one of {PROTOCOLS}")
     n = len(meta)
-    labels = _require(meta, "class_id").astype(np.intp)
+    labels = _require(meta, "class_id")
     all_idx = np.arange(n, dtype=np.intp)
     rng = substream(seed, "val-carve")
     plans = []
 
     if kind == "loocv":
-        users = _require(meta, "user_id").astype(int)
+        users = _require(meta, "user_id")
         for u in sorted(set(users.tolist())):
             test = all_idx[users == u]
             train, val = carve_validation(all_idx[users != u], labels, rng, val_fraction)
             plans.append(SplitPlan(kind, f"user:{u}", train, val, test))
     elif kind in ("location", "environment"):  # one fold per group outside training
         if kind == "location":
-            group = _require(meta, "location_id").astype(int)
-            ranges = _require(meta, "base_range").astype(float)
-            azim = _require(meta, "azimuth_deg").astype(float)
+            group = _require(meta, "location_id")
+            ranges = _require(meta, "base_range")
+            azim = _require(meta, "azimuth_deg")
             at_train = (np.abs(ranges - TRAIN_LOCATION[0]) < 1e-9) & \
                        (np.abs(azim - TRAIN_LOCATION[1]) < 1e-9)
             no_train = f"no samples at the training location {TRAIN_LOCATION}; cannot hold out"
@@ -117,7 +120,7 @@ def make_splits(meta: list, kind: str, *, val_fraction: float = VAL_FRACTION,
     else:  # random
         order = substream(seed, "random-split").permutation(n)
         n_test = max(1, int(round(0.2 * n)))
-        test = np.sort(order[:n_test]).astype(np.intp)
+        test = np.sort(order[:n_test])
         train, val = carve_validation(np.sort(order[n_test:]), labels, rng, val_fraction)
         plans.append(SplitPlan(kind, "random:0", train, val, test))
 

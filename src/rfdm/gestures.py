@@ -157,9 +157,9 @@ def make_gesture_scene(
 
     Raises PlacementError if the realized hand motion would leave
     [0.3 m, max_range), or if its speed, the slope of its range between
-    probe times, reaches the unambiguous Doppler velocity."""
-    placement.validate()
-    user.validate()
+    probe times, reaches the unambiguous Doppler velocity. `placement` and
+    `user` are taken as valid: the CLI runs DatasetSpec.validate, which
+    checks each of them, once, where it reads the config."""
     rng = substream(rng_seed, "scene")
     cos_az = math.cos(math.radians(placement.azimuth_deg))
 
@@ -240,7 +240,6 @@ class DatasetSpec:
 
 def dataset_plan(spec: DatasetSpec, rng_seed: int) -> list:
     """Per-sample metadata for the full Cartesian product, without synthesis."""
-    spec.validate()
     rows = []
     for ci, gesture in enumerate(GESTURE_CLASSES):
         for ui in range(len(spec.users)):

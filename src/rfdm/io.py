@@ -240,14 +240,22 @@ def read_manifest(path) -> dict:
 
 
 # what a row's value of each typed field must be, and its test (a JSON bool
-# is no integer)
+# is no number); every field a reader takes from a row is typed here
+_STRING = ("a string", lambda v: type(v) is str)
+_COUNT = ("a non-negative integer", lambda v: type(v) is int and v >= 0)
+_FINITE = ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v))
 _ROW_TYPES = {
-    "path": ("a string", lambda v: type(v) is str),
-    "index": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "path": _STRING,
+    "index": _COUNT,
     "class_id": (f"an integer in [0, {N_CLASSES})",
                  lambda v: type(v) is int and 0 <= v < N_CLASSES),
     "sha256": ("64 lowercase hex characters",
                lambda v: type(v) is str and re.fullmatch("[0-9a-f]{64}", v) is not None),
+    "user_id": _COUNT,
+    "location_id": _COUNT,
+    "base_range": _FINITE,
+    "azimuth_deg": _FINITE,
+    "environment": _STRING,
 }
 
 
@@ -255,7 +263,9 @@ def require_field(rows, key) -> list:
     """The `key` of every manifest row; ManifestError naming the first row
     that lacks it or, for a field of _ROW_TYPES, holds another type, and
     for `index`, which names a row's output file, the first two rows that
-    share one."""
+    share one. The CLI calls this where it reads a manifest, before any
+    output (verify_manifest_files, evaluate.make_splits); the code past
+    that takes the values as checked."""
     want, valid = _ROW_TYPES.get(key, (None, None))
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or key not in row:

@@ -356,8 +356,8 @@ def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig, *,
     empty validation set the final parameters are kept. Each epoch logs one
     INFO line that starts with `log_prefix` (a fold passes its id). A
     class id of GESTURE_CLASSES with no training sample raises DataError
-    naming the gesture."""
-    cfg.validate()
+    naming the gesture. `cfg` is taken as valid: the CLI runs
+    TrainConfig.validate once, where it reads the config."""
     train_idx = np.asarray(train_idx, dtype=np.intp)
     val_idx = np.asarray(val_idx, dtype=np.intp)
     present = set(np.unique(y[train_idx]).tolist())

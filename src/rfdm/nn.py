@@ -229,7 +229,8 @@ class BatchNorm2d(Layer):
     input, a slice at a time (_pooled): it makes no full-size normalized map,
     and its backward routes dy into a new input-sized dz through the window
     view, a slice of images at a time, and writes dx over it. With conv, the
-    Conv2d that feeds it (and pool=True), the layer is the whole conv -> BN
+    Conv2d that feeds it (pool=True required, else ShapeError at
+    construction), the layer is the whole conv -> BN
     -> pool block: it takes the conv's input, its params() are the conv's
     weight, gamma and beta, and the conv's output never exists at full size
     (see the last paragraph).
@@ -285,6 +286,8 @@ class BatchNorm2d(Layer):
     momentum, eps = 0.9, 1e-5
 
     def __init__(self, channels, name="bn", pool=False, conv=None):
+        if conv is not None and not pool:  # only the pooled forward runs the conv
+            raise ShapeError("BatchNorm2d with a conv needs pool=True")
         self.c = channels
         self.gamma = Param(name + ".gamma", np.ones(channels))
         self.beta = Param(name + ".beta", np.zeros(channels))

@@ -109,7 +109,8 @@ class TestGen:
         ({"train": {"patience": 3}}, "unknown config key 'train.patience'"),
         ({"evaluate": {"protocol": "loocv"}}, "unknown config key 'evaluate'"),
         ({"gen": {"users": [], "seed": 1}}, "unknown config key 'gen.seed'"),
-        ({"eval": "loocv"}, "config section 'eval' must be a JSON object"),
+        ({"eval": "loocv"}, 'eval must be an object, got "loocv"'),
+        ([{"eval": {}}], 'the top level must be an object, got [{"eval": {}}]'),
         ({"preprocess": {"window": "hann"}}, "unknown config key 'preprocess.window'"),
         ({"preprocess": {"scale_mode": "log-db"}}, "unknown config key 'preprocess.scale_mode'"),
         ({"gen": {"placements": [dict(PLACEMENT, colour="red")]}},
@@ -117,8 +118,9 @@ class TestGen:
         ({"gen": {"users": [{"speed_scale": 1.0}, {"height": 1.8}]}},
          "unknown config key 'gen.users[1].height'"),
         ({"radar": {"n_rx": 1}}, "unknown config key 'radar.n_rx'"),
-    ], ids=["train-key", "section", "gen-key", "non-object-section", "preprocess-window",
-            "preprocess-scale_mode", "placement-key", "user-key", "radar-n_rx"])
+    ], ids=["train-key", "section", "gen-key", "non-object-section", "non-object-top-level",
+            "preprocess-window", "preprocess-scale_mode", "placement-key", "user-key",
+            "radar-n_rx"])
     def test_config_keys_outside_the_defaults_are_config_errors(self, tmp_path, capsys,
                                                                 doc, fragment):
         cfg = tmp_path / "cfg.json"
@@ -230,17 +232,21 @@ class TestGen:
         assert err.startswith("rfdm gen: Unable to allocate") and err.count("\n") == 1
         assert not list((tmp_path / "gen" / "cubes").iterdir())
 
-    def test_an_int_is_a_number(self):
-        merged = cli._merge({"train": {"lr": 5e-4, "epochs": 30}}, {"train": {"lr": 1}})
-        assert merged == {"train": {"lr": 1, "epochs": 30}}
+    def test_an_int_is_a_number(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {"lr": 1}}))
+        cfg = cli._load_config(path)
+        assert cfg["train"] == {**cli._default_config()["train"], "lr": 1}
 
-    def test_rows_missing_keys_take_the_dataclass_defaults(self):
+    def test_rows_missing_keys_take_the_dataclass_defaults(self, tmp_path):
         # as a gen.users row takes the UserProfile defaults, a gen.placements
         # row takes the ScenePlacement ones, the environment included
-        cfg = cli._merge(cli._default_config(), {"gen": {
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"gen": {
             "users": [{"speed_scale": 1.2}],
             "placements": [{"base_range": 0.9, "environment": "Office"}, {"azimuth_deg": 10.0}],
-        }})
+        }}))
+        cfg = cli._load_config(path)
         spec = cli._dataset_spec(cfg)
         assert spec.users == (UserProfile(speed_scale=1.2),)
         assert spec.placements == (ScenePlacement(0.9, 0.0, Environment.OFFICE),
@@ -448,7 +454,30 @@ class TestPreprocess:
         out = tmp_path / "pp"
         assert main(["preprocess", "--config", str(cfg_path), "--manifest", str(bad),
                      "--out", str(out)]) == 4
-        assert f"{field} must be a number, got a boolean" in capsys.readouterr().err
+        want = "an integer" if field == "n_chirps" else "a number"
+        assert (f"radar_config field error: config value of the wrong type: "
+                f"radar_config.{field} must be {want}, got {json.dumps(value)}"
+                in capsys.readouterr().err)
+        assert not (out / "rfdm").exists()
+
+    @pytest.mark.parametrize("field, value", [("f_c", "Infinity"), ("f_c", "NaN"),
+                                              ("t_frame", "-Infinity")])
+    def test_radar_config_not_finite_is_manifest_error(self, smoke, tmp_path, capsys,
+                                                       field, value):
+        # json reads NaN and Infinity as floats, which no radar can have
+        _, cfg_path, gen_dir, _ = smoke
+        man = json.loads((gen_dir / "dataset_manifest.json").read_text())
+        man["radar_config"][field] = float(value)
+        for row in man["samples"]:
+            row["path"] = str(gen_dir / row["path"])
+        bad = tmp_path / "dataset_manifest.json"
+        bad.write_text(json.dumps(man))
+        assert value in bad.read_text()
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--config", str(cfg_path), "--manifest", str(bad),
+                     "--out", str(out)]) == 4
+        assert (f"{bad}: radar_config field error: radar_config.{field} must be a finite "
+                f"number, got {value}" in capsys.readouterr().err)
         assert not (out / "rfdm").exists()
 
     def test_cube_of_two_rx_channels_is_integrity_error(self, smoke, tmp_path, capsys):
@@ -764,6 +793,33 @@ class TestTrainEvalInfer:
                      "--manifest", str(bad), "--out", str(out)]) == 4
         assert (f"manifest row 3: class_id must be an integer in [0, 7), "
                 f"got {json.dumps(class_id)}") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("protocol, field, value, want", [
+        ("loocv", "user_id", 0.9, "a non-negative integer"),
+        ("loocv", "user_id", True, "a non-negative integer"),
+        ("loocv", "user_id", "abc", "a non-negative integer"),
+        ("location", "location_id", -1, "a non-negative integer"),
+        ("location", "base_range", "x", "a finite number"),
+        ("environment", "environment", 3, "a string"),
+    ], ids=["user-fraction", "user-bool", "user-string", "location-negative",
+            "range-string", "environment-number"])
+    def test_mistyped_fold_field_is_manifest_error(self, smoke, tmp_path, capsys,
+                                                   protocol, field, value, want):
+        # a fold field is typed where the protocol reads it: 0.9 joins no
+        # user's fold and "abc" is no numpy error
+        _, cfg_path, _, pp_dir = smoke
+        man = json.loads((pp_dir / "rfdm_manifest.json").read_text())
+        for row in man["samples"]:
+            row["path"] = str(pp_dir / row["path"])
+        man["samples"][5][field] = value
+        bad = tmp_path / "rfdm_manifest.json"
+        bad.write_text(json.dumps(man))
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg_path), "--protocol", protocol, "--epochs", "1",
+                     "--manifest", str(bad), "--out", str(out)]) == 4
+        assert (f"manifest row 5: {field} must be {want}, got {json.dumps(value)}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])

@@ -250,6 +250,12 @@ class TestConv2d:
 
 
 class TestBatchNorm:
+    def test_conv_without_pool_is_refused(self):
+        # only the pooled forward runs the conv: without a pool the layer
+        # would batch-normalize its input and never convolve it
+        with pytest.raises(ShapeError, match="^BatchNorm2d with a conv needs pool=True$"):
+            BatchNorm2d(16, conv=Conv2d(1, 16, 3, 5, rng=rng_for(0)))
+
     def test_normalizes_in_train_mode(self):
         bn = BatchNorm2d(3)
         # input variance well above eps so the normalized variance hits 1e-6
