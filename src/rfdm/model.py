@@ -35,9 +35,13 @@ in the 7 class logits. That step sees 1 + 2 * (1 + 2 + 4) = 15 frames back,
 so frame 0 of a 16-frame sequence never reaches the logits: it reaches the
 loss only through the frame CNN's batch statistics in training.
 `_forward` runs a list front to back and `_backward` runs it back to front;
-only the residual temporal blocks wire their own passes. The kernels
-(FRAME_KERNEL, TCN_KERNEL), LeakyReLU's slope of 0.01 and the class count
-(gestures.N_CLASSES) are fixed; CnnTcnConfig holds the sizes that vary. A
+only the residual temporal blocks wire their own passes. The structure is
+fixed: the kernels (FRAME_KERNEL, TCN_KERNEL), the reduction divisor
+(REDUCE_DIVISOR), the temporal dilations (TCN_DILATIONS, after the generic
+TCN of Bai, Kolter and Koltun, arXiv:1803.01271), the dropout probability
+(DROPOUT), the dense widths (HEAD_HIDDEN, BASELINE_HEAD_HIDDEN),
+LeakyReLU's slope of 0.01 and the class count (gestures.N_CLASSES).
+CnnTcnConfig holds the input shape and the conv widths. A
 checkpoint records a model's `kind` and `cfg` (see io.save_checkpoint);
 `layout` gives the names and shapes of the arrays they build without
 building them.
@@ -71,6 +75,11 @@ log = logging.getLogger(__name__)
 
 FRAME_KERNEL = (3, 5)  # (height, width) of each frame conv
 TCN_KERNEL = 3
+REDUCE_DIVISOR = 12  # the frame CNN's last width over this, ceil, at least 1
+TCN_DILATIONS = (1, 2, 4)  # one causal temporal block each
+DROPOUT = 0.1  # each temporal block's dropout probability
+HEAD_HIDDEN = (48, 24)  # the CNN-TCN's dense widths before the logits
+BASELINE_HEAD_HIDDEN = (24, 16)  # the plain CNN's
 
 
 @dataclass(frozen=True)
@@ -79,17 +88,12 @@ class CnnTcnConfig:
     height: int = 32
     width: int = 32
     conv_channels: tuple = (16, 32, 64)
-    reduce_divisor: int = 12
-    dilations: tuple = (1, 2, 4)
-    dropout: float = 0.1
-    head_hidden: tuple = (48, 24)
-    baseline_head_hidden: tuple = (24, 16)
 
     @property
     def reduced_channels(self) -> int:
-        """Channel count after the frame CNN's 1/reduce_divisor reduction
+        """Channel count after the frame CNN's 1/REDUCE_DIVISOR reduction
         (ceil, at least 1)."""
-        return max(1, -(-self.conv_channels[-1] // self.reduce_divisor))
+        return max(1, -(-self.conv_channels[-1] // REDUCE_DIVISOR))
 
     @property
     def frame_feature_len(self) -> int:
@@ -102,15 +106,8 @@ class CnnTcnConfig:
             raise ConfigError("height and width must be divisible by 4 (two 2x2 pools)")
         if len(self.conv_channels) != 3:
             raise ConfigError("exactly three conv widths expected")
-        sizes = (self.t_frames, self.height, self.width, *self.conv_channels,
-                 self.reduce_divisor, *self.dilations,
-                 *self.head_hidden, *self.baseline_head_hidden)
-        if any(v < 1 for v in sizes):
-            raise ConfigError("every size, width, divisor and dilation must be >= 1")
-        if any(d2 <= d1 for d1, d2 in zip(self.dilations, self.dilations[1:])):
-            raise ConfigError("dilations must be strictly increasing")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError("dropout must be in [0, 1)")
+        if any(v < 1 for v in (self.t_frames, self.height, self.width, *self.conv_channels)):
+            raise ConfigError("every size and width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -166,10 +163,10 @@ def _dense_head(widths, rng) -> list:
 
 
 class _TemporalBlock:
-    def __init__(self, c_in, c_out, dilation, p, rng, name):
+    def __init__(self, c_in, c_out, dilation, rng, name):
         self.conv = CausalConv1d(c_in, c_out, TCN_KERNEL, dilation, rng=rng, name=name + ".conv")
         self.act = LeakyReLU()
-        self.drop = Dropout(p)
+        self.drop = Dropout(DROPOUT)
         self.proj = None
         if c_in != c_out:
             self.proj = ChannelReduce(c_in, c_out, rng=rng, name=name + ".proj")
@@ -203,11 +200,10 @@ class CnnTcn:
 
     def _blocks_and_head(self, cfg, rng):
         blocks, c_in = [], cfg.frame_feature_len
-        for bi, d in enumerate(cfg.dilations):
-            blocks.append(_TemporalBlock(c_in, cfg.reduced_channels, d, cfg.dropout, rng,
-                                         name=f"tcn.block{bi}"))
+        for bi, d in enumerate(TCN_DILATIONS):
+            blocks.append(_TemporalBlock(c_in, cfg.reduced_channels, d, rng, name=f"tcn.block{bi}"))
             c_in = cfg.reduced_channels
-        return blocks, _dense_head((c_in,) + cfg.head_hidden, rng)
+        return blocks, _dense_head((c_in,) + HEAD_HIDDEN, rng)
 
     # -- plumbing ----------------------------------------------------------
     def params(self):
@@ -261,7 +257,7 @@ class CnnBaseline(CnnTcn):
     kind = "cnn"
 
     def _blocks_and_head(self, cfg, rng):
-        return [], _dense_head((cfg.frame_feature_len,) + cfg.baseline_head_hidden, rng)
+        return [], _dense_head((cfg.frame_feature_len,) + BASELINE_HEAD_HIDDEN, rng)
 
     def forward(self, x, train=False):
         feats = self.frame_features(x, train)
@@ -302,14 +298,14 @@ def layout(kind: str, cfg: CnnTcnConfig) -> list:
         buffers += [(f"frame.bn{i}.running_mean", (c,)), (f"frame.bn{i}.running_var", (c,))]
     # every later layer holds a weight and a bias over the weight's last axis
     weighted = [("frame.reduce", (chans[-1], r))]
-    c_in, hidden = cfg.frame_feature_len, cfg.baseline_head_hidden
+    c_in, hidden = cfg.frame_feature_len, BASELINE_HEAD_HIDDEN
     if _model_class(kind) is CnnTcn:
-        for b in range(len(cfg.dilations)):
+        for b in range(len(TCN_DILATIONS)):
             weighted.append((f"tcn.block{b}.conv", (TCN_KERNEL, c_in, r)))
             if c_in != r:  # a residual projection
                 weighted.append((f"tcn.block{b}.proj", (c_in, r)))
             c_in = r
-        hidden = cfg.head_hidden
+        hidden = HEAD_HIDDEN
     dims = (c_in,) + hidden + (N_CLASSES,)
     weighted += [(f"head.fc{i}", dims[i - 1 : i + 1]) for i in range(1, len(dims))]
     return params + [(name + part, shape if part == ".w" else shape[-1:])

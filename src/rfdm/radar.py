@@ -44,7 +44,7 @@ sigma/sqrt(2) rounds as the complex product sigma/sqrt(2) * (a + j*b) does,
 so noise samples are bit-exact.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -97,9 +97,9 @@ class RadarConfig:
         return self.wavelength / (4.0 * self.t_pri)
 
     def validate(self) -> None:
-        for field in fields(self):  # a JSON bool would pass as 1 or 0
-            if isinstance(getattr(self, field.name), bool):
-                raise ConfigError(f"{field.name} must be a number, got a boolean")
+        """ConfigError naming the first broken invariant. The values are
+        taken as typed: the CLI refuses a boolean, or a number of the wrong
+        type or not finite, before it builds a RadarConfig."""
         if not (self.f_c > 0 and self.B > 0 and self.f_s > 0):
             raise ConfigError("frequencies must be positive (f_c, B, f_s > 0)")
         if not (self.t_pri > 0 and self.t_frame > 0):

@@ -127,26 +127,36 @@ def doppler_resolution(config) -> float:
     return config.wavelength / (2.0 * config.n_chirps * config.t_pri)
 
 
-def rewrite_descriptor(path, edit):
-    """Rewrite the checkpoint at `path` with `edit` applied to its descriptor."""
-    raw = path.read_bytes()
+def edit_descriptor(raw: bytes, edit) -> bytes:
+    """An RFNN file's bytes with `edit` applied to its descriptor."""
     (blob_len,) = struct.unpack("<I", raw[8:12])
     descriptor = json.loads(raw[12 : 12 + blob_len])
     edit(descriptor)
     blob = json.dumps(descriptor, sort_keys=True).encode()
-    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :])
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :]
+
+
+def rewrite_descriptor(path, edit):
+    """Rewrite the checkpoint at `path` with `edit` applied to its descriptor."""
+    path.write_bytes(edit_descriptor(path.read_bytes(), edit))
 
 
 def older_checkpoint_layout(raw: bytes) -> bytes:
     """An RFNN file's bytes rewritten in the layout written while the model
     config carried the kernels, the LeakyReLU slope and the class count,
     and the file ended in an optimizer-state flag (0: none)."""
-    (blob_len,) = struct.unpack("<I", raw[8:12])
-    descriptor = json.loads(raw[12 : 12 + blob_len])
-    descriptor["config"].update(conv_kernel=[3, 5], tcn_kernel=3, n_classes=7,
-                                leaky_slope=0.01)
-    blob = json.dumps(descriptor, sort_keys=True).encode()
-    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :] + b"\x00"
+    return edit_descriptor(raw, lambda descriptor: descriptor["config"].update(
+        conv_kernel=[3, 5], tcn_kernel=3, n_classes=7, leaky_slope=0.01)) + b"\x00"
+
+
+def with_structure_keys(raw: bytes) -> bytes:
+    """An RFNN file's bytes as written while the model config also carried
+    the reduction divisor, the dilations, the dropout and the two heads'
+    widths, which model.py now fixes: the same arrays, and those five keys
+    at their fixed values."""
+    return edit_descriptor(raw, lambda descriptor: descriptor["config"].update(
+        reduce_divisor=12, dilations=[1, 2, 4], dropout=0.1, head_hidden=[48, 24],
+        baseline_head_hidden=[24, 16]))
 
 
 def unused_imports(source: str) -> list:

@@ -9,13 +9,13 @@ import re
 import shutil
 import struct
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import older_checkpoint_layout, rewrite_descriptor
+from helpers import older_checkpoint_layout, rewrite_descriptor, with_structure_keys
 from rfdm import cli
 from rfdm.cli import main
 from rfdm.errors import (
@@ -151,10 +151,15 @@ class TestGen:
         ({"gen": {"placements": [dict(PLACEMENT, environment=1)]}},
          "gen.placements[0].environment must be a string, got 1"),
         ({"gen": {"users": [3]}}, "gen.users[0] must be an object, got 3"),
+    ] + [  # a JSON bool is no number, though Python counts it as 1 or 0
+        ({"radar": {f.name: True}},
+         f"radar.{f.name} must be {'an integer' if f.type is int else 'a number'}, got true")
+        for f in fields(RadarConfig)
     ], ids=["radar-count", "radar-float-count", "radar-rate", "user-scale", "instances-null",
             "bool-number", "crop-null", "mti-string", "mti-int", "lr-null", "val-fraction-list",
             "model-int", "users-object", "user-bool-scale", "placement-bool-range",
-            "placement-int-environment", "user-row-number"])
+            "placement-int-environment", "user-row-number"]
+        + [f"radar-bool-{f.name}" for f in fields(RadarConfig)])
     def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, capsys, doc,
                                                         fragment):
         cfg = tmp_path / "cfg.json"
@@ -439,8 +444,8 @@ class TestPreprocess:
         assert "radar_config field error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field, value", [("f_c", True), ("n_chirps", True),
-                                              ("t_frame", False)])
+    @pytest.mark.parametrize("field, value", [(f.name, v) for f in fields(RadarConfig)
+                                              for v in (True, False)])
     def test_radar_config_boolean_is_manifest_error(self, smoke, tmp_path, capsys,
                                                     field, value):
         # a JSON bool is no number, though Python counts it as 1 or 0
@@ -454,7 +459,7 @@ class TestPreprocess:
         out = tmp_path / "pp"
         assert main(["preprocess", "--config", str(cfg_path), "--manifest", str(bad),
                      "--out", str(out)]) == 4
-        want = "an integer" if field == "n_chirps" else "a number"
+        want = "an integer" if type(getattr(RadarConfig(), field)) is int else "a number"
         assert (f"radar_config field error: config value of the wrong type: "
                 f"radar_config.{field} must be {want}, got {json.dumps(value)}"
                 in capsys.readouterr().err)
@@ -673,6 +678,15 @@ class TestTrainEvalInfer:
                                                                       capsys):
         old = tmp_path / "old.rfnn"
         old.write_bytes(older_checkpoint_layout((trained / "model.rfnn").read_bytes()))
+        assert main(["infer", "--checkpoint", str(old), "x.rfdm"]) == 5
+        assert "unreadable checkpoint descriptor" in capsys.readouterr().err
+
+    def test_infer_checkpoint_carrying_the_structure_keys_is_integrity_error(
+            self, trained, tmp_path, capsys):
+        # the trained model's file as written while its config also carried
+        # the five structure settings that model.py now fixes
+        old = tmp_path / "old.rfnn"
+        old.write_bytes(with_structure_keys((trained / "model.rfnn").read_bytes()))
         assert main(["infer", "--checkpoint", str(old), "x.rfdm"]) == 5
         assert "unreadable checkpoint descriptor" in capsys.readouterr().err
 

@@ -146,10 +146,8 @@ class TestConfusion:
                        "accuracy": 1 / 3, "per_class_recall": [0.5, None, 0.0] + [None] * 4}
 
 
-SMALL_CFG = CnnTcnConfig(
-    t_frames=4, height=8, width=8, conv_channels=(4, 6, 8), reduce_divisor=2,
-    dropout=0.0, head_hidden=(8, 6), baseline_head_hidden=(6, 5),
-)
+# conv3's 48 channels reduce to 4
+SMALL_CFG = CnnTcnConfig(t_frames=4, height=8, width=8, conv_channels=(4, 6, 48))
 
 
 def separable_dataset(meta):

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import linear_scatterer, older_checkpoint_layout, rewrite_descriptor, traced_peak
+import rfdm.io
+from helpers import (
+    linear_scatterer,
+    older_checkpoint_layout,
+    rewrite_descriptor,
+    traced_peak,
+    with_structure_keys,
+)
 from rfdm.dsp import RfdmSequence, cube_to_rfdm
 from rfdm.errors import IntegrityError, ManifestError
 from rfdm.io import (
@@ -29,14 +36,11 @@ from rfdm.io import (
     write_manifest,
     write_rfdm,
 )
-from rfdm.model import CnnTcn, CnnTcnConfig, predict
+from rfdm.model import CnnTcn, CnnTcnConfig, layout, predict
 from rfdm.radar import RadarConfig, synthesize_cube
 
 CFG = RadarConfig()
-TINY = CnnTcnConfig(
-    t_frames=4, height=8, width=8, conv_channels=(2, 3, 4),
-    dropout=0.0, head_hidden=(6, 5),
-)
+TINY = CnnTcnConfig(t_frames=4, height=8, width=8, conv_channels=(2, 3, 4))
 
 
 class TestCubeFormat:
@@ -342,20 +346,21 @@ class TestCheckpointFailsClosed:
         assert len(raw) == 12 + blob_len + 8 * sum(a.size for a in arrays)
 
     def test_small_file_declaring_a_huge_model_builds_nothing(self, tmp_path):
-        # the descriptor honestly declares a head of 10**8 hidden units (about
-        # 7e8 doubles, 5.6 GB) over a 5 kB file: the size check runs before
-        # the model would be built. Measured traced peak: 14 kB.
-        hidden = 10**8
-        shapes = {"head.fc1.w": [1, hidden], "head.fc1.b": [hidden], "head.fc2.w": [hidden, 5]}
+        # the descriptor honestly declares frames of 40000 x 40000 cells, whose
+        # 10**8 features per frame feed the first temporal block (about 4e8
+        # doubles, 3.2 GB), over a 16 kB file: the size check runs before the
+        # model would be built. Measured traced peak: 25 kB.
+        huge = dataclasses.replace(TINY, height=40_000, width=40_000)
+        shapes = dict(layout("cnn-tcn", huge))
 
-        def declare_huge_head(descriptor):
-            descriptor["config"]["head_hidden"] = [hidden, 5]
-            for d in descriptor["params"]:
-                d["shape"] = shapes.get(d["name"], d["shape"])
+        def declare_huge_model(descriptor):
+            descriptor["config"].update(height=huge.height, width=huge.width)
+            for d in descriptor["params"] + descriptor["buffers"]:
+                d["shape"] = list(shapes[d["name"]])
 
         p = tmp_path / "m.rfnn"
         save_checkpoint(p, CnnTcn(TINY))
-        rewrite_descriptor(p, declare_huge_head)
+        rewrite_descriptor(p, declare_huge_model)
 
         def load():
             with pytest.raises(IntegrityError, match="truncated checkpoint"):
@@ -397,6 +402,25 @@ class TestCheckpointFailsClosed:
         p.write_bytes(older_checkpoint_layout(p.read_bytes()))
         with pytest.raises(IntegrityError, match="unreadable checkpoint descriptor"):
             load_checkpoint(p)
+
+    def test_checkpoint_carrying_the_structure_keys_builds_nothing(self, tmp_path, monkeypatch):
+        # a default model's file as written while the config carried the
+        # dilations, the dropout, the head widths and the reduction divisor:
+        # refused on its config, before any model is built. Measured traced
+        # peaks: 414 kB, most of it the 407 kB file read; 1.27 MB for the same
+        # file without the five keys, which builds the model
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, CnnTcn(CnnTcnConfig()))
+        p.write_bytes(with_structure_keys(p.read_bytes()))
+        built = []
+        monkeypatch.setattr(rfdm.io, "build_model", lambda *args, **kw: built.append(args))
+
+        def load():
+            with pytest.raises(IntegrityError, match="unreadable checkpoint descriptor"):
+                load_checkpoint(p)
+
+        assert traced_peak(load) < 1e6
+        assert built == []
 
 
 def assert_prefixes_fail_closed(path, reader, cuts):

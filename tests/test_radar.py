@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from helpers import doppler_resolution, linear_scatterer, range_resolution
+from rfdm.cli import _check_value
 from rfdm.dsp import dft_oracle
 from rfdm.errors import ConfigError, SimulationError
 from rfdm.gestures import (
@@ -65,9 +67,12 @@ class TestDerivedQuantities:
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RadarConfig)])
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_field_is_refused(self, field, value):
-        # a JSON bool is no number, though Python counts it as the int 1 or 0
-        with pytest.raises(ConfigError, match=f"^{field} must be a number, got a boolean$"):
-            RadarConfig(**{field: value}).validate()
+        # a JSON bool is no number, though Python counts it as the int 1 or 0;
+        # the CLI's one type rule refuses it before any RadarConfig is built
+        want = "an integer" if type(getattr(CFG, field)) is int else "a number"
+        with pytest.raises(ConfigError, match=f"^config value of the wrong type: radar_config"
+                                              f"[.]{field} must be {want}, got {json.dumps(value)}$"):
+            _check_value("radar_config", {field: value}, dataclasses.asdict(CFG))
 
 
 class TestIfSignal:
