@@ -13,7 +13,6 @@ import argparse
 import datetime
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -43,6 +42,7 @@ from .gestures import (
     synthesize_sample,
 )
 from .io import (
+    check_value,
     load_checkpoint,
     read_cube,
     read_manifest,
@@ -101,54 +101,16 @@ def _default_config() -> dict:
     }
 
 
-# JSON type names of the default values' Python types
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-               list: "an array", dict: "an object"}
-
-
-def _has_type_of(value, default) -> bool:
-    """Whether `value` has the JSON type of `default`: an int counts as a
-    float, and a bool never counts as a number."""
-    if isinstance(value, bool) or isinstance(default, bool):
-        return isinstance(value, bool) and isinstance(default, bool)
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
-
-
-def _check_value(name: str, value, default) -> None:
-    """ConfigError unless `value` has the JSON type of `default` and, if a
-    number, is finite (json reads NaN and Infinity). An object's keys must
-    be keys of the default, each value checked the same way; each row of an
-    array is checked against the default's first row. The CLI runs this
-    once on each input it reads, before any output: a config file against
-    _default_config() (name "", so its keys name the sections) and a
-    dataset manifest's radar_config against RadarConfig's fields. The
-    dataclasses and the loops past it take those values as checked."""
-    if not _has_type_of(value, default):
-        raise ConfigError(f"config value of the wrong type: {name or 'the top level'} must be "
-                          f"{_JSON_TYPES[type(default)]}, got {json.dumps(value)}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {json.dumps(value)}")
-    if isinstance(value, dict):
-        for key, v in value.items():
-            key_name = f"{name}.{key}" if name else key
-            if key not in default:
-                raise ConfigError(f"unknown config key {key_name!r}")
-            _check_value(key_name, v, default[key])
-    elif isinstance(value, list) and default:
-        for i, row in enumerate(value):
-            _check_value(f"{name}[{i}]", row, default[0])
-
-
 def _load_config(path) -> dict:
     """The defaults, each section updated by the keys of the config file at
-    `path` (if any), which _check_value has checked."""
+    `path` (if any), which check_value has checked."""
     cfg = _default_config()
     if path:
         try:
             user = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        _check_value("", user, cfg)
+        check_value("", user, cfg)
         cfg = {section: {**values, **user.get(section, {})} for section, values in cfg.items()}
     _check_domains(cfg)
     return cfg
@@ -267,7 +229,7 @@ def cmd_preprocess(args) -> int:
     if "radar_config" not in manifest:  # the cubes' parameters, which only gen knows
         raise ManifestError(f"{args.manifest}: no radar_config field")
     try:
-        _check_value("radar_config", manifest["radar_config"], asdict(RadarConfig()))
+        check_value("radar_config", manifest["radar_config"], asdict(RadarConfig()))
         radar = RadarConfig(**manifest["radar_config"])
         radar.validate()
     except ConfigError as exc:

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PlacementError, SimulationError
-from .radar import RadarConfig, Scatterer, static_scatterer, synthesize_cube
+from .radar import (
+    MAX_DOPPLER_VELOCITY,
+    T_FRAME,
+    RadarConfig,
+    Scatterer,
+    static_scatterer,
+    synthesize_cube,
+)
 from .seeding import child_seed, name_key, substream
 
 
@@ -190,10 +197,9 @@ def make_gesture_scene(
                 "%s at base %.2f m drives range to [%.3f, %.3f] m, outside [0.3, %.1f) m"
                 % (gesture, placement.base_range, r.min(), r.max(), config.max_range)
             )
-        if np.max(np.abs(np.diff(r) / np.diff(probe))) >= config.max_doppler_velocity:
+        if np.max(np.abs(np.diff(r) / np.diff(probe))) >= MAX_DOPPLER_VELOCITY:
             raise PlacementError(
-                "%s exceeds the unambiguous velocity %.2f m/s"
-                % (gesture, config.max_doppler_velocity)
+                "%s exceeds the unambiguous velocity %.2f m/s" % (gesture, MAX_DOPPLER_VELOCITY)
             )
 
     return hand
@@ -266,7 +272,7 @@ def synthesize_sample(spec: DatasetSpec, row: dict, config: RadarConfig) -> np.n
     """The complex128 [frame, chirp, sample] cube of one `dataset_plan` row."""
     placement = spec.placements[row["location_id"]]
     user = spec.users[row["user_id"]]
-    duration = spec.n_frames * config.t_frame
+    duration = spec.n_frames * T_FRAME
     hand = make_gesture_scene(row["class_name"], placement, user, row["seed"], config, duration)
     try:
         return synthesize_cube(config, hand + room_clutter(placement), spec.n_frames,

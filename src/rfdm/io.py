@@ -16,7 +16,9 @@ array; a map sequence as an RfdmSequence. The RFDC header keeps a fourth
 dim, the receive channel count, after the sample count: this module alone
 knows it, writes it as 1 and refuses any other value. The manifest check
 fails a row that lacks a required field (`sha256` among them) or holds
-another type, and a repeated `index`, with ManifestError.
+another type, and a repeated `index`, with ManifestError. `check_value` is
+the one type rule for the JSON objects read from outside: a config file, a
+manifest's radar_config and a checkpoint descriptor's config.
 """
 
 import hashlib
@@ -86,6 +88,50 @@ def sha256_file(path) -> str:
         for block in iter(lambda: f.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# JSON values read from outside
+# ---------------------------------------------------------------------------
+
+
+# JSON type names of the default values' Python types
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def _has_type_of(value, default) -> bool:
+    """Whether `value` has the JSON type of `default`: an int counts as a
+    float, and a bool never counts as a number."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def check_value(name: str, value, default) -> None:
+    """ConfigError unless `value` has the JSON type of `default` and, if a
+    number, is finite (json reads NaN and Infinity). An object's keys must
+    be keys of the default, each value checked the same way; each row of an
+    array is checked against the default's first row. This is the one rule
+    for JSON read from outside, run once on each input before any output: a
+    config file against the CLI's defaults (name "", so its keys name the
+    sections), a dataset manifest's radar_config against RadarConfig's
+    fields and a checkpoint descriptor's config against CnnTcnConfig's. The
+    dataclasses and the loops past it take those values as checked."""
+    if not _has_type_of(value, default):
+        raise ConfigError(f"config value of the wrong type: {name or 'the top level'} must be "
+                          f"{_JSON_TYPES[type(default)]}, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {json.dumps(value)}")
+    if isinstance(value, dict):
+        for key, v in value.items():
+            key_name = f"{name}.{key}" if name else key
+            if key not in default:
+                raise ConfigError(f"unknown config key {key_name!r}")
+            check_value(key_name, v, default[key])
+    elif isinstance(value, list) and default:
+        for i, row in enumerate(value):
+            check_value(f"{name}[{i}]", row, default[0])
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +222,10 @@ def save_checkpoint(path, model) -> None:
            + [np.ascontiguousarray(a, "<f8") for _, a in params + buffers])
 
 
+# the JSON form of a checkpoint descriptor's config: conv_channels an array
+_MODEL_CONFIG = json.loads(json.dumps(asdict(CnnTcnConfig())))
+
+
 def load_checkpoint(path):
     """Rebuild the model from an RFNN file. Returns (model, None): the file
     holds no optimizer state, and callers unpack two values."""
@@ -190,14 +240,15 @@ def load_checkpoint(path):
                     for d in descriptor["params"] + descriptor["buffers"]]
         if not all(type(n) is int and n >= 0 for _, shape in declared for n in shape):
             raise ValueError("array dimensions must be non-negative integers")
-        # an unknown field raises TypeError
+        # an unknown or mistyped field, or a value that is not finite,
+        # raises ConfigError (a ValueError)
+        check_value("config", config, _MODEL_CONFIG)
         cfg = CnnTcnConfig(**{k: tuple(v) if isinstance(v, list) else v
                               for k, v in config.items()})
         # the file holds exactly the arrays the descriptor declares, and they
         # are the arrays the config builds, both checked before any model is
         # built: neither a small file nor a small descriptor can make a huge
-        # model. An invalid architecture raises ConfigError (a ValueError); a
-        # mistyped field, TypeError
+        # model. An invalid architecture raises ConfigError
         _expect_size(data, path, offset + 8 * sum(math.prod(shape) for _, shape in declared),
                      "checkpoint")
         if declared != layout(kind, cfg):

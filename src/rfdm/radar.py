@@ -1,30 +1,36 @@
 """FMCW radar signal model and raw data-cube synthesis.
 
-A sawtooth FMCW front end transmits chirps of slope k = B / T_s where T_s
-is the ADC sampling window n_samples / f_s. Mixing the echo of a point
+The front end is one fixed mmWave module, whose timing and frequencies are
+module constants: the carrier F_C (77.144 GHz), the bandwidth BANDWIDTH
+swept during the ADC sampling window (161.28 MHz), the ADC sample rate F_S
+(6.25 MHz), the pulse repetition interval T_PRI (32.92 us) and the frame
+period T_FRAME (100 ms), with the constants they imply, WAVELENGTH and
+MAX_DOPPLER_VELOCITY (the unambiguous radial speed, 29.51 m/s).
+`RadarConfig` holds the cube shape alone: the fast-time samples and the
+chirps per frame. A sawtooth chirp has slope k = BANDWIDTH / T_s, where
+T_s = n_samples / F_S is the sampling window. Mixing the echo of a point
 scatterer at range R with the transmit chirp and low-pass filtering yields
 a complex-baseband IF tone
 
-    s(t_fast) = A * exp(j * (2*pi*k*t_d*t_fast + 2*pi*f_c*t_d)),  t_d = 2R/c,
+    s(t_fast) = A * exp(j * (2*pi*k*t_d*t_fast + 2*pi*F_C*t_d)),  t_d = 2R/c,
 
 so the beat frequency k*t_d encodes range and the chirp-to-chirp phase
-2*pi*f_c*t_d encodes radial motion (Doppler). The quadratic residual
+2*pi*F_C*t_d encodes radial motion (Doppler). The quadratic residual
 -pi*k*t_d^2 is negligible at short range and is dropped. Scatterers are
 evaluated per chirp (stop-and-go): range is frozen within one chirp.
 
 `synthesize_cube` returns the raw cube of the one receive channel as a
 plain complex128 [frame, chirp, sample] array, whose shape carries the
 frame, chirp and sample counts. It evaluates each trajectory once on the
-[frame, chirp] slow-time grid. Before the frame loop, every return that is
-static within a frame is summed, in scene order, into one chirp row for
-that frame: each distinct (scatterer, delay) row of n_samples exponentials
-is evaluated once, and frames with the same static returns share one summed
-row, so a room's clutter is one row per cube. Each frame adds its row once,
-after its moving tones. For a moving scatterer, fast-time sample n = 16*q + m
-of chirp l is the product
+[frame, chirp] slow-time grid. A scatterer whose range is one value over
+the whole cube is static: its chirp row of n_samples exponentials is
+evaluated once, and the static rows are summed, in scene order, into one
+row per cube (a room's clutter), which each frame adds after its moving
+tones. For a moving scatterer, fast-time sample n = 16*q + m of chirp l is
+the product
 
-    hi[l, q] = A * exp(j * 2*pi*(k*t_d[l]*(16*q/f_s) + f_c*t_d[l]))
-    lo[l, m] = step_l**m,   step_l = exp(j * alpha_l),   alpha_l = 2*pi*k*t_d[l]/f_s,
+    hi[l, q] = A * exp(j * 2*pi*(k*t_d[l]*(16*q/F_S) + F_C*t_d[l]))
+    lo[l, m] = step_l**m,   step_l = exp(j * alpha_l),   alpha_l = 2*pi*k*t_d[l]/F_S,
 
 with lo formed by repeated doubling (lo[l, w:2w] = lo[l, :w] * step_l**w for
 w = 1, 2, 4, 8), so a chirp of 112 samples takes 7 + 1 exponentials instead
@@ -53,6 +59,14 @@ from .errors import ConfigError, SimulationError
 from .seeding import substream
 
 C_LIGHT = 299_792_458.0  # propagation speed [m/s]
+F_C = 77.144e9  # carrier frequency [Hz]
+BANDWIDTH = 161.28e6  # bandwidth swept during the sampling window [Hz]
+F_S = 6.25e6  # ADC sampling frequency [Hz]
+T_PRI = 32.92e-6  # pulse repetition interval [s]
+T_FRAME = 100e-3  # frame period [s]
+WAVELENGTH = C_LIGHT / F_C  # [m]
+# the unambiguous radial velocity span is +/- this value [m/s]
+MAX_DOPPLER_VELOCITY = WAVELENGTH / (4.0 * T_PRI)
 
 # Trajectory: vectorized time [s] -> range [m]. Its slope is the radial
 # velocity (positive = receding), which the chirp-to-chirp phase carries.
@@ -61,60 +75,42 @@ Trajectory = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class RadarConfig:
-    """Chirp/frame parameters of the simulated FMCW front end, which has one
-    receive channel."""
+    """The cube shape of the fixed front end, which has one receive
+    channel."""
 
-    f_c: float = 77.144e9      # carrier frequency [Hz]
-    B: float = 161.28e6        # bandwidth swept during the sampling window [Hz]
-    f_s: float = 6.25e6        # ADC sampling frequency [Hz]
     n_samples: int = 112       # fast-time samples per chirp
     n_chirps: int = 128        # chirps per frame
-    t_pri: float = 32.92e-6    # pulse repetition interval [s]
-    t_frame: float = 100e-3    # frame period [s]
 
     @property
     def t_sample(self) -> float:
         """ADC sampling window per chirp [s]."""
-        return self.n_samples / self.f_s
+        return self.n_samples / F_S
 
     @property
     def slope(self) -> float:
-        """Frequency-modulation slope k = B / t_sample [Hz/s]."""
-        return self.B / self.t_sample
-
-    @property
-    def wavelength(self) -> float:
-        return C_LIGHT / self.f_c
+        """Frequency-modulation slope k = BANDWIDTH / t_sample [Hz/s]."""
+        return BANDWIDTH / self.t_sample
 
     @property
     def max_range(self) -> float:
-        """Range where the beat frequency reaches f_s [m]."""
-        return self.f_s * C_LIGHT / (2.0 * self.slope)
-
-    @property
-    def max_doppler_velocity(self) -> float:
-        """Unambiguous radial velocity span is +/- this value [m/s]."""
-        return self.wavelength / (4.0 * self.t_pri)
+        """Range where the beat frequency reaches F_S [m]."""
+        return F_S * C_LIGHT / (2.0 * self.slope)
 
     def validate(self) -> None:
         """ConfigError naming the first broken invariant. The values are
         taken as typed: the CLI refuses a boolean, or a number of the wrong
-        type or not finite, before it builds a RadarConfig."""
-        if not (self.f_c > 0 and self.B > 0 and self.f_s > 0):
-            raise ConfigError("frequencies must be positive (f_c, B, f_s > 0)")
-        if not (self.t_pri > 0 and self.t_frame > 0):
-            raise ConfigError("times must be positive (t_pri, t_frame > 0)")
+        type, before it builds a RadarConfig."""
         if min(self.n_samples, self.n_chirps) < 1:
             raise ConfigError("counts must be >= 1 (n_samples, n_chirps)")
-        if self.t_sample > self.t_pri:
+        if self.t_sample > T_PRI:
             raise ConfigError(
-                "sampling window exceeds PRI: n_samples/f_s = %.4g s > t_pri = %.4g s"
-                % (self.t_sample, self.t_pri)
+                "sampling window exceeds PRI: n_samples/F_S = %.4g s > T_PRI = %.4g s"
+                % (self.t_sample, T_PRI)
             )
-        if self.n_chirps * self.t_pri > self.t_frame:
+        if self.n_chirps * T_PRI > T_FRAME:
             raise ConfigError(
-                "chirps do not fit in the frame: n_chirps*t_pri = %.4g s > t_frame = %.4g s"
-                % (self.n_chirps * self.t_pri, self.t_frame)
+                "chirps do not fit in the frame: n_chirps*T_PRI = %.4g s > T_FRAME = %.4g s"
+                % (self.n_chirps * T_PRI, T_FRAME)
             )
 
 
@@ -146,7 +142,7 @@ def if_signal_sample(config: RadarConfig, scatterer: Scatterer, t_fast, t_slow) 
         )
     r = scatterer.trajectory(np.asarray(t_slow, dtype=float))
     t_d = 2.0 * r / C_LIGHT
-    phase = 2.0 * np.pi * (config.slope * t_d * t_fast + config.f_c * t_d)
+    phase = 2.0 * np.pi * (config.slope * t_d * t_fast + F_C * t_d)
     out = scatterer.amplitude * np.exp(1j * phase)
     if out.ndim == 0:
         return complex(out)
@@ -164,22 +160,36 @@ def synthesize_cube(
     plus circular complex Gaussian noise of total std `noise_sigma`; returns
     the complex128 [frame, chirp, sample] array.
 
-    Chirp l of frame f is evaluated at t_slow = f*t_frame + l*t_pri; the
+    Chirp l of frame f is evaluated at t_slow = f*T_FRAME + l*T_PRI; the
     remainder of each frame period is idle. A frame sums its moving tones
     (7 + 1 exponentials per chirp, see the module docstring) and then adds
-    the one chirp row of its static returns, summed once per cube. Noise is
+    the one chirp row of the static returns, summed once per cube. Noise is
     drawn from a per-frame sub-stream of `rng_seed`, so per-frame parallel
     synthesis would produce identical output. `config` is taken as valid:
     the CLI runs RadarConfig.validate once, where it reads the config.
     """
     n_c, n_s = config.n_chirps, config.n_samples
-    t_fast = np.arange(n_s) / config.f_s
+    t_fast = np.arange(n_s) / F_S
     two_pi = 2.0 * np.pi
-    t_slow = np.arange(n_frames)[:, np.newaxis] * config.t_frame + np.arange(n_c) * config.t_pri
+    t_slow = np.arange(n_frames)[:, np.newaxis] * T_FRAME + np.arange(n_c) * T_PRI
     # range [m] of each scatterer from one trajectory call on the flat grid
     ranges = [np.asarray(sc.trajectory(t_slow.ravel()), dtype=float).reshape(t_slow.shape)
               for sc in scene]
     _check_ranges(scene, ranges, t_slow, config.max_range)
+
+    # each moving scatterer with its round-trip delay [s] on the [frame,
+    # chirp] grid; a scatterer at one range over the whole cube is static,
+    # and the static returns are summed, in scene order, into one chirp row
+    # (None: no static return)
+    moving, static_sum = [], None
+    for sc, r in zip(scene, ranges):
+        t_d = 2.0 * r / C_LIGHT
+        if np.ptp(r) == 0.0:
+            d = t_d[0, 0]
+            row = sc.amplitude * np.exp(1j * two_pi * (config.slope * d * t_fast + F_C * d))
+            static_sum = row if static_sum is None else static_sum + row
+        else:
+            moving.append((sc, t_d))
 
     # fast-time sample n = split*q + m: tone[l, n] = hi[l, q] * lo[l, m]
     split = 16
@@ -190,48 +200,20 @@ def synthesize_cube(
     tone = np.empty((n_c, n_hi, split), dtype=np.complex128)
     tone_rows = tone.reshape(n_c, n_hi * split)[:, :n_s]
 
-    def chirp_row(sc, t_d):
-        """One chirp's n_samples of a scatterer at the fixed delay t_d."""
-        return sc.amplitude * np.exp(1j * two_pi * (config.slope * t_d * t_fast + config.f_c * t_d))
-
-    # per scatterer: the round-trip delay [s] on the [frame, chirp] grid and
-    # whether it is static within each frame
-    delays = [2.0 * r / C_LIGHT for r in ranges]
-    still = [np.ptp(r, axis=1) == 0.0 for r in ranges]
-
-    # the returns static within each frame, summed in scene order into one
-    # chirp row (None: no static return); each distinct (scatterer, delay)
-    # row is evaluated once, and frames with the same static returns share
-    # one summed row
-    rows, sums, static_sum = {}, {}, []
-    for f in range(n_frames):
-        key = tuple((s, t_d[f, 0]) for s, (t_d, static) in enumerate(zip(delays, still))
-                    if static[f])
-        if key not in sums:
-            total = None
-            for s, d in key:
-                if (s, d) not in rows:
-                    rows[s, d] = chirp_row(scene[s], d)
-                total = rows[s, d] if total is None else total + rows[s, d]
-            sums[key] = total
-        static_sum.append(sums[key])
-
     cube = np.zeros((n_frames, n_c, n_s), dtype=np.complex128)
     if noise_sigma > 0.0:
         noise = np.empty((2, n_c, n_s))
         scale = noise_sigma / np.sqrt(2.0)
     for f in range(n_frames):
         frame_sum = cube[f]  # the frame is summed where it is stored
-        for sc, t_d, static in zip(scene, delays, still):
-            if static[f]:
-                continue
+        for sc, t_d in moving:
             # hi: the tone at n = split*q, by the per-element formula; lo:
             # powers of the fast-time step exp(j*alpha) by repeated doubling,
             # lo[:, w:2w] = lo[:, :w] * step**w for w = 1, 2, 4, 8
             d = t_d[f]
-            phase_hi = config.slope * np.outer(d, t_hi) + config.f_c * d[:, np.newaxis]
+            phase_hi = config.slope * np.outer(d, t_hi) + F_C * d[:, np.newaxis]
             hi = sc.amplitude * np.exp(1j * two_pi * phase_hi)
-            step = np.exp(1j * (two_pi * config.slope / config.f_s) * d)[:, np.newaxis]
+            step = np.exp(1j * (two_pi * config.slope / F_S) * d)[:, np.newaxis]
             w = 1
             while w < split:
                 np.multiply(lo[:, :w], step, out=lo[:, w : 2 * w])
@@ -239,8 +221,8 @@ def synthesize_cube(
                 w *= 2
             np.multiply(hi[:, :, np.newaxis], lo[:, np.newaxis, :], out=tone)
             frame_sum += tone_rows
-        if static_sum[f] is not None:
-            frame_sum += static_sum[f]
+        if static_sum is not None:
+            frame_sum += static_sum
         if noise_sigma > 0.0:
             # Generator fills only contiguous arrays: the real and imaginary
             # draws fill one reused buffer, in that order, and are added to

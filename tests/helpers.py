@@ -1,7 +1,8 @@
 """Shared test utilities: central-difference gradient checking, a layer's
 backward state, the max-pool as a layer over images, the traced memory peak
 of a call, a scatterer whose range moves at a constant velocity, the radar's
-bin widths, rewritten checkpoint descriptors, and the unused-import check."""
+bin widths, the radar keys of older configs and manifests, rewritten
+checkpoint descriptors, and the unused-import check."""
 
 import ast
 import json
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 
 from rfdm.nn import Layer, MaxPool2d, window_view
-from rfdm.radar import C_LIGHT, Scatterer
+from rfdm.radar import BANDWIDTH, C_LIGHT, T_PRI, WAVELENGTH, Scatterer
 
 GRADCHECK_STEP = 1e-5
 GRADCHECK_TOL = 1e-4
@@ -117,14 +118,30 @@ def linear_scatterer(r0: float, v: float, amplitude: float = 1.0, label: str = "
     return Scatterer(traj, amplitude, label or f"linear@{r0:.2f}m{v:+.2f}m/s")
 
 
-def range_resolution(config) -> float:
-    """Range bin width of an unpadded range FFT, c / (2B) [m]."""
-    return C_LIGHT / (2.0 * config.B)
+# range bin width of an unpadded range FFT, c / (2B) [m]
+RANGE_RESOLUTION = C_LIGHT / (2.0 * BANDWIDTH)
 
 
 def doppler_resolution(config) -> float:
     """Velocity bin width of an unpadded full-frame Doppler FFT [m/s]."""
-    return config.wavelength / (2.0 * config.n_chirps * config.t_pri)
+    return WAVELENGTH / (2.0 * config.n_chirps * T_PRI)
+
+
+# the radar keys of a config or dataset manifest written while the carrier,
+# bandwidth, sample rate, PRI and frame period could be set: n_samples and
+# n_chirps are RadarConfig's fields, the other five radar.py's constants
+PAST_RADAR_KEYS = ("f_c", "B", "f_s", "n_samples", "n_chirps", "t_pri", "t_frame")
+
+
+def radar_key_refusal(name: str, key: str, value) -> str:
+    """The ConfigError message for a non-integer `value` (a boolean, a
+    string or a non-finite number) under `key` of the radar object `name`: a
+    count of the wrong type, or an unknown key for a fixed constant, whatever
+    its value."""
+    if key in ("n_samples", "n_chirps"):
+        return (f"config value of the wrong type: {name}.{key} must be an integer, "
+                f"got {json.dumps(value)}")
+    return f"unknown config key '{name}.{key}'"
 
 
 def edit_descriptor(raw: bytes, edit) -> bytes:

@@ -9,13 +9,19 @@ import re
 import shutil
 import struct
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import older_checkpoint_layout, rewrite_descriptor, with_structure_keys
+from helpers import (
+    PAST_RADAR_KEYS,
+    older_checkpoint_layout,
+    radar_key_refusal,
+    rewrite_descriptor,
+    with_structure_keys,
+)
 from rfdm import cli
 from rfdm.cli import main
 from rfdm.errors import (
@@ -118,9 +124,10 @@ class TestGen:
         ({"gen": {"users": [{"speed_scale": 1.0}, {"height": 1.8}]}},
          "unknown config key 'gen.users[1].height'"),
         ({"radar": {"n_rx": 1}}, "unknown config key 'radar.n_rx'"),
+        ({"radar": {"f_c": 77.144e9}}, "unknown config key 'radar.f_c'"),
     ], ids=["train-key", "section", "gen-key", "non-object-section", "non-object-top-level",
             "preprocess-window", "preprocess-scale_mode", "placement-key", "user-key",
-            "radar-n_rx"])
+            "radar-n_rx", "radar-f_c"])
     def test_config_keys_outside_the_defaults_are_config_errors(self, tmp_path, capsys,
                                                                 doc, fragment):
         cfg = tmp_path / "cfg.json"
@@ -133,7 +140,7 @@ class TestGen:
     @pytest.mark.parametrize("doc, fragment", [
         ({"radar": {"n_chirps": "x"}}, 'radar.n_chirps must be an integer, got "x"'),
         ({"radar": {"n_chirps": 64.0}}, "radar.n_chirps must be an integer, got 64.0"),
-        ({"radar": {"f_s": "fast"}}, "config value of the wrong type"),
+        ({"radar": {"f_s": "fast"}}, radar_key_refusal("radar", "f_s", "fast")),
         ({"gen": {"users": [{"speed_scale": "fast"}]}}, "config value of the wrong type"),
         ({"gen": {"instances": None}}, "gen.instances must be an integer, got null"),
         ({"gen": {"noise_sigma": True}}, "gen.noise_sigma must be a number, got true"),
@@ -151,15 +158,15 @@ class TestGen:
         ({"gen": {"placements": [dict(PLACEMENT, environment=1)]}},
          "gen.placements[0].environment must be a string, got 1"),
         ({"gen": {"users": [3]}}, "gen.users[0] must be an object, got 3"),
-    ] + [  # a JSON bool is no number, though Python counts it as 1 or 0
-        ({"radar": {f.name: True}},
-         f"radar.{f.name} must be {'an integer' if f.type is int else 'a number'}, got true")
-        for f in fields(RadarConfig)
+    ] + [  # a JSON bool is no number, though Python counts it as 1 or 0; a key of
+        # the fixed front end, which older configs hold, is refused whatever its value
+        ({"radar": {key: True}}, radar_key_refusal("radar", key, True))
+        for key in PAST_RADAR_KEYS
     ], ids=["radar-count", "radar-float-count", "radar-rate", "user-scale", "instances-null",
             "bool-number", "crop-null", "mti-string", "mti-int", "lr-null", "val-fraction-list",
             "model-int", "users-object", "user-bool-scale", "placement-bool-range",
             "placement-int-environment", "user-row-number"]
-        + [f"radar-bool-{f.name}" for f in fields(RadarConfig)])
+        + [f"radar-bool-{key}" for key in PAST_RADAR_KEYS])
     def test_values_of_the_wrong_type_are_config_errors(self, tmp_path, capsys, doc,
                                                         fragment):
         cfg = tmp_path / "cfg.json"
@@ -199,8 +206,8 @@ class TestGen:
          "gen.noise_sigma must be a finite number, got Infinity"),
         ("gen", {"gen": {"users": [{"speed_scale": -float("inf")}]}},
          "gen.users[0].speed_scale must be a finite number, got -Infinity"),
-        ("preprocess", {"radar": {"f_s": float("nan")}},
-         "radar.f_s must be a finite number, got NaN"),
+        ("preprocess", {"radar": {"n_samples": float("nan")}},
+         "radar.n_samples must be an integer, got NaN"),
     ], ids=["frames-zero", "frames-negative", "noise-negative", "range-crop-zero",
             "doppler-crop-negative", "val-fraction-negative", "val-fraction-one",
             "val-fraction-above-one", "lr-nan", "noise-infinite", "user-scale-minus-infinite",
@@ -217,12 +224,14 @@ class TestGen:
         assert not (tmp_path / "out").exists()
 
     def test_hand_faster_than_the_doppler_span_is_placement_error(self, tmp_path, capsys):
+        # a fast, wide swipe made within one 100 ms frame crosses the
+        # +/-29.51 m/s Doppler span
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"radar": {"t_pri": 700e-6},
-                                   "gen": {"users": [{"speed_scale": 1.5, "extent_scale": 1.5}]}}))
+        cfg.write_text(json.dumps({"gen": {"n_frames": 1, "users": [
+            {"speed_scale": 1.5, "extent_scale": 1.5}]}}))
         rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
         assert rc == 6
-        assert "exceeds the unambiguous velocity 1.39 m/s" in capsys.readouterr().err
+        assert "SwipeLeft exceeds the unambiguous velocity 29.51 m/s" in capsys.readouterr().err
         assert not (tmp_path / "gen" / "dataset_manifest.json").exists()
 
     def test_cube_too_large_to_allocate_is_one_line_exit_1(self, tmp_path, capsys):
@@ -430,6 +439,26 @@ class TestPreprocess:
         assert "(64, 100, 1)" in err
         assert not (out / "rfdm_manifest.json").exists()
 
+    def test_manifest_of_the_seven_radar_keys_is_manifest_error(self, smoke, tmp_path,
+                                                                capsys):
+        # a dataset manifest written while the front end's five constants
+        # were settings, as gen wrote it (keys sorted, so B comes first):
+        # refused before any output; such a dataset must be regenerated
+        _, cfg_path, gen_dir, _ = smoke
+        man = json.loads((gen_dir / "dataset_manifest.json").read_text())
+        man["radar_config"].update(f_c=77.144e9, B=161.28e6, f_s=6.25e6, t_pri=32.92e-6,
+                                   t_frame=100e-3)
+        for row in man["samples"]:
+            row["path"] = str(gen_dir / row["path"])
+        bad = tmp_path / "dataset_manifest.json"
+        bad.write_text(json.dumps(man, indent=2, sort_keys=True))
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--config", str(cfg_path), "--manifest", str(bad),
+                     "--out", str(out)]) == 4
+        assert (f"{bad}: radar_config field error: unknown config key 'radar_config.B'"
+                in capsys.readouterr().err)
+        assert not (out / "rfdm").exists()
+
     def test_radar_config_naming_n_rx_is_manifest_error(self, smoke, tmp_path, capsys):
         _, cfg_path, gen_dir, _ = smoke
         man = json.loads((gen_dir / "dataset_manifest.json").read_text())
@@ -444,11 +473,13 @@ class TestPreprocess:
         assert "radar_config field error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field, value", [(f.name, v) for f in fields(RadarConfig)
+    @pytest.mark.parametrize("field, value", [(key, v) for key in PAST_RADAR_KEYS
                                               for v in (True, False)])
     def test_radar_config_boolean_is_manifest_error(self, smoke, tmp_path, capsys,
                                                     field, value):
-        # a JSON bool is no number, though Python counts it as 1 or 0
+        # a JSON bool is no number, though Python counts it as 1 or 0; a key
+        # of the fixed front end, which older manifests hold, is refused
+        # whatever its value
         _, cfg_path, gen_dir, _ = smoke
         man = json.loads((gen_dir / "dataset_manifest.json").read_text())
         man["radar_config"][field] = value
@@ -459,17 +490,16 @@ class TestPreprocess:
         out = tmp_path / "pp"
         assert main(["preprocess", "--config", str(cfg_path), "--manifest", str(bad),
                      "--out", str(out)]) == 4
-        want = "an integer" if type(getattr(RadarConfig(), field)) is int else "a number"
-        assert (f"radar_config field error: config value of the wrong type: "
-                f"radar_config.{field} must be {want}, got {json.dumps(value)}"
+        assert (f"radar_config field error: {radar_key_refusal('radar_config', field, value)}"
                 in capsys.readouterr().err)
         assert not (out / "rfdm").exists()
 
     @pytest.mark.parametrize("field, value", [("f_c", "Infinity"), ("f_c", "NaN"),
-                                              ("t_frame", "-Infinity")])
+                                              ("t_frame", "-Infinity"), ("n_chirps", "NaN")])
     def test_radar_config_not_finite_is_manifest_error(self, smoke, tmp_path, capsys,
                                                        field, value):
-        # json reads NaN and Infinity as floats, which no radar can have
+        # json reads NaN and Infinity as floats, which no count can be; a key
+        # of the fixed front end is refused whatever its value
         _, cfg_path, gen_dir, _ = smoke
         man = json.loads((gen_dir / "dataset_manifest.json").read_text())
         man["radar_config"][field] = float(value)
@@ -481,8 +511,9 @@ class TestPreprocess:
         out = tmp_path / "pp"
         assert main(["preprocess", "--config", str(cfg_path), "--manifest", str(bad),
                      "--out", str(out)]) == 4
-        assert (f"{bad}: radar_config field error: radar_config.{field} must be a finite "
-                f"number, got {value}" in capsys.readouterr().err)
+        assert (f"{bad}: radar_config field error: "
+                f"{radar_key_refusal('radar_config', field, float(value))}"
+                in capsys.readouterr().err)
         assert not (out / "rfdm").exists()
 
     def test_cube_of_two_rx_channels_is_integrity_error(self, smoke, tmp_path, capsys):
@@ -689,6 +720,21 @@ class TestTrainEvalInfer:
         old.write_bytes(with_structure_keys((trained / "model.rfnn").read_bytes()))
         assert main(["infer", "--checkpoint", str(old), "x.rfdm"]) == 5
         assert "unreadable checkpoint descriptor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [8.0, True], ids=["float", "bool"])
+    def test_infer_checkpoint_config_of_the_wrong_type_is_integrity_error(
+            self, smoke, trained, tmp_path, capsys, value):
+        # the trained model reads 8-frame maps; its config's t_frames as the
+        # number 8.0 or as true is refused by the config file's type rule
+        _, _, _, pp_dir = smoke
+        target = pp_dir / read_manifest(pp_dir / "rfdm_manifest.json")["samples"][0]["path"]
+        bad = tmp_path / "bad.rfnn"
+        bad.write_bytes((trained / "model.rfnn").read_bytes())
+        rewrite_descriptor(bad, lambda descriptor: descriptor["config"].update(t_frames=value))
+        assert main(["infer", "--checkpoint", str(bad), str(target)]) == 5
+        assert (f"unreadable checkpoint descriptor (ConfigError('config value of the wrong "
+                f"type: config.t_frames must be an integer, got {json.dumps(value)}'))"
+                in capsys.readouterr().err)
 
     def test_infer_checkpoint_config_larger_than_its_arrays_is_integrity_error(
             self, trained, tmp_path, capsys):

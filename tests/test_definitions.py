@@ -14,6 +14,10 @@ used when any object's attribute of that name is referenced.
 Each field of a top-level `@dataclass` must be read: loaded as an attribute
 (`obj.field`) or named by a string, anywhere in those sources. Passing it to
 the constructor does not count, since nothing then reads the value back.
+Likewise each name that a module assigns at top level (a constant, a table,
+a logger) must be read in those sources: loaded as a name or an attribute
+(`module.NAME`), or named by a string. Assigning or importing it does not
+count; names are matched bare, as methods are.
 
 Each default of a top-level function's or a top-level class's method's
 parameter must be needed: some call in `src/rfdm`, `perfbench` or `tests`
@@ -117,6 +121,34 @@ def unread_fields(package: dict, users: list) -> list:
                   if field not in read)
 
 
+def assigned_names(tree):
+    """Each name that the module's top-level assignments bind (plain,
+    annotated or augmented; every name of a tuple target)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name):
+                    yield n.id
+
+
+def unread_assignments(package: dict, users: list) -> list:
+    """(module, name) of each top-level assigned name in `package` that no
+    source in `users` loads as a name or an attribute, or names by string."""
+    read = set().union(*(reads(ast.parse(src)) for src in users))
+    read |= {n.id for src in users for n in ast.walk(ast.parse(src))
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted({(module, name)
+                   for module, source in package.items()
+                   for name in assigned_names(ast.parse(source))
+                   if name not in read})
+
+
 def defaulted_parameters(tree):
     """(qualified name, call name, [(parameter, position)]) of each top-level
     function and each method of a top-level class that has defaulted
@@ -187,6 +219,11 @@ def test_every_dataclass_field_is_read():
     assert unread_fields(package, [p.read_text() for p in USERS]) == []
 
 
+def test_every_module_level_name_is_read():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert unread_assignments(package, [p.read_text() for p in USERS]) == []
+
+
 def test_every_default_is_needed():
     package = {p.stem: p.read_text() for p in PACKAGE}
     assert needless_defaults(package, [p.read_text() for p in CALLERS]) == []
@@ -233,6 +270,20 @@ DATACLASS = "from dataclasses import dataclass\n@dataclass\nclass D:\n    a: int
 ])
 def test_checker_flags_only_unread_fields(package, users, expected):
     assert unread_fields(package, list(package.values()) + users) == expected
+
+
+@pytest.mark.parametrize("package, users, expected", [
+    ({"m": "X = 1\n"}, [], [("m", "X")]),
+    ({"m": "X = 1\ndef f():\n    return X\n"}, [], []),
+    ({"m": "X = 1\n"}, ["import m\nm.X\n"], []),
+    ({"m": "X = 1\n"}, ["from m import X\nX = 2\n"], [("m", "X")]),
+    ({"m": "X: int = 1\nY, (Z, W) = 1, (2, 3)\nV += 1\n"}, ["print(Y, W)\n"],
+     [("m", "V"), ("m", "X"), ("m", "Z")]),
+    ({"m": "X = 1\nY = X + 1\n"}, [], [("m", "Y")]),
+    ({"m": "def f():\n    x = 1\n"}, [], []),
+])
+def test_checker_flags_only_unread_assignments(package, users, expected):
+    assert unread_assignments(package, list(package.values()) + users) == expected
 
 
 FUNCTION = "def f(a, b=1, *, c=2):\n    pass\n"

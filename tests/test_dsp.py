@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import doppler_resolution, linear_scatterer, range_resolution
+from helpers import RANGE_RESOLUTION, doppler_resolution, linear_scatterer
 from rfdm.dsp import (
     RfdmSequence,
     condition_rfdm,
@@ -14,7 +14,7 @@ from rfdm.dsp import (
     range_compress,
 )
 from rfdm.errors import ShapeError
-from rfdm.radar import RadarConfig, static_scatterer, synthesize_cube
+from rfdm.radar import F_S, RadarConfig, static_scatterer, synthesize_cube
 
 CFG = RadarConfig()
 
@@ -99,7 +99,7 @@ class TestFft:
 class TestRangeCompress:
     def test_peak_bin_with_zero_padding(self):
         # a target at 5 range-resolution cells lands at bin round(5 * 128/112)
-        r = 5.0 * range_resolution(CFG)
+        r = 5.0 * RANGE_RESOLUTION
         cube = synthesize_cube(CFG, [static_scatterer(r)], n_frames=1)
         rc = range_compress(cube, 128)
         assert rc.shape == (1, 128, 128)
@@ -120,7 +120,7 @@ class TestRangeCompress:
         assert np.all(range_compress(cube, 128) == 0)
 
     def test_two_separated_targets_two_peaks(self):
-        r1, r2 = 8 * range_resolution(CFG), 40 * range_resolution(CFG)
+        r1, r2 = 8 * RANGE_RESOLUTION, 40 * RANGE_RESOLUTION
         cube = synthesize_cube(
             CFG, [static_scatterer(r1), static_scatterer(r2)], n_frames=1
         )
@@ -222,7 +222,7 @@ class TestEndToEnd:
     def test_range_velocity_recovery_grid(self):
         # argmax of the (no-MTI, Hann-windowed) RFDM within 1 bin of prediction
         n_pad = 128
-        range_bin_m = CFG.f_s * 299792458.0 / (2 * CFG.slope) / n_pad
+        range_bin_m = F_S * 299792458.0 / (2 * CFG.slope) / n_pad
         for r in [3.0, 41.0, 95.0]:
             for v in [-8.0, 0.0, 11.0]:
                 cube = synthesize_cube(CFG, [linear_scatterer(r, v)], n_frames=1)

@@ -22,7 +22,7 @@ from rfdm.gestures import (
     template_trace,
 )
 from rfdm.io import write_cube, write_rfdm
-from rfdm.radar import RadarConfig, synthesize_cube
+from rfdm.radar import T_FRAME, RadarConfig, synthesize_cube
 
 CFG = RadarConfig()
 DUR = 1.6
@@ -116,16 +116,15 @@ class TestSceneConstruction:
             )
 
     def test_placement_error_when_hand_exceeds_the_unambiguous_velocity(self):
-        # at a 700 us PRI the Doppler span is +/-1.39 m/s: a fast, wide
-        # swipe crosses it, the default user's swipe does not
-        slow_chirps = RadarConfig(t_pri=700e-6)
+        # the Doppler span is +/-29.51 m/s: a fast, wide swipe made within
+        # one frame period crosses it, the default user's swipe does not
         with pytest.raises(PlacementError,
-                           match="SwipeLeft exceeds the unambiguous velocity 1.39 m/s"):
+                           match="SwipeLeft exceeds the unambiguous velocity 29.51 m/s"):
             make_gesture_scene("SwipeLeft", ScenePlacement(),
                                UserProfile(speed_scale=1.5, extent_scale=1.5), 3,
-                               config=slow_chirps)
+                               config=CFG, duration=T_FRAME)
         make_gesture_scene("SwipeLeft", ScenePlacement(), UserProfile(), 3,
-                           config=slow_chirps)
+                           config=CFG, duration=T_FRAME)
 
     def test_unknown_names_are_config_errors(self):
         assert Environment.from_name("Office") is Environment.OFFICE

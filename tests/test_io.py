@@ -396,6 +396,25 @@ class TestCheckpointFailsClosed:
         with pytest.raises(IntegrityError, match="unreadable checkpoint descriptor"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("t_frames", 4.0, "config.t_frames must be an integer, got 4.0"),
+        ("t_frames", True, "config.t_frames must be an integer, got true"),
+        ("conv_channels", [2, 3.0, 4], "config.conv_channels[1] must be an integer, got 3.0"),
+    ], ids=["float", "bool", "float-width"])
+    def test_config_checked_by_the_config_file_rule(self, tmp_path, monkeypatch, key, value,
+                                                     fragment):
+        # TINY's own values, as a number, a boolean or an array holding a
+        # number: refused before any model is built
+        p = tmp_path / "m.rfnn"
+        save_checkpoint(p, CnnTcn(TINY))
+        rewrite_descriptor(p, lambda descriptor: descriptor["config"].update({key: value}))
+        built = []
+        monkeypatch.setattr(rfdm.io, "build_model", lambda *args, **kw: built.append(args))
+        with pytest.raises(IntegrityError, match="unreadable checkpoint descriptor") as exc:
+            load_checkpoint(p)
+        assert fragment in str(exc.value)
+        assert built == []
+
     def test_checkpoint_in_the_older_layout_is_rejected(self, tmp_path):
         p = tmp_path / "m.rfnn"
         save_checkpoint(p, CnnTcn(TINY))

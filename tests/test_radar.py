@@ -1,11 +1,15 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
-from helpers import doppler_resolution, linear_scatterer, range_resolution
-from rfdm.cli import _check_value
+from helpers import (
+    PAST_RADAR_KEYS,
+    RANGE_RESOLUTION,
+    doppler_resolution,
+    linear_scatterer,
+    radar_key_refusal,
+)
 from rfdm.dsp import dft_oracle
 from rfdm.errors import ConfigError, SimulationError
 from rfdm.gestures import (
@@ -18,9 +22,16 @@ from rfdm.gestures import (
     standard_benchmark_spec,
     synthesize_sample,
 )
-from rfdm.io import write_cube
+from rfdm.io import check_value, write_cube
 from rfdm.radar import (
+    BANDWIDTH,
     C_LIGHT,
+    F_C,
+    F_S,
+    MAX_DOPPLER_VELOCITY,
+    T_FRAME,
+    T_PRI,
+    WAVELENGTH,
     RadarConfig,
     if_signal_sample,
     static_scatterer,
@@ -40,23 +51,23 @@ class TestDerivedQuantities:
         CFG.validate()
         assert rel_err(CFG.slope, 9.0e12) < 1e-12
         assert rel_err(CFG.max_range, 104.095) < 1e-3
-        assert rel_err(CFG.max_doppler_velocity, 29.512) < 1e-3
+        assert rel_err(MAX_DOPPLER_VELOCITY, 29.512) < 1e-3
         assert rel_err(doppler_resolution(CFG), 0.461) < 1e-3
 
-    def test_bandwidth_scaling(self):
-        # the slope is B / t_sample and the max range f_s*c / (2*slope):
-        # doubling B exactly doubles the one and halves the other
-        wide = RadarConfig(B=2 * CFG.B)
-        assert wide.slope == 2.0 * CFG.slope
-        assert wide.max_range == CFG.max_range / 2.0
+    def test_sample_count_scaling(self):
+        # the slope is BANDWIDTH / t_sample and the max range F_S*c / (2*slope):
+        # halving n_samples exactly doubles the one and halves the other
+        short = RadarConfig(n_samples=CFG.n_samples // 2)
+        assert short.slope == 2.0 * CFG.slope
+        assert short.max_range == CFG.max_range / 2.0
 
     @pytest.mark.parametrize(
         "bad, fragment",
         [
-            (RadarConfig(f_s=1e5), "sampling window"),       # 112/f_s > t_pri
+            (RadarConfig(n_samples=206), "sampling window"),  # 206/F_S > T_PRI
             (RadarConfig(n_samples=0), "counts"),
-            (RadarConfig(B=-1.0), "frequencies"),
-            (RadarConfig(t_pri=-1e-6), "times"),
+            (RadarConfig(n_chirps=0), "counts"),
+            (RadarConfig(n_chirps=3038), "frame"),  # 3038*T_PRI > T_FRAME
             (RadarConfig(n_chirps=100000), "frame"),
         ],
     )
@@ -64,22 +75,28 @@ class TestDerivedQuantities:
         with pytest.raises(ConfigError, match=fragment):
             bad.validate()
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RadarConfig)])
+    def test_largest_counts_the_timing_admits(self):
+        # 205 samples fill 32.8 of the 32.92 us PRI; 3037 chirps 99.98 of
+        # the 100 ms frame
+        RadarConfig(n_samples=205, n_chirps=3037).validate()
+
+    @pytest.mark.parametrize("field", PAST_RADAR_KEYS)
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_field_is_refused(self, field, value):
         # a JSON bool is no number, though Python counts it as the int 1 or 0;
-        # the CLI's one type rule refuses it before any RadarConfig is built
-        want = "an integer" if type(getattr(CFG, field)) is int else "a number"
-        with pytest.raises(ConfigError, match=f"^config value of the wrong type: radar_config"
-                                              f"[.]{field} must be {want}, got {json.dumps(value)}$"):
-            _check_value("radar_config", {field: value}, dataclasses.asdict(CFG))
+        # the CLI's one type rule refuses it under a count before any
+        # RadarConfig is built, and refuses a key of the fixed front end,
+        # which older configs and manifests hold, whatever its value
+        with pytest.raises(ConfigError) as exc:
+            check_value("radar_config", {field: value}, dataclasses.asdict(CFG))
+        assert str(exc.value) == radar_key_refusal("radar_config", field, value)
 
 
 class TestIfSignal:
     def test_zero_range_limit_is_constant_amplitude(self):
         # t_d -> 0 gives zero beat frequency and zero phase
         sc = static_scatterer(1e-9, amplitude=0.7)
-        t_fast = np.arange(CFG.n_samples) / CFG.f_s
+        t_fast = np.arange(CFG.n_samples) / F_S
         s = if_signal_sample(CFG, sc, t_fast, 0.0)
         assert np.allclose(s, 0.7, atol=1e-6)
 
@@ -88,16 +105,16 @@ class TestIfSignal:
         f_if_expect = 9.0e12 * 2.0 * 1.0 / C_LIGHT  # 60.0415 kHz
         assert rel_err(f_if_expect, 60.04e3) < 1e-3
         sc = static_scatterer(1.0)
-        t_fast = np.arange(CFG.n_samples) / CFG.f_s
+        t_fast = np.arange(CFG.n_samples) / F_S
         s = if_signal_sample(CFG, sc, t_fast, 0.0)
         # instantaneous frequency from the unwrapped phase slope
         dphi = np.diff(np.unwrap(np.angle(s)))
-        f_meas = dphi.mean() * CFG.f_s / (2 * np.pi)
+        f_meas = dphi.mean() * F_S / (2 * np.pi)
         assert rel_err(f_meas, f_if_expect) < 1e-9
 
     def test_two_resolution_cells_peaks_at_bin_two(self):
-        sc = static_scatterer(2.0 * range_resolution(CFG))
-        t_fast = np.arange(CFG.n_samples) / CFG.f_s
+        sc = static_scatterer(2.0 * RANGE_RESOLUTION)
+        t_fast = np.arange(CFG.n_samples) / F_S
         s = if_signal_sample(CFG, sc, t_fast, 0.0)
         spec = np.abs(dft_oracle(s))
         assert int(np.argmax(spec)) == 2
@@ -161,8 +178,8 @@ class TestSynthesis:
 class TestSignalLaws:
     def test_beat_frequency_law_over_range_grid(self):
         # dominant fast-time DFT bin equals round(f_IF / (f_s / n_samples))
-        t_fast = np.arange(CFG.n_samples) / CFG.f_s
-        bin_hz = CFG.f_s / CFG.n_samples
+        t_fast = np.arange(CFG.n_samples) / F_S
+        bin_hz = F_S / CFG.n_samples
         for frac in np.linspace(1.2, 54.3, 12):
             r = frac * bin_hz * C_LIGHT / (2 * CFG.slope)
             s = if_signal_sample(CFG, static_scatterer(r), t_fast, 0.0)
@@ -172,15 +189,15 @@ class TestSignalLaws:
 
     def test_doppler_law_over_velocity_grid(self):
         # slow-time tone frequency is 2 v / lambda
-        t_slow = np.arange(CFG.n_chirps) * CFG.t_pri
+        t_slow = np.arange(CFG.n_chirps) * T_PRI
         for v in [-20.0, -7.5, -1.0, 2.5, 12.0, 25.0]:
             sc = linear_scatterer(10.0, v)
             r = sc.trajectory(t_slow)
-            tone = np.exp(1j * 4 * np.pi * r / CFG.wavelength)
+            tone = np.exp(1j * 4 * np.pi * r / WAVELENGTH)
             spec = np.abs(dft_oracle(tone))
             peak = int(np.argmax(spec))
-            f_d = 2 * v / CFG.wavelength
-            expect = round(f_d * CFG.n_chirps * CFG.t_pri) % CFG.n_chirps
+            f_d = 2 * v / WAVELENGTH
+            expect = round(f_d * CFG.n_chirps * T_PRI) % CFG.n_chirps
             assert min(abs(peak - expect), CFG.n_chirps - abs(peak - expect)) <= 1
 
 
@@ -189,12 +206,12 @@ def reference_cube(config, scene, n_frames, noise_sigma=0.0, rng_seed=0):
     call and one [n_chirps, n_samples] complex exponential per moving
     scatterer per frame, and noise formed as scale * (a + 1j*b)."""
     n_c, n_s = config.n_chirps, config.n_samples
-    t_fast = np.arange(n_s) / config.f_s
-    chirp_starts = np.arange(n_c) * config.t_pri
+    t_fast = np.arange(n_s) / F_S
+    chirp_starts = np.arange(n_c) * T_PRI
     two_pi = 2.0 * np.pi
     cube = np.zeros((n_frames, n_c, n_s), dtype=np.complex128)
     for f in range(n_frames):
-        t_slow = f * config.t_frame + chirp_starts
+        t_slow = f * T_FRAME + chirp_starts
         frame_sum = np.zeros((n_c, n_s), dtype=np.complex128)
         for sc in scene:
             r = np.asarray(sc.trajectory(t_slow), dtype=float)
@@ -208,12 +225,12 @@ def reference_cube(config, scene, n_frames, noise_sigma=0.0, rng_seed=0):
             t_d = 2.0 * r / C_LIGHT
             if np.ptp(r) == 0.0:
                 row = sc.amplitude * np.exp(
-                    1j * two_pi * (config.slope * t_d[0] * t_fast + config.f_c * t_d[0])
+                    1j * two_pi * (config.slope * t_d[0] * t_fast + F_C * t_d[0])
                 )
                 frame_sum += row[np.newaxis, :]
             else:
                 phase = two_pi * (
-                    config.slope * np.outer(t_d, t_fast) + config.f_c * t_d[:, np.newaxis]
+                    config.slope * np.outer(t_d, t_fast) + F_C * t_d[:, np.newaxis]
                 )
                 frame_sum += sc.amplitude * np.exp(1j * phase)
         if noise_sigma > 0.0:
@@ -230,7 +247,7 @@ def rounding_bound(config, moving, max_range):
     """8 eps times the largest IF phase [rad] of the moving scatterers, per
     unit of their summed amplitude. The split-exponent tone measured at most
     3.5 eps * |phase| over linear scatterers at 0.3-100 m."""
-    max_phase = 2.0 * np.pi * (config.f_c + config.B) * 2.0 * max_range / C_LIGHT
+    max_phase = 2.0 * np.pi * (F_C + BANDWIDTH) * 2.0 * max_range / C_LIGHT
     return 8.0 * np.finfo(float).eps * max_phase * sum(sc.amplitude for sc in moving)
 
 
@@ -272,12 +289,13 @@ class TestSynthesisMatchesReference:
     @pytest.mark.parametrize("noise_sigma", [0.0, 1.0])
     def test_hand_static_in_some_frames_within_rounding_bound(self, noise_sigma):
         # a jitter-free hand holds still outside the gesture's active window,
-        # at one range before it and another after, so its frames take the
-        # static rows (summed with the room's) or the moving tones
+        # at one range before it and another after; its range is not one
+        # value over the cube, so every frame takes the moving tones, also
+        # where the reference takes the per-frame static row
         placement = ScenePlacement(0.75, 0.0, Environment.CLASSROOM)
         hand = make_gesture_scene("Push", placement, UserProfile(jitter_sigma=0.0),
-                                  5, CFG, duration=16 * CFG.t_frame)
-        t_slow = np.arange(16)[:, np.newaxis] * CFG.t_frame + np.arange(CFG.n_chirps) * CFG.t_pri
+                                  5, CFG, duration=16 * T_FRAME)
+        t_slow = np.arange(16)[:, np.newaxis] * T_FRAME + np.arange(CFG.n_chirps) * T_PRI
         ranges = np.stack([sc.trajectory(t_slow) for sc in hand])
         still = np.ptp(ranges, axis=2) == 0.0
         assert still.all(axis=0).sum() >= 4 and (~still).all(axis=0).sum() >= 4
@@ -296,7 +314,7 @@ class TestSynthesisMatchesReference:
         placement = spec.placements[1]
         hand = make_gesture_scene(row["class_name"], placement,
                                   spec.users[2], row["seed"], CFG,
-                                  duration=spec.n_frames * CFG.t_frame)
+                                  duration=spec.n_frames * T_FRAME)
         scene = hand + room_clutter(placement)
         got = synthesize_sample(spec, row, CFG)
         assert np.array_equal(got, synthesize_cube(CFG, scene, spec.n_frames, 1.0, row["seed"]))
