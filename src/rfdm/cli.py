@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -195,14 +196,24 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     (out / "cubes").mkdir(parents=True, exist_ok=True)
     plan = dataset_plan(spec, args.seed)
-    rows = []
-    for row in plan:
-        cube = synthesize_sample(spec, row, radar)
-        rel = f"cubes/sample_{row['index']:05d}.rfdc"
-        entry = dict(row)
-        entry["path"] = rel
-        entry["sha256"] = write_cube(out / rel, cube)
-        rows.append(entry)
+    rows, writes = [], []
+    # One helper thread hashes and writes each cube while the next scene is
+    # synthesized, so at most two cubes are alive. Scene k-1's write is
+    # collected before scene k's is submitted, in a `finally` so that its
+    # error beats scene k's synthesis error: errors surface in plan order.
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        for row in plan:
+            try:
+                cube = synthesize_sample(spec, row, radar)
+            finally:
+                if writes:
+                    writes[-1].result()
+            entry = dict(row)
+            entry["path"] = f"cubes/sample_{row['index']:05d}.rfdc"
+            writes.append(writer.submit(write_cube, out / entry["path"], cube))
+            rows.append(entry)
+    for entry, write in zip(rows, writes):
+        entry["sha256"] = write.result()
     write_manifest(out / "dataset_manifest.json", radar, rows,
                    spec={"instances": spec.instances, "n_frames": spec.n_frames,
                          "noise_sigma": spec.noise_sigma,

@@ -8,6 +8,8 @@ import os
 import re
 import shutil
 import struct
+import threading
+import time
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -34,7 +36,7 @@ from rfdm.errors import (
     SimulationError,
 )
 from rfdm.gestures import GESTURE_CLASSES, Environment, ScenePlacement, UserProfile
-from rfdm.io import read_manifest, read_rfdm, sha256_file, write_rfdm
+from rfdm.io import read_manifest, read_rfdm, sha256_file, write_cube, write_rfdm
 from rfdm.radar import RadarConfig
 
 SMOKE_CONFIG = {
@@ -295,6 +297,89 @@ class TestGen:
         h1 = {k: v for k, v in tree_hashes(gen_dir).items() if k.startswith("cubes/")}
         h2 = {k: v for k, v in tree_hashes(again).items() if k.startswith("cubes/")}
         assert h1 == h2
+
+
+def small_cube(index):
+    """A stand-in for a synthesized scene: a 2 x 4 x 8 cube drawn from the
+    scene's index."""
+    rng = np.random.default_rng(index)
+    return rng.standard_normal((2, 4, 8)) + 1j * rng.standard_normal((2, 4, 8))
+
+
+class TestGenWriter:
+    """gen hashes and writes each cube on one helper thread while it
+    synthesizes the next: rows, files and errors keep plan order, and the
+    thread is joined before gen returns."""
+
+    @pytest.fixture
+    def gen_args(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMOKE_CONFIG))
+        return ["gen", "--config", str(cfg), "--out", str(tmp_path / "gen"), "--seed", "7"]
+
+    @staticmethod
+    def fail_synthesis_at(monkeypatch, k):
+        def synthesize(spec, row, radar):
+            if row["index"] == k:
+                raise SimulationError(f"scene {k} cannot be synthesized")
+            return small_cube(row["index"])
+
+        monkeypatch.setattr(cli, "synthesize_sample", synthesize)
+
+    def test_synthesis_error_keeps_the_cubes_before_it(self, tmp_path, monkeypatch, capsys,
+                                                       gen_args):
+        k = 5
+        self.fail_synthesis_at(monkeypatch, k)
+        threads = threading.active_count()
+        assert main(gen_args) == 6
+        assert threading.active_count() == threads
+        assert f"scene {k} cannot be synthesized" in capsys.readouterr().err
+        cubes = tmp_path / "gen" / "cubes"
+        assert sorted(p.name for p in cubes.iterdir()) == [f"sample_{i:05d}.rfdc"
+                                                          for i in range(k)]
+        for i in range(k):  # each digest is the one a write on this thread gives
+            assert (sha256_file(cubes / f"sample_{i:05d}.rfdc")
+                    == write_cube(tmp_path / "sequential.rfdc", small_cube(i)))
+        assert not (tmp_path / "gen" / "dataset_manifest.json").exists()
+
+    def test_write_error_beats_the_next_scenes_synthesis_error(self, tmp_path, monkeypatch,
+                                                               capsys, gen_args):
+        k = 3
+        self.fail_synthesis_at(monkeypatch, k + 1)
+        real = cli.write_cube
+
+        def write(path, cube):
+            if path.name == f"sample_{k:05d}.rfdc":
+                raise OSError(f"no space left writing {path.name}")
+            return real(path, cube)
+
+        monkeypatch.setattr(cli, "write_cube", write)
+        threads = threading.active_count()
+        assert main(gen_args) == 1
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err
+        assert err == f"rfdm gen: no space left writing sample_{k:05d}.rfdc\n"
+        assert not (tmp_path / "gen" / "dataset_manifest.json").exists()
+
+    def test_slow_writes_keep_plan_order_and_bytes(self, smoke, tmp_path, monkeypatch):
+        _, cfg_path, gen_dir, _ = smoke
+        real = cli.write_cube
+        writers = set()
+
+        def slow_write(path, cube):
+            time.sleep(0.001)
+            writers.add(threading.current_thread())
+            return real(path, cube)
+
+        monkeypatch.setattr(cli, "write_cube", slow_write)
+        threads = threading.active_count()
+        again = tmp_path / "gen"
+        assert main(["gen", "--config", str(cfg_path), "--out", str(again), "--seed", "7"]) == 0
+        assert threading.active_count() == threads
+        assert len(writers) == 1 and threading.main_thread() not in writers
+        rows = read_manifest(again / "dataset_manifest.json")["samples"]
+        assert [row["index"] for row in rows] == list(range(len(rows)))
+        assert tree_hashes(again) == tree_hashes(gen_dir)
 
 
 @pytest.mark.parametrize("name, section", [
