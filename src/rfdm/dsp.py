@@ -38,8 +38,6 @@ def dft_oracle(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
-    if n < 1:
-        raise ShapeError("dft_oracle requires length >= 1")
     k = np.arange(n)
     w = np.exp(-2j * np.pi * np.outer(k, k) / n)
     return w @ x
@@ -124,8 +122,6 @@ class RfdmSequence:
     frames: np.ndarray
 
     def validate(self) -> None:
-        if self.frames.ndim != 3:
-            raise ShapeError(f"RFDM frames must be 3-D, got shape {self.frames.shape}")
         if not np.all(np.isfinite(self.frames)):
             raise ShapeError("RFDM contains non-finite values")
         if np.any(self.frames < 0):
@@ -144,8 +140,6 @@ def doppler_process(rc: np.ndarray, start: int = 0, count: int | None = None) ->
     if rc.ndim != 3:
         raise ShapeError(f"expected [frame][chirp][range], got shape {rc.shape}")
     n_chirps = rc.shape[1]
-    if n_chirps < 2:
-        raise ShapeError("Doppler processing needs slow-time length >= 2")
     xw = rc * np.hanning(n_chirps)[:, np.newaxis]
     n_pad = next_pow2(n_chirps)
     # the fftshift moves DFT bin k to n_pad // 2 + k: start there, wrapping;

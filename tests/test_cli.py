@@ -6,10 +6,13 @@ import json
 import logging
 import os
 import re
+import runpy
 import shutil
 import struct
+import sys
 import threading
 import time
+import warnings
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -24,7 +27,7 @@ from helpers import (
     rewrite_descriptor,
     with_structure_keys,
 )
-from rfdm import cli
+from rfdm import __version__, cli
 from rfdm.cli import main
 from rfdm.errors import (
     ConfigError,
@@ -36,7 +39,14 @@ from rfdm.errors import (
     SimulationError,
 )
 from rfdm.gestures import GESTURE_CLASSES, Environment, ScenePlacement, UserProfile
-from rfdm.io import read_manifest, read_rfdm, sha256_file, write_cube, write_rfdm
+from rfdm.io import (
+    load_checkpoint,
+    read_manifest,
+    read_rfdm,
+    sha256_file,
+    write_cube,
+    write_rfdm,
+)
 from rfdm.radar import RadarConfig
 
 SMOKE_CONFIG = {
@@ -210,10 +220,14 @@ class TestGen:
          "gen.users[0].speed_scale must be a finite number, got -Infinity"),
         ("preprocess", {"radar": {"n_samples": float("nan")}},
          "radar.n_samples must be an integer, got NaN"),
+        ("gen", {"gen": {"users": []}}, "dataset spec needs >= 1 instance, user and placement"),
+        ("gen", {"gen": {"instances": 0}},
+         "dataset spec needs >= 1 instance, user and placement"),
+        ("gen", {"gen": {"users": [{"jitter_sigma": -1}]}}, "jitter_sigma must be >= 0"),
     ], ids=["frames-zero", "frames-negative", "noise-negative", "range-crop-zero",
             "doppler-crop-negative", "val-fraction-negative", "val-fraction-one",
             "val-fraction-above-one", "lr-nan", "noise-infinite", "user-scale-minus-infinite",
-            "radar-nan"])
+            "radar-nan", "users-empty", "instances-zero", "jitter-negative"])
     def test_values_outside_their_domain_stop_before_output(self, tmp_path, capsys, command,
                                                            doc, fragment):
         cfg = tmp_path / "cfg.json"
@@ -235,6 +249,31 @@ class TestGen:
         assert rc == 6
         assert "SwipeLeft exceeds the unambiguous velocity 29.51 m/s" in capsys.readouterr().err
         assert not (tmp_path / "gen" / "dataset_manifest.json").exists()
+
+    def test_scatterer_beyond_the_max_range_is_simulation_error(self, tmp_path, capsys):
+        # 16 fast-time samples reach 14.871 m, and room clutter is drawn out
+        # to 15 m: the first scene stops gen, naming the scatterer and the row
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radar": {"n_samples": 16}, "gen": {"n_frames": 1}}))
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
+        assert rc == 6
+        assert ("scatterer 'clutter3' at R=14.878 m outside (0, 14.871 m) at t=0.000000 s "
+                "(class=SwipeLeft, user=0, location=0, instance=0)") in capsys.readouterr().err
+        assert not (tmp_path / "gen" / "dataset_manifest.json").exists()
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("{not json", "Expecting property name enclosed in double quotes"),
+        (None, "No such file or directory"),
+    ], ids=["not-json", "missing"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, text, fragment):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"rfdm gen: cannot read config {cfg}: ") and fragment in err
+        assert not (tmp_path / "gen").exists()
 
     def test_cube_too_large_to_allocate_is_one_line_exit_1(self, tmp_path, capsys):
         # the slow-time grid of 10**17 frames (711 PiB) exceeds the 128 PiB
@@ -773,16 +812,20 @@ class TestTrainEvalInfer:
         assert lines[0] == "epoch,train_loss,val_acc"
         assert len(lines) == 3  # 2 epochs
 
-    def test_infer_runs_and_reports(self, smoke, trained, capsys):
+    def test_infer_runs_and_reports(self, smoke, trained, tmp_path, capsys):
         _, _, _, pp_dir = smoke
         man = read_manifest(pp_dir / "rfdm_manifest.json")
         target = str(pp_dir / man["samples"][0]["path"])
-        rc = main(["infer", "--checkpoint", str(trained / "model.rfnn"), target])
+        jsonl = tmp_path / "out.jsonl"
+        rc = main(["infer", "--checkpoint", str(trained / "model.rfnn"), "--out", str(jsonl),
+                   target, target])
         assert rc == 0
-        rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        out = capsys.readouterr().out
+        rec = json.loads(out.strip().splitlines()[-1])
         assert rec["path"] == target
         assert len(rec["probs"]) == 7
         assert abs(sum(rec["probs"]) - 1.0) < 1e-9
+        assert jsonl.read_text() == out  # the --out file holds the lines printed
 
     def test_infer_corrupt_checkpoint_is_integrity_error(self, trained, tmp_path):
         bad = tmp_path / "bad.rfnn"
@@ -831,6 +874,16 @@ class TestTrainEvalInfer:
             conv_channels=[16, 32, 10**9]))
         assert main(["infer", "--checkpoint", str(big), "x.rfdm"]) == 5
         assert "parameter layout does not match architecture" in capsys.readouterr().err
+
+    def test_infer_checkpoint_of_two_conv_widths_is_integrity_error(self, trained, tmp_path,
+                                                                    capsys):
+        two = tmp_path / "two.rfnn"
+        two.write_bytes((trained / "model.rfnn").read_bytes())
+        rewrite_descriptor(two, lambda descriptor: descriptor["config"].update(
+            conv_channels=[16, 32]))
+        assert main(["infer", "--checkpoint", str(two), "x.rfdm"]) == 5
+        assert ("unreadable checkpoint descriptor (ConfigError('exactly three conv widths "
+                "expected'))") in capsys.readouterr().err
 
     def test_infer_missing_checkpoint_usage_error(self, capsys):
         rc = main(["infer", "--checkpoint", "/nonexistent/m.rfnn", "x.rfdm"])
@@ -907,7 +960,10 @@ class TestTrainEvalInfer:
          "no samples at the training location (0.75, 0.0); cannot hold out"),
         ("environment", {"environment": "Office"},
          "no Classroom samples to train the environment holdout"),
-    ], ids=["location", "environment"])
+        # one user leaves the LOOCV fold nothing to train on: a DataError,
+        # also exit 4, raised before any output
+        ("loocv", {"user_id": 0}, "class SwipeLeft has no samples in the training split"),
+    ], ids=["location", "environment", "loocv"])
     def test_eval_with_no_training_group_is_manifest_error(self, smoke, tmp_path, capsys,
                                                            protocol, away, message):
         _, cfg_path, _, pp_dir = smoke
@@ -983,6 +1039,51 @@ class TestTrainEvalInfer:
                      "--manifest", str(bad), "--out", str(out)]) == 4
         assert (f"manifest row 3: path must be a string, got {json.dumps(path)}"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_train_model_flag_sets_the_checkpoint_kind(self, smoke, tmp_path):
+        _, cfg_path, _, pp_dir = smoke
+        out = tmp_path / "train"
+        assert main(["train", "--config", str(cfg_path), "--model", "cnn", "--epochs", "1",
+                     "--manifest", str(pp_dir / "rfdm_manifest.json"), "--out", str(out)]) == 0
+        model, _ = load_checkpoint(out / "model.rfnn")
+        assert model.kind == "cnn"
+        cfg = json.loads((out / "run_manifest_train.json").read_text())["config"]
+        assert cfg["train"]["model"] == "cnn"
+
+    def test_batch_norm_over_one_value_per_channel_is_shape_error(self, tmp_path, capsys):
+        # the third conv block sees 1 x 1 maps after two pools, so a batch of
+        # one 1-frame sequence gives its batch norm a single value per channel
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "gen": {"instances": 1, "n_frames": 1, "users": [{}], "placements": [{}]},
+            "preprocess": {"n_range_crop": 4, "n_doppler_crop": 4},
+            "train": {"batch_size": 1, "epochs": 1},
+        }))
+        common = ["--config", str(cfg), "--seed", "7"]
+        assert main(["gen", *common, "--out", str(tmp_path / "gen")]) == 0
+        assert main(["preprocess", *common, "--out", str(tmp_path / "pp"),
+                     "--manifest", str(tmp_path / "gen" / "dataset_manifest.json")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "train"
+        assert main(["train", *common, "--manifest", str(tmp_path / "pp" / "rfdm_manifest.json"),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "rfdm train: BatchNorm2d train mode needs N*H*W >= 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("text, fragment", [
+        ("{not json", "cannot read manifest"),
+        (json.dumps({"samples": []}), ": no samples"),
+    ], ids=["not-json", "no-samples"])
+    def test_unreadable_or_empty_manifest_is_manifest_error(self, tmp_path, capsys, command,
+                                                            text, fragment):
+        man = tmp_path / "rfdm_manifest.json"
+        man.write_text(text)
+        out = tmp_path / command
+        assert main([command, "--manifest", str(man), "--out", str(out)]) == 4
+        assert fragment in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_val_fraction_zero_carves_no_validation(self, smoke, tmp_path, capsys):
@@ -1178,6 +1279,16 @@ class TestUsage:
 
     def test_plot_is_not_a_subcommand(self, tmp_path):
         assert main(["plot", "--input", "x.rfdm", "--out", str(tmp_path / "m")]) == 2
+
+    def test_module_runs_as_a_script(self, monkeypatch, capsys):
+        # `python -m rfdm.cli` exits with main's return code
+        monkeypatch.setattr(sys, "argv", ["rfdm", "--version"])
+        with warnings.catch_warnings():  # rfdm.cli is already imported here
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("rfdm.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"rfdm {__version__}\n"
 
 
 def subparsers() -> dict:

@@ -74,9 +74,14 @@ class TestSplits:
                          envs=("Classroom", "Office", "ConferenceHall"))
         for kind in ("loocv", "location", "environment", "random"):
             for p in make_splits(meta, kind, seed=1):
-                p.validate(len(meta))
-                assert not (set(p.train) & set(p.test))
-                assert not (set(p.val) & set(p.test))
+                train, val, test = (set(ids.tolist()) for ids in (p.train, p.val, p.test))
+                assert not (train & test or train & val or val & test)
+                assert train and test
+                assert train | val | test <= set(range(len(meta)))
+                # the partitioning kinds cover the dataset; a holdout only
+                # its training group and the fold's test group
+                if kind in ("loocv", "random"):
+                    assert len(train) + len(val) + len(test) == len(meta)
 
     def test_missing_provenance_field(self):
         meta = make_meta(n_users=2)
