@@ -1,9 +1,11 @@
 """Command-line entry point: gen, preprocess, train, eval, infer.
 
 One JSON config file drives the pipeline; flags override file values which
-override defaults. All randomness flows from --seed through named
-sub-streams, and every subcommand emits a run manifest (the only artifact
-carrying a timestamp) so runs can be reproduced bit-for-bit.
+override defaults, and each overriding flag is stored under the config key
+it sets (`--epochs` under `train.epochs`). All randomness flows from --seed
+through named sub-streams, and gen, preprocess, train and eval each emit a
+run manifest (the only artifact carrying a timestamp) so runs can be
+reproduced bit-for-bit.
 
 Exit codes: 0 ok, 1 internal/IO/out of memory, 2 usage, 3 configuration,
 4 data/manifest, 5 integrity, 6 simulation.
@@ -102,17 +104,23 @@ def _default_config() -> dict:
     }
 
 
-def _load_config(path) -> dict:
-    """The defaults, each section updated by the keys of the config file at
-    `path` (if any), which check_value has checked."""
+def _load_config(args) -> dict:
+    """The defaults, each section updated by the keys of the --config file
+    (if any), which check_value has checked, then by each flag whose dest
+    is a dotted `section.key` and that was given; the merged config is
+    then domain-checked."""
     cfg = _default_config()
-    if path:
+    if args.config:
         try:
-            user = json.loads(Path(path).read_text())
+            user = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         check_value("", user, cfg)
         cfg = {section: {**values, **user.get(section, {})} for section, values in cfg.items()}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            cfg[section][key] = value
     _check_domains(cfg)
     return cfg
 
@@ -153,18 +161,21 @@ def _dataset_spec(cfg: dict) -> DatasetSpec:
     )
 
 
-def _write_run_manifest(out_dir: Path, subcommand: str, cfg: dict, seed: int,
-                        inputs: dict, outputs: list) -> None:
+def _write_run_manifest(out_dir: Path, args, cfg: dict, outputs: list) -> None:
+    """run_manifest_<subcommand>.json: the merged config, the master seed,
+    the input manifest's digest (if the subcommand reads one) and the
+    outputs."""
+    manifest = getattr(args, "manifest", None)
     doc = {
         "tool_version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "config": cfg,
-        "master_seed": int(seed),
-        "inputs": inputs,
+        "master_seed": int(args.seed),
+        "inputs": {str(manifest): sha256_file(manifest)} if manifest else {},
         "outputs": [str(p) for p in outputs],
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    (out_dir / f"run_manifest_{subcommand}.json").write_text(
+    (out_dir / f"run_manifest_{args.command}.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True)
     )
 
@@ -188,7 +199,7 @@ def _worker_count() -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     radar = RadarConfig(**cfg["radar"])  # _load_config admits only its fields
     spec = _dataset_spec(cfg)
     radar.validate()  # before any output exists
@@ -218,8 +229,7 @@ def cmd_gen(args) -> int:
                    spec={"instances": spec.instances, "n_frames": spec.n_frames,
                          "noise_sigma": spec.noise_sigma,
                          "n_users": len(spec.users), "n_placements": len(spec.placements)})
-    _write_run_manifest(out, "gen", cfg, args.seed, {},
-                        [r["path"] for r in rows] + ["dataset_manifest.json"])
+    _write_run_manifest(out, args, cfg, [r["path"] for r in rows] + ["dataset_manifest.json"])
     counts = {}
     for r in rows:
         counts[r["class_name"]] = counts.get(r["class_name"], 0) + 1
@@ -230,9 +240,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _load_config(args.config)
-    if args.no_mti:
-        cfg["preprocess"]["mti"] = False
+    cfg = _load_config(args)
     pp = cfg["preprocess"]
     manifest = read_manifest(args.manifest)
     base = Path(args.manifest).parent
@@ -263,9 +271,7 @@ def cmd_preprocess(args) -> int:
         entry["sha256"] = write_rfdm(out / rel, seq)
         rows.append(entry)
     write_manifest(out / "rfdm_manifest.json", radar, rows, preprocess=pp)
-    _write_run_manifest(out, "preprocess", cfg, args.seed,
-                        {str(args.manifest): sha256_file(args.manifest)},
-                        [r["path"] for r in rows] + ["rfdm_manifest.json"])
+    _write_run_manifest(out, args, cfg, [r["path"] for r in rows] + ["rfdm_manifest.json"])
     print(f"wrote {len(rows)} rfdm files to {out} (mti={'on' if pp['mti'] else 'off'})")
     return 0
 
@@ -290,18 +296,9 @@ def _load_rfdm_dataset(manifest_path):
     return x, np.array([row["class_id"] for row in rows], dtype=np.intp), rows
 
 
-def _model_config_for(x: np.ndarray) -> CnnTcnConfig:
-    _, t, h, w = x.shape
-    return CnnTcnConfig(t_frames=t, height=h, width=w)
-
-
-def _train_config(cfg: dict, epochs, seed: int) -> TrainConfig:
+def _train_config(tr: dict, seed: int) -> TrainConfig:
     """TrainConfig from the config's train section, validated before any
-    input is read; an --epochs value overrides it there, so the run
-    manifest records it."""
-    tr = cfg["train"]
-    if epochs is not None:
-        tr["epochs"] = epochs
+    input is read."""
     tcfg = TrainConfig(lr=float(tr["lr"]), batch_size=tr["batch_size"], epochs=tr["epochs"],
                        seed=seed)
     tcfg.validate()
@@ -309,43 +306,36 @@ def _train_config(cfg: dict, epochs, seed: int) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     tr = cfg["train"]
-    if args.model:
-        tr["model"] = args.model
-    tcfg = _train_config(cfg, args.epochs, child_seed(args.seed, "sgd"))
+    tcfg = _train_config(tr, child_seed(args.seed, "sgd"))
     x, labels, _ = _load_rfdm_dataset(args.manifest)
     train_idx, val_idx = carve_validation(np.arange(len(labels)), labels,
                                           substream(args.seed, "train-split"),
                                           float(tr["val_fraction"]))
-    model = build_model(tr["model"], _model_config_for(x), init_seed=child_seed(args.seed, "init"))
+    model = build_model(tr["model"], CnnTcnConfig(*x.shape[1:]),
+                        init_seed=child_seed(args.seed, "init"))
     res = train_model(model, x, labels, train_idx, val_idx, tcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "model.rfnn", model)
     write_curve_csv(out / "curve.csv", res.curve)
-    _write_run_manifest(out, "train", cfg, args.seed,
-                        {str(args.manifest): sha256_file(args.manifest)},
-                        ["model.rfnn", "curve.csv"])
+    _write_run_manifest(out, args, cfg, ["model.rfnn", "curve.csv"])
     print(f"best val acc {res.best_val_acc:.4f} at epoch {res.best_epoch}; "
           f"checkpoint {out / 'model.rfnn'}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     workers = _worker_count()
     tr = cfg["train"]
-    if args.model:
-        tr["model"] = args.model
-    if args.protocol:
-        cfg["eval"]["protocol"] = args.protocol
     protocol, model_kind = cfg["eval"]["protocol"], tr["model"]
-    tcfg = _train_config(cfg, args.epochs, 0)  # each fold sets its own seed
+    tcfg = _train_config(tr, 0)  # each fold sets its own seed
     x, labels, meta = _load_rfdm_dataset(args.manifest)
     plans = make_splits(meta, protocol, val_fraction=float(tr["val_fraction"]),
                         seed=child_seed(args.seed, "splits"))
-    report = run_protocol(x, labels, plans, model_kind, _model_config_for(x), tcfg,
+    report = run_protocol(x, labels, plans, model_kind, CnnTcnConfig(*x.shape[1:]), tcfg,
                           master_seed=child_seed(args.seed, "protocol"), workers=workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -355,8 +345,7 @@ def cmd_eval(args) -> int:
         name = "confusion_" + fold["id"].replace(":", "_").replace("/", "_") + ".csv"
         write_confusion_csv(out / name, fold["confusion"])
         outputs.append(name)
-    _write_run_manifest(out, "eval", cfg, args.seed,
-                        {str(args.manifest): sha256_file(args.manifest)}, outputs)
+    _write_run_manifest(out, args, cfg, outputs)
     for fold in report["folds"]:
         print(f"{fold['id']}: accuracy {fold['accuracy']:.4f}")
     print(f"mean accuracy ({protocol}, {model_kind}): {report['mean_accuracy']:.4f}")
@@ -402,27 +391,34 @@ def build_parser() -> argparse.ArgumentParser:
         if manifest:
             p.add_argument("--manifest", required=True, help="input manifest path")
 
+    # each flag that overrides a config value is stored under its dotted key
+    def train_flags(p):
+        p.add_argument("--model", dest="train.model", choices=MODEL_KINDS,
+                       help="model kind (train.model)")
+        p.add_argument("--epochs", dest="train.epochs", type=int, metavar="N",
+                       help="epoch count (train.epochs)")
+
     p = sub.add_parser("gen", help="synthesize a labeled gesture cube dataset")
     common(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("preprocess", help="cubes -> conditioned RFDM sequences")
     common(p, manifest=True)
-    p.add_argument("--no-mti", action="store_true", help="bypass the 4th-order MTI stage")
+    p.add_argument("--no-mti", dest="preprocess.mti", action="store_false", default=None,
+                   help="bypass the 4th-order MTI stage (preprocess.mti false)")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a classifier on an RFDM manifest")
     common(p, manifest=True)
-    p.add_argument("--model", choices=MODEL_KINDS, help="model kind")
-    p.add_argument("--epochs", type=int, help="override the configured epoch count")
+    train_flags(p)
     p.add_argument("--verbose", action="store_true", help="log each epoch to stderr")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="run an evaluation protocol")
     common(p, manifest=True)
-    p.add_argument("--protocol", choices=PROTOCOLS)
-    p.add_argument("--model", choices=MODEL_KINDS)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--protocol", dest="eval.protocol", choices=PROTOCOLS,
+                   help="evaluation protocol (eval.protocol)")
+    train_flags(p)
     p.add_argument("--verbose", action="store_true",
                    help="log each fold's epochs and test accuracy to stderr")
     p.set_defaults(func=cmd_eval)

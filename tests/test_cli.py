@@ -290,8 +290,27 @@ class TestGen:
     def test_an_int_is_a_number(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"train": {"lr": 1}}))
-        cfg = cli._load_config(path)
+        cfg = cli._load_config(argparse.Namespace(config=path))
         assert cfg["train"] == {**cli._default_config()["train"], "lr": 1}
+
+    def test_flags_override_the_file_before_the_domain_check(self, tmp_path):
+        # defaults <- file <- each given flag, by its dotted dest; a file
+        # value that a flag replaces is not domain-checked
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {"lr": 1e-3, "epochs": 5, "model": "cnn"},
+                                    "eval": {"protocol": "bogus"}}))
+        parse = cli.build_parser().parse_args
+        io_flags = ["--config", str(path), "--manifest", "m", "--out", "o"]
+        cfg = cli._load_config(parse(["eval", *io_flags, "--protocol", "random",
+                                      "--epochs", "1"]))
+        assert cfg["eval"] == {"protocol": "random"}
+        assert cfg["train"] == {**cli._default_config()["train"], "lr": 1e-3, "epochs": 1,
+                                "model": "cnn"}
+        with pytest.raises(ConfigError, match="eval.protocol must be one of"):
+            cli._load_config(parse(["eval", *io_flags]))
+        # an absent --no-mti leaves the file's value
+        path.write_text(json.dumps({"preprocess": {"mti": False}}))
+        assert cli._load_config(parse(["preprocess", *io_flags]))["preprocess"]["mti"] is False
 
     def test_rows_missing_keys_take_the_dataclass_defaults(self, tmp_path):
         # as a gen.users row takes the UserProfile defaults, a gen.placements
@@ -301,7 +320,7 @@ class TestGen:
             "users": [{"speed_scale": 1.2}],
             "placements": [{"base_range": 0.9, "environment": "Office"}, {"azimuth_deg": 10.0}],
         }}))
-        cfg = cli._load_config(path)
+        cfg = cli._load_config(argparse.Namespace(config=path))
         spec = cli._dataset_spec(cfg)
         assert spec.users == (UserProfile(speed_scale=1.2),)
         assert spec.placements == (ScenePlacement(0.9, 0.0, Environment.OFFICE),
@@ -431,6 +450,16 @@ def test_manifest_layout(smoke, name, section):
     assert set(doc) == {"version", "radar_config", section, "samples"}
     assert doc["version"] == 1
     assert text == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_run_manifests_record_the_subcommand_seed_and_input(smoke):
+    _, _, gen_dir, pp_dir = smoke
+    gen = json.loads((gen_dir / "run_manifest_gen.json").read_text())
+    pp = json.loads((pp_dir / "run_manifest_preprocess.json").read_text())
+    assert (gen["subcommand"], gen["master_seed"], gen["inputs"]) == ("gen", 7, {})
+    man = gen_dir / "dataset_manifest.json"
+    assert (pp["subcommand"], pp["master_seed"], pp["inputs"]) == \
+        ("preprocess", 7, {str(man): sha256_file(man)})
 
 
 class TestPreprocess:
@@ -790,6 +819,8 @@ class TestPreprocess:
         ]) == 0
         man = json.loads((out / "rfdm_manifest.json").read_text())
         assert man["preprocess"]["mti"] is False
+        cfg = json.loads((out / "run_manifest_preprocess.json").read_text())["config"]
+        assert cfg["preprocess"] == {**cfg_on["preprocess"], "mti": False}
 
 
 @pytest.fixture(scope="module")
@@ -1289,6 +1320,15 @@ class TestUsage:
                 runpy.run_module("rfdm.cli", run_name="__main__")
         assert exc.value.code == 0
         assert capsys.readouterr().out == f"rfdm {__version__}\n"
+
+    def test_each_dotted_dest_is_a_config_key(self):
+        # a misspelt dest would add a key that nothing reads
+        defaults = cli._default_config()
+        dests = {a.dest for p in subparsers().values() for a in p._actions if "." in a.dest}
+        assert dests == {"preprocess.mti", "train.model", "train.epochs", "eval.protocol"}
+        for dest in dests:
+            section, key = dest.split(".")
+            assert key in defaults.get(section, {}), dest
 
 
 def subparsers() -> dict:
