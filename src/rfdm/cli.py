@@ -321,7 +321,9 @@ def cmd_train(args) -> int:
     save_checkpoint(out / "model.rfnn", model)
     write_curve_csv(out / "curve.csv", res.curve)
     _write_run_manifest(out, args, cfg, ["model.rfnn", "curve.csv"])
-    print(f"best val acc {res.best_val_acc:.4f} at epoch {res.best_epoch}; "
+    # without validation samples best_val_acc and best_epoch read -1
+    kept = "" if len(val_idx) else "no validation samples, the last epoch's parameters kept; "
+    print(f"best val acc {res.best_val_acc:.4f} at epoch {res.best_epoch}; {kept}"
           f"checkpoint {out / 'model.rfnn'}")
     return 0
 

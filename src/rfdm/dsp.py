@@ -59,15 +59,13 @@ def fft(x: np.ndarray, n: int | None = None, start: int = 0, count: int | None =
     Equal to `np.fft.fft(x, n)[..., (start + arange(count)) % n]`: the input
     is zero-padded to length `n` (default: its own length) and only `count`
     bins (default: all `n`) are computed, starting at bin `start`, which may
-    be negative or wrap past `n`.
+    be negative or wrap past `n`. The input is not empty and `n` is not
+    shorter than it: the callers pad to next_pow2 of a length that
+    check_crop has bounded.
     """
     x = np.asarray(x, dtype=np.complex128)
     length = x.shape[-1]
-    if length < 1:
-        raise ShapeError("fft requires length >= 1")
     n = length if n is None else int(n)
-    if n < length:
-        raise ShapeError(f"fft length n={n} is shorter than the input ({length})")
     count = n if count is None else int(count)
     w = _dft_matrix(length, n, int(start), count)
     return (x.reshape(-1, length) @ w).reshape(x.shape[:-1] + (count,))
@@ -99,12 +97,10 @@ def mti_filter(rc: np.ndarray) -> np.ndarray:
     """4th-order moving-target-indication difference along chirp axis 1.
 
     y(l) = x(l) - 4 x(l-1) + 6 x(l-2) - 4 x(l-3) + x(l-4) for l = 4..L-1,
-    so the output is 4 shorter than the input. Annihilates slow-time
-    polynomials up to cubic, in particular all static (DC) returns.
+    so the output is 4 shorter than the input, which check_crop has
+    required to leave at least 2 chirps. Annihilates slow-time polynomials
+    up to cubic, in particular all static (DC) returns.
     """
-    n = rc.shape[1]
-    if n < 5:
-        raise ShapeError(f"MTI needs slow-time length >= 5, got {n}")
     # symmetric grouping cancels constant input exactly in floating point
     return (rc[:, 4:] + rc[:, :-4]) - 4.0 * (rc[:, 3:-1] + rc[:, 1:-3]) + 6.0 * rc[:, 2:-2]
 
@@ -136,9 +132,6 @@ def doppler_process(rc: np.ndarray, start: int = 0, count: int | None = None) ->
     start + count - 1 of the fftshifted axis are computed (default: all of
     them).
     """
-    rc = np.asarray(rc, dtype=np.complex128)
-    if rc.ndim != 3:
-        raise ShapeError(f"expected [frame][chirp][range], got shape {rc.shape}")
     n_chirps = rc.shape[1]
     xw = rc * np.hanning(n_chirps)[:, np.newaxis]
     n_pad = next_pow2(n_chirps)

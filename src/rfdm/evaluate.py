@@ -1,4 +1,5 @@
-"""Evaluation protocols: per-user LOOCV, location and environment holdouts.
+"""Evaluation protocols (PROTOCOLS): per-user LOOCV, location and environment
+holdouts, and one random split that holds out a fifth of the samples.
 
 Splits are built from sample provenance metadata (user_id, location_id,
 environment). Every fold trains a fresh seeded model, selects the best
@@ -6,7 +7,9 @@ epoch on a validation slice carved from its training samples, and counts a
 confusion matrix on the held-out samples over the seven gesture classes of
 `gestures.GESTURE_CLASSES`. `run_protocol` returns the `report.json`
 document: the folds' records and their unweighted mean accuracy. Each line
-a fold logs, its training epochs included, starts with the fold id.
+a fold logs, its training epochs included, starts with the fold id. A fold
+with no validation samples records best_epoch and best_val_acc as -1, and
+its model keeps the last epoch's parameters.
 """
 
 import logging
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ManifestError
+from .errors import ManifestError
 from .gestures import GESTURE_CLASSES
 from .io import require_field
 from .model import CnnTcnConfig, TrainConfig, build_model, predict_classes, train_model
@@ -74,9 +77,9 @@ def make_splits(meta: list, kind: str, *, val_fraction: float = VAL_FRACTION,
     which refuses a mistyped value by row and name: the CLI checks these
     fields here, once, before any output. A loocv over one user leaves its
     fold no training sample, and a random split may leave a class out of
-    training: train_model refuses both (DataError), naming the class."""
-    if kind not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {kind!r}; expected one of {PROTOCOLS}")
+    training: train_model refuses both (DataError), naming the class. The
+    kind is taken as one of PROTOCOLS: the CLI checks eval.protocol where it
+    loads the config."""
     n = len(meta)
     labels = _require(meta, "class_id")
     all_idx = np.arange(n, dtype=np.intp)

@@ -141,10 +141,9 @@ def check_value(name: str, value, default) -> None:
 
 def write_cube(path, cube: np.ndarray) -> str:
     """Write a [frame, chirp, sample] cube as RFDC, with one rx channel;
-    returns the SHA-256 hex digest of the bytes written. A cube that is not
-    3-d or holds a non-finite sample raises ConfigError."""
-    if cube.ndim != 3:
-        raise ConfigError(f"cube shape {cube.shape} is not [frame, chirp, sample]")
+    returns the SHA-256 hex digest of the bytes written. A cube that holds
+    a non-finite sample raises ConfigError: noise of a large
+    gen.noise_sigma can overflow."""
     if not np.all(np.isfinite(cube)):
         raise ConfigError("cube contains non-finite samples")
     # complex128 is stored as interleaved (re, im) float64 pairs; on a
@@ -181,8 +180,14 @@ def read_cube(path, config: RadarConfig, *, sha256=None) -> np.ndarray:
 
 
 def write_rfdm(path, seq: RfdmSequence) -> str:
-    """Write `seq` as RFDM; returns the SHA-256 hex digest of the bytes written."""
-    seq.validate()
+    """Write `seq` as RFDM; returns the SHA-256 hex digest of the bytes
+    written. Maps that RfdmSequence.validate refuses (finite cube samples
+    near the float64 limit overflow the DFT) raise ShapeError naming
+    `path`, and no file is written."""
+    try:
+        seq.validate()
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from exc
     x = np.ascontiguousarray(seq.frames, dtype="<f4")
     return _write(path, (RFDM_MAGIC, struct.pack("<4IB", FORMAT_VERSION, *x.shape,
                                                  _RFDM_SCALE), x))

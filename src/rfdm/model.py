@@ -73,7 +73,9 @@ from .seeding import substream
 
 log = logging.getLogger(__name__)
 
-FRAME_KERNEL = (3, 5)  # (height, width) of each frame conv
+# (height, width) of each frame conv; odd, because Conv2d's data gradient
+# pads dy on forward's sides, which only an odd kernel centres
+FRAME_KERNEL = (3, 5)
 TCN_KERNEL = 3
 REDUCE_DIVISOR = 12  # the frame CNN's last width over this, ceil, at least 1
 TCN_DILATIONS = (1, 2, 4)  # one causal temporal block each
@@ -399,9 +401,6 @@ def train_model(model, x, y, train_idx, val_idx, cfg: TrainConfig, *,
 
 def predict(model, seq) -> tuple:
     """(class index, probabilities) for one RFDM sequence [T, H, W]; any
-    other rank raises ShapeError."""
-    x = np.asarray(seq, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"predict takes one [T, H, W] sequence, got shape {x.shape}")
-    probs = softmax(model.forward(x[np.newaxis], train=False))[0]
+    other shape raises ShapeError (frame_features)."""
+    probs = softmax(model.forward(seq[np.newaxis], train=False))[0]
     return int(probs.argmax()), probs

@@ -97,11 +97,6 @@ class Layer:
         return []
 
 
-def _check_axis(x, ndim, axis, want, what):
-    if x.ndim != ndim or x.shape[axis] != want:
-        raise ShapeError(f"{what}: expected {ndim}-d with shape[{axis}] == {want}, got {x.shape}")
-
-
 class Conv2d(Layer):
     """2-D cross-correlation at stride 1 with "same" zero padding, no bias:
     each Conv2d of the model feeds a train-mode BatchNorm2d, whose batch mean
@@ -125,13 +120,10 @@ class Conv2d(Layer):
     dy the same way for the data gradient: a "same" correlation of dy with
     the kernel flipped in (kh, kw) and its channel axes swapped. That needs
     dy padded on the opposite sides to forward, which for an odd kernel are
-    the same sides, so the kernel must be odd (an even one raises
-    ShapeError).
+    the same sides, so the kernel must be odd (model.FRAME_KERNEL is).
     """
 
     def __init__(self, c_in, c_out, kh, kw, rng, name="conv"):
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeError(f"Conv2d needs an odd kernel, got {kh}x{kw}")
         self.c_in, self.c_out, self.kh, self.kw = c_in, c_out, kh, kw
         self.w = Param(name + ".w", he_uniform(rng, (kh, kw, c_in, c_out), kh * kw * c_in))
         self._cache = None
@@ -161,13 +153,13 @@ class Conv2d(Layer):
         window_major orders each slice's rows by (i % 2, j % 2, image,
         i // 2, j // 2), the window_view of the slice, so that its GEMM
         output is the four positions of the 2x2 pool's windows as four
-        contiguous blocks, each in pooled [b, H/2, W/2] order (odd H or W
-        raise ShapeError); a BatchNorm2d built with conv=<this layer> lowers
-        so. That matrix is built K-major, [kh*kw*C, b*H*W], and
-        yielded transposed, so that each of its rows copies along the
-        padded buffer's width (1.7x faster than the row-major build on
-        conv1's 512-frame input, measured); its GEMM gives the row-major
-        build's bits row for row (measured on 4-17408 rows, 2-32 columns)."""
+        contiguous blocks, each in pooled [b, H/2, W/2] order (H and W
+        even); a BatchNorm2d built with conv=<this layer> lowers so. That
+        matrix is built K-major, [kh*kw*C, b*H*W], and yielded transposed,
+        so that each of its rows copies along the padded buffer's width
+        (1.7x faster than the row-major build on conv1's 512-frame input,
+        measured); its GEMM gives the row-major build's bits row for row
+        (measured on 4-17408 rows, 2-32 columns)."""
         n, h, w, c = x.shape
         _, _, (pt, pb), (pl, pr) = self._geometry(h, w)
         k = self.kh * self.kw * c
@@ -198,7 +190,6 @@ class Conv2d(Layer):
         return out
 
     def forward(self, x, train=False):
-        _check_axis(x, 4, 3, self.c_in, "Conv2d input channels")
         wmat = self.w.value.reshape(-1, self.c_out)
         # _cache[0] has the whole-batch im2col matrix's shape but holds no
         # data (a zero-stride view): perfbench's tracer counts backward FLOPs
@@ -229,11 +220,10 @@ class BatchNorm2d(Layer):
     input, a slice at a time (_pooled): it makes no full-size normalized map,
     and its backward routes dy into a new input-sized dz through the window
     view, a slice of images at a time, and writes dx over it. With conv, the
-    Conv2d that feeds it (pool=True required, else ShapeError at
-    construction), the layer is the whole conv -> BN
-    -> pool block: it takes the conv's input, its params() are the conv's
-    weight, gamma and beta, and the conv's output never exists at full size
-    (see the last paragraph).
+    Conv2d that feeds it (and pool=True: only the pooled forward runs the
+    conv), the layer is the whole conv -> BN -> pool block: it takes the
+    conv's input, its params() are the conv's weight, gamma and beta, and
+    the conv's output never exists at full size (see the last paragraph).
 
     Train mode normalizes by biased batch statistics, updates running stats
     with momentum 0.9 and caches, for backward, its input, the per-channel
@@ -286,8 +276,6 @@ class BatchNorm2d(Layer):
     momentum, eps = 0.9, 1e-5
 
     def __init__(self, channels, name="bn", pool=False, conv=None):
-        if conv is not None and not pool:  # only the pooled forward runs the conv
-            raise ShapeError("BatchNorm2d with a conv needs pool=True")
         self.c = channels
         self.gamma = Param(name + ".gamma", np.ones(channels))
         self.beta = Param(name + ".beta", np.zeros(channels))
@@ -306,8 +294,6 @@ class BatchNorm2d(Layer):
                 (self.name + ".running_var", self.running_var)]
 
     def forward(self, x, train=False):
-        _check_axis(x, 4, 3, self.c if self.conv is None else self.conv.c_in,
-                    "BatchNorm2d input channels")
         m_count = x.shape[0] * x.shape[1] * x.shape[2]
         if train and m_count < 2:
             raise ShapeError("BatchNorm2d train mode needs N*H*W >= 2")
@@ -505,11 +491,9 @@ class LeakyReLU(Layer):
 def window_view(x):
     """[2, 2, N, H/2, W/2, ...] view of x [N, H, W, ...]: its 2x2 windows'
     four positions (i, j), (0, 0), (0, 1), (1, 0) and (1, 1), on the first
-    two axes. The one place that splits images into windows: odd H or W
-    raise ShapeError."""
+    two axes. The one place that splits images into windows, whose H and W
+    are even: model.CnnTcnConfig.validate requires multiples of 4."""
     n, h, w = x.shape[:3]
-    if h % 2 or w % 2:
-        raise ShapeError(f"2x2 windows need even spatial dims, got {h}x{w}")
     return np.moveaxis(x.reshape(n, h // 2, 2, w // 2, 2, *x.shape[3:]), (2, 4), (0, 1))
 
 
@@ -578,7 +562,6 @@ class ChannelReduce(Layer):
         return [self.w, self.b]
 
     def forward(self, x, train=False):
-        _check_axis(x, x.ndim, -1, self.c_in, "ChannelReduce input channels")
         self._x = x if train else None
         return x @ self.w.value + self.b.value
 
@@ -605,7 +588,6 @@ class CausalConv1d(Layer):
         return [self.w, self.b]
 
     def forward(self, x, train=False):
-        _check_axis(x, 3, 2, self.c_in, "CausalConv1d input channels")
         n, t, _ = x.shape
         pad = (self.kt - 1) * self.dilation
         xp = np.pad(x, ((0, 0), (pad, 0), (0, 0)))
@@ -630,19 +612,17 @@ class CausalConv1d(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: train zeroes with prob p and rescales by 1/(1-p);
-    eval is the identity. The caller owns the mask stream and may replace
-    `rng`."""
+    """Inverted dropout: train zeroes with prob p, 0 <= p < 1 (model.DROPOUT),
+    and rescales by 1/(1-p); eval is the identity. The caller owns the mask
+    stream and may replace `rng`."""
 
     def __init__(self, p):
-        if not (0.0 <= p < 1.0):
-            raise ValueError(f"dropout p must be in [0, 1), got {p}")
         self.p = p
         self.rng = np.random.default_rng(0)
         self._mask = None
 
     def forward(self, x, train=False):
-        if not train or self.p == 0.0:
+        if not train:
             self._mask = None
             return x
         keep = 1.0 - self.p
@@ -651,12 +631,11 @@ class Dropout(Layer):
 
     def backward(self, dy):
         mask, self._mask = self._mask, None
-        return dy if mask is None else dy * mask
+        return dy * mask
 
 
 class Dense(Layer):
     def __init__(self, d_in, d_out, rng, name="dense"):
-        self.d_in, self.d_out = d_in, d_out
         self.w = Param(name + ".w", he_uniform(rng, (d_in, d_out), d_in))
         self.b = Param(name + ".b", np.zeros(d_out))
 
@@ -664,7 +643,6 @@ class Dense(Layer):
         return [self.w, self.b]
 
     def forward(self, x, train=False):
-        _check_axis(x, 2, 1, self.d_in, "Dense input")
         self._x = x if train else None
         return x @ self.w.value + self.b.value
 
@@ -685,12 +663,12 @@ def softmax_xent(logits: np.ndarray, labels) -> tuple:
     """Numerically stable softmax cross-entropy of a batch.
 
     logits [N, K] with integer labels [N]: returns (mean loss, probs,
-    dlogits) where dlogits = (probs - onehot)/N."""
+    dlogits) where dlogits = (probs - onehot)/N. The labels are manifest
+    class ids, which io.require_field types in [0, K) where the CLI reads
+    them."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
-    n, k = logits.shape
-    if np.any(labels < 0) or np.any(labels >= k):
-        raise IndexError(f"label out of range [0, {k})")
+    n = len(logits)
     probs = softmax(logits)
     nll = -np.log(probs[np.arange(n), labels])
     dlogits = probs.copy()

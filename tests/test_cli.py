@@ -45,6 +45,7 @@ from rfdm.io import (
     read_rfdm,
     sha256_file,
     write_cube,
+    write_manifest,
     write_rfdm,
 )
 from rfdm.radar import RadarConfig
@@ -325,6 +326,18 @@ class TestGen:
         assert spec.users == (UserProfile(speed_scale=1.2),)
         assert spec.placements == (ScenePlacement(0.9, 0.0, Environment.OFFICE),
                                    ScenePlacement(azimuth_deg=10.0))
+
+    def test_noise_that_overflows_is_config_error_before_the_manifest(self, tmp_path, capsys):
+        # a finite noise_sigma near the float64 limit overflows the noise
+        # samples: write_cube refuses the cube, and no manifest is written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gen": {"instances": 1, "n_frames": 1, "users": [{}],
+                                           "placements": [{}], "noise_sigma": 1e308}}))
+        with np.errstate(over="ignore"):
+            rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
+        assert rc == 3
+        assert capsys.readouterr().err == "rfdm gen: cube contains non-finite samples\n"
+        assert not (tmp_path / "gen" / "dataset_manifest.json").exists()
 
     def test_manifest_matches_files_and_counts(self, smoke, capsys):
         _, cfg_path, gen_dir, _ = smoke
@@ -806,6 +819,27 @@ class TestPreprocess:
         assert abs(peak_on - peak_off) <= 1
         assert peak_off == 16 + 3  # predicted bin in the 32-wide center crop
 
+    def test_maps_that_overflow_name_their_file(self, tmp_path, capsys):
+        # finite cube samples of 1e307 pass read_cube, but their range
+        # transform overflows, so the maps hold inf and NaN: write_rfdm
+        # refuses them, naming the .rfdm file, which is not written
+        radar = RadarConfig()
+        (tmp_path / "cubes").mkdir()
+        cube = np.full((1, radar.n_chirps, radar.n_samples), 1e307, dtype=complex)
+        digest = write_cube(tmp_path / "cubes" / "big.rfdc", cube)
+        rows = [{"index": 0, "path": "cubes/big.rfdc", "sha256": digest}]
+        write_manifest(tmp_path / "dataset_manifest.json", radar, rows, spec={})
+        out = tmp_path / "pp"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["preprocess", "--manifest", str(tmp_path / "dataset_manifest.json"),
+                       "--out", str(out)])
+        assert rc == 3
+        rfdm = out / "rfdm" / "sample_00000.rfdm"
+        assert capsys.readouterr().err == \
+            f"rfdm preprocess: {rfdm}: RFDM contains non-finite values\n"
+        assert not rfdm.exists()
+        assert not (out / "rfdm_manifest.json").exists()
+
     def test_no_mti_cli_flag(self, smoke, tmp_path):
         root, cfg_path, gen_dir, _ = smoke
         cfg_on = json.loads(Path(cfg_path).read_text())
@@ -1127,6 +1161,25 @@ class TestTrainEvalInfer:
                      "--manifest", str(pp_dir / "rfdm_manifest.json"),
                      "--out", str(tmp_path / "train")]) == 0
         assert "at epoch -1;" in capsys.readouterr().out
+
+    def test_train_without_validation_says_the_last_epoch_is_kept(self, smoke, tmp_path,
+                                                                  capsys):
+        # best_val_acc and best_epoch read -1 when no sample was carved off
+        _, cfg_path, _, pp_dir = smoke
+        out = tmp_path / "train"
+        assert main(["train", "--config", str(cfg_path), "--seed", "3", "--epochs", "1",
+                     "--manifest", str(pp_dir / "rfdm_manifest.json"), "--out", str(out)]) == 0
+        with_val = capsys.readouterr().out
+        assert with_val.startswith("best val acc ") and "no validation" not in with_val
+        cfg = json.loads(json.dumps(SMOKE_CONFIG))
+        cfg["train"].update(val_fraction=0.0, epochs=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path), "--seed", "3",
+                     "--manifest", str(pp_dir / "rfdm_manifest.json"), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "best val acc -1.0000 at epoch -1; no validation samples, the last epoch's "
+            f"parameters kept; checkpoint {out / 'model.rfnn'}\n")
 
     def test_eval_reads_each_rfdm_once(self, smoke, tmp_path, opens):
         _, cfg_path, _, pp_dir = smoke

@@ -67,11 +67,6 @@ class TestFft:
         for row, got in zip(padded, out):
             assert max_rel(got, dft_oracle(row)[bins]) < 1e-12
 
-    @pytest.mark.parametrize("length, n", [(0, None), (0, 4), (8, 4), (5, 1)])
-    def test_bad_lengths_rejected(self, length, n):
-        with pytest.raises(ShapeError):
-            fft(np.zeros(length), n)
-
     def test_linearity(self):
         rng = np.random.default_rng(1)
         n = 112
@@ -87,10 +82,6 @@ class TestFft:
         for i in range(3):
             for j in range(4):
                 assert max_rel(out[i, j], dft_oracle(x[i, j])) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            fft(np.zeros(0))
 
     def test_next_pow2(self):
         assert [next_pow2(n) for n in [1, 2, 3, 112, 124, 128]] == [1, 2, 4, 128, 128, 128]
@@ -156,10 +147,6 @@ class TestMti:
         y = mti_filter((l ** 4)[np.newaxis, :, np.newaxis])
         assert np.allclose(y, 24.0, rtol=1e-12)
 
-    def test_short_slow_time_rejected(self):
-        with pytest.raises(ShapeError, match=">= 5"):
-            mti_filter(np.zeros((1, 4, 2)))
-
 
 class TestDoppler:
     def test_static_target_at_center_bin(self):
@@ -186,11 +173,6 @@ class TestDoppler:
         for start, count in [(48, 32), (0, 16), (100, 28)]:
             pruned = doppler_process(rc, start=start, count=count).frames
             assert max_rel(pruned, full[:, :, start : start + count]) < 1e-12
-
-    @pytest.mark.parametrize("shape", [(2, 8), (2, 8, 3, 1)])
-    def test_input_other_than_frame_chirp_range_rejected(self, shape):
-        with pytest.raises(ShapeError, match=r"expected \[frame\]\[chirp\]\[range\]"):
-            doppler_process(np.zeros(shape, dtype=complex))
 
     def test_mti_suppresses_static_clutter(self):
         clutter = [static_scatterer(r, a) for r, a in [(2.0, 1.0), (6.5, 0.5), (11.0, 0.8)]]

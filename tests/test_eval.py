@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rfdm.errors import ConfigError, ManifestError
+from rfdm.errors import ManifestError
 from rfdm.evaluate import confusion, make_splits, run_protocol
 from rfdm.gestures import GESTURE_CLASSES
 from rfdm.model import CnnTcnConfig, TrainConfig
@@ -108,10 +108,6 @@ class TestSplits:
             m.update(away)
         with pytest.raises(ManifestError, match=message):
             make_splits(meta, protocol)
-
-    def test_unknown_protocol(self):
-        with pytest.raises(ConfigError, match="protocol"):
-            make_splits(make_meta(), "bootstrap")
 
     def test_validation_keeps_every_class_in_train(self):
         meta = make_meta(n_users=3, n_instances=1)

@@ -403,7 +403,8 @@ class TestPredict:
     @pytest.mark.parametrize("shape", [(3, 4, 8, 8), (1, 4, 8, 8), (8, 8)],
                              ids=["batch", "batch-of-one", "one-frame"])
     def test_anything_but_one_sequence_is_shape_error(self, shape):
-        with pytest.raises(ShapeError, match=r"one \[T, H, W\] sequence"):
+        # frame_features refuses it: the one sequence gains a batch axis
+        with pytest.raises(ShapeError, match=r"expected \[batch, 4, 8, 8\], got \(1, "):
             predict(tiny_model(12), np.random.default_rng(4).random(shape))
 
 

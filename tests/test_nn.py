@@ -13,7 +13,6 @@ from helpers import (
 )
 from rfdm.dsp import cube_to_rfdm
 from rfdm import nn
-from rfdm.errors import ShapeError
 from rfdm.gestures import dataset_plan, standard_benchmark_spec, synthesize_sample
 from rfdm.nn import (
     IM2COL_CHUNK_BYTES,
@@ -122,11 +121,6 @@ class TestConv2d:
     def test_same_padding_shape(self):
         conv = Conv2d(1, 4, 3, 5, rng=rng_for(0))
         assert conv.forward(np.zeros((2, 32, 32, 1))).shape == (2, 32, 32, 4)
-
-    def test_channel_mismatch_reports_shapes(self):
-        conv = Conv2d(2, 3, 3, 3, rng=rng_for(0))
-        with pytest.raises(ShapeError, match="expected"):
-            conv.forward(np.zeros((1, 4, 4, 5)))
 
     # The layer's input gradient is one GEMM per slice over all kh*kw*c_out
     # products of an output pixel (dy lowered against the flipped kernel),
@@ -240,22 +234,8 @@ class TestConv2d:
         x = rng.standard_normal((2, 5, 6, 2))
         check_layer_gradients(conv, x, seed=1)
 
-    @pytest.mark.parametrize("kh, kw", [(2, 4), (1, 2), (4, 1)])
-    def test_even_kernel_rejected(self, kh, kw):
-        # "same" padding of an even kernel puts one more row or column on one
-        # side than on the other, which the data gradient's lowering does not
-        # mirror
-        with pytest.raises(ShapeError, match="odd"):
-            Conv2d(2, 3, kh, kw, rng=rng_for(0))
-
 
 class TestBatchNorm:
-    def test_conv_without_pool_is_refused(self):
-        # only the pooled forward runs the conv: without a pool the layer
-        # would batch-normalize its input and never convolve it
-        with pytest.raises(ShapeError, match="^BatchNorm2d with a conv needs pool=True$"):
-            BatchNorm2d(16, conv=Conv2d(1, 16, 3, 5, rng=rng_for(0)))
-
     def test_normalizes_in_train_mode(self):
         bn = BatchNorm2d(3)
         # input variance well above eps so the normalized variance hits 1e-6
@@ -1030,15 +1010,6 @@ class TestMaxPool:
         pool.backward(index, rng.standard_normal(y.shape), window_view(np.empty(x.shape)))
         assert vars(pool) == {}
 
-    def test_odd_dims_rejected(self):
-        with pytest.raises(ShapeError, match="even"):
-            window_view(np.zeros((1, 3, 4, 1)))
-        with pytest.raises(ShapeError, match="even"):
-            pooled_bn((1.0,)).forward(np.zeros((2, 4, 5, 1)), train=True)
-        bn, _, _ = TestConvFedBatchNorm().block(rng_for(0), c=2)
-        with pytest.raises(ShapeError, match="even"):
-            bn.forward(np.zeros((2, 3, 4, 1)), train=True)
-
     @pytest.mark.parametrize("seed", range(3))
     def test_gradcheck_distinct_values(self, seed):
         rng = rng_for(seed)
@@ -1113,10 +1084,6 @@ class TestDropout:
         x = rng_for(0).standard_normal((4, 5))
         assert np.array_equal(Dropout(0.0).forward(x, train=True), x)
         assert np.array_equal(Dropout(0.7).forward(x, train=False), x)
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
     def test_survivor_statistics(self):
         drop = Dropout(0.5)
