@@ -7,8 +7,17 @@ through named sub-streams, and gen, preprocess, train and eval each emit a
 run manifest (the only artifact carrying a timestamp) so runs can be
 reproduced bit-for-bit.
 
-Exit codes: 0 ok, 1 internal/IO/out of memory, 2 usage, 3 configuration,
-4 data/manifest, 5 integrity, 6 simulation.
+Every subcommand runs under one numpy error rule, set in `main`: overflow,
+an invalid operation and division by zero raise FloatingPointError where
+they happen (underflow is ignored), so no stage goes on with an inf or NaN
+that numpy made from finite values; eval's fold workers run in a copy of
+the caller's context, so the rule holds there too. gen reports such an
+error naming the scene (exit 6), preprocess naming the cube (exit 3). In
+train, eval and infer every input has passed its reader's check, so the
+settings drive the arithmetic (a train.lr that diverges): exit 3.
+
+Exit codes: 0 ok, 1 internal/IO/out of memory, 2 usage, 3 configuration or
+floating-point error, 4 data/manifest, 5 integrity, 6 simulation.
 """
 
 import argparse
@@ -69,9 +78,8 @@ EXIT_CODES = (
     (ManifestError, 4),
     (DataError, 4),
     (SimulationError, 6),
-    (ConfigError, 3),
-    (ShapeError, 3),
-    (ValueError, 3),
+    (ValueError, 3),  # ConfigError and ShapeError among them
+    (FloatingPointError, 3),
     (OSError, 1),
     (MemoryError, 1),
 )
@@ -262,8 +270,11 @@ def cmd_preprocess(args) -> int:
     for row in manifest["samples"]:
         # a corrupt cube stops the job here, before rfdm_manifest.json is written
         cube = read_cube(base / row["path"], radar, sha256=row["sha256"])
-        seq = cube_to_rfdm(cube, mti=pp["mti"], n_range_crop=pp["n_range_crop"],
-                           n_doppler_crop=pp["n_doppler_crop"])
+        try:  # finite samples near the float64 limit overflow the transforms
+            seq = cube_to_rfdm(cube, mti=pp["mti"], n_range_crop=pp["n_range_crop"],
+                               n_doppler_crop=pp["n_doppler_crop"])
+        except FloatingPointError as exc:
+            raise ShapeError(f"{base / row['path']}: computing its maps: {exc}") from exc
         rel = f"rfdm/sample_{row['index']:05d}.rfdm"
         entry = {k: row[k] for k in row if k not in ("path", "sha256")}
         entry["path"] = rel
@@ -448,7 +459,8 @@ def main(argv=None) -> int:
         logger.addHandler(handler)
         logger.setLevel(logging.INFO)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
         code = next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
         print(f"rfdm {args.command}: {exc}", file=sys.stderr)

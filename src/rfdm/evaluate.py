@@ -12,6 +12,7 @@ with no validation samples records best_epoch and best_val_acc as -1, and
 its model keeps the last epoch's parameters.
 """
 
+import contextvars
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -147,7 +148,10 @@ def run_protocol(x: np.ndarray, labels: np.ndarray, plans: list, model_kind: str
     fold's confusion over GESTURE_CLASSES.
 
     Folds are independent (fresh model, derived seed), so `workers` > 1 runs
-    them on a thread pool without changing any result."""
+    them on a thread pool without changing any result. Each fold runs in a
+    copy of the caller's context, so the caller's numpy error state (kept
+    in a context variable, which a new thread does not inherit) holds in
+    the workers too."""
 
     def run_fold(fi: int, plan: SplitPlan) -> dict:
         fold_seed = child_seed(master_seed, "fold", fi)
@@ -161,7 +165,9 @@ def run_protocol(x: np.ndarray, labels: np.ndarray, plans: list, model_kind: str
 
     if workers > 1 and len(plans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            folds = list(pool.map(run_fold, range(len(plans)), plans))
+            futures = [pool.submit(contextvars.copy_context().run, run_fold, fi, plan)
+                       for fi, plan in enumerate(plans)]
+            folds = [f.result() for f in futures]
     else:
         folds = [run_fold(fi, plan) for fi, plan in enumerate(plans)]
     return {"protocol": plans[0].kind, "model": model_kind, "master_seed": master_seed,

@@ -145,8 +145,6 @@ def _jitter_components(rng: np.random.Generator, sigma: float):
     freqs = rng.uniform(2.0, 8.0, size=3)
     phases = rng.uniform(0.0, 2 * np.pi, size=3)
     raw = rng.uniform(0.5, 1.0, size=3)
-    if sigma <= 0.0:
-        return freqs, phases, np.zeros(3)
     amps = raw * (sigma / math.sqrt(np.sum(raw**2) / 2.0))
     return freqs, phases, amps
 
@@ -269,7 +267,11 @@ def dataset_plan(spec: DatasetSpec, rng_seed: int) -> list:
 
 
 def synthesize_sample(spec: DatasetSpec, row: dict, config: RadarConfig) -> np.ndarray:
-    """The complex128 [frame, chirp, sample] cube of one `dataset_plan` row."""
+    """The complex128 [frame, chirp, sample] cube of one `dataset_plan` row.
+
+    A SimulationError from the synthesis, or a FloatingPointError (under
+    the CLI's numpy error rule, noise of a gen.noise_sigma near the float64
+    limit overflows), is raised as a SimulationError naming the row."""
     placement = spec.placements[row["location_id"]]
     user = spec.users[row["user_id"]]
     duration = spec.n_frames * T_FRAME
@@ -277,7 +279,7 @@ def synthesize_sample(spec: DatasetSpec, row: dict, config: RadarConfig) -> np.n
     try:
         return synthesize_cube(config, hand + room_clutter(placement), spec.n_frames,
                                spec.noise_sigma, row["seed"])
-    except SimulationError as exc:
+    except (SimulationError, FloatingPointError) as exc:
         raise SimulationError(
             f"{exc} (class={row['class_name']}, user={row['user_id']}, "
             f"location={row['location_id']}, instance={row['instance']})"

@@ -10,7 +10,11 @@ file once and verifies those bytes alone: the magic, the version, the
 scale byte, the exact size the header implies and, for cubes and map
 sequences, the manifest row's digest (`sha256=`). Readers fail closed: a
 mismatch, or a payload its type rejects (a non-finite value, a negative
-map magnitude or running variance), raises IntegrityError. A cube is
+map magnitude or running variance), raises IntegrityError. Writers check
+no values: the program built what they write, and the CLI's numpy error
+rule (overflow, invalid and divide raise) stops a stage whose arithmetic
+fails before its output reaches a writer, so no ConfigError or ShapeError
+comes from here for a value the program made. A cube is
 written from, and read back as, the plain complex128 [frame, chirp, sample]
 array; a map sequence as an RfdmSequence. The RFDC header keeps a fourth
 dim, the receive channel count, after the sample count: this module alone
@@ -141,11 +145,9 @@ def check_value(name: str, value, default) -> None:
 
 def write_cube(path, cube: np.ndarray) -> str:
     """Write a [frame, chirp, sample] cube as RFDC, with one rx channel;
-    returns the SHA-256 hex digest of the bytes written. A cube that holds
-    a non-finite sample raises ConfigError: noise of a large
-    gen.noise_sigma can overflow."""
-    if not np.all(np.isfinite(cube)):
-        raise ConfigError("cube contains non-finite samples")
+    returns the SHA-256 hex digest of the bytes written. The cube is
+    written as given: the CLI's numpy error rule stops a synthesis that
+    overflows before its cube gets here."""
     # complex128 is stored as interleaved (re, im) float64 pairs; on a
     # little-endian host this is the cube's own buffer, not a copy
     x = np.ascontiguousarray(cube, dtype="<c16")
@@ -181,13 +183,8 @@ def read_cube(path, config: RadarConfig, *, sha256=None) -> np.ndarray:
 
 def write_rfdm(path, seq: RfdmSequence) -> str:
     """Write `seq` as RFDM; returns the SHA-256 hex digest of the bytes
-    written. Maps that RfdmSequence.validate refuses (finite cube samples
-    near the float64 limit overflow the DFT) raise ShapeError naming
-    `path`, and no file is written."""
-    try:
-        seq.validate()
-    except ShapeError as exc:
-        raise ShapeError(f"{path}: {exc}") from exc
+    written. The maps are written as given: the CLI's numpy error rule
+    stops transforms that overflow before their maps get here."""
     x = np.ascontiguousarray(seq.frames, dtype="<f4")
     return _write(path, (RFDM_MAGIC, struct.pack("<4IB", FORMAT_VERSION, *x.shape,
                                                  _RFDM_SCALE), x))

@@ -279,7 +279,7 @@ def _model_class(kind: str):
     for cls in (CnnTcn, CnnBaseline):
         if cls.kind == kind:
             return cls
-    raise ConfigError(f"unknown model kind {kind!r} (expected 'cnn-tcn' or 'cnn')")
+    raise ConfigError(f"unknown model kind {kind!r} (expected one of {', '.join(MODEL_KINDS)})")
 
 
 def build_model(kind: str, cfg: CnnTcnConfig, init_seed: int = 0):

@@ -665,7 +665,10 @@ def softmax_xent(logits: np.ndarray, labels) -> tuple:
     logits [N, K] with integer labels [N]: returns (mean loss, probs,
     dlogits) where dlogits = (probs - onehot)/N. The labels are manifest
     class ids, which io.require_field types in [0, K) where the CLI reads
-    them."""
+    them. A label whose probability underflows to 0 (logits that diverge)
+    makes the log divide by zero: under the CLI's numpy error rule that
+    raises FloatingPointError ("divide by zero encountered in log"), and
+    without it the loss is inf."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     n = len(logits)

@@ -327,16 +327,20 @@ class TestGen:
         assert spec.placements == (ScenePlacement(0.9, 0.0, Environment.OFFICE),
                                    ScenePlacement(azimuth_deg=10.0))
 
-    def test_noise_that_overflows_is_config_error_before_the_manifest(self, tmp_path, capsys):
+    def test_noise_that_overflows_is_simulation_error_before_the_manifest(self, tmp_path,
+                                                                           capsys):
         # a finite noise_sigma near the float64 limit overflows the noise
-        # samples: write_cube refuses the cube, and no manifest is written
+        # samples: the numpy error rule stops the scene where it overflows,
+        # one line names it, and no cube or manifest is written
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gen": {"instances": 1, "n_frames": 1, "users": [{}],
                                            "placements": [{}], "noise_sigma": 1e308}}))
-        with np.errstate(over="ignore"):
-            rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
-        assert rc == 3
-        assert capsys.readouterr().err == "rfdm gen: cube contains non-finite samples\n"
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "gen")])
+        assert rc == 6
+        assert capsys.readouterr().err == (
+            "rfdm gen: overflow encountered in multiply "
+            "(class=SwipeLeft, user=0, location=0, instance=0)\n")
+        assert not list((tmp_path / "gen" / "cubes").iterdir())
         assert not (tmp_path / "gen" / "dataset_manifest.json").exists()
 
     def test_manifest_matches_files_and_counts(self, smoke, capsys):
@@ -821,8 +825,8 @@ class TestPreprocess:
 
     def test_maps_that_overflow_name_their_file(self, tmp_path, capsys):
         # finite cube samples of 1e307 pass read_cube, but their range
-        # transform overflows, so the maps hold inf and NaN: write_rfdm
-        # refuses them, naming the .rfdm file, which is not written
+        # transform overflows: the numpy error rule stops it there, and one
+        # line names the cube; no .rfdm file or manifest is written
         radar = RadarConfig()
         (tmp_path / "cubes").mkdir()
         cube = np.full((1, radar.n_chirps, radar.n_samples), 1e307, dtype=complex)
@@ -830,14 +834,13 @@ class TestPreprocess:
         rows = [{"index": 0, "path": "cubes/big.rfdc", "sha256": digest}]
         write_manifest(tmp_path / "dataset_manifest.json", radar, rows, spec={})
         out = tmp_path / "pp"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["preprocess", "--manifest", str(tmp_path / "dataset_manifest.json"),
-                       "--out", str(out)])
+        rc = main(["preprocess", "--manifest", str(tmp_path / "dataset_manifest.json"),
+                   "--out", str(out)])
         assert rc == 3
-        rfdm = out / "rfdm" / "sample_00000.rfdm"
-        assert capsys.readouterr().err == \
-            f"rfdm preprocess: {rfdm}: RFDM contains non-finite values\n"
-        assert not rfdm.exists()
+        assert capsys.readouterr().err == (
+            f"rfdm preprocess: {tmp_path / 'cubes' / 'big.rfdc'}: computing its maps: "
+            f"overflow encountered in matmul\n")
+        assert not list((out / "rfdm").iterdir())
         assert not (out / "rfdm_manifest.json").exists()
 
     def test_no_mti_cli_flag(self, smoke, tmp_path):
@@ -876,6 +879,21 @@ class TestTrainEvalInfer:
         lines = (trained / "curve.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_acc"
         assert len(lines) == 3  # 2 epochs
+
+    def test_train_that_diverges_stops_before_the_checkpoint(self, smoke, tmp_path, capsys):
+        # at lr 1e6 the logits diverge until a label's probability
+        # underflows to 0: the numpy error rule stops the log there, before
+        # any checkpoint or curve is written
+        _, cfg_path, _, pp_dir = smoke
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()),
+                                   "train": {**SMOKE_CONFIG["train"], "lr": 1e6}}))
+        out = tmp_path / "train"
+        rc = main(["train", "--config", str(cfg), "--seed", "3",
+                   "--manifest", str(pp_dir / "rfdm_manifest.json"), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "rfdm train: divide by zero encountered in log\n"
+        assert not out.exists()
 
     def test_infer_runs_and_reports(self, smoke, trained, tmp_path, capsys):
         _, _, _, pp_dir = smoke
@@ -1420,6 +1438,7 @@ class TestExitCodes:
         (ConfigError, 3),
         (ShapeError, 3),
         (ValueError, 3),
+        (FloatingPointError, 3),
         (OSError, 1),
         (FileNotFoundError, 1),
         (MemoryError, 1),

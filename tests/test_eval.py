@@ -215,6 +215,20 @@ class TestRunProtocol:
 
         assert run(2) == run(1)
 
+    def test_fold_workers_keep_the_callers_error_rule(self):
+        # numpy's error state is a context variable, which a new thread
+        # does not inherit: each fold runs in a copy of the caller's
+        # context, so a diverging fold raises in a worker as it would in
+        # the caller's thread
+        meta = make_meta(n_users=2, n_locations=1, n_instances=1)
+        x, y = separable_dataset(meta)
+        plans = make_splits(meta, "loocv", seed=2)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(FloatingPointError):
+                run_protocol(x, y, plans, "cnn-tcn", SMALL_CFG,
+                             TrainConfig(lr=1e6, batch_size=7, epochs=2, seed=0),
+                             master_seed=3, workers=2)
+
     def test_fold_threads_tag_their_own_log_lines(self, caplog):
         # more fold threads than cores, switching often: a fold id shared
         # between threads would tag some epoch lines with another fold's id

@@ -531,7 +531,8 @@ class TestRfnnLayout:
             + [(name, b.shape) for name, b in m.buffers()]
 
     def test_layout_rejects_what_build_model_rejects(self):
-        with pytest.raises(ConfigError, match="unknown model kind"):
+        with pytest.raises(ConfigError, match=r"unknown model kind 'rnn' \(expected one of "
+                                               r"cnn-tcn, cnn\)"):
             layout("rnn", TINY)
         with pytest.raises(ConfigError, match="divisible by 4"):
             layout("cnn", CnnTcnConfig(height=6))

@@ -22,7 +22,7 @@ from rfdm.gestures import (
     standard_benchmark_spec,
     synthesize_sample,
 )
-from rfdm.io import check_value, write_cube
+from rfdm.io import check_value
 from rfdm.radar import (
     BANDWIDTH,
     C_LIGHT,
@@ -161,14 +161,6 @@ class TestSynthesis:
         z = cube.ravel()
         # total complex std == noise_sigma
         assert abs(np.sqrt(np.mean(np.abs(z) ** 2)) - 2.0) < 0.02
-
-    def test_cube_validation(self, tmp_path):
-        # write_cube refuses a cube that is not finite
-        cube = synthesize_cube(CFG, [], n_frames=1)
-        write_cube(tmp_path / "c.rfdc", cube)
-        cube[0, 3, 5] = np.nan
-        with pytest.raises(ConfigError, match="non-finite"):
-            write_cube(tmp_path / "c.rfdc", cube)
 
 
 class TestSignalLaws:
